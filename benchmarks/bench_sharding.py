@@ -1,25 +1,30 @@
-"""E22 — sharded scatter-gather: scaling curve, parity, pruning.
+"""E22 — sharded scatter-gather: parity, pruning, scatter overhead.
 
-Claims (ISSUE: sharded scale-out engine with scatter-gather top-k and
-score-upper-bound pruning):
+The single engine and the scatter run the *same* bound-ordered CN
+executor (:func:`repro.schema_search.topk.run_bound_ordered`), so the
+baseline here is the honest one: a sharded engine adds partitioning,
+thread hand-off and a lock-guarded global heap to it, and threads under
+one GIL add no CPU.  (Before the executors were unified this suite
+gated "4 shards >= 2x the single engine", which only ever measured
+pruning against no pruning.)
+
+Claims:
 
 1. **Byte-identical top-k.**  For every query, shard count in
    {1, 2, 4, 8} and both partitioners, the sharded engine's top-k is
    byte-identical to the single ``KeywordSearchEngine``'s (divergence
    count must be 0).
-2. **Cold-query speedup.**  On the enlarged bibliographic dataset the
-   4-shard engine answers the cold workload (result cache bypassed,
-   substrates warm — the serving steady state) at least ``MIN_SPEEDUP``
-   times faster than the single engine.  The win comes from the global
-   k-th-score threshold: shards stop evaluating anchor slots whose
-   score upper bound falls below it, where the single engine's shared
-   executor evaluates every candidate.
-3. **Pruning effectiveness.**  The threshold skips a measurable
-   fraction of the candidate slots (``pruned / (pruned + evaluated)``)
-   on the joining dataset.  The single-table products dataset is the
-   control: its queries return fewer than k matches, the threshold
-   never engages, and the series documents the scatter overhead
-   (parity must still hold exactly).
+2. **Pruning effectiveness.**  The global k-th-score threshold skips a
+   measurable fraction of the candidate slots
+   (``pruned / (pruned + evaluated)``) on the joining dataset.  The
+   single-table products dataset is the control: its queries return
+   fewer than k matches and the threshold never engages.
+3. **Bounded scatter overhead.**  On the cold workload (result cache
+   bypassed, substrates warm) the 1-shard engine — the same executor
+   plus the scatter machinery — takes at most ``MAX_LATENCY_RATIO``
+   times the single engine's time on the joining dataset.  The whole
+   curve (``latency_ratio`` per shard count, both datasets) is
+   recorded; wider scatters pay one more thread hand-off per shard.
 
 Runnable under pytest or as a script emitting ``BENCH_sharding.json``:
 
@@ -46,8 +51,8 @@ from repro.datasets.products import generate_product_db
 from repro.sharding import ShardedSearchEngine
 
 SHARD_COUNTS = [1, 2, 4, 8]
-MIN_SPEEDUP = 2.0  # at 4 shards, biblio, cold workload
-MIN_SPEEDUP_SMOKE = 1.3  # CI: smaller dataset, noisy runners
+MAX_LATENCY_RATIO = 1.25  # 1 shard / single engine, biblio, cold workload
+MAX_LATENCY_RATIO_SMOKE = 1.6  # CI: ~1 ms queries, fixed overhead looms larger
 K = 10
 
 BIBLIO_QUERIES = [
@@ -121,7 +126,7 @@ def _bench_dataset(
                 {
                     "shards": n_shards,
                     "cold_ms": round(elapsed_s * 1000.0, 3),
-                    "speedup": round(single_s / elapsed_s, 3),
+                    "latency_ratio": round(elapsed_s / single_s, 3),
                     "evaluated": evaluated,
                     "pruned": pruned,
                     "pruned_fraction": round(
@@ -164,17 +169,18 @@ def run_sharding_benchmark(smoke: bool = False) -> Dict[str, object]:
     )
 
     by_shards = {row["shards"]: row for row in biblio_report["curve"]}
-    speedup_4 = by_shards[4]["speedup"]
+    ratio_1 = by_shards[1]["latency_ratio"]
     pruned_fraction_4 = by_shards[4]["pruned_fraction"]
-    min_speedup = MIN_SPEEDUP_SMOKE if smoke else MIN_SPEEDUP
+    max_ratio = MAX_LATENCY_RATIO_SMOKE if smoke else MAX_LATENCY_RATIO
     acceptance = {
-        "speedup_4_shards_biblio": speedup_4,
-        "speedup_min": min_speedup,
+        "latency_ratio_1_shard_biblio": ratio_1,
+        "latency_ratio_4_shards_biblio": by_shards[4]["latency_ratio"],
+        "latency_ratio_max": max_ratio,
         "pruned_fraction_4_shards": pruned_fraction_4,
         "divergences": biblio_report["divergences"]
         + products_report["divergences"],
         "pass": (
-            speedup_4 >= min_speedup
+            ratio_1 <= max_ratio
             and pruned_fraction_4 > 0.0
             and biblio_report["divergences"] == 0
             and products_report["divergences"] == 0
@@ -227,7 +233,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="smaller datasets and a relaxed speedup gate (CI)",
+        help="smaller datasets and a relaxed overhead gate (CI)",
     )
     args = parser.parse_args(argv)
 
@@ -244,16 +250,16 @@ def main(argv=None) -> int:
     print(f"wrote {args.out}")
     for dataset in report["datasets"]:
         curve = " ".join(
-            f"{row['shards']}sh={row['speedup']}x" for row in dataset["curve"]
+            f"{row['shards']}sh={row['latency_ratio']}x" for row in dataset["curve"]
         )
         print(
             f"{dataset['dataset']}: single={dataset['single_cold_ms']}ms "
             f"{curve} divergences={dataset['divergences']}"
         )
     print(
-        f"speedup at 4 shards (biblio): "
-        f"{acceptance['speedup_4_shards_biblio']}x "
-        f"(min {acceptance['speedup_min']}x), pruned fraction "
+        f"latency vs single at 1 shard (biblio): "
+        f"{acceptance['latency_ratio_1_shard_biblio']}x "
+        f"(max {acceptance['latency_ratio_max']}x), pruned fraction "
         f"{acceptance['pruned_fraction_4_shards']}"
     )
     print(f"acceptance pass: {acceptance['pass']}")

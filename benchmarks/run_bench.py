@@ -66,9 +66,9 @@ def _run_sharding(args: argparse.Namespace, out_path: str) -> bool:
     _write(report, out_path)
     acceptance = report["acceptance"]
     print(
-        f"sharding speedup at 4 shards (biblio): "
-        f"{acceptance['speedup_4_shards_biblio']}x "
-        f"(min {acceptance['speedup_min']}x), pruned fraction "
+        f"sharding latency vs single at 1 shard (biblio): "
+        f"{acceptance['latency_ratio_1_shard_biblio']}x "
+        f"(max {acceptance['latency_ratio_max']}x), pruned fraction "
         f"{acceptance['pruned_fraction_4_shards']}, "
         f"divergences {acceptance['divergences']}"
     )

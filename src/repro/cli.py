@@ -255,16 +255,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _print_explain(engine: KeywordSearchEngine) -> None:
-    """Shared-execution and incremental-maintenance counters."""
+    """CN-executor sharing and incremental-maintenance counters."""
     stats = engine.cache_stats()
     sharing = stats["sharing"]
     patches = stats["substrates"]["patches"]
     print(
-        f"-- sharing: {sharing['subexpressions_materialized']} subexpressions "
-        f"materialized, {sharing['reuse_hits']} reuse hits, "
-        f"{sharing['joins_saved']} joins avoided "
-        f"({sharing['joins_executed']} executed, "
-        f"{sharing['semijoin_pruned']} rows semijoin-pruned)"
+        f"-- sharing: {sharing['subexpressions_materialized']} join build "
+        f"sides materialized, {sharing['reuse_hits']} reuse hits, "
+        f"{sharing['joins_saved']} hash builds avoided "
+        f"({sharing['joins_executed']} probes executed)"
     )
     print(
         f"-- incremental: {patches['applied']} index patches applied "
@@ -536,39 +535,37 @@ def _cmd_facets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the overload-safe HTTP serving front end."""
+def _build_server(args: argparse.Namespace):
+    """The ``ServingServer`` for ``repro serve``, or an exit code.
+
+    A populated ``--dir`` restarts through
+    :func:`~repro.durability.recover_engine`: the server wraps the
+    recovered *plain* engine in the one
+    :class:`~repro.durability.DurableEngine` that owns the directory's
+    WAL (``DurableEngine.recover`` would hand back a second one).
+    """
     from repro.serving.server import ServingServer
 
     durable_dir = args.dir
+    engine = None
     if durable_dir is not None:
-        import os
-
-        from repro.durability import DurableEngine, RecoveryError
+        from repro.durability import RecoveryError, recover_engine
 
         if os.path.exists(os.path.join(durable_dir, "MANIFEST")) or (
             os.path.isdir(durable_dir) and os.listdir(durable_dir)
         ):
             backend, options = _backend_options(args)
             try:
-                engine, result = DurableEngine.recover(
-                    durable_dir,
-                    shards=args.shards,
-                    partitioner=args.partitioner,
-                    backend=backend,
-                    backend_options=options,
+                engine, result = recover_engine(
+                    durable_dir, backend=backend, backend_options=options
                 )
             except RecoveryError as exc:
                 print(f"recovery failed: {exc}", file=sys.stderr)
                 return 1
+            if args.shards > 1:
+                engine = _make_engine(args, engine.db)
             print(f"recovered: {result.summary()}")
-        else:
-            factory = DATASETS.get(args.dataset)
-            if factory is None:
-                print(f"unknown dataset {args.dataset!r}", file=sys.stderr)
-                return 2
-            engine = _make_engine(args, factory())
-    else:
+    if engine is None:
         factory = DATASETS.get(args.dataset)
         if factory is None:
             print(f"unknown dataset {args.dataset!r}", file=sys.stderr)
@@ -589,7 +586,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         return _make_engine(fresh, live_db)
 
-    server = ServingServer(
+    return ServingServer(
         engine,
         host=args.host,
         port=args.port,
@@ -603,6 +600,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         durable_dir=durable_dir,
         engine_builder=rebuild,
     )
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """Run the overload-safe HTTP serving front end."""
+    server = _build_server(args)
+    if isinstance(server, int):
+        return server
     try:
         return server.run()
     except KeyboardInterrupt:
@@ -655,8 +659,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--explain",
         action="store_true",
-        help="print shared-execution counters (subexpressions, reuse "
-        "hits, joins avoided) and incremental index patches",
+        help="print the CN executor's sharing counters (join build "
+        "sides built, reuse hits, hash builds avoided) and incremental "
+        "index patches",
     )
     p.add_argument(
         "--trace",

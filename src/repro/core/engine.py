@@ -61,8 +61,7 @@ from repro.resilience.errors import (
     SubstrateBuildError,
 )
 from repro.resilience.failpoints import fail_point
-from repro.schema_search.candidate_networks import generate_candidate_networks
-from repro.schema_search.topk import topk_global_pipeline, topk_shared
+from repro.schema_search.topk import topk_global_pipeline
 from repro.storage import BACKEND_NAMES
 
 #: cached_property-backed structures derived from database *contents*
@@ -80,19 +79,12 @@ class KeywordSearchEngine:
         clean_queries: bool = True,
         result_cache_size: int = 512,
         enable_caches: bool = True,
-        cn_execution: str = "shared",
-        cn_workers: int = 1,
         incremental_updates: bool = True,
         trace: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         backend: str = "dict",
         backend_options: Optional[Dict[str, object]] = None,
     ):
-        if cn_execution not in ("shared", "pipeline"):
-            raise QueryParseError(
-                f"unknown cn_execution {cn_execution!r} "
-                "(choices: shared, pipeline)"
-            )
         if backend not in BACKEND_NAMES:
             raise QueryParseError(
                 f"unknown storage backend {backend!r} "
@@ -107,15 +99,6 @@ class KeywordSearchEngine:
         self.max_cn_size = max_cn_size
         self.clean_queries = clean_queries
         self.enable_caches = enable_caches
-        #: ``"shared"`` evaluates a query's CNs through a
-        #: :class:`~repro.schema_search.evaluate.SharedCNEvaluator`
-        #: (operator-level join sharing); ``"pipeline"`` keeps the
-        #: bound-driven global pipeline.
-        self.cn_execution = cn_execution
-        #: Worker pool width for shared CN evaluation; 1 (the default)
-        #: stays sequential, which maximises sharing and avoids nested
-        #: pools under :meth:`search_many`.
-        self.cn_workers = max(1, int(cn_workers))
         self.incremental_updates = incremental_updates
         self.substrates = SubstrateCache(
             db,
@@ -630,6 +613,26 @@ class KeywordSearchEngine:
                 cache.put(key, results)
         return results.clone()
 
+    def _legacy_query(
+        self, query: StructuredQuery, tracer: Optional[Tracer] = None
+    ) -> Query:
+        """The pre-DSL :class:`Query` a canonical (already cleaned) query
+        stands for; no keywords unless the query is bare.  The canonical
+        parse is memoised outside the trace, so this also re-emits the
+        ``parse`` / ``clean`` stages: span coverage matches the legacy
+        flow without cleaning twice."""
+        with trace_span(tracer, "parse") as psp:
+            psp.add("keywords", sum(len(g) for g in query.groups))
+            psp.tag("bare", query.is_bare)
+            if self.clean_queries and query.groups:
+                with trace_span(tracer, "clean") as csp:
+                    csp.tag("changed", query.cleaned_from is not None)
+        return Query(
+            raw=query.raw,
+            keywords=tuple(query.bare_keywords()) if query.is_bare else (),
+            cleaned_from=query.cleaned_from,
+        )
+
     def _run_query(
         self,
         query: StructuredQuery,
@@ -646,22 +649,10 @@ class KeywordSearchEngine:
         produced, so their results stay byte-identical.
         """
         fail_point("engine.search", key=query.raw)
-        # The canonical parse is memoised outside the trace; re-emit the
-        # parse/clean stages so span coverage matches the legacy flow.
-        with trace_span(tracer, "parse") as psp:
-            psp.add("keywords", sum(len(g) for g in query.groups))
-            psp.tag("bare", query.is_bare)
-            if self.clean_queries and query.groups:
-                with trace_span(tracer, "clean") as csp:
-                    csp.tag("changed", query.cleaned_from is not None)
+        legacy = self._legacy_query(query, tracer)
         if query.is_empty:
             return ResultSet(method=method)
         if query.is_bare:
-            legacy = Query(
-                raw=query.raw,
-                keywords=tuple(query.bare_keywords()),
-                cleaned_from=query.cleaned_from,
-            )
             return self._run_ladder(legacy, k, method, budget, fallback, tracer)
         return self._run_structured(query, k, method, budget, fallback, tracer)
 
@@ -869,37 +860,15 @@ class KeywordSearchEngine:
             tuple_sets = self.substrates.tuple_sets(keywords)
             ssp.add("tuple_set_keys", len(tuple_sets.non_free_keys()))
         with trace_span(tracer, "cn_enumerate") as nsp:
-            if budget is None:
-                cns = self.substrates.candidate_networks(keywords, self.max_cn_size)
-            else:
-                # Budgeted enumeration may truncate; build outside the
-                # memo so a partial CN list is never cached as if
-                # complete.
-                cns = generate_candidate_networks(
-                    self.schema_graph,
-                    tuple_sets,
-                    max_size=self.max_cn_size,
-                    budget=budget,
-                )
+            cns = self.substrates.candidate_networks(
+                keywords, self.max_cn_size, budget=budget
+            )
             nsp.add("cns", len(cns))
         if not cns:
             return []
-        if self.cn_execution == "shared":
-            result = topk_shared(
-                cns,
-                tuple_sets,
-                self.index,
-                keywords,
-                k=k,
-                budget=budget,
-                max_workers=self.cn_workers,
-                tracer=tracer,
-            )
-        else:
-            result = topk_global_pipeline(
-                cns, tuple_sets, self.index, keywords, k=k, budget=budget,
-                tracer=tracer,
-            )
+        result = topk_global_pipeline(
+            cns, tuple_sets, self.index, keywords, k=k, budget=budget, tracer=tracer
+        )
         self._record_sharing(result.stats)
         return [
             SearchResult(score=score, network=label, joined=joined)

@@ -22,9 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-from scipy.optimize import LinearConstraint, milp, Bounds
-
 from repro.graph.data_graph import DataGraph
 from repro.graph_search.steiner import SteinerTree
 from repro.relational.database import TupleId
@@ -36,6 +33,11 @@ def steiner_milp_rooted(
     groups: Sequence[Sequence[TupleId]],
 ) -> Optional[SteinerTree]:
     """Minimum-weight tree rooted at *root* touching every group."""
+    # Imported here, not at module level: scipy is 0.5 s and 55 MB of
+    # every process that imports ``repro``, and only this solver uses it.
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     groups = [list(dict.fromkeys(g)) for g in groups]
     if not groups or any(not g for g in groups):
         return None

@@ -234,5 +234,10 @@ class LRUCache:
         with self._lock:
             return tuple(self._data)
 
+    def values(self) -> Tuple[Any, ...]:
+        """Snapshot of values, LRU first (no promotion, no counting)."""
+        with self._lock:
+            return tuple(self._data.values())
+
     def __repr__(self) -> str:
         return f"LRUCache({len(self)}/{self.capacity}, {self.stats!r})"

@@ -20,20 +20,32 @@ keeping warm-cache speedups across writes; memoised CN lists drop only
 when a new tuple-set key appears (``incremental=False`` restores the
 old drop-everything behavior).  Builds take a lock (double-checked) so
 concurrent batch workers share one build instead of racing.
+
+The per-keyword-set memos are bounded: HTTP clients choose the keyword
+sets, and every insert patches every memoised :class:`TupleSets`, so
+both live in one LRU of :data:`QUERY_MEMO_CAPACITY` entries — a tuple
+set together with the CN lists enumerated from it, evicted as a unit.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.forms.generation import generate_forms, generate_skeletons
 from repro.forms.matching import FormIndex
 from repro.index.inverted import InvertedIndex
 from repro.relational.database import Database, TupleId
+from repro.perf.lru import LRUCache
 from repro.relational.schema_graph import SchemaGraph
-from repro.resilience.errors import ReproError, SubstrateBuildError
+from repro.resilience.budget import QueryBudget
+from repro.resilience.errors import (
+    BudgetExceededError,
+    ReproError,
+    SubstrateBuildError,
+)
 from repro.resilience.failpoints import fail_point
 from repro.schema_search.candidate_networks import (
     CandidateNetwork,
@@ -42,9 +54,28 @@ from repro.schema_search.candidate_networks import (
 from repro.schema_search.tuple_sets import TupleSets
 
 
+#: Distinct keyword sets whose tuple sets + CN lists stay memoised.
+QUERY_MEMO_CAPACITY = 256
+
+
 def normalize_keywords(keywords: Sequence[str]) -> Tuple[str, ...]:
     """Canonical cache key for a keyword multiset: sorted, lowered, unique."""
     return tuple(sorted({k.lower() for k in keywords}))
+
+
+@dataclass
+class _QueryMemo:
+    """One keyword set's substrates: its tuple sets and their CN lists.
+
+    ``networks`` maps ``max_size`` to a *complete* CN list and the
+    number of partial trees enumeration dequeued to produce it — what a
+    budgeted request is charged on a hit.
+    """
+
+    tuple_sets: TupleSets
+    networks: Dict[int, Tuple[List[CandidateNetwork], int]] = field(
+        default_factory=dict
+    )
 
 
 class SubstrateCache:
@@ -62,8 +93,7 @@ class SubstrateCache:
         self._schema_graph = schema_graph_supplier
         self._lock = threading.RLock()
         self._version = db.data_version
-        self._tuple_sets: Dict[Tuple[str, ...], TupleSets] = {}
-        self._networks: Dict[Tuple[Tuple[str, ...], int], List[CandidateNetwork]] = {}
+        self._queries = LRUCache(QUERY_MEMO_CAPACITY)
         self._keyword_matches: Dict[str, Tuple[TupleId, ...]] = {}
         self._form_pipeline: Dict[int, Tuple[tuple, tuple, FormIndex]] = {}
         self.builds: Dict[str, int] = {
@@ -133,14 +163,12 @@ class SubstrateCache:
         try:
             index = self._index()
             self.patches["index_rows"] += index.refresh()
-            for key, tuple_sets in self._tuple_sets.items():
-                created = tuple_sets.refresh()
+            for memo in self._queries.values():
+                created = memo.tuple_sets.refresh()
                 self.patches["tuple_sets_patched"] += 1
                 if created:
-                    stale = [k for k in self._networks if k[0] == key]
-                    for memo_key in stale:
-                        del self._networks[memo_key]
-                    self.patches["cn_memos_dropped"] += len(stale)
+                    self.patches["cn_memos_dropped"] += len(memo.networks)
+                    memo.networks.clear()
             self._keyword_matches.clear()
             self._form_pipeline.clear()
             self.patches["applied"] += 1
@@ -153,51 +181,84 @@ class SubstrateCache:
             self._clear_locked()
 
     def _clear_locked(self) -> None:
-        self._tuple_sets.clear()
-        self._networks.clear()
+        self._queries.clear()
         self._keyword_matches.clear()
         self._form_pipeline.clear()
 
     # ------------------------------------------------------------------
     # Substrates
     # ------------------------------------------------------------------
-    def tuple_sets(self, keywords: Sequence[str]) -> TupleSets:
-        """The query's tuple sets, shared across identical keyword sets."""
-        self.check_version()
-        key = normalize_keywords(keywords)
-        with self._lock:
-            cached = self._tuple_sets.get(key)
-            if cached is None:
-                cached = self._build(
+    def _query_memo(self, key: Tuple[str, ...]) -> _QueryMemo:
+        """The memo entry for *key* (lock held), building its tuple sets."""
+        memo = self._queries.get(key)
+        if memo is None:
+            memo = _QueryMemo(
+                self._build(
                     "tuple_sets",
                     lambda: TupleSets(self.db, self._index(), key),
                     key=" ".join(key),
                 )
-                self._tuple_sets[key] = cached
-                self.builds["tuple_sets"] += 1
-            return cached
+            )
+            self._queries.put(key, memo)
+            self.builds["tuple_sets"] += 1
+        return memo
+
+    def tuple_sets(self, keywords: Sequence[str]) -> TupleSets:
+        """The query's tuple sets, shared across identical keyword sets."""
+        self.check_version()
+        with self._lock:
+            return self._query_memo(normalize_keywords(keywords)).tuple_sets
 
     def candidate_networks(
-        self, keywords: Sequence[str], max_size: int
+        self,
+        keywords: Sequence[str],
+        max_size: int,
+        budget: Optional[QueryBudget] = None,
     ) -> List[CandidateNetwork]:
-        """Duplicate-free CNs for (keyword set, max size), memoised."""
+        """Duplicate-free CNs for (keyword set, max size), memoised.
+
+        A *complete* CN list is valid under any budget, so a hit charges
+        *budget* the ``tick_cns`` enumeration would have cost and serves
+        the memo.  When that charge would cross ``max_cns`` — or on a
+        miss — enumeration runs under the budget exactly as it would
+        without a memo, and the list is stored only if it finished.
+        """
         self.check_version()
-        key = (normalize_keywords(keywords), max_size)
+        key = normalize_keywords(keywords)
         with self._lock:
-            cached = self._networks.get(key)
-            if cached is None:
-                cached = self._build(
-                    "candidate_networks",
-                    lambda: generate_candidate_networks(
-                        self._schema_graph(),
-                        self.tuple_sets(keywords),
-                        max_size=max_size,
-                    ),
-                    key=" ".join(key[0]),
-                )
-                self._networks[key] = cached
+            memo = self._query_memo(key)
+            cached = memo.networks.get(max_size)
+            if cached is not None:
+                cns, cost = cached
+                if budget is None:
+                    return cns
+                if (
+                    budget.max_cns is None
+                    or budget.cns_enumerated + cost <= budget.max_cns
+                ):
+                    try:
+                        budget.tick_cns(cost)
+                        return cns
+                    except BudgetExceededError:
+                        pass  # deadline passed; enumeration stops at once
+            # Enumeration is metered either way: the dequeue count of a
+            # complete list is what later budgeted hits are charged.
+            meter = budget if budget is not None else QueryBudget()
+            before = meter.cns_enumerated
+            cns = self._build(
+                "candidate_networks",
+                lambda: generate_candidate_networks(
+                    self._schema_graph(),
+                    memo.tuple_sets,
+                    max_size=max_size,
+                    budget=meter,
+                ),
+                key=" ".join(key),
+            )
+            if not meter.exhausted:
+                memo.networks[max_size] = (cns, meter.cns_enumerated - before)
                 self.builds["candidate_networks"] += 1
-            return cached
+            return cns
 
     def keyword_groups(
         self, keywords: Sequence[str]
@@ -293,8 +354,10 @@ class SubstrateCache:
                 "patches": dict(self.patches),
                 "builds": dict(self.builds),
                 "entries": {
-                    "tuple_sets": len(self._tuple_sets),
-                    "candidate_networks": len(self._networks),
+                    "tuple_sets": len(self._queries),
+                    "candidate_networks": sum(
+                        len(memo.networks) for memo in self._queries.values()
+                    ),
                     "keyword_groups": len(self._keyword_matches),
                     "form_pipeline": len(self._form_pipeline),
                 },
@@ -312,8 +375,7 @@ class SubstrateCache:
         from repro.relational.table import Table
 
         roots = (
-            list(self._tuple_sets.values())
-            + list(self._networks.values())
+            list(self._queries.values())
             + list(self._keyword_matches.values())
             + list(self._form_pipeline.values())
         )
@@ -322,6 +384,5 @@ class SubstrateCache:
     def __repr__(self) -> str:
         return (
             f"SubstrateCache(v{self._version}, "
-            f"{len(self._tuple_sets)} tuple-sets, "
-            f"{len(self._networks)} CN sets)"
+            f"{len(self._queries)} memoised keyword sets)"
         )

@@ -44,7 +44,7 @@ from repro.relational.database import TupleId
 from repro.resilience.errors import QueryParseError
 from repro.schema_search.candidate_networks import generate_candidate_networks
 from repro.schema_search.scoring import tuple_score
-from repro.schema_search.topk import topk_global_pipeline, topk_shared
+from repro.schema_search.topk import topk_global_pipeline
 from repro.schema_search.tuple_sets import TupleSetKey
 
 from .parser import FieldPredicate, PhraseConstraint, StructuredQuery
@@ -442,14 +442,16 @@ def structured_substrates(engine, compiled, keywords, budget=None, tracer=None):
             tuple_sets = FilteredTupleSets(base, compiled.row_filter)
         else:
             tuple_sets = base
-        ssp.add("tuple_set_keys", len(tuple_sets.non_free_keys()))
+        surviving = tuple_sets.non_free_keys()
+        ssp.add("tuple_set_keys", len(surviving))
     with trace_span(tracer, "cn_enumerate") as nsp:
-        if compiled.row_filter is None and budget is None:
-            cns = engine.substrates.candidate_networks(keywords, engine.max_cn_size)
+        if tuple_sets is base or surviving == base.non_free_keys():
+            # CN enumeration depends only on which tuple sets are
+            # non-empty: a filter that empties none shares the memo.
+            cns = engine.substrates.candidate_networks(
+                keywords, engine.max_cn_size, budget=budget
+            )
         else:
-            # Filtered or budgeted enumeration happens outside the memo:
-            # the CN space depends on which tuple sets survive the
-            # predicates, and a truncated list must never be cached.
             cns = generate_candidate_networks(
                 engine.schema_graph,
                 tuple_sets,
@@ -469,21 +471,9 @@ def _branch_schema(engine, compiled, keywords, k, budget, tracer):
     )
     if not cns:
         return []
-    if engine.cn_execution == "shared":
-        result = topk_shared(
-            cns,
-            tuple_sets,
-            index,
-            keywords,
-            k=k,
-            budget=budget,
-            max_workers=engine.cn_workers,
-            tracer=tracer,
-        )
-    else:
-        result = topk_global_pipeline(
-            cns, tuple_sets, index, keywords, k=k, budget=budget, tracer=tracer
-        )
+    result = topk_global_pipeline(
+        cns, tuple_sets, index, keywords, k=k, budget=budget, tracer=tracer
+    )
     engine._record_sharing(result.stats)
     return [
         SearchResult(score=score, network=label, joined=joined)

@@ -20,13 +20,16 @@ from repro.relational.table import Row
 class JoinStats:
     """Execution counters accumulated across executor calls.
 
-    Beyond the raw work counters, the shared-execution counters say how
-    much work operator-level sharing avoided: ``reuse_hits`` counts CN
-    evaluations seeded from a cached subexpression, ``joins_saved`` the
-    hash joins that seeding skipped, ``subexpressions_materialized`` the
-    distinct intermediates a :class:`SharedCNEvaluator` stored, and
-    ``semijoin_pruned`` the tuples semi-join pre-filtering removed
-    before any join ran.
+    Beyond the raw work counters, the sharing counters say how much
+    work reuse avoided.  In the engine's CN executor
+    (:mod:`repro.schema_search.topk`): ``subexpressions_materialized``
+    counts join build sides built, ``joins_saved`` hash builds avoided
+    because another CN had built the side, ``reuse_hits`` the CNs that
+    reused at least one.  In the operator-sharing evaluator
+    (:class:`~repro.schema_search.evaluate.SharedCNEvaluator`):
+    intermediates stored, joins a cached prefix skipped, and CN
+    evaluations seeded from one.  ``semijoin_pruned`` counts the tuples
+    semi-join pre-filtering removed before any join ran.
     """
 
     tuples_read: int = 0

@@ -64,6 +64,7 @@ class CandidateNetwork:
         self.nodes: Tuple[CNNode, ...] = tuple(nodes)
         self.edges: Tuple[Tuple[int, int, SchemaEdge], ...] = tuple(edges)
         self._canonical: Optional[str] = None
+        self._label: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Structure
@@ -99,7 +100,12 @@ class CandidateNetwork:
         return all(not self.nodes[i].is_free for i in self.leaves())
 
     def label(self) -> str:
-        """Readable linear label (slide-28 style for path CNs)."""
+        """Readable linear label (slide-28 style for path CNs), memoised."""
+        if self._label is None:
+            self._label = self._compute_label()
+        return self._label
+
+    def _compute_label(self) -> str:
         adj = self.adjacency()
         if len(self.nodes) == 1:
             return self.nodes[0].label()

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.relational.database import TupleId
 from repro.relational.executor import JoinedRow, JoinStats, hash_join
 from repro.relational.table import Row
 from repro.resilience.budget import QueryBudget
@@ -389,10 +388,6 @@ def cn_results(
     except BudgetExceededError:
         pass
     return out
-
-
-def result_tuple_ids(joined: JoinedRow) -> List[TupleId]:
-    return [TupleId(row.table.name, row.rowid) for row in joined.rows]
 
 
 def all_results(

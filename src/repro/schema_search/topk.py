@@ -1,21 +1,34 @@
-"""Top-k query processing strategies (DISCOVER2, Hristidis+ VLDB 03).
+"""Top-k CN evaluation: one score-once, bound-driven executor.
 
-Slide 116 contrasts four strategies under a monotonic scoring function;
-all four return the same top-k but touch very different amounts of data:
+Slide 116 (DISCOVER2, Hristidis+ VLDB 03): under a monotonic score, CN
+evaluation can stop at the k-th score.  Everything that answers a
+``schema`` query — the single engine, the structured compiler and the
+sharded scatter — runs :func:`run_bound_ordered` over one per-query
+:class:`CNQueryContext`:
 
-* **Naive** — evaluate every CN fully, sort, cut at k;
-* **Sparse** — evaluate CNs in descending score-bound order, skipping
-  any CN whose bound cannot beat the current k-th score;
-* **Single pipeline** — additionally stop *inside* a CN once the bound
-  of its unseen results drops below the k-th score;
-* **Global pipeline** — interleave all CNs, always advancing the one
-  with the highest remaining bound by one slice.
+* **Score table** — ``tuple_score`` runs once per member of each
+  non-free tuple set the query's CNs use.  Free tuple sets hold no
+  query keyword, so their rows score exactly ``0.0``.  A result's score
+  is the sum of table entries in CN node-index order divided by
+  ``1 + ln(size)`` — the additions ``monotonic_result_score`` performs,
+  in the same order, hence bit-identical.
+* **Shared build sides** — join hash maps are keyed
+  ``(tuple set, column)``, built on first probe and shared by every CN
+  (and every shard worker) that joins into that tuple set.
+* **Bound-ordered loop** — the execution slice is one *anchor tuple*
+  (the CN's largest non-free node, scanned in descending score); a
+  priority queue always advances the CN whose next slice has the
+  highest score upper bound and stops once that bound is *strictly*
+  below the k-th score, so an equal-score answer with a smaller content
+  key is still found: the top-k equals exhaustive evaluation, ties at
+  the k-th score included.
 
-The execution slice is one *anchor tuple*: each CN executor orders the
-tuples of its largest non-free node by descending TF·IDF score and, per
-slice, joins one anchor tuple through the rest of the network with
-index-nested-loop lookups (hash maps per node, built on first use and
-charged to the statistics).
+The four VLDB 03 strategies the paper contrasts (E2) are stop policies
+over the same cursors: **naive** never stops, **sparse** skips whole
+CNs, **single pipeline** also stops inside a CN, **global pipeline** is
+the bound-ordered loop itself.  :func:`topk_shared` keeps the
+operator-sharing evaluator of slides 129-134 as library code for
+E12/E20.
 """
 
 from __future__ import annotations
@@ -25,7 +38,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.index.inverted import InvertedIndex
@@ -38,9 +51,14 @@ from repro.resilience.errors import BudgetExceededError
 from repro.schema_search.candidate_networks import CandidateNetwork
 from repro.schema_search.evaluate import SharedCNEvaluator
 from repro.schema_search.scoring import monotonic_result_score, tuple_score
-from repro.schema_search.tuple_sets import TupleSets
+from repro.schema_search.tuple_sets import TupleSetKey, TupleSets
 
 EPS = 1e-9
+_NEG_INF = float("-inf")
+
+AnchorQueue = List[Tuple[float, TupleId]]
+BuildSide = Dict[object, List[Row]]
+ScoredPartial = Tuple[float, List[Row]]  # rows in the plan's join order
 
 
 @dataclass
@@ -56,255 +74,269 @@ class TopKResult:
         return [round(score, 9) for score, _, _ in self.results]
 
 
-def _build_cn_maps(
-    cn: CandidateNetwork,
-    adj,
-    anchor: int,
-    tuple_sets: TupleSets,
-    stats: JoinStats,
-) -> Dict[Tuple[int, str], Dict[object, List[Row]]]:
-    """Per-node hash maps for index-nested-loop lookups off the anchor."""
-    maps: Dict[Tuple[int, str], Dict[object, List[Row]]] = {}
-    for node_idx, node in enumerate(cn.nodes):
-        if node_idx == anchor:
-            continue
-        rows = tuple_sets.rows(node.key)
-        stats.tuples_read += len(rows)
-        columns = set()
-        for nbr, edge in adj[node_idx]:
-            __, right_col = edge.join_columns(cn.nodes[nbr].table)
-            columns.add(right_col)
-        for column in columns:
-            mapping: Dict[object, List[Row]] = {}
-            for row in rows:
-                value = row[column]
-                if value is not None:
-                    mapping.setdefault(value, []).append(row)
-            maps[(node_idx, column)] = mapping
-    return maps
-
-
-class CNExecutorPlan:
-    """Query-level shared state of one CN's executors.
-
-    The anchor choice, per-node score bounds, the scored anchor queue
-    and the join hash maps depend only on (CN, tuple sets, keywords) —
-    not on which executor advances them.  A sharded scatter builds this
-    once at the coordinator and hands it to one :class:`CNExecutor` per
-    shard, each holding only its own cursor over a home-filtered slice
-    of the anchor queue; the maps materialise once, on first demand,
-    and are probed read-only afterwards (safe across threads).
-    """
+class _CNPlan:
+    """Everything about one CN that does not depend on who advances it."""
 
     __slots__ = (
-        "cn",
-        "norm",
-        "node_max",
-        "anchor",
-        "anchor_queue",
-        "rest_max",
-        "_maps",
-        "_maps_lock",
+        "label",
+        "aliases",
+        "denom",
+        "anchor_key",
+        "queue",
+        "bound_pre",
+        "bound_post",
+        "steps",
+        "perm",
+        "same_table",
+        "scored",
+        "sides",
     )
 
-    def __init__(
-        self,
-        cn: CandidateNetwork,
-        tuple_sets: TupleSets,
-        index: InvertedIndex,
-        keywords: Sequence[str],
-    ):
-        keywords = list(keywords)
-        self.cn = cn
-        self.norm = 1.0 / (1.0 + math.log(cn.size))
-        # Per-node max tuple score (free nodes contribute 0).
-        self.node_max: List[float] = []
-        for node in cn.nodes:
-            if node.is_free:
-                self.node_max.append(0.0)
-            else:
-                tids = tuple_sets.tuple_ids(node.key)
-                self.node_max.append(
-                    max(
-                        (tuple_score(index, t, keywords) for t in tids),
-                        default=0.0,
-                    )
-                )
-        # Anchor: the non-free node with the most tuples (finest slicing).
-        non_free = [i for i, n in enumerate(cn.nodes) if not n.is_free]
-        self.anchor = max(non_free, key=lambda i: tuple_sets.size(cn.nodes[i].key))
-        anchor_tids = tuple_sets.tuple_ids(cn.nodes[self.anchor].key)
-        scored = [(tuple_score(index, t, keywords), t) for t in anchor_tids]
-        scored.sort(key=lambda pair: (-pair[0], pair[1]))
-        self.anchor_queue: List[Tuple[float, TupleId]] = scored
-        self.rest_max = sum(
-            s for i, s in enumerate(self.node_max) if i != self.anchor
-        )
-        self._maps: Optional[Dict[Tuple[int, str], Dict[object, List[Row]]]] = None
-        self._maps_lock = threading.Lock()
 
-    def maps(
-        self, adj, tuple_sets: TupleSets, stats: JoinStats
-    ) -> Dict[Tuple[int, str], Dict[object, List[Row]]]:
-        """Build-once join maps; the building executor pays the stats."""
-        with self._maps_lock:
-            if self._maps is None:
-                self._maps = _build_cn_maps(
-                    self.cn, adj, self.anchor, tuple_sets, stats
-                )
-            return self._maps
+class CNQueryContext:
+    """Per-query state shared by every CN and every shard worker.
 
-
-class CNExecutor:
-    """Sliced evaluation of one CN in descending score-bound order.
-
-    ``shared`` reuses a prebuilt :class:`CNExecutorPlan` (anchor choice,
-    bounds, scored queue, join maps) instead of recomputing them;
-    ``anchor_filter`` restricts evaluation to the anchor tuples it
-    accepts.  Both default off, leaving the single-engine path exactly
-    as before; together they give a sharded scatter per-shard executors
-    whose union of produced results equals (order aside) what one
-    unfiltered executor produces — same join code, same rows, same
-    float summation order.
+    Built once per query and dropped with it — nothing here is patched
+    on the insert path.  Holds the score table, the rows and join build
+    sides of each tuple set (materialised on first probe, under a lock,
+    read-only afterwards) and one :class:`_CNPlan` per CN.
     """
 
     def __init__(
         self,
-        cn: CandidateNetwork,
+        cns: Sequence[CandidateNetwork],
         tuple_sets: TupleSets,
         index: InvertedIndex,
         keywords: Sequence[str],
-        anchor_filter: Optional[Callable[[TupleId], bool]] = None,
-        shared: Optional[CNExecutorPlan] = None,
     ):
-        self.cn = cn
         self.tuple_sets = tuple_sets
         self.index = index
         self.keywords = list(keywords)
-        self._adj = cn.adjacency()
-        self._shared = shared
-        if shared is None:
-            self._norm = 1.0 / (1.0 + math.log(cn.size))
-            # Per-node max tuple score (free nodes contribute 0).
-            self._node_max: List[float] = []
-            for node in cn.nodes:
-                if node.is_free:
-                    self._node_max.append(0.0)
-                else:
-                    tids = tuple_sets.tuple_ids(node.key)
-                    self._node_max.append(
-                        max(
-                            (tuple_score(index, t, self.keywords) for t in tids),
-                            default=0.0,
-                        )
-                    )
-            # Anchor: the non-free node with the most tuples (finest slicing).
-            non_free = [i for i, n in enumerate(cn.nodes) if not n.is_free]
-            self.anchor = max(
-                non_free, key=lambda i: tuple_sets.size(cn.nodes[i].key)
-            )
-            anchor_tids = tuple_sets.tuple_ids(cn.nodes[self.anchor].key)
-            scored = [
-                (tuple_score(index, t, self.keywords), t) for t in anchor_tids
-            ]
-            scored.sort(key=lambda pair: (-pair[0], pair[1]))
-            self._rest_max = sum(
-                s for i, s in enumerate(self._node_max) if i != self.anchor
-            )
-        else:
-            self._norm = shared.norm
-            self._node_max = shared.node_max
-            self.anchor = shared.anchor
-            self._rest_max = shared.rest_max
-            scored = shared.anchor_queue
-        if anchor_filter is not None:
-            scored = [pair for pair in scored if anchor_filter(pair[1])]
-        self._anchor_queue: List[Tuple[float, TupleId]] = scored
-        self._cursor = 0
-        self._maps: Optional[Dict[Tuple[int, str], Dict[object, List[Row]]]] = None
+        self.tuples_scored = 0
+        self._scored: Dict[TupleSetKey, Tuple[Dict[int, float], AnchorQueue]] = {}
+        self._rows: Dict[TupleSetKey, List[Row]] = {}
+        self._sides: Dict[Tuple[TupleSetKey, str], BuildSide] = {}
+        self._lock = threading.Lock()
+        self.plans: List[_CNPlan] = [self._plan(cn) for cn in cns]
 
     # ------------------------------------------------------------------
-    # Bounds
+    # Score table
     # ------------------------------------------------------------------
+    def _score(self, key: TupleSetKey) -> Tuple[Dict[int, float], AnchorQueue]:
+        """Score the members of *key*, each exactly once.
+
+        Returns the rowid -> score map results are summed from and the
+        members by (score desc, tuple id asc) — the anchor queue, whose
+        head is the tuple set's maximum.
+        """
+        scored = self._scored.get(key)
+        if scored is None:
+            index, keywords = self.index, self.keywords
+            scores = {
+                tid.rowid: tuple_score(index, tid, keywords)
+                for tid in self.tuple_sets.tuple_ids(key)
+            }
+            ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+            queue = [(score, TupleId(key.table, rowid)) for rowid, score in ranked]
+            scored = self._scored[key] = (scores, queue)
+            self.tuples_scored += len(scores)
+        return scored
+
+    # ------------------------------------------------------------------
+    # Per-CN plans
+    # ------------------------------------------------------------------
+    def _plan(self, cn: CandidateNetwork) -> _CNPlan:
+        tuple_sets = self.tuple_sets
+        nodes = cn.nodes
+        size = len(nodes)
+        adj = cn.adjacency()
+        plan = _CNPlan()
+        plan.label = cn.label()
+        plan.aliases = tuple(f"n{i}" for i in range(size))
+        plan.denom = 1.0 + math.log(size)
+        plan.sides = None
+        non_free = [i for i, node in enumerate(nodes) if not node.is_free]
+        # Anchor: the non-free node with the most tuples (finest slicing).
+        anchor = max(non_free, key=lambda i: tuple_sets.size(nodes[i].key))
+        plan.anchor_key = nodes[anchor].key
+        scored = [self._score(nodes[i].key) for i in non_free]
+        at = non_free.index(anchor)
+        plan.queue = scored[at][1]
+        # The bound sums per-node maxima in node-index order with the
+        # anchor's score in its slot: the association a result's own
+        # score uses, so by monotonicity of float addition the bound is
+        # never below the score of any result of the slice.
+        node_max = [queue[0][0] if queue else 0.0 for _, queue in scored]
+        pre = 0.0
+        for value in node_max[:at]:
+            pre += value
+        plan.bound_pre = pre
+        plan.bound_post = node_max[at + 1 :]
+        # Join order: outwards from the anchor; each step probes the
+        # build side of its node with a column of an earlier position.
+        position = {anchor: 0}
+        plan.steps = []
+        order = [anchor]
+        for node_idx in order:  # grows as neighbours are discovered
+            table = nodes[node_idx].table
+            for nbr, edge in adj[node_idx]:
+                if nbr in position:
+                    continue
+                left_col, right_col = edge.join_columns(table)
+                left_at = tuple_sets.db.table(table).column_index(left_col)
+                plan.steps.append(
+                    (position[node_idx], left_at, nodes[nbr].key, right_col)
+                )
+                position[nbr] = len(position)
+                order.append(nbr)
+        # Partial results are lists of rows in join order; everything
+        # the per-result loop needs is addressed by join position.
+        plan.perm = tuple(position[i] for i in range(size))
+        plan.scored = [
+            (position[i], scores) for i, (scores, _) in zip(non_free, scored)
+        ]
+        plan.same_table = [
+            (position[i], position[j])
+            for i in range(size)
+            for j in range(i + 1, size)
+            if nodes[i].table == nodes[j].table
+        ]
+        return plan
+
+    # ------------------------------------------------------------------
+    # Shared build sides
+    # ------------------------------------------------------------------
+    def resolve(self, plan: _CNPlan, stats: JoinStats) -> List[BuildSide]:
+        """The plan's build sides, one per join step, built at most once.
+
+        The caller that triggers a build pays its ``tuples_read``; a
+        side another CN already built counts as a join saved.
+        """
+        with self._lock:
+            if plan.sides is None:
+                sides = []
+                reused = 0
+                for _, _, key, column in plan.steps:
+                    side = self._sides.get((key, column))
+                    if side is None:
+                        side = self._sides[(key, column)] = {}
+                        rows = self._rows.get(key)
+                        if rows is None:
+                            rows = self._rows[key] = self.tuple_sets.rows(key)
+                            stats.tuples_read += len(rows)
+                        at = rows[0].table.column_index(column) if rows else 0
+                        for row in rows:
+                            value = row.values[at]
+                            if value is not None:
+                                side.setdefault(value, []).append(row)
+                        stats.subexpressions_materialized += 1
+                    else:
+                        reused += 1
+                    sides.append(side)
+                if reused:
+                    stats.reuse_hits += 1
+                    stats.joins_saved += reused
+                plan.sides = sides
+            return plan.sides
+
+    # ------------------------------------------------------------------
+    # Cursors
+    # ------------------------------------------------------------------
+    def cursors(
+        self, anchor_filter: Optional[Callable[[TupleId], bool]] = None
+    ) -> List["CNCursor"]:
+        """One cursor per CN, in CN order.
+
+        With *anchor_filter* each cursor scans only the anchor tuples
+        the filter accepts: the cursors of a partition of the tuple
+        space jointly produce exactly what unfiltered cursors produce.
+        """
+        if anchor_filter is None:
+            return [CNCursor(self, plan, plan.queue) for plan in self.plans]
+        owned: Dict[TupleSetKey, AnchorQueue] = {}
+        out = []
+        for plan in self.plans:
+            queue = owned.get(plan.anchor_key)
+            if queue is None:
+                queue = owned[plan.anchor_key] = [
+                    pair for pair in plan.queue if anchor_filter(pair[1])
+                ]
+            out.append(CNCursor(self, plan, queue))
+        return out
+
+
+class CNCursor:
+    """One evaluator's position in one CN's anchor queue."""
+
+    __slots__ = ("context", "plan", "queue", "pos")
+
+    def __init__(self, context: CNQueryContext, plan: _CNPlan, queue: AnchorQueue):
+        self.context = context
+        self.plan = plan
+        self.queue = queue
+        self.pos = 0
+
     def exhausted(self) -> bool:
-        return self._cursor >= len(self._anchor_queue)
+        return self.pos >= len(self.queue)
 
     def remaining(self) -> int:
         """Anchor tuples not yet evaluated (prunable work)."""
-        return len(self._anchor_queue) - self._cursor
+        return len(self.queue) - self.pos
 
     def bound(self) -> float:
         """Upper bound on the score of any not-yet-produced result."""
-        if self.exhausted():
-            return float("-inf")
-        anchor_score = self._anchor_queue[self._cursor][0]
-        return (anchor_score + self._rest_max) * self._norm
+        if self.pos >= len(self.queue):
+            return _NEG_INF
+        plan = self.plan
+        total = plan.bound_pre + self.queue[self.pos][0]
+        for value in plan.bound_post:
+            total += value
+        return total / plan.denom
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def _build_maps(self, stats: JoinStats) -> None:
-        if self._shared is not None:
-            self._maps = self._shared.maps(self._adj, self.tuple_sets, stats)
-            return
-        self._maps = _build_cn_maps(
-            self.cn, self._adj, self.anchor, self.tuple_sets, stats
-        )
-
-    def _assignments(
-        self, node_idx: int, row: Row, parent_idx: int, stats: JoinStats
-    ) -> List[Dict[int, Row]]:
-        per_child: List[List[Dict[int, Row]]] = []
-        for nbr, edge in self._adj[node_idx]:
-            if nbr == parent_idx:
-                continue
-            left_col, right_col = edge.join_columns(self.cn.nodes[node_idx].table)
-            stats.joins_executed += 1
-            value = row[left_col]
-            matches = (
-                self._maps[(nbr, right_col)].get(value, [])  # type: ignore[index]
-                if value is not None
-                else []
-            )
-            stats.tuples_read += len(matches)
-            sub: List[Dict[int, Row]] = []
-            for match in matches:
-                sub.extend(self._assignments(nbr, match, node_idx, stats))
-            if not sub:
-                return []
-            per_child.append(sub)
-        combos: List[Dict[int, Row]] = [{node_idx: row}]
-        for sub in per_child:
-            combos = [{**c, **s} for c in combos for s in sub]
-        return combos
-
-    def next_batch(self, stats: JoinStats) -> List[Tuple[float, JoinedRow]]:
-        """Produce all results anchored at the next anchor tuple."""
-        if self.exhausted():
+    def next_batch(self, stats: JoinStats) -> List[ScoredPartial]:
+        """All results anchored at the next anchor tuple, scored."""
+        if self.pos >= len(self.queue):
             return []
-        if self._maps is None:
-            self._build_maps(stats)
-        _, anchor_tid = self._anchor_queue[self._cursor]
-        self._cursor += 1
-        anchor_row = self.tuple_sets.db.row(anchor_tid)
-        stats.tuples_read += 1
-        out: List[Tuple[float, JoinedRow]] = []
-        for assignment in self._assignments(self.anchor, anchor_row, -1, stats):
-            ordered = tuple(assignment[i] for i in range(self.cn.size))
-            if len({(r.table.name, r.rowid) for r in ordered}) < len(ordered):
-                continue  # repeated tuple -> collapses into a smaller CN
-            aliases = tuple(f"n{i}" for i in range(self.cn.size))
-            joined = JoinedRow(aliases, ordered)
-            score = monotonic_result_score(self.index, joined, self.keywords)
-            out.append((score, joined))
+        plan = self.plan
+        sides = plan.sides
+        if sides is None:
+            sides = self.context.resolve(plan, stats)
+        anchor_tid = self.queue[self.pos][1]
+        self.pos += 1
+        partials = [[self.context.tuple_sets.db.row(anchor_tid)]]
+        read = 1
+        for (parent_at, left_at, _, _), side in zip(plan.steps, sides):
+            stats.joins_executed += len(partials)
+            extended = []
+            for partial in partials:
+                value = partial[parent_at].values[left_at]
+                matches = side.get(value) if value is not None else None
+                if matches:
+                    read += len(matches)
+                    for match in matches:
+                        extended.append(partial + [match])
+            partials = extended
+            if not partials:
+                break
+        stats.tuples_read += read
+        same_table, scored, denom = plan.same_table, plan.scored, plan.denom
+        out: List[ScoredPartial] = []
+        for partial in partials:
+            for a, b in same_table:
+                if partial[a].rowid == partial[b].rowid:
+                    break  # repeated tuple -> collapses into a smaller CN
+            else:
+                total = 0.0
+                for at, scores in scored:
+                    total += scores[partial[at].rowid]
+                out.append((total / denom, partial))
         stats.tuples_emitted += len(out)
         return out
 
-    def run_all(self, stats: JoinStats) -> List[Tuple[float, JoinedRow]]:
-        out: List[Tuple[float, JoinedRow]] = []
-        while not self.exhausted():
-            out.extend(self.next_batch(stats))
-        return out
+    def joined(self, partial: List[Row]) -> JoinedRow:
+        """A produced result as a :class:`JoinedRow` in CN node order."""
+        plan = self.plan
+        return JoinedRow(plan.aliases, tuple(partial[p] for p in plan.perm))
 
 
 class _RevKey:
@@ -342,7 +374,7 @@ class _TopKHeap:
     summed in different orders) would make fuzzy tie classes
     non-transitive and the outcome arrival-order-dependent.  Exactness
     also makes :meth:`kth_score` monotone non-decreasing, which the
-    sharded scatter path relies on for upper-bound pruning.
+    bound-ordered loop relies on for pruning.
     """
 
     def __init__(self, k: int):
@@ -350,18 +382,20 @@ class _TopKHeap:
         self._heap: List[Tuple[float, _RevKey, str, JoinedRow]] = []
 
     def offer(self, score: float, label: str, joined: JoinedRow) -> None:
-        key = (label, joined.tuple_ids())
-        entry = (score, _RevKey(key), label, joined)
         if len(self._heap) < self.k:
-            heapq.heappush(self._heap, entry)
-        else:
-            kth_score, kth_rev = self._heap[0][0], self._heap[0][1]
-            if score > kth_score or (score == kth_score and key < kth_rev.key):
-                heapq.heapreplace(self._heap, entry)
+            key = (label, joined.tuple_ids())
+            heapq.heappush(self._heap, (score, _RevKey(key), label, joined))
+            return
+        kth_score = self._heap[0][0]
+        if score < kth_score:
+            return
+        key = (label, joined.tuple_ids())
+        if score > kth_score or key < self._heap[0][1].key:
+            heapq.heapreplace(self._heap, (score, _RevKey(key), label, joined))
 
     def kth_score(self) -> float:
         if len(self._heap) < self.k:
-            return float("-inf")
+            return _NEG_INF
         return self._heap[0][0]
 
     def sorted_results(self) -> List[Tuple[float, str, JoinedRow]]:
@@ -369,13 +403,82 @@ class _TopKHeap:
         return [(score, label, joined) for score, _, label, joined in ordered]
 
 
-def _executors(
-    cns: Sequence[CandidateNetwork],
-    tuple_sets: TupleSets,
-    index: InvertedIndex,
-    keywords: Sequence[str],
-) -> List[CNExecutor]:
-    return [CNExecutor(cn, tuple_sets, index, keywords) for cn in cns]
+@dataclass
+class PipelineRun:
+    """What one pass of :func:`run_bound_ordered` did."""
+
+    batches: int = 0
+    cns_executed: int = 0
+    produced: int = 0  # candidate results produced (and budget-charged)
+    pruned: int = 0  # anchor slots skipped via the threshold
+    exhausted: bool = False  # the budget ran out; results are partial
+
+
+def run_bound_ordered(
+    cursors: Sequence[CNCursor],
+    offer: Callable[[float, str, JoinedRow], None],
+    threshold: Callable[[], float],
+    stats: JoinStats,
+    budget: Optional[QueryBudget] = None,
+) -> PipelineRun:
+    """Advance the cursor with the highest bound until none can matter.
+
+    *threshold* is the current k-th score of whatever *offer* feeds —
+    the caller's own heap, or the global heap every shard worker shares.
+    It only ever rises, so a result below the value read before a slice
+    can never enter the final top-k and is not materialised; a slice
+    whose bound is strictly below it ends the run (every queued cursor
+    bounds lower still).  Each produced result charges *budget* one
+    candidate, each slice one node expansion; on exhaustion the run
+    returns with ``exhausted`` set and the heap holds a partial top-k.
+    """
+    run = PipelineRun()
+    pq = [
+        (-cursor.bound(), i, cursor)
+        for i, cursor in enumerate(cursors)
+        if not cursor.exhausted()
+    ]
+    heapq.heapify(pq)
+    try:
+        while pq:
+            neg_bound, i, cursor = pq[0]
+            floor = threshold()
+            if -neg_bound < floor:
+                run.pruned = sum(c.remaining() for _, _, c in pq)
+                break
+            label = cursor.plan.label
+            for score, partial in cursor.next_batch(stats):
+                run.produced += 1
+                if budget is not None:
+                    budget.tick_candidates()
+                if score >= floor:
+                    offer(score, label, cursor.joined(partial))
+            run.batches += 1
+            if budget is not None:
+                budget.tick_nodes()
+            if cursor.exhausted():
+                heapq.heappop(pq)
+            else:
+                heapq.heapreplace(pq, (-cursor.bound(), i, cursor))
+    except BudgetExceededError:
+        run.exhausted = True
+    run.cns_executed = sum(1 for cursor in cursors if cursor.pos)
+    return run
+
+
+def _drain(
+    cursor: CNCursor, heap: _TopKHeap, stats: JoinStats, stop_at_bound: bool = False
+) -> int:
+    """Run *cursor* to exhaustion, or until its bound falls; slices run."""
+    label = cursor.plan.label
+    batches = 0
+    while not cursor.exhausted():
+        if stop_at_bound and cursor.bound() <= heap.kth_score() + EPS:
+            break
+        for score, partial in cursor.next_batch(stats):
+            heap.offer(score, label, cursor.joined(partial))
+        batches += 1
+    return batches
 
 
 def topk_naive(
@@ -389,12 +492,25 @@ def topk_naive(
     stats = JoinStats()
     heap = _TopKHeap(k)
     batches = 0
-    for executor in _executors(cns, tuple_sets, index, keywords):
-        while not executor.exhausted():
-            for score, joined in executor.next_batch(stats):
-                heap.offer(score, executor.cn.label(), joined)
-            batches += 1
+    for cursor in CNQueryContext(cns, tuple_sets, index, keywords).cursors():
+        batches += _drain(cursor, heap, stats)
     return TopKResult(heap.sorted_results(), stats, cns_executed=len(cns), batches=batches)
+
+
+def _topk_sorted(cns, tuple_sets, index, keywords, k, stop_at_bound) -> TopKResult:
+    """CNs in descending bound order, skipping those that cannot matter."""
+    stats = JoinStats()
+    heap = _TopKHeap(k)
+    cursors = CNQueryContext(cns, tuple_sets, index, keywords).cursors()
+    cursors.sort(key=lambda c: -c.bound())
+    executed = 0
+    batches = 0
+    for cursor in cursors:
+        if cursor.bound() <= heap.kth_score() + EPS:
+            continue
+        executed += 1
+        batches += _drain(cursor, heap, stats, stop_at_bound)
+    return TopKResult(heap.sorted_results(), stats, cns_executed=executed, batches=batches)
 
 
 def topk_sparse(
@@ -405,21 +521,7 @@ def topk_sparse(
     k: int = 10,
 ) -> TopKResult:
     """Skip whole CNs whose bound cannot reach the current k-th score."""
-    stats = JoinStats()
-    heap = _TopKHeap(k)
-    executors = _executors(cns, tuple_sets, index, keywords)
-    executors.sort(key=lambda e: -e.bound())
-    executed = 0
-    batches = 0
-    for executor in executors:
-        if executor.bound() <= heap.kth_score() + EPS:
-            continue
-        executed += 1
-        while not executor.exhausted():
-            for score, joined in executor.next_batch(stats):
-                heap.offer(score, executor.cn.label(), joined)
-            batches += 1
-    return TopKResult(heap.sorted_results(), stats, cns_executed=executed, batches=batches)
+    return _topk_sorted(cns, tuple_sets, index, keywords, k, False)
 
 
 def topk_single_pipeline(
@@ -430,21 +532,7 @@ def topk_single_pipeline(
     k: int = 10,
 ) -> TopKResult:
     """Sparse + early stop inside each CN when its own bound falls."""
-    stats = JoinStats()
-    heap = _TopKHeap(k)
-    executors = _executors(cns, tuple_sets, index, keywords)
-    executors.sort(key=lambda e: -e.bound())
-    executed = 0
-    batches = 0
-    for executor in executors:
-        if executor.bound() <= heap.kth_score() + EPS:
-            continue
-        executed += 1
-        while not executor.exhausted() and executor.bound() > heap.kth_score() + EPS:
-            for score, joined in executor.next_batch(stats):
-                heap.offer(score, executor.cn.label(), joined)
-            batches += 1
-    return TopKResult(heap.sorted_results(), stats, cns_executed=executed, batches=batches)
+    return _topk_sorted(cns, tuple_sets, index, keywords, k, True)
 
 
 def topk_global_pipeline(
@@ -458,61 +546,46 @@ def topk_global_pipeline(
 ) -> TopKResult:
     """Always advance the CN with the highest remaining bound.
 
-    Each produced result charges *budget* one scored candidate, each
-    batch one node expansion; on exhaustion the current heap contents
-    are returned (a valid but possibly incomplete top-k — the budget's
-    ``exhausted`` flag says so).
+    The engine's ``schema`` executor: :func:`run_bound_ordered` over a
+    fresh :class:`CNQueryContext` and a private heap.  On budget
+    exhaustion the heap contents are returned (a valid but possibly
+    incomplete top-k — the budget's ``exhausted`` flag says so).
 
-    With *tracer* set, the bound computation gets a ``plan`` span and
-    the interleaved execution an ``evaluate`` span; time spent offering
-    results to the heap accumulates into a ``topk`` child span (it
-    overlaps ``evaluate`` — the pipeline interleaves them by design).
-    Tracing never changes the evaluation order, so results are
-    byte-identical with it on or off.
+    With *tracer* set, building the context gets a ``plan`` span with
+    the score table as its ``score`` child, the loop an ``evaluate``
+    span, and the time spent offering results to the heap accumulates
+    into a ``topk`` child (it overlaps ``evaluate`` — the pipeline
+    interleaves them by design).  Tracing never changes the evaluation
+    order, so results are byte-identical with it on or off.
     """
     stats = JoinStats()
     heap = _TopKHeap(k)
-    traced = tracer is not None
     with trace_span(tracer, "plan") as psp:
-        executors = _executors(cns, tuple_sets, index, keywords)
-        pq: List[Tuple[float, int, CNExecutor]] = []
-        touched = set()
-        for i, executor in enumerate(executors):
-            if not executor.exhausted():
-                heapq.heappush(pq, (-executor.bound(), i, executor))
-        psp.add("cns", len(cns)).add("viable", len(pq))
-    batches = 0
-    offered = 0
-    topk_s = 0.0
+        with trace_span(tracer, "score") as ssp:
+            context = CNQueryContext(cns, tuple_sets, index, keywords)
+            ssp.add("tuples", context.tuples_scored)
+        cursors = context.cursors()
+        psp.add("cns", len(cns)).add(
+            "viable", sum(1 for c in cursors if not c.exhausted())
+        )
+    offer = heap.offer
+    if tracer is not None:
+        topk = [0.0, 0]
+
+        def offer(score: float, label: str, joined: JoinedRow) -> None:
+            t0 = time.perf_counter()
+            heap.offer(score, label, joined)
+            topk[0] += time.perf_counter() - t0
+            topk[1] += 1
+
     with trace_span(tracer, "evaluate") as esp:
-        try:
-            while pq:
-                neg_bound, i, executor = heapq.heappop(pq)
-                if -neg_bound <= heap.kth_score() + EPS:
-                    break
-                touched.add(i)
-                for score, joined in executor.next_batch(stats):
-                    if budget is not None:
-                        budget.tick_candidates()
-                    if traced:
-                        t0 = time.perf_counter()
-                        heap.offer(score, executor.cn.label(), joined)
-                        topk_s += time.perf_counter() - t0
-                        offered += 1
-                    else:
-                        heap.offer(score, executor.cn.label(), joined)
-                batches += 1
-                if budget is not None:
-                    budget.tick_nodes()
-                if not executor.exhausted():
-                    heapq.heappush(pq, (-executor.bound(), i, executor))
-        except BudgetExceededError:
-            pass  # return what the heap holds; caller sees budget.exhausted
-        esp.add("batches", batches).add("cns_executed", len(touched))
-        if traced:
-            tracer.record("topk", topk_s, {"offers": offered})
+        run = run_bound_ordered(cursors, offer, heap.kth_score, stats, budget)
+        esp.add("batches", run.batches).add("cns_executed", run.cns_executed)
+        esp.add("produced", run.produced).add("pruned", run.pruned)
+        if tracer is not None:
+            tracer.record("topk", topk[0], {"offers": topk[1]})
     return TopKResult(
-        heap.sorted_results(), stats, cns_executed=len(touched), batches=batches
+        heap.sorted_results(), stats, cns_executed=run.cns_executed, batches=run.batches
     )
 
 
@@ -524,11 +597,11 @@ def topk_shared(
     k: int = 10,
     budget: Optional[QueryBudget] = None,
     max_workers: int = 1,
-    tracer=None,
 ) -> TopKResult:
-    """Top-k over shared CN evaluation (slides 129-134).
+    """Exhaustive top-k over operator-shared CN evaluation (slides 129-134).
 
-    Evaluates the query's CNs through a
+    Library code for E12/E20; the engine does not call it.  Evaluates
+    the CNs through a
     :class:`~repro.schema_search.evaluate.SharedCNEvaluator`, so join
     prefixes common to several CNs are materialised once and reused;
     the stats report ``reuse_hits`` / ``joins_saved``.
@@ -537,98 +610,53 @@ def topk_shared(
     into independent shared-plan groups by the sharing-aware placement
     policy (:func:`~repro.schema_search.parallel.shared_plan_groups`)
     and each group runs on its own worker with its own evaluator; the
-    per-group results are merged deterministically, and the heap's
-    content tie-breaking makes the final top-k independent of worker
-    scheduling.  Budgeted queries always run sequentially — a
-    :class:`QueryBudget` is not shared across threads — charging one
-    node expansion per join and one candidate per emitted result, and
-    return the partial heap on exhaustion like the global pipeline.
-
-    With *tracer* set, planning and evaluation get ``plan`` /
-    ``evaluate`` spans, and the per-result scoring and heap-offer time
-    accumulate into ``score`` / ``topk`` child spans (these overlap
-    ``evaluate`` — the loop interleaves the three stages by design).
-    Tracing never reorders evaluation, so results are byte-identical
-    with it on or off.
+    heap's content tie-breaking makes the merged top-k independent of
+    worker scheduling.  Budgeted queries always run as one sequential
+    group — a :class:`QueryBudget` is not shared across threads —
+    charging one node expansion per join and one candidate per emitted
+    result, and return the partial heap on exhaustion.
     """
+    from repro.schema_search.parallel import shared_plan_groups
+
     stats = JoinStats()
     heap = _TopKHeap(k)
     if not cns:
         return TopKResult([], stats)
     keywords = list(keywords)
-    traced = tracer is not None
-    run_parallel = max_workers > 1 and budget is None and len(cns) > 1
-    if not run_parallel:
-        with trace_span(tracer, "plan") as psp:
-            evaluator = SharedCNEvaluator(tuple_sets, stats=stats, budget=budget)
-            evaluator.plan(cns)
-            psp.add("cns", len(cns))
-        executed = 0
-        scored_n = 0
-        score_s = 0.0
-        topk_s = 0.0
-        with trace_span(tracer, "evaluate") as esp:
-            try:
-                for cn in cns:
-                    label = cn.label()
-                    for joined in evaluator.evaluate(cn):
-                        if traced:
-                            t0 = time.perf_counter()
-                            score = monotonic_result_score(index, joined, keywords)
-                            t1 = time.perf_counter()
-                            heap.offer(score, label, joined)
-                            topk_s += time.perf_counter() - t1
-                            score_s += t1 - t0
-                            scored_n += 1
-                        else:
-                            heap.offer(
-                                monotonic_result_score(index, joined, keywords),
-                                label,
-                                joined,
-                            )
-                    executed += 1
-            except BudgetExceededError:
-                pass  # partial top-k; caller sees budget.exhausted
-            esp.add("cns_executed", executed)
-            if traced:
-                tracer.record("score", score_s, {"results": scored_n})
-                tracer.record("topk", topk_s, {"offers": scored_n})
-        return TopKResult(
-            heap.sorted_results(), stats, cns_executed=executed, batches=1
-        )
-
-    from repro.schema_search.parallel import shared_plan_groups
-
-    with trace_span(tracer, "plan") as psp:
+    if max_workers > 1 and budget is None and len(cns) > 1:
         groups = shared_plan_groups(cns, tuple_sets, max_workers)
-        psp.add("cns", len(cns)).add("groups", len(groups))
+    else:
+        groups = [list(range(len(cns)))]
 
     def run_group(cn_indices: List[int]):
         group_stats = JoinStats()
-        evaluator = SharedCNEvaluator(tuple_sets, stats=group_stats)
+        evaluator = SharedCNEvaluator(tuple_sets, stats=group_stats, budget=budget)
         evaluator.plan([cns[i] for i in cn_indices])
         scored: List[Tuple[float, str, JoinedRow]] = []
-        for i in cn_indices:
-            cn = cns[i]
-            label = cn.label()
-            for joined in evaluator.evaluate(cn):
-                scored.append(
-                    (monotonic_result_score(index, joined, keywords), label, joined)
-                )
-        return group_stats, scored
+        executed = 0
+        try:
+            for i in cn_indices:
+                label = cns[i].label()
+                for joined in evaluator.evaluate(cns[i]):
+                    scored.append(
+                        (monotonic_result_score(index, joined, keywords), label, joined)
+                    )
+                executed += 1
+        except BudgetExceededError:
+            pass  # partial top-k; caller sees budget.exhausted
+        return group_stats, scored, executed
 
-    with trace_span(tracer, "evaluate") as esp:
+    if len(groups) == 1:
+        outcomes = [run_group(groups[0])]
+    else:
         with ThreadPoolExecutor(max_workers=min(max_workers, len(groups))) as pool:
             outcomes = list(pool.map(run_group, groups))
-        esp.add("groups", len(groups)).add("cns_executed", len(cns))
-    with trace_span(tracer, "topk") as tsp:
-        offers = 0
-        for group_stats, scored in outcomes:
-            stats.merge(group_stats)
-            for score, label, joined in scored:
-                heap.offer(score, label, joined)
-                offers += 1
-        tsp.add("offers", offers)
+    executed = 0
+    for group_stats, scored, group_executed in outcomes:
+        stats.merge(group_stats)
+        executed += group_executed
+        for score, label, joined in scored:
+            heap.offer(score, label, joined)
     return TopKResult(
-        heap.sorted_results(), stats, cns_executed=len(cns), batches=len(groups)
+        heap.sorted_results(), stats, cns_executed=executed, batches=len(groups)
     )

@@ -107,30 +107,56 @@ class TokenBucket:
 
 
 class LatencyEWMA:
-    """Exponentially weighted moving average of request latency (ms)."""
+    """Exponentially weighted moving average of request latency (ms).
 
-    __slots__ = ("alpha", "_value", "_count", "_lock")
+    With *half_life_s* set the value also halves for every full
+    half-life of idle time since the last observation (a server that
+    completes requests more often than that sees the plain EWMA).  Shed
+    requests never complete, so without the decay one slow request that
+    pushes the average past the shed threshold would latch it there:
+    nothing is admitted, so nothing is observed, so the average never
+    falls.
+    """
 
-    def __init__(self, alpha: float = 0.2):
+    __slots__ = ("alpha", "half_life_s", "_value", "_count", "_stamp", "_clock", "_lock")
+
+    def __init__(
+        self,
+        alpha: float = 0.2,
+        half_life_s: Optional[float] = None,
+        clock: Callable[[], float] = time.monotonic,
+    ):
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
+        self.half_life_s = half_life_s
         self._value = 0.0
         self._count = 0
+        self._clock = clock
+        self._stamp = clock()
         self._lock = threading.Lock()
+
+    def _decayed(self, now: float) -> float:
+        if not self.half_life_s:
+            return self._value
+        halvings = int(max(0.0, now - self._stamp) / self.half_life_s)
+        return self._value * 0.5**halvings if halvings else self._value
 
     def observe(self, latency_ms: float) -> None:
         with self._lock:
+            now = self._clock()
             if self._count == 0:
                 self._value = latency_ms
             else:
-                self._value += self.alpha * (latency_ms - self._value)
+                value = self._decayed(now)
+                self._value = value + self.alpha * (latency_ms - value)
+            self._stamp = now
             self._count += 1
 
     @property
     def value(self) -> float:
         with self._lock:
-            return self._value
+            return self._decayed(self._clock())
 
     @property
     def count(self) -> int:
@@ -190,7 +216,15 @@ class AdmissionController:
         self.target_latency_ms = target_latency_ms
         self.full_below = full_below
         self.fallback_below = fallback_below
-        self.latency = LatencyEWMA(alpha=ewma_alpha)
+        # Half-life = the shed threshold (2 x target): an idle server
+        # forgets a latency spike on the time scale that defined it.
+        self.latency = LatencyEWMA(
+            alpha=ewma_alpha,
+            half_life_s=2.0 * target_latency_ms / 1000.0
+            if target_latency_ms > 0
+            else None,
+            clock=clock,
+        )
         self._clock = clock
         self._lock = threading.Lock()
         # LRU-ordered, bounded at max_tenants: tenant names arrive from

@@ -5,11 +5,12 @@ into N shards (:mod:`repro.sharding.partition`).  A query is parsed and
 cleaned **once**; then:
 
 * ``schema`` / ``index_only`` **scatter**: CN enumeration runs once at
-  the coordinator over the shared substrates, per-CN execution plans
-  (:class:`~repro.schema_search.topk.CNExecutorPlan`) are built once,
-  and every shard evaluates its home slice of each CN's anchor queue on
-  the shared thread pool, pruning against the streaming global k-th
-  score (:mod:`repro.sharding.scatter`).  The gathered top-k is
+  the coordinator over the shared substrates, the per-query executor
+  context (:class:`~repro.schema_search.topk.CNQueryContext`: score
+  table, CN plans, shared build sides) is built once, and every shard
+  runs the engine's bound-ordered loop over its home slice of each CN's
+  anchor queue on the shared thread pool, pruning against the streaming
+  global k-th score (:mod:`repro.sharding.scatter`).  The gathered top-k is
   byte-identical to the single-engine answer.
 * graph methods (``banks``, ``banks2``, ``steiner``, ``distinct_root``,
   ``ease``) **route**: tree answers are not partition-local under
@@ -49,8 +50,7 @@ from repro.resilience.circuit import CircuitBreaker
 from repro.resilience.degradation import KNOWN_METHODS
 from repro.resilience.errors import QueryParseError
 from repro.resilience.failpoints import fail_point
-from repro.schema_search.candidate_networks import generate_candidate_networks
-from repro.schema_search.topk import CNExecutorPlan
+from repro.schema_search.topk import CNQueryContext
 from repro.sharding.partition import Shard, build_shards, make_partitioner
 from repro.sharding.scatter import (
     GlobalTopK,
@@ -414,9 +414,10 @@ class ShardedSearchEngine:
             return self._run_structured(
                 query, k, method, timeout_ms, max_expansions, tracer
             )
-        # Bare keywords: re-enter the legacy flow (parse + clean spans,
-        # byte-identical scatter/route paths).
-        legacy = self.engine.parse(query.raw, tracer=tracer)
+        # Bare keywords: the canonical query is already cleaned; re-enter
+        # the legacy flow (parse + clean spans, byte-identical
+        # scatter/route paths) without cleaning it a second time.
+        legacy = self.engine._legacy_query(query, tracer)
         if not legacy.keywords:
             return ResultSet(method=method)
         if method == "schema":
@@ -504,22 +505,11 @@ class ShardedSearchEngine:
                 )
             else:
                 tuple_sets = self.engine.substrates.tuple_sets(keywords)
-                if coord_budget is None:
-                    cns = self.engine.substrates.candidate_networks(
-                        keywords, self.max_cn_size
-                    )
-                else:
-                    cns = generate_candidate_networks(
-                        self.engine.schema_graph,
-                        tuple_sets,
-                        max_size=self.max_cn_size,
-                        budget=coord_budget,
-                    )
+                cns = self.engine.substrates.candidate_networks(
+                    keywords, self.max_cn_size, budget=coord_budget
+                )
                 index = self.engine.index
-            plans = [
-                CNExecutorPlan(cn, tuple_sets, index, keywords) for cn in cns
-            ]
-            labels = [cn.label() for cn in cns]
+            context = CNQueryContext(cns, tuple_sets, index, keywords)
             psp.add("cns", len(cns))
         reasons: List[str] = []
         if coord_budget is not None and coord_budget.exhausted:
@@ -530,15 +520,7 @@ class ShardedSearchEngine:
 
             def fn(shard: Shard, budget, sp):
                 run = scatter_schema(
-                    shard.shard_id,
-                    shard.owns,
-                    plans,
-                    labels,
-                    tuple_sets,
-                    index,
-                    keywords,
-                    gtopk,
-                    budget,
+                    shard.shard_id, shard.owns, context, gtopk, budget
                 )
                 sp.add("cns", run.cns).add("evaluated", run.evaluated).add(
                     "pruned", run.pruned

@@ -5,10 +5,10 @@
   worker.  Its ``threshold()`` is the current global k-th score, which
   only ever rises — the monotonically tightening bound the shards
   prune against.
-* :func:`scatter_schema` — the per-shard CN evaluation loop: a
-  bound-ordered pipeline over this shard's slice of each CN's anchor
-  queue that stops (and counts as *pruned*) every anchor slot whose
-  score upper bound falls strictly below the threshold.
+* :func:`scatter_schema` — one shard's pass of the engine's own
+  bound-ordered loop (:func:`~repro.schema_search.topk.run_bound_ordered`)
+  over its slice of each CN's anchor queue, offering into the global
+  heap and pruning against the global threshold.
 
 Why the merged top-k is byte-identical to the single engine's: the
 heap retains the exact top-k of the *offered multiset* under the total
@@ -17,15 +17,11 @@ anchor slices partition the global anchor queue of each CN, and a
 pruned anchor slot's answers score strictly below the threshold at
 prune time ≤ the final k-th score (exact comparisons make the
 threshold monotone non-decreasing), so none of them can enter the
-final heap or win an equal-score key tie-break.  The comparison is
-strict (``bound < threshold``): anchor slots whose bound *equals* the
-k-th score still run, because an answer tied on score can displace the
-current k-th via a smaller content key.
+final heap or win an equal-score key tie-break.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -36,8 +32,7 @@ from repro.relational.executor import JoinedRow, JoinStats
 from repro.resilience.budget import QueryBudget
 from repro.resilience.errors import BudgetExceededError
 from repro.schema_search.scoring import tuple_score
-from repro.schema_search.topk import CNExecutor, CNExecutorPlan, _TopKHeap
-from repro.schema_search.tuple_sets import TupleSets
+from repro.schema_search.topk import CNQueryContext, _TopKHeap, run_bound_ordered
 
 
 class GlobalTopK:
@@ -81,54 +76,26 @@ class ShardRunStats:
 def scatter_schema(
     shard_id: int,
     owns: Callable[[TupleId], bool],
-    plans: Sequence[CNExecutorPlan],
-    labels: Sequence[str],
-    tuple_sets: TupleSets,
-    index: InvertedIndex,
-    keywords: Sequence[str],
+    context: CNQueryContext,
     gtopk: GlobalTopK,
     budget: Optional[QueryBudget] = None,
 ) -> ShardRunStats:
     """Evaluate this shard's anchor slices against the global threshold.
 
-    Mirrors :func:`~repro.schema_search.topk.topk_global_pipeline`'s
-    bound-driven interleaving, except the stop test reads the *global*
-    k-th score and is strict (``bound < threshold``, no epsilon), and
-    skipped anchor slots are accounted as ``pruned`` instead of
-    silently dropped.  Budget exhaustion returns the partial stats with
-    ``exhausted`` set — never an exception.
+    Skipped anchor slots are accounted as ``pruned``; budget exhaustion
+    returns the partial stats with ``exhausted`` set — never an
+    exception.
     """
     run = ShardRunStats(shard_id)
-    stats = run.join_stats
-    pq: List[Tuple[float, int, CNExecutor]] = []
-    for i, plan in enumerate(plans):
-        executor = CNExecutor(
-            plan.cn, tuple_sets, index, keywords, anchor_filter=owns, shared=plan
-        )
-        if not executor.exhausted():
-            run.cns += 1
-            heapq.heappush(pq, (-executor.bound(), i, executor))
-    try:
-        while pq:
-            neg_bound, i, executor = heapq.heappop(pq)
-            if -neg_bound < gtopk.threshold():
-                # Every queued executor's bound is <= this one: all of
-                # their remaining anchor slots are provably irrelevant.
-                run.pruned += executor.remaining()
-                run.pruned += sum(e.remaining() for _, _, e in pq)
-                break
-            label = labels[i]
-            for score, joined in executor.next_batch(stats):
-                if budget is not None:
-                    budget.tick_candidates()
-                gtopk.offer(score, label, joined)
-                run.evaluated += 1
-            run.batches += 1
-            if budget is not None:
-                budget.tick_nodes()
-            if not executor.exhausted():
-                heapq.heappush(pq, (-executor.bound(), i, executor))
-    except BudgetExceededError:
+    cursors = context.cursors(anchor_filter=owns)
+    run.cns = sum(1 for cursor in cursors if not cursor.exhausted())
+    done = run_bound_ordered(
+        cursors, gtopk.offer, gtopk.threshold, run.join_stats, budget
+    )
+    run.evaluated = done.produced
+    run.pruned = done.pruned
+    run.batches = done.batches
+    if done.exhausted:
         run.exhausted = True
         run.reason = budget.reason if budget is not None else "budget exhausted"
     return run

@@ -12,6 +12,7 @@ from repro.datasets.bibliographic import (
     tiny_bibliographic_db,
 )
 from repro.index.inverted import InvertedIndex
+from repro.relational.database import TupleId
 from repro.relational.executor import JoinStats
 from repro.relational.schema_graph import SchemaGraph
 from repro.resilience.budget import QueryBudget
@@ -417,15 +418,30 @@ class TestIncrementalEngine:
         assert sharing["reuse_hits"] > 0
         assert sharing["subexpressions_materialized"] > 0
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_execution_modes_agree(self, workers):
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_execution_modes_agree(self, shards):
+        """One executor: the engine, the scatter and the exhaustive
+        operator-sharing evaluator (the pre-unification default) agree."""
+        from repro.sharding import ShardedSearchEngine
+
         db = generate_bibliographic_db(seed=7)
-        shared = KeywordSearchEngine(db, cn_workers=workers)
-        pipeline = KeywordSearchEngine(db, cn_execution="pipeline")
+        single = KeywordSearchEngine(db)
+        sharded = ShardedSearchEngine(db, n_shards=shards)
         signature = lambda rs: [
-            (round(r.score, 9), r.network, tuple(r.tuple_ids())) for r in rs
+            (r.score, r.network, tuple(r.tuple_ids())) for r in rs
         ]
         for text in ("xml query", "john database", "widom xml"):
-            assert signature(shared.search(text, k=5)) == signature(
-                pipeline.search(text, k=5)
+            keywords = list(single.parse(text).keywords)
+            exhaustive = topk_shared(
+                single.substrates.candidate_networks(keywords, single.max_cn_size),
+                single.substrates.tuple_sets(keywords),
+                single.index,
+                keywords,
+                k=5,
             )
+            expected = [
+                (score, label, tuple(TupleId(*t) for t in joined.tuple_ids()))
+                for score, label, joined in exhaustive.results
+            ]
+            assert signature(single.search(text, k=5)) == expected
+            assert signature(sharded.search(text, k=5)) == expected

@@ -1,7 +1,10 @@
 """Tests for MILP Steiner trees, probabilistic XML search, and
 personalized re-ranking."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -75,6 +78,32 @@ class TestMilpSteiner:
     def test_empty_group(self):
         g, groups = slide30_graph()
         assert steiner_milp(g, [groups[0], []]) is None
+
+    def test_import_repro_leaves_scipy_unloaded(self):
+        """scipy is loaded by the solver's first call, not by ``import
+        repro`` (0.5 s and 55 MB of every server and worker start)."""
+        script = (
+            "import sys, repro\n"
+            "assert 'scipy' not in sys.modules and 'numpy' not in sys.modules\n"
+            "from repro.graph.data_graph import DataGraph\n"
+            "from repro.graph_search.mip import steiner_milp\n"
+            "from repro.relational.database import TupleId\n"
+            "g = DataGraph()\n"
+            "a, b, c = (TupleId('t', i) for i in range(3))\n"
+            "g.add_edge(a, b, 2); g.add_edge(b, c, 3)\n"
+            "assert abs(steiner_milp(g, [[a], [c]]).weight - 5.0) < 1e-9\n"
+            "assert 'scipy' in sys.modules\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestProbabilisticXml:

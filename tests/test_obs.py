@@ -216,16 +216,15 @@ def test_traced_results_byte_identical(method):
     assert traced.trace is not None
 
 
-@pytest.mark.parametrize("cn_execution", ["shared", "pipeline"])
-def test_traced_parity_both_cn_execution_modes(cn_execution):
-    engine = KeywordSearchEngine(
-        tiny_bibliographic_db(), cn_execution=cn_execution
-    )
-    plain = engine.search(PARITY_QUERY, k=5, use_cache=False)
-    traced = engine.search(PARITY_QUERY, k=5, use_cache=False, trace=True)
+@pytest.mark.parametrize("budgeted", [False, True], ids=["unbudgeted", "budgeted"])
+def test_traced_parity_schema_executor(budgeted):
+    engine = KeywordSearchEngine(tiny_bibliographic_db())
+    knobs = {"timeout_ms": 60_000.0} if budgeted else {}
+    plain = engine.search(PARITY_QUERY, k=5, use_cache=False, **knobs)
+    traced = engine.search(PARITY_QUERY, k=5, use_cache=False, trace=True, **knobs)
     assert result_signature(plain) == result_signature(traced)
     names = set(traced.trace.span_names())
-    assert {"plan", "evaluate", "topk"} <= names
+    assert {"plan", "score", "evaluate", "topk"} <= names
 
 
 @pytest.mark.parametrize("semantics", XML_SEMANTICS)

@@ -102,6 +102,50 @@ class TestSubstrateCache:
         cns3 = engine.substrates.candidate_networks(["widom", "xml"], 3)
         assert cns3 is not cns1
 
+    def test_query_memo_is_bounded(self, engine, monkeypatch):
+        """Keyword sets come from clients and every insert patches every
+        memoised TupleSets: both memos live in one bounded LRU."""
+        from repro.perf import substrates as substrates_module
+
+        assert substrates_module.QUERY_MEMO_CAPACITY >= 256
+        monkeypatch.setattr(substrates_module, "QUERY_MEMO_CAPACITY", 4)
+        small = KeywordSearchEngine(tiny_bibliographic_db())
+        cache = small.substrates
+        first = result_signature(small.search("widom xml", k=5, use_cache=False))
+        first_sets = cache.tuple_sets(["widom", "xml"])
+        for i in range(10):
+            cache.candidate_networks([f"filler{i}"], 4)
+        entries = cache.stats()["entries"]
+        assert entries["tuple_sets"] == 4  # capacity holds...
+        assert entries["candidate_networks"] == 4  # ...CN lists leave with their set
+        assert cache.memo_bytes() > 0
+        # The evicted key rebuilds to an identical answer.
+        assert cache.tuple_sets(["widom", "xml"]) is not first_sets
+        again = result_signature(small.search("widom xml", k=5, use_cache=False))
+        assert again == first
+        # An insert patches at most `capacity` memoised tuple sets.
+        before = cache.patches["tuple_sets_patched"]
+        small.db.insert("author", aid=77, name="bounded patch", affiliation=None)
+        cache.check_version()
+        assert cache.patches["tuple_sets_patched"] - before == 4
+
+    def test_budgeted_hit_is_charged_enumeration_cost(self, engine):
+        from repro.resilience.budget import QueryBudget
+
+        cold = QueryBudget()
+        cns = engine.substrates.candidate_networks(["widom", "xml"], 4, budget=cold)
+        assert cold.cns_enumerated > 0 and not cold.exhausted
+        warm = QueryBudget()
+        assert engine.substrates.candidate_networks(["widom", "xml"], 4, warm) is cns
+        assert warm.cns_enumerated == cold.cns_enumerated
+        assert engine.substrates.builds["candidate_networks"] == 1
+        # A budget the memoised cost would cross enumerates (and
+        # truncates) as if there were no memo, and stores nothing.
+        tight = QueryBudget(max_cns=cold.cns_enumerated - 1)
+        partial = engine.substrates.candidate_networks(["widom", "xml"], 4, tight)
+        assert tight.exhausted and partial is not cns
+        assert engine.substrates.candidate_networks(["widom", "xml"], 4) is cns
+
     def test_keyword_groups_and_miss(self, engine):
         groups = engine.substrates.keyword_groups(["widom", "xml"])
         assert groups is not None and all(groups)

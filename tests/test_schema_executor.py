@@ -1,0 +1,350 @@
+"""Generated differential test for the unified CN executor.
+
+Small random schemas, databases and keyword sets; every path that
+answers a ``schema`` query must equal a brute-force oracle — exhaustive
+``evaluate_cn`` over every CN, ``monotonic_result_score`` per result,
+one full sort on ``(-score, (label, tuple ids))`` — in scores, tuple ids
+and labels, results tied at the k-th score included.  A three-word
+vocabulary and texts of at most two words make equal scores (and so
+ties at k decided by the content key alone) the common case.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from hypothesis import given, settings, strategies as st
+
+from repro.core.engine import KeywordSearchEngine
+from repro.datasets.bibliographic import generate_bibliographic_db
+from repro.index.inverted import InvertedIndex
+from repro.query.compiler import FilteredTupleSets, RowFilter, WeightedIndexView
+from repro.relational.database import Database
+from repro.relational.schema import Column, ForeignKey, Schema, TableSchema
+from repro.relational.schema_graph import SchemaGraph
+from repro.resilience.budget import QueryBudget
+from repro.schema_search import scoring
+from repro.schema_search.candidate_networks import generate_candidate_networks
+from repro.schema_search.evaluate import evaluate_cn
+from repro.schema_search.scoring import monotonic_result_score
+from repro.schema_search.topk import topk_global_pipeline
+from repro.schema_search.tuple_sets import TupleSets
+from repro.sharding import ShardedSearchEngine
+
+VOCAB = ["ant", "bee", "cat"]
+KS = (1, 3, 10)
+MAX_CN_SIZE = 4
+
+
+# ----------------------------------------------------------------------
+# Generated inputs
+# ----------------------------------------------------------------------
+@st.composite
+def databases(draw) -> Database:
+    """2-4 tables; table i references 1-2 earlier tables (never itself)."""
+    n_tables = draw(st.integers(2, 4))
+    fk_targets = [[]]
+    for i in range(1, n_tables):
+        fk_targets.append(
+            draw(st.lists(st.integers(0, i - 1), min_size=1, max_size=2))
+        )
+    tables = []
+    for i, targets in enumerate(fk_targets):
+        columns = [Column("id", "int"), Column("txt", "str", nullable=True, text=True)]
+        fks = []
+        for j, target in enumerate(targets):
+            columns.append(Column(f"r{j}", "int", nullable=True))
+            fks.append(ForeignKey(f"r{j}", f"t{target}", "id"))
+        tables.append(TableSchema(f"t{i}", tuple(columns), "id", tuple(fks)))
+    db = Database(Schema(tables))
+    words = st.lists(st.sampled_from(VOCAB), max_size=2)
+    sizes = []
+    for i, targets in enumerate(fk_targets):
+        n_rows = draw(st.integers(1, 6))
+        sizes.append(n_rows)
+        for rowid in range(n_rows):
+            values = {"id": rowid, "txt": " ".join(draw(words)) or None}
+            for j, target in enumerate(targets):
+                values[f"r{j}"] = draw(
+                    st.one_of(st.none(), st.integers(0, sizes[target] - 1))
+                )
+            db.insert(f"t{i}", **values)
+    return db
+
+
+keyword_sets = st.lists(st.sampled_from(VOCAB), min_size=1, max_size=3, unique=True)
+
+
+# ----------------------------------------------------------------------
+# The oracle
+# ----------------------------------------------------------------------
+def oracle(tuple_sets, cns, index, keywords):
+    """Every result of every CN, fully sorted in the executor's order."""
+    scored = [
+        (monotonic_result_score(index, joined, keywords), cn.label(), joined.tuple_ids())
+        for cn in cns
+        for joined in evaluate_cn(cn, tuple_sets)
+    ]
+    scored.sort(key=lambda entry: (-entry[0], (entry[1], entry[2])))
+    return scored
+
+
+def fresh_oracle(db, keywords):
+    index = InvertedIndex(db)
+    tuple_sets = TupleSets(db, index, keywords)
+    cns = generate_candidate_networks(
+        SchemaGraph(db.schema), tuple_sets, max_size=MAX_CN_SIZE
+    )
+    return oracle(tuple_sets, cns, index, keywords)
+
+
+def engine_signature(results):
+    return [
+        (r.score, r.network, tuple((t.table, t.rowid) for t in r.tuple_ids()))
+        for r in results
+    ]
+
+
+def executor_signature(result):
+    return [(score, label, joined.tuple_ids()) for score, label, joined in result.results]
+
+
+# ----------------------------------------------------------------------
+# Exactness
+# ----------------------------------------------------------------------
+@settings(max_examples=40, deadline=None)
+@given(db=databases(), keywords=keyword_sets)
+def test_single_engine_equals_oracle(db, keywords):
+    expected = fresh_oracle(db, keywords)
+    engine = KeywordSearchEngine(db, max_cn_size=MAX_CN_SIZE, clean_queries=False)
+    text = " ".join(keywords)
+    for k in KS:
+        found = engine.search(text, k=k, use_cache=False)
+        assert engine_signature(found) == expected[:k]
+        assert not found.degraded
+        budgeted = engine.search(text, k=k, timeout_ms=60_000.0)
+        assert engine_signature(budgeted) == expected[:k]
+
+
+@settings(max_examples=40, deadline=None)
+@given(db=databases(), keywords=keyword_sets, n_shards=st.sampled_from([1, 2, 4]))
+def test_sharded_engine_equals_oracle(db, keywords, n_shards):
+    expected = fresh_oracle(db, keywords)
+    engine = ShardedSearchEngine(
+        db, n_shards=n_shards, max_cn_size=MAX_CN_SIZE, clean_queries=False
+    )
+    try:
+        for k in KS:
+            found = engine.search(" ".join(keywords), k=k, use_cache=False)
+            assert engine_signature(found) == expected[:k]
+            assert not found.degraded
+    finally:
+        engine.close()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    db=databases(),
+    keywords=keyword_sets,
+    banned_bits=st.integers(0, 2**12 - 1),
+    allowed_bits=st.integers(0, 2**6 - 1),
+)
+def test_filtered_tuple_sets_equal_oracle(db, keywords, banned_bits, allowed_bits):
+    index = InvertedIndex(db)
+    every = sorted(db.all_tuple_ids())
+    banned = {tid for i, tid in enumerate(every) if (banned_bits >> (i % 12)) & 1}
+    view = FilteredTupleSets(
+        TupleSets(db, index, keywords), RowFilter({"t0": allowed_bits}, banned)
+    )
+    cns = generate_candidate_networks(
+        SchemaGraph(db.schema), view, max_size=MAX_CN_SIZE
+    )
+    expected = oracle(view, cns, index, keywords)
+    for k in KS:
+        found = topk_global_pipeline(cns, view, index, keywords, k=k)
+        assert executor_signature(found) == expected[:k]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    db=databases(),
+    keywords=keyword_sets,
+    weights=st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=3, max_size=3),
+)
+def test_weighted_index_view_equals_oracle(db, keywords, weights):
+    index = WeightedIndexView(InvertedIndex(db), dict(zip(VOCAB, weights)))
+    tuple_sets = TupleSets(db, index, keywords)
+    cns = generate_candidate_networks(
+        SchemaGraph(db.schema), tuple_sets, max_size=MAX_CN_SIZE
+    )
+    expected = oracle(tuple_sets, cns, index, keywords)
+    for k in KS:
+        found = topk_global_pipeline(cns, tuple_sets, index, keywords, k=k)
+        assert executor_signature(found) == expected[:k]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    db=databases(),
+    keywords=keyword_sets,
+    texts=st.lists(st.lists(st.sampled_from(VOCAB), max_size=2), min_size=1, max_size=3),
+)
+def test_insert_then_refresh_equals_oracle(db, keywords, texts):
+    engine = KeywordSearchEngine(db, max_cn_size=MAX_CN_SIZE, clean_queries=False)
+    text = " ".join(keywords)
+    engine.search(text, k=3)  # warm the memos the inserts must patch
+    for words in texts:
+        db.insert("t0", id=len(db.table("t0")), txt=" ".join(words) or None)
+        expected = fresh_oracle(db, keywords)
+        for k in KS:
+            found = engine.search(text, k=k, use_cache=False)
+            assert engine_signature(found) == expected[:k]
+
+
+def test_tie_at_k_is_found_in_a_later_slice():
+    """All scores equal; the anchor is node 1, so the result with the
+    smallest content key sits in the *second* slice.  A non-strict stop
+    (or dropping results equal to the k-th score) returns the wrong
+    tuple at k=1."""
+    db = Database(
+        Schema(
+            [
+                TableSchema(
+                    "t0",
+                    (Column("id", "int"), Column("txt", "str", nullable=True, text=True)),
+                    "id",
+                ),
+                TableSchema(
+                    "t1",
+                    (
+                        Column("id", "int"),
+                        Column("txt", "str", text=True),
+                        Column("r0", "int", nullable=True),
+                    ),
+                    "id",
+                    (ForeignKey("r0", "t0", "id"),),
+                ),
+            ]
+        )
+    )
+    for rowid, txt in enumerate(["bee", None, "bee"]):
+        db.insert("t0", id=rowid, txt=txt)
+    for rowid, ref in enumerate([2, 0, None]):
+        db.insert("t1", id=rowid, txt="ant", r0=ref)
+    expected = fresh_oracle(db, ["ant", "bee"])
+    assert expected[0][2] == (("t0", 0), ("t1", 1))
+    assert expected[0][0] == expected[1][0]
+    engine = KeywordSearchEngine(db, clean_queries=False)
+    for k in (1, 2):
+        found = engine.search("ant bee", k=k, use_cache=False)
+        assert engine_signature(found) == expected[:k]
+
+
+# ----------------------------------------------------------------------
+# Budgets
+# ----------------------------------------------------------------------
+@settings(max_examples=25, deadline=None)
+@given(db=databases(), keywords=keyword_sets, delta=st.sampled_from([-2, -1, 0, 1]))
+def test_cn_memo_charges_what_enumeration_costs(db, keywords, delta):
+    """``max_cns`` below / at / above the memoised dequeue count: a warm
+    memo returns the CN list and ``degraded`` flag a cold one does."""
+    meter = QueryBudget()
+    index = InvertedIndex(db)
+    generate_candidate_networks(
+        SchemaGraph(db.schema),
+        TupleSets(db, index, keywords),
+        max_size=MAX_CN_SIZE,
+        budget=meter,
+    )
+    cap = max(0, meter.cns_enumerated + delta)
+    text = " ".join(keywords)
+    cold = KeywordSearchEngine(db, max_cn_size=MAX_CN_SIZE, clean_queries=False)
+    warm = KeywordSearchEngine(db, max_cn_size=MAX_CN_SIZE, clean_queries=False)
+    warm.search(text, k=3)
+    assert warm.substrates.stats()["entries"]["candidate_networks"] == 1
+    cold_budget, warm_budget = QueryBudget(max_cns=cap), QueryBudget(max_cns=cap)
+    cold_cns = cold.substrates.candidate_networks(keywords, MAX_CN_SIZE, cold_budget)
+    warm_cns = warm.substrates.candidate_networks(keywords, MAX_CN_SIZE, warm_budget)
+    assert [cn.canonical_code() for cn in warm_cns] == [
+        cn.canonical_code() for cn in cold_cns
+    ]
+    assert warm_budget.exhausted == cold_budget.exhausted
+    assert cold_budget.exhausted == (cap < meter.cns_enumerated)
+    assert warm_budget.cns_enumerated == cold_budget.cns_enumerated
+    for k in KS:
+        a = cold.search(text, k=k, max_expansions=cap)
+        b = warm.search(text, k=k, max_expansions=cap)
+        assert engine_signature(a) == engine_signature(b)
+        assert (a.degraded, a.degraded_reason) == (b.degraded, b.degraded_reason)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    db=databases(),
+    keywords=keyword_sets,
+    k=st.sampled_from(KS),
+    caps=st.lists(st.integers(0, 60), max_size=8),
+)
+def test_candidate_budget_returns_prefix_consistent_partial_heap(db, keywords, k, caps):
+    index = InvertedIndex(db)
+    tuple_sets = TupleSets(db, index, keywords)
+    cns = generate_candidate_networks(
+        SchemaGraph(db.schema), tuple_sets, max_size=MAX_CN_SIZE
+    )
+    everything = oracle(tuple_sets, cns, index, keywords)
+    # Two CNs can share a label and a result (parallel foreign keys),
+    # so results form a multiset.
+    population = Counter(everything)
+    order = lambda entry: (-entry[0], (entry[1], entry[2]))
+    full = executor_signature(topk_global_pipeline(cns, tuple_sets, index, keywords, k=k))
+    assert full == everything[:k]
+    previous = []
+    for cap in sorted({0, len(everything), len(everything) + 1, *caps}):
+        budget = QueryBudget(max_candidates=cap)
+        partial = executor_signature(
+            topk_global_pipeline(cns, tuple_sets, index, keywords, k=k, budget=budget)
+        )
+        # Genuine results, in the executor's total order, no more than
+        # the budget paid for.
+        assert not Counter(partial) - population
+        assert partial == sorted(partial, key=order)
+        assert len(partial) <= min(k, cap)
+        if budget.exhausted:
+            # A longer prefix only ever displaces entries by better ones.
+            assert len(partial) >= len(previous)
+            dropped = Counter(previous) - Counter(partial)
+            assert all(order(e) >= order(partial[-1]) for e in dropped)
+            previous = partial
+        else:
+            assert partial == full
+
+
+def test_degraded_flag_on_candidate_exhaustion():
+    engine = KeywordSearchEngine(generate_bibliographic_db(seed=7))
+    engine.search("xml", k=10)  # a warm CN memo charges the budget too
+    results = engine.search("xml", k=10, max_expansions=200)
+    assert results.degraded
+    assert "candidate scoring budget exhausted" in results.degraded_reason
+    assert 0 < len(results) <= 10
+
+
+# ----------------------------------------------------------------------
+# Score-once is observable
+# ----------------------------------------------------------------------
+def test_each_matched_tuple_is_scored_at_most_once(monkeypatch):
+    """biblio-150, ``xml``, k=10: no more ``tuple_score`` calls than
+    tuples matching a query keyword (114 385 calls before unification)."""
+    engine = KeywordSearchEngine(generate_bibliographic_db(seed=7))
+    matching = len(set(engine.index.matching_tuples_view("xml")))
+    calls = []
+    real = scoring.tuple_score
+
+    def counting(index, tid, keywords):
+        calls.append(tid)
+        return real(index, tid, keywords)
+
+    monkeypatch.setattr("repro.schema_search.topk.tuple_score", counting)
+    results = engine.search("xml", k=10, use_cache=False)
+    assert len(results) == 10
+    assert 0 < len(calls) <= matching
+    assert len(set(calls)) == len(calls)

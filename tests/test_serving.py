@@ -94,6 +94,18 @@ class TestLatencyEWMA:
         with pytest.raises(ValueError):
             LatencyEWMA(alpha=0.0)
 
+    def test_idle_time_halves_the_value(self):
+        clock = FakeClock()
+        ewma = LatencyEWMA(alpha=0.5, half_life_s=2.0, clock=clock)
+        ewma.observe(800.0)
+        clock.advance(1.9)
+        assert ewma.value == 800.0  # busy servers see the plain EWMA
+        clock.advance(2.2)  # 4.1 s idle = two full half-lives
+        assert ewma.value == 200.0
+        ewma.observe(400.0)  # folds into the decayed value
+        assert ewma.value == pytest.approx(300.0)
+        assert LatencyEWMA().half_life_s is None  # no decay unless asked
+
 
 class TestAdmissionLadder:
     def make(self, **kw):
@@ -137,6 +149,21 @@ class TestAdmissionLadder:
         decision = ctl.admit()
         assert not decision.admitted
         assert "overload" in decision.reason
+
+    def test_latency_shedding_unlatches_after_idle(self):
+        """Shipped defaults, one 513 ms query: every later request was
+        shed, shed requests never call ``finished()``, so the EWMA never
+        fell — 30/30 requests 429 after 3 s idle."""
+        clock = FakeClock()
+        ctl = AdmissionController(clock=clock, metrics=MetricsRegistry())
+        ctl.enqueued()
+        ctl.started()
+        ctl.finished(513.0)  # > 2 x target_latency_ms (250)
+        for _ in range(3):
+            assert not ctl.admit().admitted  # latched
+        clock.advance(3.0)
+        decision = ctl.admit()
+        assert decision.admitted and decision.mode == MODE_FULL
 
     def test_per_tenant_rate_limit(self):
         clock = FakeClock()
@@ -818,3 +845,47 @@ class TestGracefulShutdown:
             assert code == 200 and payload["ok"]
         finally:
             FAILPOINTS.deactivate("engine.search")
+
+
+class TestServeRestart:
+    def test_cli_serve_on_populated_dir_wraps_the_plain_engine_once(
+        self, tmp_path, capsys
+    ):
+        """``repro serve --dir D`` on a populated D must hand the server
+        the recovered *engine* — not a DurableEngine that the server
+        then wraps in a second one (two WAL handles on one directory)."""
+        from repro.cli import _build_server, _register_datasets, build_parser
+
+        _register_datasets()
+        argv = ["serve", "--dataset", "tiny", "--dir", str(tmp_path / "d"), "--port", "0"]
+
+        def build():
+            server = _build_server(build_parser().parse_args(argv))
+            assert isinstance(server, ServingServer)
+            return server
+
+        def dispose(server):
+            server.durable.close()
+            server.executor.shutdown(wait=True)
+
+        first = build()
+        try:
+            first.durable.insert(
+                "author", aid=900, name="restart probe", affiliation=None
+            )
+        finally:
+            dispose(first)
+        second = build()
+        try:
+            assert "recovered:" in capsys.readouterr().out
+            assert isinstance(second.durable.engine, KeywordSearchEngine)
+            assert second.handle.engine is second.durable.engine
+            before = second.durable.wal.last_lsn
+            second.durable.insert(
+                "author", aid=901, name="restart probe two", affiliation=None
+            )
+            assert second.durable.wal.last_lsn == before + 1
+            found = second.durable.search("restart probe", k=5, method="index_only")
+            assert len(found) == 2
+        finally:
+            dispose(second)
