@@ -37,8 +37,6 @@ from repro.core.query import Query
 from repro.core.results import ResultSet, SearchResult
 from repro.forms.matching import rank_forms
 from repro.graph.data_graph import DataGraph, build_data_graph
-from repro.graph_search.banks import banks_backward, banks_bidirectional
-from repro.graph_search.steiner import group_steiner_dp
 from repro.index.distance import KeywordDistanceIndex
 from repro.index.inverted import InvertedIndex
 from repro.index.text import tokenize
@@ -787,20 +785,12 @@ class KeywordSearchEngine:
         fail_point("engine.method", key=method)
         if method == "schema":
             return self._search_schema(query, k, budget, tracer)
-        if method in ("banks", "banks2"):
-            return self._search_banks(
-                query, k, bidirectional=method == "banks2", budget=budget,
-                tracer=tracer,
-            )
-        if method == "steiner":
-            return self._search_steiner(query, budget, tracer)
-        if method == "distinct_root":
-            return self._search_distinct_root(query, k, tracer)
-        if method == "ease":
-            return self._search_ease(query, k, budget, tracer)
         if method == "index_only":
             return self._search_index_only(query, k, budget, tracer)
-        raise QueryParseError(f"unknown method {method!r}")
+        from repro.query.compiler import graph_results
+
+        # The graph family; raises QueryParseError for an unknown method.
+        return graph_results(self, None, query.keywords, k, method, budget, tracer)
 
     def search_many(
         self,
@@ -920,140 +910,6 @@ class KeywordSearchEngine:
                     )
                 )
             tsp.add("results", len(out))
-        return out
-
-    def _groups(self, keywords: Sequence[str]) -> Optional[List[List[TupleId]]]:
-        return self.substrates.keyword_groups(keywords)
-
-    def _search_banks(
-        self,
-        query: Query,
-        k: int,
-        bidirectional: bool,
-        budget: Optional[QueryBudget] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> List[SearchResult]:
-        with trace_span(tracer, "substrate_build") as ssp:
-            groups = self._groups(query.keywords)
-            ssp.add("keyword_groups", len(groups) if groups else 0)
-        if groups is None:
-            return []
-        algo = banks_bidirectional if bidirectional else banks_backward
-        with trace_span(tracer, "evaluate") as esp:
-            result = algo(
-                self.data_graph,
-                groups,
-                k=k,
-                budget=budget,
-                span=esp if tracer is not None else None,
-            )
-            esp.add("trees", len(result.trees))
-        with trace_span(tracer, "score") as psp:
-            out = []
-            for tree in result.trees:
-                joined = self._tree_to_joined(tree.nodes)
-                out.append(
-                    SearchResult(
-                        score=1.0 / (1.0 + tree.weight),
-                        network=f"banks-tree(root={tree.root})",
-                        joined=joined,
-                    )
-                )
-            psp.add("results", len(out))
-        return out
-
-    def _search_steiner(
-        self,
-        query: Query,
-        budget: Optional[QueryBudget] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> List[SearchResult]:
-        with trace_span(tracer, "substrate_build") as ssp:
-            groups = self._groups(query.keywords)
-            ssp.add("keyword_groups", len(groups) if groups else 0)
-        if groups is None:
-            return []
-        with trace_span(tracer, "evaluate") as esp:
-            tree = group_steiner_dp(
-                self.data_graph,
-                groups,
-                budget=budget,
-                span=esp if tracer is not None else None,
-            )
-            esp.add("trees", 0 if tree is None else 1)
-        if tree is None:
-            return []
-        with trace_span(tracer, "score"):
-            joined = self._tree_to_joined(tree.nodes)
-            out = [
-                SearchResult(
-                    score=1.0 / (1.0 + tree.weight),
-                    network=f"steiner(weight={tree.weight:.1f})",
-                    joined=joined,
-                )
-            ]
-        return out
-
-    def _search_distinct_root(
-        self, query: Query, k: int, tracer: Optional[Tracer] = None
-    ) -> List[SearchResult]:
-        from repro.graph_search.semantics import distinct_root_results
-
-        with trace_span(tracer, "substrate_build") as ssp:
-            groups = self._groups(query.keywords)
-            ssp.add("keyword_groups", len(groups) if groups else 0)
-            if groups is not None:
-                dmax = self.distance_index.max_distance
-        if groups is None:
-            return []
-        with trace_span(tracer, "evaluate") as esp:
-            answers = distinct_root_results(
-                self.data_graph, groups, dmax=dmax, k=k
-            )
-            esp.add("answers", len(answers))
-        with trace_span(tracer, "score") as psp:
-            out = []
-            for answer in answers:
-                nodes = {answer.root, *(m for m in answer.matches if m is not None)}
-                out.append(
-                    SearchResult(
-                        score=1.0 / (1.0 + answer.cost),
-                        network=f"distinct-root(root={answer.root})",
-                        joined=self._tree_to_joined(nodes),
-                    )
-                )
-            psp.add("results", len(out))
-        return out
-
-    def _search_ease(
-        self,
-        query: Query,
-        k: int,
-        budget: Optional[QueryBudget] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> List[SearchResult]:
-        from repro.graph_search.ease import r_radius_steiner_graphs
-
-        with trace_span(tracer, "substrate_build") as ssp:
-            groups = self._groups(query.keywords)
-            ssp.add("keyword_groups", len(groups) if groups else 0)
-        if groups is None:
-            return []
-        with trace_span(tracer, "evaluate") as esp:
-            answers = r_radius_steiner_graphs(
-                self.data_graph, groups, r=2, k=k, budget=budget
-            )
-            esp.add("answers", len(answers))
-        with trace_span(tracer, "score") as psp:
-            out = [
-                SearchResult(
-                    score=1.0 / answer.size(),
-                    network=f"ease(center={answer.center})",
-                    joined=self._tree_to_joined(answer.nodes),
-                )
-                for answer in answers
-            ]
-            psp.add("results", len(out))
         return out
 
     def _tree_to_joined(self, nodes) -> "JoinedRow":

@@ -4,17 +4,40 @@ Nodes are :class:`~repro.relational.database.TupleId`; each foreign key
 instance produces one undirected, weighted edge.  The graph is stored as
 plain adjacency dictionaries (fast membership tests and Dijkstra without
 networkx overhead) but can be exported to networkx for algorithms that
-want it.
+want it.  The search algorithms walk :meth:`DataGraph.compact`, an
+integer-id view of the same adjacency, so their inner loops hash and
+compare machine ints instead of ``TupleId`` objects.
 """
 
 from __future__ import annotations
 
 import heapq
+import threading
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import networkx as nx
 
 from repro.relational.database import Database, TupleId
+
+
+class CompactGraph:
+    """Integer-id view of a :class:`DataGraph`: node ``i`` is ``ids[i]``.
+
+    ``ids`` is in sorted ``TupleId`` order, so ``i < j`` iff
+    ``ids[i] < ids[j]``: a heap or ``min`` keyed on ``(cost, i)`` breaks
+    ties exactly as one keyed on ``(cost, ids[i])``.  ``nbrs[i]`` /
+    ``wts[i]`` are parallel lists in the adjacency's insertion order.
+    """
+
+    __slots__ = ("ids", "index", "nbrs", "wts")
+
+    def __init__(self, adj: Dict[TupleId, Dict[TupleId, float]]) -> None:
+        self.ids: List[TupleId] = sorted(adj, key=attrgetter("table", "rowid"))
+        self.index: Dict[TupleId, int] = {t: i for i, t in enumerate(self.ids)}
+        index = self.index
+        self.nbrs: List[List[int]] = [[index[v] for v in adj[u]] for u in self.ids]
+        self.wts: List[List[float]] = [list(adj[u].values()) for u in self.ids]
 
 
 class DataGraph:
@@ -23,17 +46,21 @@ class DataGraph:
     def __init__(self) -> None:
         self._adj: Dict[TupleId, Dict[TupleId, float]] = {}
         self._node_weight: Dict[TupleId, float] = {}
+        self._compact: Optional[CompactGraph] = None
+        self._compact_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def add_node(self, node: TupleId, weight: float = 0.0) -> None:
+        self._compact = None
         self._adj.setdefault(node, {})
         self._node_weight[node] = weight
 
     def add_edge(self, u: TupleId, v: TupleId, weight: float = 1.0) -> None:
         if u == v:
             return
+        self._compact = None
         self._adj.setdefault(u, {})
         self._adj.setdefault(v, {})
         self._node_weight.setdefault(u, 0.0)
@@ -70,6 +97,21 @@ class DataGraph:
 
     def node_weight(self, node: TupleId) -> float:
         return self._node_weight.get(node, 0.0)
+
+    def compact(self) -> CompactGraph:
+        """The memoised integer view; rebuilt after ``add_node``/``add_edge``.
+
+        Built under a lock so concurrent first callers share one view.
+        Mutating the graph while another thread searches it was never
+        supported (the engine swaps in a fresh graph instead).
+        """
+        view = self._compact
+        if view is None:
+            with self._compact_lock:
+                view = self._compact
+                if view is None:
+                    view = self._compact = CompactGraph(self._adj)
+        return view
 
     # ------------------------------------------------------------------
     # Shortest paths

@@ -45,109 +45,114 @@ class BanksResult:
 
 
 def _result_tree(
-    graph: DataGraph,
-    root: TupleId,
-    parents: List[Dict[TupleId, Optional[TupleId]]],
-    dists: List[Dict[TupleId, float]],
+    graph: DataGraph, root: int, parents: List[Dict[int, Optional[int]]]
 ) -> SteinerTree:
     """Union of shortest paths from *root* back to each group."""
-    edges: Set[Tuple[TupleId, TupleId]] = set()
+    ids = graph.compact().ids
+    pairs: Set[Tuple[int, int]] = set()
     for parent in parents:
         node = root
-        while parent.get(node) is not None:
-            prev = parent[node]
-            edge = (min(node, prev), max(node, prev))
-            edges.add(edge)
-            node = prev
+        prev = parent.get(node)
+        while prev is not None:
+            pairs.add((node, prev) if node < prev else (prev, node))
+            node, prev = prev, parent.get(prev)
+    edges = [(ids[u], ids[v]) for u, v in sorted(pairs)]
     weight = sum(graph.edge_weight(u, v) or 0.0 for u, v in edges)
-    return SteinerTree(root=root, edges=sorted(edges), weight=weight)
+    return SteinerTree(root=ids[root], edges=edges, weight=weight)
 
 
 def _expand(
     graph: DataGraph,
     groups: Sequence[Sequence[TupleId]],
     k: int,
-    priority: Callable[[float, int, TupleId], float],
+    priority: Callable[[float, int, int], float],
     budget: Optional[QueryBudget] = None,
     span=None,
 ) -> BanksResult:
+    """Expand all groups from one heap ordered by *priority*.
+
+    Nodes are compact ints (``graph.compact()``); *priority* maps
+    ``(distance, group, node)`` to the heap key.
+    """
     g = len(groups)
     if g == 0 or any(not group for group in groups):
         return BanksResult([], 0)
-    dists: List[Dict[TupleId, float]] = [dict() for _ in range(g)]
-    parents: List[Dict[TupleId, Optional[TupleId]]] = [dict() for _ in range(g)]
-    settled: List[Set[TupleId]] = [set() for _ in range(g)]
-    heap: List[Tuple[float, float, int, TupleId]] = []
+    cg = graph.compact()
+    index, nbrs, wts = cg.index, cg.nbrs, cg.wts
+    dists: List[Dict[int, float]] = [dict() for _ in range(g)]
+    parents: List[Dict[int, Optional[int]]] = [dict() for _ in range(g)]
+    settled: List[Set[int]] = [set() for _ in range(g)]
+    heap: List[Tuple[float, float, int, int]] = []
     for i, group in enumerate(groups):
-        for node in group:
-            if node in graph:
+        for match in group:
+            node = index.get(match)
+            if node is not None:
                 dists[i][node] = 0.0
                 parents[i][node] = None
                 heapq.heappush(heap, (priority(0.0, i, node), 0.0, i, node))
     nodes_expanded = 0
-    confirmed: Dict[TupleId, float] = {}
+    groups_reached: Dict[int, int] = {}
+    confirmed: Dict[int, float] = {}
+    # The k cheapest confirmed costs, negated: -cheapest[0] is the k-th.
+    cheapest: List[float] = []
+    # Per group, a (distance, node) heap mirroring the main heap from the
+    # first termination test on; settled nodes are dropped lazily, so its
+    # top is the group's frontier minimum without scanning the main heap.
+    frontier: Optional[List[List[Tuple[float, int]]]] = None
 
     try:
-        nodes_expanded = _expand_loop(
-            graph, groups, k, priority, budget, dists, parents, settled, heap, confirmed
-        )
+        while heap:
+            prio, dist, i, node = heapq.heappop(heap)
+            if node in settled[i]:
+                continue
+            settled[i].add(node)
+            nodes_expanded += 1
+            if budget is not None:
+                budget.tick_nodes()
+            reached = groups_reached[node] = groups_reached.get(node, 0) + 1
+            if reached == g:
+                cost = confirmed[node] = sum(d[node] for d in dists)
+                if len(cheapest) < k:
+                    heapq.heappush(cheapest, -cost)
+                elif cost < -cheapest[0]:
+                    heapq.heapreplace(cheapest, -cost)
+            # Termination: k confirmed roots whose cost beats the optimistic
+            # bound for any unconfirmed root (sum of current frontier minima).
+            if len(confirmed) >= k:
+                if frontier is None:
+                    frontier = [[] for _ in range(g)]
+                    for _, d2, gi, n2 in heap:
+                        frontier[gi].append((d2, n2))
+                    for group_frontier in frontier:
+                        heapq.heapify(group_frontier)
+                bound = 0.0
+                for group_frontier, done in zip(frontier, settled):
+                    while group_frontier and group_frontier[0][1] in done:
+                        heapq.heappop(group_frontier)
+                    if group_frontier:
+                        bound += group_frontier[0][0]
+                if -cheapest[0] <= bound:
+                    break
+            dist_i, parent_i = dists[i], parents[i]
+            for nbr, w in zip(nbrs[node], wts[node]):
+                nd = dist + w
+                if nd < dist_i.get(nbr, INF):
+                    dist_i[nbr] = nd
+                    parent_i[nbr] = node
+                    heapq.heappush(heap, (priority(nd, i, nbr), nd, i, nbr))
+                    if frontier is not None:
+                        heapq.heappush(frontier[i], (nd, nbr))
     except BudgetExceededError:
         # Out of budget: fall through with whatever roots are confirmed
         # so far (the engine flags the result set as degraded).
         nodes_expanded = budget.nodes_expanded if budget is not None else 0
 
     roots = sorted(confirmed.items(), key=lambda item: (item[1], item[0]))[:k]
-    trees = [_result_tree(graph, root, parents, dists) for root, _ in roots]
+    trees = [_result_tree(graph, root, parents) for root, _ in roots]
     if span is not None:
         span.add("nodes_expanded", nodes_expanded)
         span.add("roots_confirmed", len(confirmed))
     return BanksResult(trees, nodes_expanded)
-
-
-def _expand_loop(
-    graph: DataGraph,
-    groups: Sequence[Sequence[TupleId]],
-    k: int,
-    priority: Callable[[float, int, TupleId], float],
-    budget: Optional[QueryBudget],
-    dists: List[Dict[TupleId, float]],
-    parents: List[Dict[TupleId, Optional[TupleId]]],
-    settled: List[Set[TupleId]],
-    heap: List[Tuple[float, float, int, TupleId]],
-    confirmed: Dict[TupleId, float],
-) -> int:
-    g = len(groups)
-    nodes_expanded = 0
-    while heap:
-        prio, dist, i, node = heapq.heappop(heap)
-        if node in settled[i]:
-            continue
-        settled[i].add(node)
-        nodes_expanded += 1
-        if budget is not None:
-            budget.tick_nodes()
-        if all(node in s for s in settled):
-            confirmed[node] = sum(d[node] for d in dists)
-        # Termination: k confirmed roots whose cost beats the optimistic
-        # bound for any unconfirmed root (sum of current frontier minima).
-        if len(confirmed) >= k:
-            bound = 0.0
-            remaining_min = [INF] * g
-            for _, d2, gi, n2 in heap:
-                if n2 not in settled[gi] and d2 < remaining_min[gi]:
-                    remaining_min[gi] = d2
-            bound = sum(m if m < INF else 0.0 for m in remaining_min)
-            kth = sorted(confirmed.values())[k - 1]
-            if kth <= bound:
-                break
-        for nbr, w in graph.neighbors(node):
-            nd = dist + w
-            if nd < dists[i].get(nbr, INF):
-                dists[i][nbr] = nd
-                parents[i][nbr] = node
-                heapq.heappush(heap, (priority(nd, i, nbr), nd, i, nbr))
-
-    return nodes_expanded
 
 
 def banks_backward(
@@ -176,10 +181,10 @@ def banks_bidirectional(
     span=None,
 ) -> BanksResult:
     """BANKS II: activation-prioritised expansion (see module docstring)."""
-    sizes = [max(1, len(group)) for group in groups]
+    group_factor = [math.log(2 + max(1, len(group))) for group in groups]
+    nbrs = graph.compact().nbrs
 
-    def priority(dist: float, i: int, node: TupleId) -> float:
-        activation = math.log(2 + sizes[i]) * math.log(2 + graph.degree(node))
-        return dist * activation
+    def priority(dist: float, i: int, node: int) -> float:
+        return dist * (group_factor[i] * math.log(2 + len(nbrs[node])))
 
     return _expand(graph, groups, k, priority=priority, budget=budget, span=span)

@@ -11,7 +11,7 @@ most compact representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.data_graph import DataGraph
 from repro.relational.database import TupleId
@@ -47,61 +47,78 @@ def r_radius_steiner_graphs(
     """
     if not groups or any(not g for g in groups):
         return []
-    group_sets = [set(g) for g in groups]
-    all_matches: Set[TupleId] = set().union(*group_sets)
-    answers: Dict[FrozenSet[TupleId], RadiusSteinerGraph] = {}
+    cg = graph.compact()
+    index, ids, nbrs = cg.index, cg.ids, cg.nbrs
+    group_sets = [{index[m] for m in g if m in index} for g in groups]
+    # Steiner node set -> (smallest center, matched keyword nodes), compact ints.
+    answers: Dict[FrozenSet[int], Tuple[int, Set[int]]] = {}
     try:
-        for center in graph.nodes:
-            ball = graph.bfs_hops(center, max_hops=r)
-            members = set(ball)
+        # A ball of radius r covers a group iff its center is within r
+        # hops of a member, so only those nodes can be centers.
+        centers: Optional[Set[int]] = None
+        for gs in group_sets:
+            reach = _within_hops(nbrs, gs, r)
             if budget is not None:
-                budget.tick_nodes(max(1, len(members)))
-            matched = [members & gs for gs in group_sets]
-            if not all(matched):
-                continue
-            keyword_nodes = set().union(*matched)
-            steiner = _steiner_reduce(graph, members, keyword_nodes, center)
-            key = frozenset(steiner)
-            existing = answers.get(key)
-            candidate = RadiusSteinerGraph(
-                center=center,
-                nodes=frozenset(steiner),
-                keyword_nodes=frozenset(keyword_nodes),
-            )
-            if existing is None or candidate.center < existing.center:
-                answers[key] = candidate
+                budget.tick_nodes(max(1, len(reach)))
+            centers = reach if centers is None else centers & reach
+        for center in sorted(centers):
+            members = _within_hops(nbrs, (center,), r)
+            if budget is not None:
+                budget.tick_nodes(len(members))
+            keyword_nodes = set().union(*(members & gs for gs in group_sets))
+            steiner = frozenset(_steiner_reduce(nbrs, members, keyword_nodes))
+            if steiner not in answers:  # centers ascend: the first is smallest
+                answers[steiner] = (center, keyword_nodes)
     except BudgetExceededError:
         pass  # partial enumeration; caller sees budget.exhausted
-    out = sorted(answers.values(), key=lambda a: (a.size(), a.center))
-    return out[:k] if k is not None else out
+    ranked = sorted(answers.items(), key=lambda item: (len(item[0]), item[1][0]))
+    return [
+        RadiusSteinerGraph(
+            center=ids[center],
+            nodes=frozenset(ids[n] for n in nodes),
+            keyword_nodes=frozenset(ids[n] for n in keyword_nodes),
+        )
+        for nodes, (center, keyword_nodes) in (ranked[:k] if k is not None else ranked)
+    ]
+
+
+def _within_hops(nbrs: List[List[int]], sources: Iterable[int], r: int) -> Set[int]:
+    """Nodes at most *r* hops from any of *sources* (level-by-level BFS)."""
+    seen = set(sources)
+    frontier = list(seen)
+    for _ in range(r):
+        nxt = []
+        for node in frontier:
+            for nbr in nbrs[node]:
+                if nbr not in seen:
+                    seen.add(nbr)
+                    nxt.append(nbr)
+        if not nxt:
+            break
+        frontier = nxt
+    return seen
 
 
 def _steiner_reduce(
-    graph: DataGraph,
-    members: Set[TupleId],
-    keyword_nodes: Set[TupleId],
-    center: TupleId,
-) -> Set[TupleId]:
+    nbrs: List[List[int]], members: Set[int], keyword_nodes: Set[int]
+) -> Set[int]:
     """Drop ball nodes not on any path between keyword nodes.
 
-    Standard reduction on the induced subgraph: iteratively peel
-    degree-<=1 nodes that are not keyword nodes; what remains is the
-    union of paths among keyword nodes (plus cycles through them).
+    Standard reduction on the induced subgraph: peel non-keyword nodes
+    of degree <= 1 until none is left; what remains is the union of
+    paths among keyword nodes (plus cycles through them).  Peeling only
+    lowers degrees, so the fixpoint does not depend on the order: a
+    worklist reaches it in time linear in the ball's edges.
     """
-    sub = {n: set() for n in members}
-    for n in members:
-        for nbr, _ in graph.neighbors(n):
-            if nbr in members:
-                sub[n].add(nbr)
-    changed = True
     alive = set(members)
-    while changed:
-        changed = False
-        for node in list(alive):
-            if node in keyword_nodes:
-                continue
-            degree = len(sub[node] & alive)
-            if degree <= 1:
-                alive.discard(node)
-                changed = True
-    return alive if alive else set(keyword_nodes)
+    degree = {n: len(alive.intersection(nbrs[n])) for n in members}
+    peel = [n for n in members if degree[n] <= 1 and n not in keyword_nodes]
+    while peel:
+        node = peel.pop()
+        alive.discard(node)
+        for nbr in nbrs[node]:
+            if nbr in alive and nbr not in keyword_nodes:
+                degree[nbr] -= 1
+                if degree[nbr] == 1:
+                    peel.append(nbr)
+    return alive

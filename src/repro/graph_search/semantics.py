@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.graph.data_graph import DataGraph
-from repro.index.distance import bounded_bfs_distances
+from repro.index.distance import bounded_bfs_distances, nearest_source_labels
 from repro.relational.database import TupleId
-
-INF = float("inf")
+from repro.resilience.budget import QueryBudget
 
 
 @dataclass(frozen=True)
@@ -62,32 +61,44 @@ def distinct_root_results(
     groups: Sequence[Sequence[TupleId]],
     dmax: float = 4.0,
     k: Optional[int] = None,
+    budget: Optional[QueryBudget] = None,
 ) -> List[RootedAnswer]:
-    """All roots within *dmax* of every group, cheapest matches chosen."""
+    """All roots within *dmax* of every group, cheapest matches chosen.
+
+    One labelled multi-source Dijkstra per group gives every node its
+    distance to the group and the first strictly-nearest match in group
+    order (the label's rank is the match's position in the group; two
+    matches are equally near when their float path lengths are equal).
+    An exhausted *budget* stops the searches early; roots every group
+    has settled by then are still answered exactly.
+    """
     if not groups or any(not g for g in groups):
         return []
-    # nearest-match distance per group via multi-source search
-    per_group = [bounded_bfs_distances(graph, group, dmax) for group in groups]
-    maps = _distance_maps(graph, groups, dmax)
-    answers = []
-    candidates = set(per_group[0])
-    for m in per_group[1:]:
-        candidates &= set(m)
-    for root in sorted(candidates):
-        cost = sum(m[root] for m in per_group)
-        matches = []
-        for gi, group in enumerate(groups):
-            best_match = None
-            best_d = INF
-            for match in group:
-                d = maps[gi][match].get(root)
-                if d is not None and d < best_d:
-                    best_d = d
-                    best_match = match
-            matches.append(best_match)
-        answers.append(RootedAnswer(root, tuple(matches), cost))
-    answers.sort(key=lambda a: (a.cost, a.root))
-    return answers[:k] if k is not None else answers
+    cg = graph.compact()
+    index, ids = cg.index, cg.ids
+    per_group = [
+        nearest_source_labels(
+            cg,
+            [(index[m], rank) for rank, m in enumerate(group) if m in index],
+            dmax,
+            budget,
+        )
+        for group in groups
+    ]
+    first, rest = per_group[0], per_group[1:]
+    scored = sorted(
+        (sum(labels[root][0] for labels in per_group), root)
+        for root in first
+        if all(root in labels for labels in rest)
+    )
+    return [
+        RootedAnswer(
+            ids[root],
+            tuple(g[labels[root][1]] for g, labels in zip(groups, per_group)),
+            cost,
+        )
+        for cost, root in (scored[:k] if k is not None else scored)
+    ]
 
 
 def distinct_core_results(

@@ -85,52 +85,53 @@ def group_steiner_dp(
     if any(not group for group in groups):
         return None
 
+    cg = graph.compact()
+    index, ids, nbrs, wts = cg.index, cg.ids, cg.nbrs, cg.wts
     full = (1 << g) - 1
-    # dp[mask][node] = best weight; parent pointers for reconstruction.
-    dp: List[Dict[TupleId, float]] = [{} for _ in range(full + 1)]
-    # back[mask][node] = ("edge", u) or ("merge", m1, m2)
-    back: List[Dict[TupleId, Tuple]] = [{} for _ in range(full + 1)]
+    # dp[mask][node] = best weight, nodes as compact ints.
+    dp: List[Dict[int, float]] = [{} for _ in range(full + 1)]
+    # back[mask][node] = parent node (grow) or (m1, m2) (merge); leaves absent.
+    back: List[Dict[int, object]] = [{} for _ in range(full + 1)]
 
     for i, group in enumerate(groups):
-        mask = 1 << i
-        for node in group:
-            if node in graph and dp[mask].get(node, INF) > 0.0:
-                dp[mask][node] = 0.0
-                back[mask][node] = ("leaf",)
+        for match in group:
+            node = index.get(match)
+            if node is not None:
+                dp[1 << i][node] = 0.0
 
     nodes_settled = 0
     masks_done = 0
     try:
         for mask in range(1, full + 1):
+            best, origin = dp[mask], back[mask]
             # Merge: combine proper submasks at the same root.
             sub = (mask - 1) & mask
             while sub:
                 other = mask ^ sub
                 if sub < other:  # each unordered pair once
+                    dp_other = dp[other]
                     for node, w1 in dp[sub].items():
-                        w2 = dp[other].get(node)
-                        if w2 is None:
-                            continue
-                        if w1 + w2 < dp[mask].get(node, INF):
-                            dp[mask][node] = w1 + w2
-                            back[mask][node] = ("merge", sub, other)
+                        w2 = dp_other.get(node)
+                        if w2 is not None and w1 + w2 < best.get(node, INF):
+                            best[node] = w1 + w2
+                            origin[node] = (sub, other)
                 sub = (sub - 1) & mask
             # Grow: Dijkstra over dp[mask].
-            heap = [(w, n) for n, w in dp[mask].items()]
+            heap = [(w, n) for n, w in best.items()]
             heapq.heapify(heap)
-            settled: Set[TupleId] = set()
+            settled: Set[int] = set()
             while heap:
                 w, node = heapq.heappop(heap)
-                if node in settled or w > dp[mask].get(node, INF):
+                if node in settled or w > best[node]:
                     continue
                 settled.add(node)
                 if budget is not None:
                     budget.tick_nodes()
-                for nbr, edge_w in graph.neighbors(node):
+                for nbr, edge_w in zip(nbrs[node], wts[node]):
                     nw = w + edge_w
-                    if nw < dp[mask].get(nbr, INF):
-                        dp[mask][nbr] = nw
-                        back[mask][nbr] = ("edge", node)
+                    if nw < best.get(nbr, INF):
+                        best[nbr] = nw
+                        origin[nbr] = node
                         heapq.heappush(heap, (nw, nbr))
             nodes_settled += len(settled)
             masks_done += 1
@@ -144,26 +145,27 @@ def group_steiner_dp(
         span.add("masks", masks_done)
     if not dp[full]:
         return None
-    root = min(dp[full], key=lambda n: (dp[full][n], n))
-    edges: List[Tuple[TupleId, TupleId]] = []
+    weight, root = min((w, n) for n, w in dp[full].items())
+    edges: List[Tuple[int, int]] = []
     _reconstruct(full, root, back, edges)
-    return SteinerTree(root=root, edges=edges, weight=dp[full][root])
+    return SteinerTree(
+        root=ids[root], edges=[(ids[u], ids[v]) for u, v in edges], weight=weight
+    )
 
 
 def _reconstruct(
     mask: int,
-    node: TupleId,
-    back: List[Dict[TupleId, Tuple]],
-    edges: List[Tuple[TupleId, TupleId]],
+    node: int,
+    back: List[Dict[int, object]],
+    edges: List[Tuple[int, int]],
 ) -> None:
     entry = back[mask].get(node)
-    if entry is None or entry[0] == "leaf":
+    if entry is None:  # a keyword match: leaf of the tree
         return
-    if entry[0] == "edge":
-        parent = entry[1]
-        edges.append((parent, node))
-        _reconstruct(mask, parent, back, edges)
+    if isinstance(entry, int):
+        edges.append((entry, node))
+        _reconstruct(mask, entry, back, edges)
     else:
-        __, sub, other = entry
+        sub, other = entry
         _reconstruct(sub, node, back, edges)
         _reconstruct(other, node, back, edges)

@@ -14,35 +14,72 @@ import heapq
 import threading
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.graph.data_graph import DataGraph
+from repro.graph.data_graph import CompactGraph, DataGraph
 from repro.index.inverted import InvertedIndex
 from repro.relational.database import TupleId
+from repro.resilience.budget import QueryBudget
+from repro.resilience.errors import BudgetExceededError
+
+_UNREACHED = (float("inf"), 0)
+
+
+def nearest_source_labels(
+    cg: CompactGraph,
+    seeds: Iterable[Tuple[int, int]],
+    max_distance: float,
+    budget: Optional[QueryBudget] = None,
+) -> Dict[int, Tuple[float, int]]:
+    """Multi-source bounded Dijkstra over compact node ids.
+
+    *seeds* are ``(node, rank)`` pairs.  Every node within
+    *max_distance* of a seed maps to the lexicographically smallest
+    ``(distance, rank)`` over the seeds: its distance to the nearest
+    seed and, among equally near seeds, the lowest rank.  One
+    ``budget.tick_nodes()`` per settled node; an exhausted budget ends
+    the search and returns the nodes settled so far, whose labels are
+    final.
+    """
+    nbrs, wts = cg.nbrs, cg.wts
+    best: Dict[int, Tuple[float, int]] = {}
+    heap: List[Tuple[float, int, int]] = []
+    for node, rank in seeds:
+        if (0.0, rank) < best.get(node, _UNREACHED):
+            best[node] = (0.0, rank)
+            heap.append((0.0, rank, node))
+    heapq.heapify(heap)
+    settled: Dict[int, Tuple[float, int]] = {}
+    try:
+        while heap:
+            d, rank, node = heapq.heappop(heap)
+            if node in settled:
+                continue
+            if budget is not None:
+                budget.tick_nodes()
+            settled[node] = (d, rank)
+            for nbr, weight in zip(nbrs[node], wts[node]):
+                nd = d + weight
+                if nd > max_distance:
+                    continue
+                label = (nd, rank)
+                if label < best.get(nbr, _UNREACHED):
+                    best[nbr] = label
+                    heapq.heappush(heap, (nd, rank, nbr))
+    except BudgetExceededError:
+        pass  # partial search; caller sees budget.exhausted
+    return settled
 
 
 def bounded_bfs_distances(
     graph: DataGraph, sources: Iterable[TupleId], max_distance: float
 ) -> Dict[TupleId, float]:
     """Multi-source Dijkstra: distance from each node to its nearest source."""
-    dist: Dict[TupleId, float] = {}
-    heap: List[Tuple[float, TupleId]] = []
-    for source in sources:
-        if source in graph:
-            dist[source] = 0.0
-            heapq.heappush(heap, (0.0, source))
-    settled: set = set()
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        for nbr, weight in graph.neighbors(node):
-            nd = d + weight
-            if nd > max_distance:
-                continue
-            if nd < dist.get(nbr, float("inf")):
-                dist[nbr] = nd
-                heapq.heappush(heap, (nd, nbr))
-    return {n: d for n, d in dist.items() if n in settled}
+    cg = graph.compact()
+    index, ids = cg.index, cg.ids
+    seeds = [(index[s], 0) for s in sources if s in index]
+    return {
+        ids[node]: d
+        for node, (d, _) in nearest_source_labels(cg, seeds, max_distance).items()
+    }
 
 
 class KeywordDistanceIndex:

@@ -423,7 +423,9 @@ def _run_branch(engine, compiled, keywords, k, method, budget, tracer):
         return _branch_schema(engine, compiled, keywords, k, budget, tracer)
     if method == "index_only":
         return _branch_index_only(engine, compiled, keywords, k, budget, tracer)
-    return _branch_graph(engine, compiled, keywords, k, method, budget, tracer)
+    return graph_results(
+        engine, compiled.row_filter, keywords, k, method, budget, tracer
+    )
 
 
 def structured_substrates(engine, compiled, keywords, budget=None, tracer=None):
@@ -515,111 +517,87 @@ def _branch_index_only(engine, compiled, keywords, k, budget, tracer):
     ]
 
 
-def filtered_keyword_groups(engine, compiled, keywords):
+def filtered_keyword_groups(engine, row_filter, keywords):
     """Keyword-match seed groups with banned/filtered rows removed.
 
     Returns ``None`` when a keyword has no (surviving) matches — AND
     semantics then yields no answers, same as the legacy groups path.
     """
     groups = engine.substrates.keyword_groups(list(keywords))
-    if groups is None:
-        return None
-    if compiled.row_filter is None:
+    if groups is None or row_filter is None:
         return groups
-    allows = compiled.row_filter.allows
+    allows = row_filter.allows
     filtered = [[tid for tid in group if allows(tid)] for group in groups]
     if any(not group for group in filtered):
         return None
     return filtered
 
 
-def _branch_graph(engine, compiled, keywords, k, method, budget, tracer):
-    """Graph-family lowering: filtered seeds + result post-filter.
+def graph_results(engine, row_filter, keywords, k, method, budget, tracer):
+    """Graph-family lowering: seed groups -> algorithm -> SearchResults.
 
-    Term weights do not lower here (scores are tree weights); phrase
-    and predicate semantics are enforced by seed filtering plus the
-    shared result post-filter in :func:`execute_structured`.
+    The one lowering for bare queries (``row_filter=None``) and DSL
+    branches alike.  Term weights do not lower here (scores are tree
+    weights); phrase and predicate semantics are enforced by seed
+    filtering plus the shared result post-filter in
+    :func:`execute_structured`.
     """
     from repro.core.results import SearchResult
     from repro.graph_search.banks import banks_backward, banks_bidirectional
+    from repro.graph_search.ease import r_radius_steiner_graphs
+    from repro.graph_search.semantics import distinct_root_results
     from repro.graph_search.steiner import group_steiner_dp
     from repro.obs.trace import span as trace_span
 
     with trace_span(tracer, "substrate_build") as ssp:
-        groups = filtered_keyword_groups(engine, compiled, keywords)
+        groups = filtered_keyword_groups(engine, row_filter, keywords)
         ssp.add("keyword_groups", len(groups) if groups else 0)
     if groups is None:
         return []
-    if method in ("banks", "banks2"):
-        algo = banks_bidirectional if method == "banks2" else banks_backward
-        with trace_span(tracer, "evaluate") as esp:
-            result = algo(
-                engine.data_graph,
-                groups,
-                k=k,
-                budget=budget,
-                span=esp if tracer is not None else None,
-            )
-            esp.add("trees", len(result.trees))
-        return [
-            SearchResult(
-                score=1.0 / (1.0 + tree.weight),
-                network=f"banks-tree(root={tree.root})",
-                joined=engine._tree_to_joined(tree.nodes),
-            )
-            for tree in result.trees
-        ]
-    if method == "steiner":
-        with trace_span(tracer, "evaluate") as esp:
-            tree = group_steiner_dp(
-                engine.data_graph,
-                groups,
-                budget=budget,
-                span=esp if tracer is not None else None,
-            )
+    # (score, network label, answer nodes) per answer, best first.
+    with trace_span(tracer, "evaluate") as esp:
+        graph = engine.data_graph
+        span = esp if tracer is not None else None
+        if method in ("banks", "banks2"):
+            algo = banks_bidirectional if method == "banks2" else banks_backward
+            trees = algo(graph, groups, k=k, budget=budget, span=span).trees
+            esp.add("trees", len(trees))
+            found = [
+                (1.0 / (1.0 + t.weight), f"banks-tree(root={t.root})", t.nodes)
+                for t in trees
+            ]
+        elif method == "steiner":
+            tree = group_steiner_dp(graph, groups, budget=budget, span=span)
             esp.add("trees", 0 if tree is None else 1)
-        if tree is None:
-            return []
-        return [
-            SearchResult(
-                score=1.0 / (1.0 + tree.weight),
-                network=f"steiner(weight={tree.weight:.1f})",
-                joined=engine._tree_to_joined(tree.nodes),
-            )
-        ]
-    if method == "distinct_root":
-        from repro.graph_search.semantics import distinct_root_results
-
-        dmax = engine.distance_index.max_distance
-        with trace_span(tracer, "evaluate") as esp:
+            found = [] if tree is None else [
+                (1.0 / (1.0 + tree.weight), f"steiner(weight={tree.weight:.1f})",
+                 tree.nodes)
+            ]
+        elif method == "distinct_root":
+            dmax = engine.distance_index.max_distance
             answers = distinct_root_results(
-                engine.data_graph, groups, dmax=dmax, k=k
+                graph, groups, dmax=dmax, k=k, budget=budget
             )
             esp.add("answers", len(answers))
-        return [
-            SearchResult(
-                score=1.0 / (1.0 + answer.cost),
-                network=f"distinct-root(root={answer.root})",
-                joined=engine._tree_to_joined(
-                    {answer.root, *(m for m in answer.matches if m is not None)}
-                ),
-            )
-            for answer in answers
-        ]
-    if method == "ease":
-        from repro.graph_search.ease import r_radius_steiner_graphs
-
-        with trace_span(tracer, "evaluate") as esp:
-            answers = r_radius_steiner_graphs(
-                engine.data_graph, groups, r=2, k=k, budget=budget
-            )
+            found = [
+                (1.0 / (1.0 + a.cost), f"distinct-root(root={a.root})",
+                 {a.root, *a.matches})
+                for a in answers
+            ]
+        elif method == "ease":
+            answers = r_radius_steiner_graphs(graph, groups, r=2, k=k, budget=budget)
             esp.add("answers", len(answers))
-        return [
-            SearchResult(
-                score=1.0 / answer.size(),
-                network=f"ease(center={answer.center})",
-                joined=engine._tree_to_joined(answer.nodes),
-            )
-            for answer in answers
+            found = [
+                (1.0 / a.size(), f"ease(center={a.center})", a.nodes)
+                for a in answers
+            ]
+        else:
+            raise QueryParseError(f"unknown method {method!r}")
+    with trace_span(tracer, "score") as psp:
+        out = [
+            SearchResult(score=score, network=network,
+                         joined=engine._tree_to_joined(nodes))
+            for score, network, nodes in found
         ]
-    raise QueryParseError(f"unknown method {method!r}")
+        psp.add("results", len(out))
+    return out

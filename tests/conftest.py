@@ -7,6 +7,7 @@ import signal
 import threading
 
 import pytest
+from hypothesis import settings
 
 from repro.datasets.bibliographic import (
     generate_bibliographic_db,
@@ -18,6 +19,10 @@ from repro.datasets.products import generate_product_db
 from repro.graph.data_graph import build_data_graph
 from repro.index.inverted import InvertedIndex
 from repro.resilience.failpoints import FAILPOINTS
+
+#: ``--hypothesis-profile=ci``: the same examples on every run, three
+#: times the default count, no per-example deadline (CI runners stall).
+settings.register_profile("ci", max_examples=300, derandomize=True, deadline=None)
 
 try:  # CI installs pytest-timeout; the local image may not have it.
     import pytest_timeout  # noqa: F401

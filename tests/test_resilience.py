@@ -179,6 +179,16 @@ class TestDegradedSearch:
         assert isinstance(results, ResultSet)
         assert results.status in ("ok", "degraded")
 
+    def test_distinct_root_stops_on_its_budget(self, engine):
+        full = engine.search("john database", method="distinct_root")
+        assert full and not full.degraded
+        capped = engine.search(
+            "john database", method="distinct_root", max_expansions=3
+        )
+        assert capped.degraded
+        assert "node expansion budget" in (capped.degraded_reason or "")
+        assert len(capped) < len(full)
+
     def test_zero_deadline_returns_degraded(self, engine):
         engine.search("john database")  # warm substrates
         results = engine.search("john database", timeout_ms=0)
