@@ -149,7 +149,7 @@ def run_api_benchmark(smoke: bool = False) -> Dict[str, object]:
         tenant_rate=100_000.0,
         tenant_burst=100_000.0,
         target_latency_ms=TARGET_LATENCY_MS,
-        engine_builder=lambda: KeywordSearchEngine(db),
+        engine_builder=lambda live_db: KeywordSearchEngine(live_db),
     )
     server.start_in_thread()
     try:

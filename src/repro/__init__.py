@@ -17,6 +17,7 @@ Quickstart::
 """
 
 from repro.core.engine import KeywordSearchEngine
+from repro.core.factory import build_engine
 from repro.core.xml_engine import XmlSearchEngine
 from repro.core.query import Query
 from repro.core.results import SearchResult, XmlResult
@@ -28,6 +29,7 @@ __version__ = "1.0.0"
 __all__ = [
     "KeywordSearchEngine",
     "XmlSearchEngine",
+    "build_engine",
     "Query",
     "SearchResult",
     "XmlResult",

@@ -32,7 +32,7 @@ import signal
 import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.engine import KeywordSearchEngine
+from repro.core.factory import build_engine
 from repro.core.xml_engine import XmlSearchEngine
 from repro.obs.trace import format_trace
 from repro.resilience.degradation import KNOWN_METHODS
@@ -83,7 +83,9 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _backend_options(args: argparse.Namespace):
+def _engine_options(args: argparse.Namespace) -> Dict[str, object]:
+    """``build_engine`` keyword arguments from the shard/backend flags
+    (commands without those flags get the defaults)."""
     backend = getattr(args, "backend", "dict")
     options = {}
     storage_dir = getattr(args, "storage_dir", None)
@@ -93,24 +95,25 @@ def _backend_options(args: argparse.Namespace):
     cache_pages = getattr(args, "page_cache", None)
     if backend == "disk" and cache_pages:
         options["cache_pages"] = cache_pages
-    return backend, (options or None)
+    return {
+        "shards": getattr(args, "shards", 1),
+        "partitioner": getattr(args, "partitioner", "affinity"),
+        "backend": backend,
+        "backend_options": options or None,
+    }
 
 
-def _make_engine(args: argparse.Namespace, db):
-    """Single or sharded engine per ``--shards``."""
-    backend, options = _backend_options(args)
-    shards = getattr(args, "shards", 1)
-    if shards > 1:
-        from repro.sharding import ShardedSearchEngine
-
-        return ShardedSearchEngine(
-            db,
-            n_shards=shards,
-            partitioner=args.partitioner,
-            backend=backend,
-            backend_options=options,
-        )
-    return KeywordSearchEngine(db, backend=backend, backend_options=options)
+def _print_results(results, highlights=None) -> None:
+    """The ranked answers, one per rank (or ``no results``)."""
+    if not results:
+        print("no results")
+    for rank, result in enumerate(results, start=1):
+        print(f"{rank:2d}. [{result.score:.3f}] {result.network}")
+        print(f"      {result.describe()}")
+        if highlights is not None and rank - 1 < len(highlights):
+            snippet = highlights[rank - 1].get("snippet")
+            if snippet:
+                print(f"      » {snippet}")
 
 
 def _add_shard_flags(p) -> None:
@@ -158,11 +161,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if factory is None:
         print(f"unknown dataset {args.dataset!r}", file=sys.stderr)
         return 2
-    engine = _make_engine(args, factory())
-    from repro.query.pipeline import core_engine, execute_pipeline
+    engine = build_engine(factory(), **_engine_options(args))
+    from repro.query.pipeline import execute_pipeline
 
     try:
-        query = core_engine(engine)._parse_canonical(args.query)
+        query = engine._parse_canonical(args.query)
     except QueryParseError as exc:
         print(f"bad request: {exc}", file=sys.stderr)
         return 2
@@ -219,16 +222,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 if key != "kind"
             )
             print(f"(rewrite {rewrite['kind']}: {detail})")
-    if not results:
-        print("no results")
-    highlights = response.highlights if response is not None else None
-    for rank, result in enumerate(results, start=1):
-        print(f"{rank:2d}. [{result.score:.3f}] {result.network}")
-        print(f"      {result.describe()}")
-        if highlights is not None and rank - 1 < len(highlights):
-            snippet = highlights[rank - 1].get("snippet")
-            if snippet:
-                print(f"      » {snippet}")
+    _print_results(
+        results, response.highlights if response is not None else None
+    )
     if response is not None and response.facets:
         print("-- facets:")
         for attribute, entries in response.facets.items():
@@ -245,16 +241,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 f"{stats['boundary_replicas']} boundary replicas, "
                 f"{stats['cut_edges']}/{stats['total_edges']} FK edges cut"
             )
-            _print_explain(engine.engine)
-        else:
-            _print_explain(engine)
+        _print_explain(engine)
     if args.trace and results.trace is not None:
         print("-- trace:")
         print(format_trace(results.trace))
     return 0
 
 
-def _print_explain(engine: KeywordSearchEngine) -> None:
+def _print_explain(engine) -> None:
     """CN-executor sharing and incremental-maintenance counters."""
     stats = engine.cache_stats()
     sharing = stats["sharing"]
@@ -303,7 +297,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
-    engine = KeywordSearchEngine(factory())
+    engine = build_engine(factory(), **_engine_options(args))
     try:
         outcomes = engine.search_many(
             queries,
@@ -328,9 +322,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             continue
         print(f"== {query!r} ({len(results)} results)")
         _print_degraded_banner(results)
-        for rank, result in enumerate(results, start=1):
-            print(f"{rank:2d}. [{result.score:.3f}] {result.network}")
-            print(f"      {result.describe()}")
+        _print_results(results)
     if args.stats:
         stats = engine.cache_stats()
         results_stats = stats["results"]
@@ -351,7 +343,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if factory is None:
         print(f"unknown dataset {args.dataset!r}", file=sys.stderr)
         return 2
-    engine = _make_engine(args, factory())
+    engine = build_engine(factory(), **_engine_options(args))
     for query in args.queries:
         try:
             engine.search(query, k=args.k, method=args.method)
@@ -385,7 +377,9 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         print(f"unknown dataset {args.dataset!r}", file=sys.stderr)
         return 2
     engine = DurableEngine(
-        _make_engine(args, factory()), args.dir, fsync=args.fsync
+        build_engine(factory(), **_engine_options(args)),
+        args.dir,
+        fsync=args.fsync,
     )
     info = engine.snapshot()
     wal = engine.wal.stats()
@@ -405,15 +399,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     """Recover an engine from a durability directory."""
     from repro.durability import DurableEngine, RecoveryError
 
-    backend, options = _backend_options(args)
     try:
         engine, result = DurableEngine.recover(
-            args.dir,
-            shards=args.shards,
-            partitioner=args.partitioner,
-            trace=True,
-            backend=backend,
-            backend_options=options,
+            args.dir, trace=True, **_engine_options(args)
         )
     except RecoveryError as exc:
         print(f"recovery failed: {exc}", file=sys.stderr)
@@ -424,11 +412,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     if args.query:
         results = engine.search(args.query, k=args.k, method=args.method)
         _print_degraded_banner(results)
-        if not results:
-            print("no results")
-        for rank, res in enumerate(results, start=1):
-            print(f"{rank:2d}. [{res.score:.3f}] {res.network}")
-            print(f"      {res.describe()}")
+        _print_results(results)
     engine.close()
     return 0
 
@@ -440,7 +424,7 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     if args.dir:
         try:
             engine, result = DurableEngine.recover(
-                args.dir, shards=args.shards, partitioner=args.partitioner
+                args.dir, **_engine_options(args)
             )
         except RecoveryError as exc:
             print(f"recovery failed: {exc}", file=sys.stderr)
@@ -453,7 +437,7 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
         if factory is None:
             print(f"unknown dataset {args.dataset!r}", file=sys.stderr)
             return 2
-        report = fsck(_make_engine(args, factory()))
+        report = fsck(build_engine(factory(), **_engine_options(args)))
     print(report.summary())
     for problem in report.problems:
         print(f"  ! {problem}")
@@ -465,7 +449,7 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
     if factory is None:
         print(f"unknown dataset {args.dataset!r}", file=sys.stderr)
         return 2
-    engine = KeywordSearchEngine(factory())
+    engine = build_engine(factory(), **_engine_options(args))
     completions = engine.suggest(args.prefix, limit=args.k)
     print(", ".join(completions) if completions else "(no completions)")
     return 0
@@ -546,6 +530,7 @@ def _build_server(args: argparse.Namespace):
     """
     from repro.serving.server import ServingServer
 
+    options = _engine_options(args)
     durable_dir = args.dir
     engine = None
     if durable_dir is not None:
@@ -554,37 +539,18 @@ def _build_server(args: argparse.Namespace):
         if os.path.exists(os.path.join(durable_dir, "MANIFEST")) or (
             os.path.isdir(durable_dir) and os.listdir(durable_dir)
         ):
-            backend, options = _backend_options(args)
             try:
-                engine, result = recover_engine(
-                    durable_dir, backend=backend, backend_options=options
-                )
+                engine, result = recover_engine(durable_dir, **options)
             except RecoveryError as exc:
                 print(f"recovery failed: {exc}", file=sys.stderr)
                 return 1
-            if args.shards > 1:
-                engine = _make_engine(args, engine.db)
             print(f"recovered: {result.summary()}")
     if engine is None:
         factory = DATASETS.get(args.dataset)
         if factory is None:
             print(f"unknown dataset {args.dataset!r}", file=sys.stderr)
             return 2
-        engine = _make_engine(args, factory())
-
-    def rebuild(live_db):
-        # The router passes the database that is live *at build time* —
-        # after a recover swap that is a new object rebuilt from
-        # snapshot + WAL, and building from the boot-time db would
-        # silently drop acknowledged post-recovery inserts.
-        fresh = argparse.Namespace(
-            shards=args.shards,
-            partitioner=args.partitioner,
-            backend=getattr(args, "backend", "dict"),
-            storage_dir=getattr(args, "storage_dir", None),
-            page_cache=getattr(args, "page_cache", None),
-        )
-        return _make_engine(fresh, live_db)
+        engine = build_engine(factory(), **options)
 
     return ServingServer(
         engine,
@@ -598,7 +564,7 @@ def _build_server(args: argparse.Namespace):
         default_timeout_ms=args.timeout_ms or 2000.0,
         drain_timeout_s=args.drain_timeout_s,
         durable_dir=durable_dir,
-        engine_builder=rebuild,
+        engine_builder=lambda live_db: build_engine(live_db, **options),
     )
 
 

@@ -9,6 +9,7 @@ or ?LCA), rank, and analyse (snippets, clusters, facets, clouds).
 from repro.core.query import Query
 from repro.core.results import SearchResult, XmlResult
 from repro.core.engine import KeywordSearchEngine
+from repro.core.factory import build_engine
 from repro.core.xml_engine import XmlSearchEngine
 
 __all__ = [
@@ -17,4 +18,5 @@ __all__ = [
     "XmlResult",
     "KeywordSearchEngine",
     "XmlSearchEngine",
+    "build_engine",
 ]

@@ -68,7 +68,20 @@ _DATA_DERIVED = ("index", "data_graph", "cleaner", "distance_index", "tastier")
 
 
 class KeywordSearchEngine:
-    """End-to-end keyword search over a relational database."""
+    """End-to-end keyword search over a relational database.
+
+    The query front end — validate, refresh, canonical parse, result
+    LRU with single-flight and version-guarded publish, bypass rules,
+    degradation ladder, trace and metrics — lives here once and ends in
+    one seam, :meth:`_execute_rung`.  This class implements the seam
+    with the local executor; :class:`~repro.sharding.coordinator.
+    ShardedSearchEngine` implements it with scatter / route and
+    inherits everything else.
+    """
+
+    #: Prefix of the per-query counters (``<prefix>.count``,
+    #: ``.latency_ms``, ``.degraded``, ``.cache_hits``, ``.coalesced``).
+    metric_prefix = "query"
 
     def __init__(
         self,
@@ -114,6 +127,9 @@ class KeywordSearchEngine:
         #: response-pipeline knob (see :mod:`repro.query.pipeline`).
         self.keyword_model = None
         self._served_version = db.data_version
+        #: Last component of every result-cache key; a subclass whose
+        #: answers depend on more than (query, method, k) sets it.
+        self._key_token: Optional[str] = None
         self._sharing_lock = threading.Lock()
         self._sharing: Dict[str, int] = {
             "queries": 0,
@@ -138,6 +154,12 @@ class KeywordSearchEngine:
         #: engines stay isolated.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.substrates.metrics = self.metrics
+        prefix = self.metric_prefix
+        self._m_count = f"{prefix}.count"
+        self._m_latency = f"{prefix}.latency_ms"
+        self._m_degraded = f"{prefix}.degraded"
+        self._m_cache_hits = f"{prefix}.cache_hits"
+        self._m_coalesced = f"{prefix}.coalesced"
         self._profiler: Optional[Profiler] = None
         self._wire_metrics()
 
@@ -187,8 +209,12 @@ class KeywordSearchEngine:
     # ------------------------------------------------------------------
     # Cache management
     # ------------------------------------------------------------------
-    def _sync_version(self) -> None:
+    def refresh(self) -> None:
         """Reconcile derived structures with a mutated database.
+
+        Every entry point calls this first, so mutations are visible
+        without an explicit call; writers call it to pay the
+        maintenance cost at insert time instead of on the next query.
 
         With ``incremental_updates`` on, the substrate cache patches
         the warm inverted index and memoised tuple sets in place
@@ -213,6 +239,23 @@ class KeywordSearchEngine:
                 self._parse_cache.clear()
                 return
         self.invalidate_caches()
+
+    def warm(self) -> None:
+        """Build the inverted index now instead of on the first query."""
+        self.index
+
+    def close(self) -> None:
+        """Release what the engine owns (index segment files, mmaps).
+
+        Safe to call twice; a later query rebuilds lazily.
+        """
+        self.invalidate_caches()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
     def invalidate_caches(self) -> None:
         """Explicitly drop all derived structures and query caches."""
@@ -343,7 +386,8 @@ class KeywordSearchEngine:
             totals["semijoin_pruned"] += stats.semijoin_pruned
 
     def _query_key(self, query, method: str, k: int) -> Tuple:
-        """Cache key: canonical StructuredQuery identity + method + k.
+        """Cache key: canonical StructuredQuery identity + method + k
+        (+ the engine's ``_key_token``).
 
         *query* may be raw text or an already-parsed
         :class:`StructuredQuery`.  Keying on the post-parse,
@@ -355,7 +399,7 @@ class KeywordSearchEngine:
         """
         if isinstance(query, str):
             query = self._parse_canonical(query)
-        return (query.cache_key(), method, k)
+        return (query.cache_key(), method, k, self._key_token)
 
     # ------------------------------------------------------------------
     # Query handling
@@ -419,7 +463,7 @@ class KeywordSearchEngine:
         with ``degraded`` set instead of scanning the rest of the
         vocabulary range.
         """
-        self._sync_version()
+        self.refresh()
         if budget is None:
             budget = make_budget(timeout_ms, max_expansions)
         return self.tastier.search(list(prefixes), k=k, budget=budget)
@@ -468,15 +512,18 @@ class KeywordSearchEngine:
         *text* may use the fielded query DSL (``author:smith``,
         ``year:2008..2012``, ``AND``/``OR``/``NOT``, quoted phrases,
         ``term^2`` — see :mod:`repro.query.parser`); bare keyword
-        queries take the legacy execution path byte-identically.
+        queries take the legacy execution path byte-identically.  An
+        already-parsed :class:`StructuredQuery` is accepted in place of
+        text (the response pipeline passes its rewritten query); a bare
+        one answers byte-identically to ``search(query.raw, ...)``.
         """
-        self._sync_version()
+        self.refresh()
         if method not in KNOWN_METHODS:
             raise QueryParseError(
                 f"unknown method {method!r} (choices: {', '.join(KNOWN_METHODS)})"
             )
         return self._search_impl(
-            self._parse_canonical(text),
+            self._parse_canonical(text) if isinstance(text, str) else text,
             k=k,
             method=method,
             use_cache=use_cache,
@@ -485,39 +532,9 @@ class KeywordSearchEngine:
             trace=trace,
         )
 
-    def search_structured(
-        self,
-        query: StructuredQuery,
-        k: int = 10,
-        method: str = "schema",
-        use_cache: bool = True,
-        budget: Optional[QueryBudget] = None,
-        timeout_ms: Optional[float] = None,
-        max_expansions: Optional[int] = None,
-        fallback: bool = False,
-        trace: Optional[bool] = None,
-    ) -> ResultSet:
-        """Top-k search from an already-parsed :class:`StructuredQuery`.
-
-        Same contract as :meth:`search`; used by the response pipeline
-        after expansion rewrites, where no DSL text exists for the
-        rewritten query.  A bare *query* is byte-identical to
-        ``search(query.raw, ...)``.
-        """
-        self._sync_version()
-        if method not in KNOWN_METHODS:
-            raise QueryParseError(
-                f"unknown method {method!r} (choices: {', '.join(KNOWN_METHODS)})"
-            )
-        return self._search_impl(
-            query,
-            k=k,
-            method=method,
-            use_cache=use_cache,
-            budget=budget if budget is not None else make_budget(timeout_ms, max_expansions),
-            fallback=fallback,
-            trace=trace,
-        )
+    def search_structured(self, query: StructuredQuery, **knobs) -> ResultSet:
+        """Alias of :meth:`search` for callers holding a parsed query."""
+        return self.search(query, **knobs)
 
     def _search_impl(
         self,
@@ -532,26 +549,22 @@ class KeywordSearchEngine:
         tracing = self.trace_enabled if trace is None else trace
         tracer = Tracer() if tracing else None
         metrics = self.metrics
-        metrics.inc("query.count")
+        metrics.inc(self._m_count)
         start_s = time.perf_counter()
         with trace_span(tracer, "search") as root:
-            root.tag("method", method).tag("k", k)
-            root.tag("query", query.canonical())
-            if budget is not None or fallback:
+            if tracer is not None:
+                root.tag("method", method).tag("k", k)
+                root.tag("query", query.canonical())
+            if budget is not None or fallback or not (use_cache and self.enable_caches):
+                # Budgeted and ladder answers may be partial: never cached.
                 with trace_span(tracer, "cache_lookup") as csp:
                     csp.tag("outcome", "bypass")
                 results = self._run_query(query, k, method, budget, fallback, tracer)
-            elif not (use_cache and self.enable_caches):
-                with trace_span(tracer, "cache_lookup") as csp:
-                    csp.tag("outcome", "bypass")
-                results = self._run_query(query, k, method, None, False, tracer)
             else:
                 results = self._serve_cached(query, k, method, tracer)
-        metrics.observe(
-            "query.latency_ms", (time.perf_counter() - start_s) * 1000.0
-        )
+        metrics.observe(self._m_latency, (time.perf_counter() - start_s) * 1000.0)
         if results.degraded:
-            metrics.inc("query.degraded")
+            metrics.inc(self._m_degraded)
         if budget is not None and budget.exhausted:
             metrics.inc("budget.exhausted")
         if tracer is not None:
@@ -586,7 +599,7 @@ class KeywordSearchEngine:
             if cached is not None:
                 csp.tag("outcome", "hit").tag("cache_hit", True)
         if cached is not None:
-            self.metrics.inc("query.cache_hits")
+            self.metrics.inc(self._m_cache_hits)
             return cached.clone()
         with cache.key_lock(key):
             cached = cache.peek(key)
@@ -594,7 +607,7 @@ class KeywordSearchEngine:
                 # A concurrent miss on the same key published while we
                 # waited: serve it instead of recomputing.
                 cache.stats.record_coalesced()
-                self.metrics.inc("query.coalesced")
+                self.metrics.inc(self._m_coalesced)
                 lookup_span.tag("outcome", "coalesced").tag("cache_hit", True)
                 return cached.clone()
             lookup_span.tag("outcome", "miss")
@@ -603,11 +616,12 @@ class KeywordSearchEngine:
             # Chaos hook: delay between computing and publishing to the
             # LRU, to widen the race window against concurrent mutation.
             fail_point("cache.result_put", key=query.raw)
-            if self.db.data_version == computed_at:
+            if self.db.data_version == computed_at and not results.degraded:
                 # Version-guarded publish: results computed against a
                 # since-mutated database are served but never cached, so
                 # a slow compute can't pin a stale entry past
-                # invalidation.
+                # invalidation.  Nor is a degraded answer (a dead or
+                # skipped shard): the next query should retry in full.
                 cache.put(key, results)
         return results.clone()
 
@@ -679,29 +693,6 @@ class KeywordSearchEngine:
                 )
         return self._run_ladder(compiled, k, method, budget, fallback, tracer)
 
-    def _run_search(
-        self,
-        text: str,
-        k: int,
-        method: str,
-        budget: Optional[QueryBudget],
-        fallback: bool,
-        tracer: Optional[Tracer] = None,
-    ) -> ResultSet:
-        """One search from raw text (legacy entry, kept for callers).
-
-        On the default path this never raises for budget exhaustion:
-        the algorithms return partials and the budget's ``exhausted``
-        flag marks the result set degraded.  Structural errors (e.g.
-        too many groups for the exact Steiner DP) propagate unless
-        ``fallback`` is on, in which case they demote to the next rung.
-        """
-        fail_point("engine.search", key=text)
-        query = self.parse(text, tracer=tracer)
-        if not query.keywords:
-            return ResultSet(method=method)
-        return self._run_ladder(query, k, method, budget, fallback, tracer)
-
     def _run_ladder(
         self,
         query,
@@ -713,10 +704,9 @@ class KeywordSearchEngine:
     ) -> ResultSet:
         """Walk the degradation ladder for a parsed (or compiled) query.
 
-        *query* is either a legacy :class:`Query` (bare keywords,
-        dispatched through the untouched per-method paths) or a
-        :class:`~repro.query.compiler.CompiledQuery` (structured,
-        dispatched through the branch executor).
+        Each rung goes through :meth:`_execute_rung`; a rung counts as
+        degraded when its budget ran out or the executor reported
+        reasons of its own (a failed or skipped shard).
         """
         chain = fallback_chain(method) if fallback else (method,)
         last_reason: Optional[str] = None
@@ -725,14 +715,7 @@ class KeywordSearchEngine:
                 budget.renew()
             is_last = i == len(chain) - 1
             try:
-                if isinstance(query, Query):
-                    results = self._dispatch(query, k, rung, budget, tracer)
-                else:
-                    from repro.query.compiler import execute_structured
-
-                    results = execute_structured(
-                        self, query, k, rung, budget, tracer
-                    )
+                results, reasons = self._execute_rung(query, k, rung, budget, tracer)
             except BudgetExceededError as exc:
                 # Exhaustion escaped an algorithm with no partial answer.
                 last_reason = str(exc)
@@ -749,23 +732,20 @@ class KeywordSearchEngine:
                 if is_last:
                     break
                 continue
-            exhausted = budget is not None and budget.exhausted
-            if results or not exhausted or is_last:
+            if not reasons and budget is not None and budget.exhausted:
+                reasons = (budget.reason or "budget exhausted",)
+            if results or not reasons or is_last:
                 fell_back = rung != method
-                reason = (
-                    budget.reason
-                    if exhausted and budget is not None
-                    else (last_reason if fell_back else None)
-                )
                 return ResultSet(
                     results,
                     method=rung,
-                    degraded=exhausted or fell_back,
-                    degraded_reason=reason,
+                    degraded=bool(reasons) or fell_back,
+                    degraded_reason="; ".join(reasons)
+                    or (last_reason if fell_back else None),
                     fallback_from=method if fell_back else None,
                 )
-            # Exhausted with nothing to show: descend the ladder.
-            last_reason = budget.reason if budget is not None else None
+            # Degraded with nothing to show: descend the ladder.
+            last_reason = "; ".join(reasons)
         return ResultSet(
             [],
             method=chain[-1],
@@ -773,6 +753,29 @@ class KeywordSearchEngine:
             degraded_reason=last_reason or "budget exhausted",
             fallback_from=method if chain[-1] != method else None,
         )
+
+    def _execute_rung(
+        self,
+        query,
+        k: int,
+        rung: str,
+        budget: Optional[QueryBudget],
+        tracer: Optional[Tracer] = None,
+    ) -> Tuple[List[SearchResult], Sequence[str]]:
+        """The execute seam: run one ladder rung, here and now.
+
+        *query* is a legacy :class:`Query` (bare keywords, the
+        untouched per-method paths) or a
+        :class:`~repro.query.compiler.CompiledQuery` (structured, the
+        branch executor).  Returns the rung's results plus the reasons,
+        if any, the answer is partial for a cause other than *budget*
+        running out — none for this local executor.
+        """
+        if isinstance(query, Query):
+            return self._dispatch(query, k, rung, budget, tracer), ()
+        from repro.query.compiler import execute_structured
+
+        return execute_structured(self, query, k, rung, budget, tracer), ()
 
     def _dispatch(
         self,
@@ -931,7 +934,7 @@ class KeywordSearchEngine:
         use_cache: bool = True,
     ) -> List[Tuple[str, float]]:
         """Suggested refinement terms for a query (slides 76-78)."""
-        self._sync_version()
+        self.refresh()
         if use_cache and self.enable_caches:
             key = (tuple(tokenize(text)), k, mode)
             cached = self._refine_cache.get_or_compute(
@@ -979,7 +982,7 @@ class KeywordSearchEngine:
         substrate cache and reused across calls; only ranking runs per
         query.
         """
-        self._sync_version()
+        self.refresh()
         query = self.parse(text)
         key = (tuple(query.keywords), k)
         cached = self._forms_cache.get(key) if self.enable_caches else None

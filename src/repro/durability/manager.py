@@ -1,10 +1,10 @@
 """`DurableEngine`: log-before-apply mutations over a serving engine.
 
-Wraps either a :class:`KeywordSearchEngine` or a
-:class:`~repro.sharding.coordinator.ShardedSearchEngine` and a
-durability root directory (``<root>/wal`` + ``<root>/snapshots``)::
+Wraps a serving engine (single or sharded — anything
+:func:`~repro.core.factory.build_engine` returns) and a durability
+root directory (``<root>/wal`` + ``<root>/snapshots``)::
 
-    engine = DurableEngine(KeywordSearchEngine(db), "/var/lib/repro")
+    engine = DurableEngine(build_engine(db), "/var/lib/repro")
     engine.insert("author", aid=7, name="ada lovelace")   # durable
     engine.snapshot()                                     # checkpoint
     ...
@@ -17,10 +17,10 @@ Mutations follow the WAL discipline:
    that cannot replay (replay runs with FK checks off);
 2. **log** — the mutation is appended (and, per the fsync policy,
    made durable) to the WAL;
-3. **apply** — the row is stored and the serving engine's incremental
-   maintenance runs: ``_sync_version`` patches the single engine's
-   substrates in place, while the sharded coordinator's ``refresh()``
-   routes the new row to its home shard and boundary replicas.
+3. **apply** — the row is stored and the serving engine's
+   ``refresh()`` runs: the substrates are patched in place, and a
+   sharded engine first routes the new row to its home shard and
+   boundary replicas.
 
 A fresh directory over a non-empty database bootstraps itself: the
 schema is logged as the WAL's first record and an initial snapshot
@@ -82,7 +82,7 @@ class DurableEngine:
         self.metrics = (
             metrics
             if metrics is not None
-            else getattr(engine, "metrics", None) or MetricsRegistry()
+            else engine.metrics
         )
         fresh = not os.path.isdir(os.path.join(root_dir, WAL_SUBDIR))
         self.wal = WriteAheadLog(
@@ -95,12 +95,12 @@ class DurableEngine:
         # Compact-substrate engines get the packed row codec so snapshot
         # size tracks the columnar footprint instead of re-JSONifying
         # every row; load() auto-detects, so mixed histories restore.
-        backend_name = getattr(engine, "backend_name", "dict")
+        packed = engine.backend_name in ("columnar", "disk")
         self.snapshots = SnapshotStore(
             os.path.join(root_dir, SNAPSHOT_SUBDIR),
             retain=retain_snapshots,
             metrics=self.metrics,
-            row_codec="packed" if backend_name in ("columnar", "disk") else "json",
+            row_codec="packed" if packed else "json",
         )
         if fresh and self.wal.last_lsn == 0:
             # First open: anchor the log with the schema so recovery
@@ -121,7 +121,7 @@ class DurableEngine:
             self.db.check_insert(table, values)
             self.wal.append({"op": "insert", "table": table, "values": values})
             tid = self.db.insert(table, check_fk=False, **values)
-            self._refresh()
+            self.engine.refresh()
             return tid
 
     def insert_many(
@@ -142,27 +142,14 @@ class DurableEngine:
                 {"op": "insert_many", "table": table, "records": batch}
             )
             tids = self.db.insert_many(table, batch, check_fk=False)
-            self._refresh()
+            self.engine.refresh()
             return tids
-
-    def _refresh(self) -> None:
-        """Run the engine's incremental maintenance for the new rows."""
-        refresh = getattr(self.engine, "refresh", None)
-        if refresh is not None:
-            # Sharded coordinator: route the rows to their home shards
-            # (plus boundary replicas) and drop stale result caches.
-            refresh()
-        else:
-            self.engine._sync_version()
 
     # ------------------------------------------------------------------
     # Serving passthrough
     # ------------------------------------------------------------------
     def search(self, *args, **kwargs):
         return self.engine.search(*args, **kwargs)
-
-    def search_structured(self, *args, **kwargs):
-        return self.engine.search_structured(*args, **kwargs)
 
     def search_many(self, *args, **kwargs):
         return self.engine.search_many(*args, **kwargs)
@@ -216,25 +203,19 @@ class DurableEngine:
 
         Loads the newest valid snapshot, replays the WAL suffix through
         the incremental refresh path and re-opens the log for new
-        appends (truncating any torn tail).  With ``shards > 1`` the
-        recovered database is re-partitioned into a
-        :class:`~repro.sharding.coordinator.ShardedSearchEngine`.
+        appends (truncating any torn tail).  ``shards`` /
+        ``partitioner`` / *engine_kwargs* go to
+        :func:`~repro.core.factory.build_engine`.
         """
         metrics = metrics if metrics is not None else MetricsRegistry()
         engine, result = recover_engine(
-            root_dir, metrics=metrics, trace=trace, **engine_kwargs
+            root_dir,
+            metrics=metrics,
+            trace=trace,
+            shards=shards,
+            partitioner=partitioner,
+            **engine_kwargs,
         )
-        if shards > 1:
-            from repro.sharding import ShardedSearchEngine
-
-            engine = ShardedSearchEngine(
-                engine.db,
-                n_shards=shards,
-                partitioner=partitioner,
-                metrics=metrics,
-                backend=engine_kwargs.get("backend", "dict"),
-                backend_options=engine_kwargs.get("backend_options"),
-            )
         durable = cls(
             engine,
             root_dir,

@@ -13,9 +13,10 @@
    leading ``bootstrap`` record (which carries the schema).
 
 ``recover_engine`` additionally wraps the recovered database in a
-:class:`KeywordSearchEngine` whose inverted index is built over the
-*snapshot* state and then patched forward through the incremental
-``refresh()`` path (PR 4) while the WAL suffix replays — so recovery
+serving engine (:func:`~repro.core.factory.build_engine`) whose
+inverted index is built over the *snapshot* state and then patched
+forward through the incremental ``refresh()`` path (PR 4) while the
+WAL suffix replays — so recovery
 exercises exactly the maintenance machinery live inserts use, and the
 recovered engine's search results are byte-identical to an engine that
 never crashed.
@@ -30,7 +31,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Trace, Tracer, span as trace_span
@@ -182,50 +183,40 @@ def recover_engine(
 
     The engine's inverted index is built over the snapshot state before
     the WAL suffix applies, so the replayed rows flow through the same
-    incremental ``refresh()`` path live inserts use; the final
-    ``_sync_version`` call patches the index/tuple-set substrates in
-    place.  Search results afterwards are byte-identical to a fresh
-    engine over the same logical contents (the PR 4 refresh-parity
-    guarantee).
+    incremental ``refresh()`` path live inserts use (a sharded engine
+    routes them to their shards there).  Search results afterwards are
+    byte-identical to a fresh engine over the same logical contents
+    (the PR 4 refresh-parity guarantee).  *engine_kwargs* go to
+    :func:`~repro.core.factory.build_engine`.
     """
-    from repro.core.engine import KeywordSearchEngine
+    from repro.core.factory import build_engine
 
     metrics = metrics if metrics is not None else MetricsRegistry()
     store = SnapshotStore(
         os.path.join(root_dir, SNAPSHOT_SUBDIR), metrics=metrics
     )
     log = WriteAheadLog(os.path.join(root_dir, WAL_SUBDIR), metrics=metrics)
-    engine_box: List[object] = []
-
+    engine = None
     info = store.latest()
     if info is not None:
         db, _ = store.load(info)
-        engine = KeywordSearchEngine(db, metrics=metrics, **engine_kwargs)
-        engine.index  # build over the snapshot state, pre-replay
-        engine_box.append(engine)
+        engine = build_engine(db, metrics=metrics, **engine_kwargs)
+        engine.warm()  # index the snapshot state, pre-replay
 
-    def refresh_hook() -> None:
-        if engine_box:
-            engine_box[0]._sync_version()
-
-    # recover() re-loads the snapshot into the same engine-held database
-    # object when one exists: pass the engine's db through so replay
-    # mutates the copy the engine indexes.
+    # With a snapshot, replay mutates the database the engine already
+    # indexes (not a second copy) and ends in the engine's refresh.
     result = recover(
         root_dir,
         metrics=metrics,
         trace=trace,
         wal=log,
-        snapshots=_FixedDbStore(store, engine_box[0].db) if engine_box else store,
-        refresh_hook=refresh_hook,
+        snapshots=store if engine is None else _FixedDbStore(store, engine.db),
+        refresh_hook=None if engine is None else engine.refresh,
     )
     log.close()
-    if not engine_box:
-        engine = KeywordSearchEngine(result.db, metrics=metrics, **engine_kwargs)
-        engine.index
-        engine._sync_version()
-    else:
-        engine = engine_box[0]
+    if engine is None:
+        engine = build_engine(result.db, metrics=metrics, **engine_kwargs)
+        engine.warm()
     return engine, result
 
 

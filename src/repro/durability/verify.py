@@ -111,7 +111,7 @@ def _check_versions(engine, report: FsckReport) -> None:
         report.add(
             f"cache: substrate version stamp {stamped} != data_version {version}"
         )
-    served = getattr(engine, "_served_version", version)
+    served = engine._served_version
     if served != version:
         report.add(
             f"cache: engine served version {served} != data_version {version}"
@@ -159,20 +159,16 @@ def fsck(
 ) -> FsckReport:
     """Verify derived state against the tuple store.
 
-    Pass a :class:`KeywordSearchEngine` or
-    :class:`~repro.sharding.coordinator.ShardedSearchEngine` (its
-    database, index, cache stamps — and shard set, for the sharded
-    engine — are all checked), or pass *db* / *index* / *shards*
-    explicitly for lower-level audits.
+    Pass an engine (its database, index, cache stamps — and shard set,
+    when it has one — are all checked), or pass *db* / *index* /
+    *shards* explicitly for lower-level audits.
     """
     report = FsckReport()
     if engine is not None:
         shards = shards if shards is not None else getattr(engine, "shards", None)
-        # The sharded coordinator fronts an inner single-node engine.
-        inner = getattr(engine, "engine", engine)
-        db = inner.db
-        index = inner.index
-        _check_versions(inner, report)
+        db = engine.db
+        index = engine.index
+        _check_versions(engine, report)
     if db is None:
         raise ValueError("fsck needs an engine or a database")
     problems = db.validate()

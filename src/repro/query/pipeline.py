@@ -26,10 +26,10 @@ search, producing a :class:`QueryResponse`:
 * ``highlight=`` — a query-biased snippet per result: the row with the
   most matched query terms, matched tokens wrapped in ``**..**``.
 
-The pipeline works against any front with the engine search contract —
-:class:`~repro.core.engine.KeywordSearchEngine`,
-:class:`~repro.sharding.coordinator.ShardedSearchEngine`, or a
-:class:`~repro.durability.engine.DurableEngine` wrapping either.
+The pipeline works against either engine
+(:class:`~repro.core.engine.KeywordSearchEngine` or its sharded
+subclass): it needs the canonical parse, ``db``, ``keyword_model`` and
+``search``.
 """
 
 from __future__ import annotations
@@ -76,18 +76,6 @@ class QueryResponse:
         if self.highlights is not None:
             payload["highlights"] = self.highlights
         return payload
-
-
-def core_engine(front):
-    """Unwrap serving fronts to the KeywordSearchEngine that owns db/index."""
-    engine = front
-    seen = 0
-    while not hasattr(engine, "substrates") and hasattr(engine, "engine"):
-        engine = engine.engine
-        seen += 1
-        if seen > 4:  # defensive: malformed wrapper chain
-            break
-    return engine
 
 
 def parse_expand(expand) -> Tuple[str, ...]:
@@ -417,7 +405,7 @@ def build_highlights(
 # The pipeline
 # ----------------------------------------------------------------------
 def execute_pipeline(
-    front,
+    engine,
     text: str,
     k: int = 10,
     method: str = "schema",
@@ -429,12 +417,10 @@ def execute_pipeline(
 ) -> QueryResponse:
     """Parse → expand → search → facets/highlights, as one response.
 
-    *front* is any engine with the ``search``/``search_structured``
-    contract.  With every knob off this is exactly
-    ``front.search(text, ...)`` plus the parsed query echo — bare
-    queries stay byte-identical to legacy search.
+    With every knob off this is exactly ``engine.search(text, ...)``
+    plus the parsed query echo — bare queries stay byte-identical to
+    legacy search.
     """
-    engine = core_engine(front)
     query: StructuredQuery = engine._parse_canonical(text)
     knobs = parse_expand(expand)
     rewrites: List[Dict[str, Any]] = []
@@ -452,19 +438,7 @@ def execute_pipeline(
     if "kpp" in knobs:
         query, kpp_rewrites = _expand_kpp(engine, query)
         rewrites.extend(kpp_rewrites)
-    if hasattr(front, "search_structured"):
-        results = front.search_structured(query, k=k, method=method, **search_kwargs)
-    else:
-        # Wrapper without the structured entry (e.g. DurableEngine):
-        # fall back to text search; expansion rewrites require the
-        # structured entry and were computed against the same canonical
-        # parse, so this stays consistent when no rewrite happened.
-        if query.cache_key() != engine._parse_canonical(text).cache_key():
-            results = engine.search_structured(
-                query, k=k, method=method, **search_kwargs
-            )
-        else:
-            results = front.search(text, k=k, method=method, **search_kwargs)
+    results = engine.search(query, k=k, method=method, **search_kwargs)
     facet_payload = None
     if facets:
         facet_payload = build_facets(results, spec=facets, limit=facet_limit)

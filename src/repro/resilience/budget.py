@@ -20,7 +20,7 @@ integer compares and run on every tick.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.resilience.errors import BudgetExceededError
 
@@ -39,6 +39,7 @@ class QueryBudget:
         "exhausted",
         "reason",
         "_poisoned",
+        "_forks",
         "_clock",
         "_t0",
         "_deadline",
@@ -72,6 +73,7 @@ class QueryBudget:
         self.exhausted = False
         self.reason: Optional[str] = None
         self._poisoned = False
+        self._forks: List["QueryBudget"] = []
         self._ops = 0
 
     # ------------------------------------------------------------------
@@ -140,6 +142,36 @@ class QueryBudget:
         self.exhausted = True
         if self.reason is None:
             self.reason = reason
+        for child in self._forks:
+            child.poison(reason)
+
+    def fork(self) -> "QueryBudget":
+        """A budget for one parallel worker of this query.
+
+        The fork shares this budget's absolute deadline and caps but
+        counts its own work, so each worker ticks a private object (a
+        budget is not shared across threads) while the query as a
+        whole still ends when the caller's deadline does.
+        :meth:`poison` reaches every fork, made before or after the
+        call; :meth:`renew` on the parent leaves forks untouched.
+        """
+        child = QueryBudget(
+            self.timeout_ms,
+            self.max_nodes,
+            self.max_cns,
+            self.max_candidates,
+            clock=self._clock,
+            deadline_check_every=self._every,
+        )
+        child._t0 = self._t0
+        child._deadline = self._deadline
+        # Register first, then read the flag: poison() sets the flag
+        # before it walks the list, so a racing cancel is seen by one
+        # side or the other.
+        self._forks.append(child)
+        if self._poisoned:
+            child.poison(self.reason or "cancelled")
+        return child
 
     @property
     def poisoned(self) -> bool:

@@ -34,12 +34,11 @@ finishing work nobody will read.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import threading
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.core.engine import KeywordSearchEngine
+from repro.core.factory import build_engine
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.budget import QueryBudget
 from repro.resilience.degradation import KNOWN_METHODS
@@ -168,26 +167,6 @@ def _truthy(value: Any) -> bool:
     return str(value).lower() in ("1", "true", "yes", "on")
 
 
-def _accepts_budget(engine: Any) -> bool:
-    """Does this engine's ``search`` take a ``budget=`` kwarg?
-
-    The single :class:`KeywordSearchEngine` does; the sharded
-    coordinator builds per-shard budgets internally and only accepts
-    the ``timeout_ms`` / ``max_expansions`` shorthands.
-    """
-    cached = getattr(engine, "_accepts_budget_", None)
-    if cached is None:
-        try:
-            cached = "budget" in inspect.signature(engine.search).parameters
-        except (TypeError, ValueError):
-            cached = False
-        try:
-            engine._accepts_budget_ = cached
-        except AttributeError:
-            pass
-    return cached
-
-
 class Router:
     """Route table + request execution over a swappable engine."""
 
@@ -199,7 +178,7 @@ class Router:
         metrics: MetricsRegistry,
         db,
         durable=None,
-        engine_builder: Optional[Callable[[], Any]] = None,
+        engine_builder: Optional[Callable[[Any], Any]] = None,
         default_timeout_ms: float = 2000.0,
         max_timeout_ms: float = 30000.0,
         default_k: int = 10,
@@ -212,13 +191,14 @@ class Router:
         self.metrics = metrics
         self.db = db
         self.durable = durable
-        #: Builds the *next* generation's engine over the current
-        #: database.  Runs under the mutation lock so concurrent
-        #: inserts can never produce a torn generation.  May accept a
-        #: single argument: the *live* database at build time (see
-        #: :meth:`_build_generation`).
+        #: Builds the *next* generation's engine.  Called under the
+        #: mutation lock (concurrent inserts can never produce a torn
+        #: generation) with the database that is live *at build time* —
+        #: after a ``recover`` swap that is a new object, and building
+        #: from one captured at boot would silently drop acknowledged
+        #: inserts from the new generation.
         self.engine_builder = engine_builder or (
-            lambda: _default_builder(self.db, self.metrics)
+            lambda db: build_engine(db, metrics=self.metrics)
         )
         self.default_timeout_ms = default_timeout_ms
         self.max_timeout_ms = max_timeout_ms
@@ -396,17 +376,7 @@ class Router:
         args: Dict[str, Any],
         budget: Optional[QueryBudget],
     ):
-        if budget is not None and _accepts_budget(engine):
-            search_kwargs: Dict[str, Any] = {
-                "budget": budget,
-                "fallback": args["fallback"],
-            }
-        else:
-            search_kwargs = {
-                "timeout_ms": args["timeout_ms"],
-                "max_expansions": args["max_expansions"],
-                "fallback": args["fallback"],
-            }
+        search_kwargs = {"budget": budget, "fallback": args["fallback"]}
         if args.get("expand") or args.get("facets") or args.get("highlight"):
             from repro.query.pipeline import execute_pipeline
 
@@ -532,8 +502,8 @@ class Router:
                 self.metrics.inc("serve.disconnects")
                 return Response(499, {"ok": False, "error": "client disconnected"})
             # Poison channel only (no deadline of its own — each query
-            # carries timeout_ms): a client disconnect mid-batch stops
-            # the remaining queries instead of computing unread answers.
+            # carries timeout_ms): a client disconnect mid-batch turns
+            # the unread answer into a 499.
             budget = QueryBudget(timeout_ms=None)
             request.budget = budget
             if request.disconnected:
@@ -549,7 +519,6 @@ class Router:
                         mode_args["method"],
                         timeout_ms,
                         mode_args["fallback"],
-                        budget=budget,
                     ),
                 )
             if budget.poisoned:
@@ -579,40 +548,25 @@ class Router:
         method: str,
         timeout_ms: float,
         fallback: bool,
-        budget: Optional[QueryBudget] = None,
     ):
-        search_many = getattr(engine, "search_many", None)
-        if search_many is not None:
-            outcomes = search_many(
-                queries,
-                k=k,
-                method=method,
-                timeout_ms=timeout_ms,
-                fallback=fallback,
-                detailed=True,
-            )
-            out = []
-            for outcome in outcomes:
-                entry = outcome.results.to_dict()
-                entry["status"] = outcome.status
-                if outcome.error is not None:
-                    entry["error"] = {
-                        "type": type(outcome.error).__name__,
-                        "message": str(outcome.error),
-                    }
-                out.append(entry)
-            return out
-        # Engines without a batch executor (sharded coordinator): run
-        # sequentially on this worker thread, checking the poison
-        # channel between queries so a disconnect stops the batch.
+        outcomes = engine.search_many(
+            queries,
+            k=k,
+            method=method,
+            timeout_ms=timeout_ms,
+            fallback=fallback,
+            detailed=True,
+        )
         out = []
-        for text in queries:
-            if budget is not None and budget.poisoned:
-                break
-            results = engine.search(
-                text, k=k, method=method, timeout_ms=timeout_ms, fallback=fallback
-            )
-            out.append(results.to_dict())
+        for outcome in outcomes:
+            entry = outcome.results.to_dict()
+            entry["status"] = outcome.status
+            if outcome.error is not None:
+                entry["error"] = {
+                    "type": type(outcome.error).__name__,
+                    "message": str(outcome.error),
+                }
+            out.append(entry)
         return out
 
     # ------------------------------------------------------------------
@@ -659,16 +613,9 @@ class Router:
                 tid = self.durable.insert(table, **values)
             else:
                 tid = self.db.insert(table, **values)
-                self._refresh_current()
+                with self.handle.acquire() as (engine, _):
+                    engine.refresh()
             return tid
-
-    def _refresh_current(self) -> None:
-        with self.handle.acquire() as (engine, _):
-            refresh = getattr(engine, "refresh", None)
-            if refresh is not None:
-                refresh()
-            else:
-                engine._sync_version()
 
     # ------------------------------------------------------------------
     # /admin/swap
@@ -714,8 +661,12 @@ class Router:
             if source == "recover":
                 new_engine = self._recover_generation()
             else:
-                new_engine = self._build_generation()
-            _warm_engine(new_engine)
+                new_engine = self.engine_builder(self.db)
+            # Ready the instant it is flipped in: a lazy build after the
+            # flip would hand the first unlucky queries the cold-build
+            # cost, and a failed build would surface as query errors
+            # instead of a failed swap.
+            new_engine.warm()
             old = self.handle.flip(new_engine)
             # Future mutations must land in the live generation's
             # database and refresh the live engine, not the retired
@@ -726,25 +677,6 @@ class Router:
                 self.durable.engine = new_engine
                 self.durable.db = new_engine.db
         return self.handle.drain(old, drain_timeout_s=drain_timeout_s)
-
-    def _build_generation(self):
-        """Invoke the configured builder over the *live* database.
-
-        A builder that accepts an argument is handed ``self.db`` at
-        build time — never a database captured at boot, which after a
-        ``recover`` swap would be the retired pre-recovery object and
-        would silently drop acknowledged inserts from the new
-        generation.  Zero-argument builders (tests, benchmarks that
-        never re-point the database) are called as-is.
-        """
-        builder = self.engine_builder
-        try:
-            params = inspect.signature(builder).parameters
-        except (TypeError, ValueError):
-            params = {}
-        if params:
-            return builder(self.db)
-        return builder()
 
     def _recover_generation(self):
         """Checkpoint, then rebuild the next generation from disk.
@@ -762,24 +694,3 @@ class Router:
             self.durable.root_dir, metrics=self.metrics, trace=False
         )
         return engine
-
-
-def _default_builder(db, metrics: MetricsRegistry):
-    return KeywordSearchEngine(db, metrics=metrics)
-
-
-def _warm_engine(engine: Any) -> None:
-    """Force-build the hot substrates before the generation serves.
-
-    A generation must be ready the instant it is flipped in — lazy
-    substrate builds after the flip would hand the first unlucky
-    queries the full cold-build cost (and a failed build would surface
-    as query errors instead of a failed swap).
-    """
-    warm = getattr(engine, "warm", None)
-    if warm is not None:
-        warm()
-        return
-    inner = getattr(engine, "engine", None)
-    target = inner if inner is not None else engine
-    getattr(target, "index", None)  # cached_property: builds on access

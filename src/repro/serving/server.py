@@ -140,7 +140,7 @@ class ServingServer:
         default_timeout_ms: float = 2000.0,
         drain_timeout_s: float = 10.0,
         durable_dir: Optional[str] = None,
-        engine_builder: Optional[Callable[[], Any]] = None,
+        engine_builder: Optional[Callable[[Any], Any]] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.host = host

@@ -97,8 +97,9 @@ class EngineHandle:
         self._swapping = 0  # count of flip()s whose drain hasn't finished
         self.swaps_completed = 0
         #: Called with the old engine after its generation drains
-        #: (default: drop caches so the memory is reclaimable even if
-        #: something still references the object).
+        #: (default: ``engine.close()`` — caches, index segment files
+        #: and mmaps, shard pools — so the memory is reclaimable even
+        #: if something still references the object).
         self.teardown = teardown if teardown is not None else _default_teardown
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics.register_gauge("swap.generation", lambda: self.generation)
@@ -209,10 +210,4 @@ class EngineHandle:
 
 
 def _default_teardown(engine: Any) -> None:
-    """Free what the old generation can free: caches and pools."""
-    invalidate = getattr(engine, "invalidate_caches", None)
-    if invalidate is not None:
-        invalidate()
-    close = getattr(engine, "close", None)
-    if close is not None:
-        close()
+    engine.close()

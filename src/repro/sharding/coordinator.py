@@ -1,8 +1,10 @@
 """The sharded scatter-gather coordinator.
 
-:class:`ShardedSearchEngine` fronts one :class:`Database` partitioned
-into N shards (:mod:`repro.sharding.partition`).  A query is parsed and
-cleaned **once**; then:
+:class:`ShardedSearchEngine` is the :class:`KeywordSearchEngine` query
+front end (parse, clean, result cache, ladder, trace, metrics — all
+inherited, so a query is parsed and cleaned **once**) over one
+:class:`Database` partitioned into N shards
+(:mod:`repro.sharding.partition`), with a different execute seam:
 
 * ``schema`` / ``index_only`` **scatter**: CN enumeration runs once at
   the coordinator over the shared substrates, the per-query executor
@@ -12,49 +14,49 @@ cleaned **once**; then:
   anchor queue on the shared thread pool, pruning against the streaming
   global k-th score (:mod:`repro.sharding.scatter`).  The gathered top-k is
   byte-identical to the single-engine answer.
-* graph methods (``banks``, ``banks2``, ``steiner``, ``distinct_root``,
-  ``ease``) **route**: tree answers are not partition-local under
-  bounded replication (the EMBANKS/Mragyati tradeoff), so the query
-  runs whole on a shard worker slot against the shared data graph,
-  with circuit-breaker failover across shards.  With
-  ``selection_routing=True`` the order of shards tried comes from the
-  keyword-relationship source-selection scorer
+* everything else **routes**: graph methods (``banks``, ``banks2``,
+  ``steiner``, ``distinct_root``, ``ease``) because tree answers are
+  not partition-local under bounded replication (the EMBANKS/Mragyati
+  tradeoff), OR-branch and phrase queries because they post-filter
+  top-k streams.  The rung runs whole through the inherited local
+  executor on a shard worker slot, with circuit-breaker failover across
+  shards.  With ``selection_routing=True`` the order of shards tried
+  comes from the keyword-relationship source-selection scorer
   (:mod:`repro.distributed.selection`) over per-shard summaries.
 
-Per-shard fault isolation reuses the resilience layer: each shard gets
-its own :class:`QueryBudget` and :class:`CircuitBreaker`, and the
-``shard.execute`` failpoint kills a single shard deterministically —
-the merged :class:`ResultSet` comes back ``degraded`` (never an
-exception or a hang) with the failure visible in the
-``scatter → shard[i] → gather`` span tree.
+Per-shard fault isolation reuses the resilience layer: each shard
+worker ticks its own :meth:`QueryBudget.fork` of the caller's budget
+(same deadline and caps, cancelled together) behind its own
+:class:`CircuitBreaker`, and the ``shard.execute`` failpoint kills a
+single shard deterministically — the merged :class:`ResultSet` comes
+back ``degraded`` (never an exception or a hang) with the failure
+visible in the ``scatter → shard[i] → gather`` span tree.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.engine import KeywordSearchEngine
 from repro.core.query import Query
-from repro.core.results import ResultSet, SearchResult
+from repro.core.results import SearchResult
 from repro.distributed.selection import DatabaseSummary, rank_databases
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, span as trace_span
 from repro.perf.lru import LRUCache
 from repro.relational.database import Database, TupleId
 from repro.relational.executor import JoinStats
-from repro.resilience.budget import make_budget
+from repro.resilience.budget import QueryBudget
 from repro.resilience.circuit import CircuitBreaker
-from repro.resilience.degradation import KNOWN_METHODS
-from repro.resilience.errors import QueryParseError
+from repro.resilience.errors import BudgetExceededError, QueryParseError
 from repro.resilience.failpoints import fail_point
 from repro.schema_search.topk import CNQueryContext
 from repro.sharding.partition import Shard, build_shards, make_partitioner
 from repro.sharding.scatter import (
     GlobalTopK,
-    ShardRunStats,
     scatter_index_only,
     scatter_schema,
 )
@@ -72,6 +74,8 @@ class _ShardOutcome:
     payload: object = None
     error: Optional[BaseException] = None
     skipped: bool = False
+    #: Why the shard's budget fork ran out, when it did.
+    exhausted: Optional[str] = None
     latency_ms: float = 0.0
     trace_root: object = None
 
@@ -84,14 +88,23 @@ class _ShardOutcome:
                 f"shard {self.shard_id}: "
                 f"{type(self.error).__name__}: {self.error}"
             )
-        run = self.payload if isinstance(self.payload, ShardRunStats) else None
-        if run is not None and run.exhausted:
-            return f"shard {self.shard_id}: {run.reason}"
+        if self.exhausted is not None:
+            return f"shard {self.shard_id}: {self.exhausted}"
         return None
 
 
-class ShardedSearchEngine:
-    """Scatter-gather keyword search over a partitioned database."""
+class ShardedSearchEngine(KeywordSearchEngine):
+    """Scatter-gather keyword search over a partitioned database.
+
+    Same contract as :class:`KeywordSearchEngine` and byte-identical
+    answers for every method: scattered rungs by the anchor-partition +
+    strict-threshold pruning argument, routed rungs by construction.
+    Budgets apply **per shard** (a fork of the caller's budget each),
+    and any shard failure, skip or exhaustion marks the merged result
+    set ``degraded`` instead of failing the query.
+    """
+
+    metric_prefix = "shard_query"
 
     def __init__(
         self,
@@ -100,7 +113,7 @@ class ShardedSearchEngine:
         partitioner="hash",
         max_cn_size: int = 4,
         clean_queries: bool = True,
-        result_cache_size: int = 256,
+        result_cache_size: int = 512,
         enable_caches: bool = True,
         selection_routing: bool = False,
         trace: bool = False,
@@ -111,31 +124,20 @@ class ShardedSearchEngine:
         backend: str = "dict",
         backend_options: Optional[Dict[str, object]] = None,
     ):
-        self.db = db
-        self.max_cn_size = max_cn_size
-        self.enable_caches = enable_caches
-        self.selection_routing = selection_routing
-        self.trace_enabled = trace
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.backend_name = backend
-        self.backend_options = dict(backend_options) if backend_options else None
-        #: The coordinator-side engine: owns the shared substrates
-        #: (index, tuple sets, CN memos) that scatter plans read, and
-        #: executes routed graph methods.  Incremental refresh stays on
-        #: so inserts patch rather than rebuild.
-        self.engine = KeywordSearchEngine(
+        super().__init__(
             db,
             max_cn_size=max_cn_size,
             clean_queries=clean_queries,
+            result_cache_size=result_cache_size,
             enable_caches=enable_caches,
-            metrics=self.metrics,
+            trace=trace,
+            metrics=metrics,
             backend=backend,
-            backend_options=self.backend_options,
+            backend_options=backend_options,
         )
+        self.selection_routing = selection_routing
         self.shards = build_shards(db, make_partitioner(partitioner, n_shards))
-        for shard in self.shards.shards:
-            shard.backend = backend
-            shard.backend_options = self._shard_backend_options(shard.shard_id)
+        self._key_token = self.shards.token
         self._breakers: List[CircuitBreaker] = [
             CircuitBreaker(
                 failure_threshold=shard_failure_threshold,
@@ -148,12 +150,10 @@ class ShardedSearchEngine:
             max_workers=max_workers or len(self.shards),
             thread_name_prefix="shard",
         )
-        self._result_cache = LRUCache(result_cache_size)
         self._summary_cache = LRUCache(32)
         self._row_marks: Dict[str, int] = {
             name: len(table) for name, table in db.tables.items()
         }
-        self._served_version = db.data_version
         self._rr = 0
         self.metrics.register_gauge("shard.count", lambda: len(self.shards))
         self.metrics.register_gauge(
@@ -168,29 +168,18 @@ class ShardedSearchEngine:
                 lambda b=breaker: round(b.time_in_state_s(), 3),
             )
 
-    def _shard_backend_options(
-        self, shard_id: int
-    ) -> Optional[Dict[str, object]]:
-        """Per-shard backend options: disk segments must not collide."""
-        if not self.backend_options:
-            return None
-        options = dict(self.backend_options)
-        path = options.get("path")
-        if isinstance(path, str):
-            options["path"] = f"{path}.shard{shard_id}"
-        return options
+    @property
+    def engine(self) -> "ShardedSearchEngine":
+        """Alias of ``self``: the coordinator is the engine that owns the
+        shared substrates (``sharded.engine.index`` reads them)."""
+        return self
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
         self._pool.shutdown(wait=False)
-
-    def __enter__(self) -> "ShardedSearchEngine":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        super().close()
 
     def _on_shard_transition(self, old_state: str, new_state: str) -> None:
         self.metrics.inc(f"shard.circuit.transitions.{new_state}")
@@ -198,10 +187,6 @@ class ShardedSearchEngine:
     def shard_stats(self) -> Dict[str, object]:
         """Partition-quality numbers (balance, replicas, cut edges)."""
         return self.shards.stats()
-
-    def parse(self, text: str, tracer: Optional[Tracer] = None) -> Query:
-        """Coordinator-side parse + clean (runs once, never per shard)."""
-        return self.engine.parse(text, tracer=tracer)
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -212,9 +197,9 @@ class ShardedSearchEngine:
         Each new row is copied to its home shard plus — per the
         radius-1 boundary-replica rule — every shard owning one of its
         FK neighbours; its off-shard neighbours are replicated back
-        into the home shard.  No other shard is touched, and the
-        coordinator engine patches its own substrates incrementally, so
-        a single-row insert stays O(neighbourhood), not O(database).
+        into the home shard.  No other shard is touched, and the shared
+        substrates are patched incrementally by the inherited refresh,
+        so a single-row insert stays O(neighbourhood), not O(database).
         Returns the number of shard-row copies made.
         """
         if self.db.data_version == self._served_version:
@@ -244,243 +229,44 @@ class ShardedSearchEngine:
                     ):
                         routed += 1
             self._row_marks[name] = len(table)
-        self._served_version = self.db.data_version
-        self._result_cache.clear()
+        super().refresh()
         self._summary_cache.clear()
         self.metrics.inc("refresh.rows_routed", routed)
         return routed
 
     # ------------------------------------------------------------------
-    # Search
+    # The execute seam
     # ------------------------------------------------------------------
-    def search(
-        self,
-        text: str,
-        k: int = 10,
-        method: str = "schema",
-        use_cache: bool = True,
-        timeout_ms: Optional[float] = None,
-        max_expansions: Optional[int] = None,
-        fallback: bool = False,
-        trace: Optional[bool] = None,
-    ) -> ResultSet:
-        """Top-k search with the single-engine contract.
-
-        Results are byte-identical to
-        ``KeywordSearchEngine(db).search(...)`` for every method:
-        scattered methods by the anchor-partition + strict-threshold
-        pruning argument, routed methods by construction.  The
-        resilience and tracing knobs mirror the single engine's;
-        budgets (``timeout_ms`` / ``max_expansions``) apply **per
-        shard**, and any shard failure, skip or exhaustion marks the
-        merged result set ``degraded`` instead of failing the query.
-        ``fallback=True`` descends the single-node degradation ladder
-        (scale-out does not help a query that exhausts its budget).
-
-        The fielded DSL works here too: bare keyword queries take the
-        legacy byte-identical paths, structured ones are compiled once
-        at the coordinator and either scattered with filtered plans
-        (single-branch ``schema`` / ``index_only``) or routed whole to
-        a shard worker slot.
-        """
-        self.refresh()
-        if method not in KNOWN_METHODS:
-            raise QueryParseError(
-                f"unknown method {method!r} (choices: {', '.join(KNOWN_METHODS)})"
-            )
-        return self._search_impl(
-            self.engine._parse_canonical(text),
-            k,
-            method,
-            use_cache,
-            timeout_ms,
-            max_expansions,
-            fallback,
-            trace,
-        )
-
-    def search_structured(
-        self,
-        query,
-        k: int = 10,
-        method: str = "schema",
-        use_cache: bool = True,
-        timeout_ms: Optional[float] = None,
-        max_expansions: Optional[int] = None,
-        fallback: bool = False,
-        trace: Optional[bool] = None,
-    ) -> ResultSet:
-        """Search from an already-parsed :class:`StructuredQuery`."""
-        self.refresh()
-        if method not in KNOWN_METHODS:
-            raise QueryParseError(
-                f"unknown method {method!r} (choices: {', '.join(KNOWN_METHODS)})"
-            )
-        return self._search_impl(
-            query, k, method, use_cache, timeout_ms, max_expansions, fallback, trace
-        )
-
-    def _search_impl(
+    def _execute_rung(
         self,
         query,
         k: int,
-        method: str,
-        use_cache: bool,
-        timeout_ms: Optional[float],
-        max_expansions: Optional[int],
-        fallback: bool,
-        trace: Optional[bool],
-    ) -> ResultSet:
-        budgeted = timeout_ms is not None or max_expansions is not None
-        tracing = self.trace_enabled if trace is None else trace
-        tracer = Tracer() if tracing else None
-        self.metrics.inc("shard_query.count")
-        start_s = time.perf_counter()
-        with trace_span(tracer, "search") as root:
-            root.tag("method", method).tag("k", k).tag(
-                "shards", len(self.shards)
-            )
-            if fallback:
-                with trace_span(tracer, "cache_lookup") as csp:
-                    csp.tag("outcome", "bypass")
-                results = self.engine.search_structured(
-                    query,
-                    k=k,
-                    method=method,
-                    use_cache=False,
-                    timeout_ms=timeout_ms,
-                    max_expansions=max_expansions,
-                    fallback=True,
-                    trace=False,
-                )
-            elif budgeted or not (use_cache and self.enable_caches):
-                with trace_span(tracer, "cache_lookup") as csp:
-                    csp.tag("outcome", "bypass")
-                results = self._run(
-                    query, k, method, timeout_ms, max_expansions, tracer
-                )
-            else:
-                results = self._serve_cached(query, k, method, tracer)
-        self.metrics.observe(
-            "shard_query.latency_ms", (time.perf_counter() - start_s) * 1000.0
-        )
-        if results.degraded:
-            self.metrics.inc("shard_query.degraded")
-        if tracer is not None:
-            results.trace = tracer.finish()
-        return results
+        rung: str,
+        budget: Optional[QueryBudget],
+        tracer: Optional[Tracer] = None,
+    ) -> Tuple[List[SearchResult], Sequence[str]]:
+        """Scatter what partitions by anchor tuple; route the rest whole.
 
-    def _query_key(self, query_or_text, method: str, k: int) -> Tuple:
-        """Single-engine canonical key + the shard-configuration token.
-
-        Keys on the post-parse, post-clean :class:`StructuredQuery`
-        (same invariant as the single engine), so texts that clean to
-        the same canonical query share one cache entry.
-        """
-        if isinstance(query_or_text, str):
-            query_or_text = self.engine._parse_canonical(query_or_text)
-        return (query_or_text.cache_key(), method, k, self.shards.token)
-
-    def _serve_cached(
-        self, query, k: int, method: str, tracer: Optional[Tracer]
-    ) -> ResultSet:
-        key = self._query_key(query, method, k)
-        cache = self._result_cache
-        with trace_span(tracer, "cache_lookup") as csp:
-            cached = cache.get(key)
-            csp.tag("outcome", "hit" if cached is not None else "miss")
-        if cached is not None:
-            self.metrics.inc("shard_query.cache_hits")
-            return cached.clone()
-        results = self._run(query, k, method, None, None, tracer)
-        if not results.degraded:
-            # A degraded merge (dead shard, open breaker) must not be
-            # pinned: the next query should retry the full scatter.
-            cache.put(key, results)
-        return results.clone()
-
-    def _run(
-        self,
-        query,
-        k: int,
-        method: str,
-        timeout_ms: Optional[float],
-        max_expansions: Optional[int],
-        tracer: Optional[Tracer],
-    ) -> ResultSet:
-        if query.is_empty:
-            return ResultSet(method=method)
-        if not query.is_bare:
-            return self._run_structured(
-                query, k, method, timeout_ms, max_expansions, tracer
-            )
-        # Bare keywords: the canonical query is already cleaned; re-enter
-        # the legacy flow (parse + clean spans, byte-identical
-        # scatter/route paths) without cleaning it a second time.
-        legacy = self.engine._legacy_query(query, tracer)
-        if not legacy.keywords:
-            return ResultSet(method=method)
-        if method == "schema":
-            return self._scatter_schema(
-                list(legacy.keywords), k, timeout_ms, max_expansions, tracer
-            )
-        if method == "index_only":
-            return self._scatter_index_only(
-                list(legacy.keywords), k, timeout_ms, max_expansions, tracer
-            )
-        return self._routed(
-            query.raw, legacy, k, method, timeout_ms, max_expansions, tracer
-        )
-
-    def _run_structured(
-        self,
-        query,
-        k: int,
-        method: str,
-        timeout_ms: Optional[float],
-        max_expansions: Optional[int],
-        tracer: Optional[Tracer],
-    ) -> ResultSet:
-        """Structured execution: scatter filtered plans or route whole.
-
-        Single-branch, phrase-free ``schema`` / ``index_only`` queries
-        scatter — the compiled row filter rides to the shards inside
-        the plans (filtered tuple sets) or the ownership callable, and
-        the gather applies the same merge rule as the single engine.
+        Single-branch, phrase-free ``schema`` / ``index_only`` rungs
+        scatter — a compiled row filter rides to the shards inside the
+        plans (filtered tuple sets) or the ownership callable, and the
+        gather applies the same merge rule as the local executor.
         OR-branches and phrase constraints post-filter top-k streams,
-        which would under-fill a scattered global k, so those queries
-        run whole on a shard worker slot instead.
+        which would under-fill a scattered global k, and graph answers
+        are not partition-local: those run whole on one shard slot.
         """
-        from repro.query.compiler import compile_query, predicate_only_results
-
-        with trace_span(tracer, "compile") as csp:
-            compiled = compile_query(self.engine, query)
-            csp.add("branches", len(compiled.branches))
-            csp.tag("filtered", compiled.row_filter is not None)
-        if not compiled.branches:
-            with trace_span(tracer, "gather"):
-                return ResultSet(
-                    predicate_only_results(self.engine, compiled, k),
-                    method=method,
-                )
-        scatterable = (
-            method in SCATTER_METHODS
-            and len(compiled.branches) == 1
-            and not query.phrases
-        )
-        if scatterable:
-            keywords = list(compiled.branches[0])
-            if method == "schema":
-                return self._scatter_schema(
-                    keywords, k, timeout_ms, max_expansions, tracer,
-                    compiled=compiled,
-                )
-            return self._scatter_index_only(
-                keywords, k, timeout_ms, max_expansions, tracer,
-                compiled=compiled,
-            )
-        return self._routed_structured(
-            query, compiled, k, method, timeout_ms, max_expansions, tracer
+        if isinstance(query, Query):
+            compiled, keywords, scatterable = None, list(query.keywords), True
+        else:
+            compiled, keywords = query, list(query.branches[0])
+            scatterable = len(query.branches) == 1 and not query.query.phrases
+        if scatterable and rung == "schema":
+            return self._scatter_schema(keywords, k, budget, tracer, compiled)
+        if scatterable and rung == "index_only":
+            return self._scatter_index_only(keywords, k, budget, tracer, compiled)
+        local = super()._execute_rung
+        return self._route(
+            keywords, lambda fork: local(query, k, rung, fork)[0], budget, tracer
         )
 
     # ------------------------------------------------------------------
@@ -490,55 +276,51 @@ class ShardedSearchEngine:
         self,
         keywords: List[str],
         k: int,
-        timeout_ms: Optional[float],
-        max_expansions: Optional[int],
+        budget: Optional[QueryBudget],
         tracer: Optional[Tracer],
         compiled=None,
-    ) -> ResultSet:
-        coord_budget = make_budget(timeout_ms, max_expansions)
+    ) -> Tuple[List[SearchResult], List[str]]:
         with trace_span(tracer, "plan") as psp:
             if compiled is not None:
                 from repro.query.compiler import structured_substrates
 
                 tuple_sets, cns, index = structured_substrates(
-                    self.engine, compiled, keywords, budget=coord_budget
+                    self, compiled, keywords, budget=budget
                 )
             else:
-                tuple_sets = self.engine.substrates.tuple_sets(keywords)
-                cns = self.engine.substrates.candidate_networks(
-                    keywords, self.max_cn_size, budget=coord_budget
+                tuple_sets = self.substrates.tuple_sets(keywords)
+                cns = self.substrates.candidate_networks(
+                    keywords, self.max_cn_size, budget=budget
                 )
-                index = self.engine.index
+                index = self.index
             context = CNQueryContext(cns, tuple_sets, index, keywords)
             psp.add("cns", len(cns))
         reasons: List[str] = []
-        if coord_budget is not None and coord_budget.exhausted:
-            reasons.append(f"coordinator: {coord_budget.reason}")
+        if budget is not None and budget.exhausted:
+            reasons.append(f"coordinator: {budget.reason}")
         results: List[SearchResult] = []
         if cns:
             gtopk = GlobalTopK(k)
 
-            def fn(shard: Shard, budget, sp):
+            def fn(shard: Shard, fork, sp):
                 run = scatter_schema(
-                    shard.shard_id, shard.owns, context, gtopk, budget
+                    shard.shard_id, shard.owns, context, gtopk, fork
                 )
                 sp.add("cns", run.cns).add("evaluated", run.evaluated).add(
                     "pruned", run.pruned
                 )
                 return run
 
-            outcomes = self._scatter(fn, timeout_ms, max_expansions, tracer)
             merged = JoinStats()
-            for outcome in outcomes:
-                reason = outcome.reason
-                if reason is not None:
-                    reasons.append(reason)
+            for outcome in self._scatter(fn, budget, tracer):
+                if outcome.reason is not None:
+                    reasons.append(outcome.reason)
                 run = outcome.payload
-                if isinstance(run, ShardRunStats):
+                if run is not None:
                     merged.merge(run.join_stats)
                     self.metrics.inc("shard.evaluated", run.evaluated)
                     self.metrics.inc("shard.pruned", run.pruned)
-            self.engine._record_sharing(merged)
+            self._record_sharing(merged)
             with trace_span(tracer, "gather") as gsp:
                 results = [
                     SearchResult(score=score, network=label, joined=joined)
@@ -549,46 +331,39 @@ class ShardedSearchEngine:
 
                     results = merge_branch_results(results, compiled, k)
                 gsp.add("results", len(results)).add("offers", gtopk.offers)
-        return ResultSet(
-            results,
-            method="schema",
-            degraded=bool(reasons),
-            degraded_reason="; ".join(reasons) or None,
-        )
+        return results, reasons
 
     def _scatter_index_only(
         self,
         keywords: List[str],
         k: int,
-        timeout_ms: Optional[float],
-        max_expansions: Optional[int],
+        budget: Optional[QueryBudget],
         tracer: Optional[Tracer],
         compiled=None,
-    ) -> ResultSet:
+    ) -> Tuple[List[SearchResult], List[str]]:
         with trace_span(tracer, "plan"):
             if compiled is not None:
-                index = compiled.index_view(self.engine.index)
+                index = compiled.index_view(self.index)
                 row_filter = compiled.row_filter
             else:
-                index = self.engine.index
+                index = self.index
                 row_filter = None
         scored: Dict[TupleId, float] = {}
 
-        def fn(shard: Shard, budget, sp):
+        def fn(shard: Shard, fork, sp):
             owns = shard.owns
             if row_filter is not None:
                 allows = row_filter.allows
                 base_owns = shard.owns
                 owns = lambda tid: base_owns(tid) and allows(tid)
             run, shard_scored = scatter_index_only(
-                shard.shard_id, owns, index, keywords, budget
+                shard.shard_id, owns, index, keywords, fork
             )
             sp.add("evaluated", run.evaluated)
             return run, shard_scored
 
-        outcomes = self._scatter(fn, timeout_ms, max_expansions, tracer)
         reasons = []
-        for outcome in outcomes:
+        for outcome in self._scatter(fn, budget, tracer):
             if outcome.reason is not None:
                 reasons.append(outcome.reason)
             if outcome.payload is not None:
@@ -601,7 +376,7 @@ class ShardedSearchEngine:
                 SearchResult(
                     score=score,
                     network=f"index-only({tid.table})",
-                    joined=self.engine._tree_to_joined({tid}),
+                    joined=self._tree_to_joined({tid}),
                 )
                 for tid, score in top
             ]
@@ -610,27 +385,16 @@ class ShardedSearchEngine:
 
                 results = merge_branch_results(results, compiled, k)
             gsp.add("results", len(results))
-        return ResultSet(
-            results,
-            method="index_only",
-            degraded=bool(reasons),
-            degraded_reason="; ".join(reasons) or None,
-        )
+        return results, reasons
 
     def _scatter(
-        self,
-        fn,
-        timeout_ms: Optional[float],
-        max_expansions: Optional[int],
-        tracer: Optional[Tracer],
+        self, fn, budget: Optional[QueryBudget], tracer: Optional[Tracer]
     ) -> List[_ShardOutcome]:
         """Run *fn* on every shard concurrently with fault isolation."""
         tracing = tracer is not None
         with trace_span(tracer, "scatter") as ssp:
             futures = [
-                self._pool.submit(
-                    self._run_shard, shard, fn, timeout_ms, max_expansions, tracing
-                )
+                self._pool.submit(self._run_shard, shard, fn, budget, tracing)
                 for shard in self.shards
             ]
             outcomes = [future.result() for future in futures]
@@ -645,14 +409,9 @@ class ShardedSearchEngine:
         return outcomes
 
     def _run_shard(
-        self,
-        shard: Shard,
-        fn,
-        timeout_ms: Optional[float],
-        max_expansions: Optional[int],
-        tracing: bool,
+        self, shard: Shard, fn, budget: Optional[QueryBudget], tracing: bool
     ) -> _ShardOutcome:
-        """One shard worker: breaker, failpoint, budget, span, metrics."""
+        """One shard worker: breaker, failpoint, budget fork, span, metrics."""
         outcome = _ShardOutcome(shard.shard_id)
         shard_tracer = Tracer() if tracing else None
         breaker = self._breakers[shard.shard_id]
@@ -666,9 +425,15 @@ class ShardedSearchEngine:
             else:
                 try:
                     fail_point("shard.execute", key=shard.shard_id)
-                    budget = make_budget(timeout_ms, max_expansions)
-                    outcome.payload = fn(shard, budget, sp)
+                    fork = budget.fork() if budget is not None else None
+                    outcome.payload = fn(shard, fork, sp)
+                    if fork is not None and fork.exhausted:
+                        outcome.exhausted = fork.reason
                     breaker.record_success()
+                except BudgetExceededError as exc:
+                    # Ran out with no partial answer: the query's budget,
+                    # not the shard's health.
+                    outcome.exhausted = str(exc)
                 except (QueryParseError, ValueError) as exc:
                     # Structural: deterministic for the query, identical
                     # on every shard — not a shard-health signal.
@@ -731,108 +496,43 @@ class ShardedSearchEngine:
         self._rr += 1
         return ids[start:] + ids[:start]
 
-    def _routed(
-        self,
-        text: str,
-        query: Query,
-        k: int,
-        method: str,
-        timeout_ms: Optional[float],
-        max_expansions: Optional[int],
-        tracer: Optional[Tracer],
-    ) -> ResultSet:
-        """Run a graph method on one shard worker, failing over.
-
-        Evaluation uses the coordinator's shared data graph (tree
-        answers are not partition-local), so results match the single
-        engine exactly; the shard layer contributes slot scheduling,
-        fault isolation and selection-based routing.
-        """
-        return self._route_and_run(
-            list(query.keywords),
-            lambda budget: self.engine._run_search(
-                text, k, method, budget, False, None
-            ),
-            k,
-            method,
-            timeout_ms,
-            max_expansions,
-            tracer,
-        )
-
-    def _routed_structured(
-        self,
-        query,
-        compiled,
-        k: int,
-        method: str,
-        timeout_ms: Optional[float],
-        max_expansions: Optional[int],
-        tracer: Optional[Tracer],
-    ) -> ResultSet:
-        """Run a structured query whole on one shard worker slot.
-
-        Same failover/selection machinery as :meth:`_routed`; the
-        selection scorer ranks shards by the first branch's keywords.
-        """
-        keywords = list(compiled.branches[0]) if compiled.branches else []
-        return self._route_and_run(
-            keywords,
-            lambda budget: self.engine._run_query(
-                query, k, method, budget, False, None
-            ),
-            k,
-            method,
-            timeout_ms,
-            max_expansions,
-            tracer,
-        )
-
-    def _route_and_run(
+    def _route(
         self,
         keywords: List[str],
-        run_inner,
-        k: int,
-        method: str,
-        timeout_ms: Optional[float],
-        max_expansions: Optional[int],
+        run_local,
+        budget: Optional[QueryBudget],
         tracer: Optional[Tracer],
-    ) -> ResultSet:
+    ) -> Tuple[List[SearchResult], List[str]]:
+        """Run *run_local* on one shard worker slot, failing over.
+
+        Evaluation uses the shared substrates and data graph (tree
+        answers are not partition-local), so results match the single
+        engine exactly; the shard layer contributes slot scheduling,
+        fault isolation and selection-based routing (ranked by the
+        first branch's keywords).
+        """
         order = self.route_order(keywords)
         reasons: List[str] = []
+
+        def fn(shard, fork, sp):
+            inner = run_local(fork)
+            sp.add("results", len(inner))
+            return inner
+
         with trace_span(tracer, "route") as rsp:
             rsp.tag("order", ",".join(str(i) for i in order))
             for shard_id in order:
-                shard = self.shards.shards[shard_id]
-
-                def fn(shard, budget, sp):
-                    inner = run_inner(budget)
-                    sp.add("results", len(inner))
-                    return inner
-
                 outcome = self._run_shard(
-                    shard, fn, timeout_ms, max_expansions, tracer is not None
+                    self.shards.shards[shard_id], fn, budget, tracer is not None
                 )
                 if tracer is not None and outcome.trace_root is not None:
                     rsp.children.append(outcome.trace_root)
-                if outcome.error is not None and isinstance(
-                    outcome.error, (QueryParseError, ValueError)
-                ):
+                if isinstance(outcome.error, (QueryParseError, ValueError)):
                     # Structural: identical on every shard, so surface it
                     # exactly like the single engine would.
                     raise outcome.error
                 if outcome.reason is not None:
                     reasons.append(outcome.reason)
-                    continue
-                inner: ResultSet = outcome.payload
-                if reasons and not inner.degraded:
-                    inner = inner.clone()
-                    inner.degraded = True
-                    inner.degraded_reason = "; ".join(reasons)
-                return inner
-        return ResultSet(
-            [],
-            method=method,
-            degraded=True,
-            degraded_reason="; ".join(reasons) or "no shard available",
-        )
+                if outcome.error is None and not outcome.skipped:
+                    return outcome.payload or [], reasons
+        return [], reasons or ["no shard available"]

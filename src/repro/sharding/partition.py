@@ -4,8 +4,8 @@ A partitioner assigns every tuple a *home* shard.  The shard set built
 from an assignment gives each shard a sub-:class:`Database` holding its
 home tuples plus a radius-1 *boundary replica* set — the tuples one FK
 hop away that live on another shard.  The replicas are what keep
-shard-local structures (source-selection summaries, per-shard indexes,
-maintenance routing) aware of the FK edges the partition cuts; the
+shard-local structures (source-selection summaries, maintenance
+routing) aware of the FK edges the partition cuts; the
 scatter path itself partitions *work* by anchor tuple over the
 coordinator's shared substrates, so answers that span shards are still
 produced exactly once, by the home shard of their anchor tuple (see
@@ -231,11 +231,6 @@ class Shard:
         self.replicas: Set[TupleId] = set()
         self.local_to_global: Dict[TupleId, TupleId] = {}
         self.global_to_local: Dict[TupleId, TupleId] = {}
-        self._engine = None
-        #: Storage backend the lazily built shard-local engine uses;
-        #: configured by ShardedSearchEngine before first use.
-        self.backend = "dict"
-        self.backend_options: Optional[Dict[str, object]] = None
 
     # -- membership ----------------------------------------------------
     def owns(self, tid: TupleId) -> bool:
@@ -257,20 +252,6 @@ class Shard:
         self.global_to_local[tid] = local
         (self.home if is_home else self.replicas).add(tid)
         return True
-
-    # -- shard-local engine (summaries, routed methods, demos) ---------
-    @property
-    def engine(self):
-        if self._engine is None:
-            from repro.core.engine import KeywordSearchEngine
-
-            self._engine = KeywordSearchEngine(
-                self.db,
-                clean_queries=False,
-                backend=self.backend,
-                backend_options=self.backend_options,
-            )
-        return self._engine
 
     def __repr__(self) -> str:
         return (

@@ -9,10 +9,12 @@ own database — the shared session fixtures must stay immutable.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
+from repro.core.factory import build_engine
 from repro.datasets.bibliographic import tiny_bibliographic_db
 from repro.resilience.failpoints import FAILPOINTS
 
@@ -22,6 +24,9 @@ def result_signature(results):
 
 
 QUERIES = ["john database", "widom xml", "levy logic", "stonebraker"]
+
+#: ``build_engine`` options per engine kind the shared front end serves.
+ENGINE_KINDS = {"single": {}, "sharded-2": {"shards": 2}}
 
 
 class TestMutationDuringBatch:
@@ -66,28 +71,38 @@ class TestMutationDuringBatch:
 
     def test_delayed_result_put_does_not_pin_stale_entry(self):
         """A search delayed between compute and cache-publish must not
-        leave a pre-mutation result pinned in the cache afterwards."""
-        engine = KeywordSearchEngine(tiny_bibliographic_db())
-        query = "zweig database"
-        assert engine.search(query, k=5) == []
-        engine._result_cache.clear()
+        leave a pre-mutation result pinned in the cache afterwards —
+        on either engine kind (they share one ``_serve_cached``)."""
+        for kind, options in ENGINE_KINDS.items():
+            engine = build_engine(tiny_bibliographic_db(), **options)
+            query = "zweig database"
+            assert engine.search(query, k=5) == [], kind
+            engine._result_cache.clear()
 
-        # Widen the window: the next compute of `query` sleeps before
-        # its result is published to the LRU.
-        FAILPOINTS.activate(
-            "cache.result_put", exc=None, delay=0.15, times=1, key=query
-        )
-        slow = threading.Thread(target=lambda: engine.search(query, k=5))
-        slow.start()
-        try:
-            engine.db.insert(
-                "author", aid=77, name="stefan zweig", affiliation="database lab"
+            # Widen the window: the next compute of `query` sleeps before
+            # its result is published to the LRU (and, sharded, before
+            # the shards evaluate the already-planned query).
+            FAILPOINTS.activate(
+                "cache.result_put", exc=None, delay=0.15, times=1, key=query
             )
-        finally:
-            slow.join(timeout=30)
-        assert not slow.is_alive()
-        after = engine.search(query, k=5)
-        assert after, "stale empty result served after mutation"
+            FAILPOINTS.activate("shard.execute", exc=None, delay=0.15, times=1)
+            slow = threading.Thread(target=lambda: engine.search(query, k=5))
+            slow.start()
+            try:
+                time.sleep(0.05)  # the slow search is inside the window
+                engine.db.insert(
+                    "author", aid=77, name="stefan zweig", affiliation="database lab"
+                )
+                # Another query refreshes the engine (and drops the LRU)
+                # while the stale answer is still waiting to publish.
+                engine.search("widom", k=1)
+            finally:
+                slow.join(timeout=30)
+                FAILPOINTS.reset()
+            assert not slow.is_alive(), kind
+            after = engine.search(query, k=5)
+            assert after, f"{kind}: stale empty result served after mutation"
+            engine.close()
 
     def test_delayed_substrate_build_with_concurrent_insert(self):
         """Tuple-set build delayed mid-batch while a row lands: the final

@@ -22,6 +22,7 @@ import time
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
+from repro.core.factory import build_engine
 from repro.core.results import ResultSet
 from repro.core.xml_engine import XmlSearchEngine
 from repro.datasets.bibliographic import tiny_bibliographic_db
@@ -372,26 +373,34 @@ class TestSingleFlight:
         assert sorted(order) == ["a", "b"]
 
     def test_engine_concurrent_same_query_computes_once(self):
-        engine = KeywordSearchEngine(tiny_bibliographic_db())
-        engine.search(PARITY_QUERY, k=3)  # warm substrates, then clear
-        engine._result_cache.clear()
-        barrier = threading.Barrier(4)
-        sigs = []
+        # Both engine kinds serve through one single-flighted LRU path.
+        for options in ({}, {"shards": 2}):
+            engine = build_engine(tiny_bibliographic_db(), **options)
+            engine.search(PARITY_QUERY, k=3)  # warm substrates, then clear
+            engine._result_cache.clear()
+            barrier = threading.Barrier(4)
+            sigs = []
 
-        def worker():
-            barrier.wait()
-            sigs.append(result_signature(engine.search(PARITY_QUERY, k=3)))
+            def worker():
+                barrier.wait()
+                sigs.append(result_signature(engine.search(PARITY_QUERY, k=3)))
 
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(s == sigs[0] for s in sigs)
-        stats = engine.cache_stats()["results"]
-        # Every duplicate miss was coalesced onto the one compute.
-        assert stats["misses"] + stats["hits"] + stats["coalesced"] >= 4
-        assert stats["misses"] >= 1
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert all(s == sigs[0] for s in sigs)
+            stats = engine.cache_stats()["results"]
+            # Every duplicate miss was coalesced onto the one compute.
+            assert stats["misses"] + stats["hits"] + stats["coalesced"] >= 4
+            assert stats["misses"] >= 1
+            snap = engine.metrics.snapshot()
+            prefix = engine.metric_prefix
+            assert (
+                snap.get(f"{prefix}.coalesced", 0) == stats["coalesced"]
+            ), options
+            engine.close()
 
 
 # ----------------------------------------------------------------------

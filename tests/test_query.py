@@ -547,7 +547,7 @@ class TestEngineSurface:
         fresh.db.insert(
             "author", aid=9000, name="zz cache probe", affiliation="x"
         )
-        fresh.search("john database", k=3)  # triggers _sync_version
+        fresh.search("john database", k=3)  # triggers refresh()
         # The vocabulary changed; stale cleaned parses must be gone
         # (re-parsed entries may repopulate the cache afterwards).
         assert fresh.db.data_version == fresh._served_version

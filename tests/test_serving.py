@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import os
 import socket
 import threading
 import time
@@ -12,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
+from repro.core.factory import build_engine
 from repro.core.results import ResultSet
 from repro.datasets.bibliographic import tiny_bibliographic_db
 from repro.obs.metrics import MetricsRegistry
@@ -241,6 +243,21 @@ class TestEngineHandle:
         assert result.drained and result.previous_generation == 1
         assert torn == ["old"]
 
+    def test_default_teardown_closes_what_the_engine_owns(self):
+        """Swapping away from a ``backend="disk"`` generation leaves no
+        ephemeral segment file or open mmap behind, single or sharded."""
+        for options in ({}, {"shards": 2}):
+            old = build_engine(tiny_bibliographic_db(), backend="disk", **options)
+            assert old.search("widom xml", k=3)
+            backend = old.index.backend
+            assert "repro-seg-" in backend.path and os.path.exists(backend.path)
+            handle = EngineHandle(old)
+            new = build_engine(old.db, **options)
+            assert handle.swap(new).drained
+            assert not os.path.exists(backend.path), options
+            assert backend._mm is None, options
+            new.close()
+
     def test_pinned_reader_keeps_old_generation(self):
         handle = EngineHandle("old", teardown=lambda e: None)
         release = threading.Event()
@@ -393,6 +410,37 @@ class TestBudgetPoison:
         budget.renew()
         assert not budget.exhausted and not budget.poisoned
 
+    def test_fork_shares_deadline_and_poison_not_counters(self):
+        clock = FakeClock()
+        parent = QueryBudget(timeout_ms=100.0, max_candidates=2, clock=clock)
+        early = parent.fork()
+        # Independent counters under the caller's caps.
+        parent.tick_candidates(2)
+        early.tick_candidates(2)
+        with pytest.raises(BudgetExceededError):
+            early.tick_candidates()
+        assert early.exhausted and not parent.exhausted
+        # One absolute deadline, however late the fork is made.
+        clock.advance(0.09)
+        late = parent.fork()
+        assert late.remaining_ms() == pytest.approx(parent.remaining_ms())
+        clock.advance(0.02)
+        with pytest.raises(BudgetExceededError):
+            late.checkpoint()
+        assert "deadline" in late.reason
+        # Poison reaches forks made before and after the call...
+        parent = QueryBudget(timeout_ms=60_000)
+        before = parent.fork()
+        parent.poison("client disconnected")
+        after = parent.fork()
+        for fork in (before, after):
+            assert fork.poisoned and fork.reason == "client disconnected"
+            with pytest.raises(BudgetExceededError):
+                fork.tick_nodes()
+        # ...and a renewed parent does not un-poison them.
+        parent.renew()
+        assert before.poisoned and after.poisoned and before.exhausted
+
 
 class TestBreakerTimeInState:
     def test_time_in_state_tracks_transitions(self):
@@ -528,6 +576,27 @@ class TestRouterUnit:
         assert response.status == 499
         assert engine.calls == []  # never reached the engine
 
+        # The same router over a sharded engine, the client hanging up
+        # while the query is on a worker: the request's budget reaches
+        # the coordinator, its forks stop every shard at the first
+        # tick, and the answer nobody will read is a 499.
+        sharded = build_engine(tiny_bibliographic_db(), shards=2)
+        router.handle = EngineHandle(sharded, metrics=router.metrics)
+        request = Request("GET", "/search", {"q": "sleepy database"})
+        FAILPOINTS.activate(
+            "engine.search", exc=None, delay=0.2, key="sleepy database"
+        )
+        threading.Timer(0.05, request.cancel).start()
+        try:
+            response = _dispatch(router, request)
+        finally:
+            sharded.close()
+        assert response.status == 499
+        snap = sharded.metrics.snapshot()
+        assert snap["shard_query.degraded"] == snap["shard_query.count"] == 1
+        assert snap.get("shard.evaluated", 0) == 0
+        assert router.metrics.snapshot()["serve.cancelled"] == 1
+
     def test_disconnected_batch_is_499(self, router_env):
         engine, _, router = router_env
         request = Request("POST", "/batch", body={"queries": ["hi", "ho"]})
@@ -564,7 +633,7 @@ def http_server():
         port=0,
         max_concurrency=4,
         max_queue_depth=8,
-        engine_builder=lambda: KeywordSearchEngine(db),
+        engine_builder=lambda live_db: KeywordSearchEngine(live_db),
     )
     server.start_in_thread()
     yield server
@@ -706,33 +775,56 @@ class TestHttpEndToEnd:
             FAILPOINTS.deactivate("engine.search")
 
     def test_client_disconnect_cancels_request(self, http_server):
+        metrics = MetricsRegistry()
+        sharded_server = ServingServer(
+            build_engine(tiny_bibliographic_db(), shards=2, metrics=metrics),
+            port=0,
+            max_concurrency=4,
+            metrics=metrics,
+        )
+        sharded_server.start_in_thread()
         FAILPOINTS.activate(
             "engine.search", exc=None, delay=0.4, key="sleepy disconnect"
         )
         try:
-            before = _http(http_server.address, "/metrics")[1]["metrics"].get(
-                "serve.disconnects", 0
-            )
-            sock = socket.create_connection(
-                (http_server.host, http_server.port), timeout=5
-            )
-            sock.sendall(
-                b"GET /search?q=sleepy+disconnect&timeout_ms=10000 HTTP/1.1\r\n"
-                b"Host: x\r\n\r\n"
-            )
-            time.sleep(0.1)  # request reaches the worker
-            sock.close()
+            for server in (http_server, sharded_server):
+                self._disconnect_mid_query(server)
+            # Behind the coordinator too the query unwinds at its first
+            # tick instead of finishing unread work on every shard.
             deadline = time.time() + 5.0
             while time.time() < deadline:
-                now = _http(http_server.address, "/metrics")[1]["metrics"].get(
-                    "serve.disconnects", 0
-                )
-                if now > before:
+                snap = _http(sharded_server.address, "/metrics")[1]["metrics"]
+                if snap.get("serve.cancelled", 0) >= 1:
                     break
                 time.sleep(0.05)
-            assert now > before
+            assert snap.get("serve.cancelled", 0) >= 1
+            assert snap["shard_query.degraded"] == snap["shard_query.count"] == 1
+            assert snap.get("shard.evaluated", 0) == 0
         finally:
             FAILPOINTS.deactivate("engine.search")
+            sharded_server.stop()
+
+    @staticmethod
+    def _disconnect_mid_query(server):
+        before = _http(server.address, "/metrics")[1]["metrics"].get(
+            "serve.disconnects", 0
+        )
+        sock = socket.create_connection((server.host, server.port), timeout=5)
+        sock.sendall(
+            b"GET /search?q=sleepy+disconnect&timeout_ms=10000 HTTP/1.1\r\n"
+            b"Host: x\r\n\r\n"
+        )
+        time.sleep(0.1)  # request reaches the worker
+        sock.close()
+        deadline = time.time() + 5.0
+        while time.time() < deadline:
+            now = _http(server.address, "/metrics")[1]["metrics"].get(
+                "serve.disconnects", 0
+            )
+            if now > before:
+                break
+            time.sleep(0.05)
+        assert now > before
 
 
 class TestSwapDrainOutsideMutationLock:

@@ -278,6 +278,22 @@ class TestResilience:
             assert results.degraded
             assert results.degraded_reason
 
+    def test_cancelled_budget_scatters_no_work(self, biblio_db):
+        """The caller's budget reaches the shards: one poisoned before
+        the call degrades the answer and no shard evaluates anything."""
+        from repro.resilience.budget import QueryBudget
+
+        with ShardedSearchEngine(biblio_db, n_shards=4) as sharded:
+            for method in ("schema", "index_only", "banks"):
+                budget = QueryBudget(timeout_ms=60_000)
+                budget.poison("client disconnected")
+                results = sharded.search(
+                    "database keyword", k=5, method=method, budget=budget
+                )
+                assert results.degraded, method
+                assert "client disconnected" in results.degraded_reason
+            assert sharded.metrics.snapshot().get("shard.evaluated", 0) == 0
+
     def test_routed_method_fails_over(self, biblio_db, biblio_single):
         with ShardedSearchEngine(biblio_db, n_shards=4) as sharded:
             FAILPOINTS.activate(
