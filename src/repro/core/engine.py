@@ -46,8 +46,14 @@ from repro.obs.trace import Tracer, span as trace_span
 from repro.perf.batch import BatchSearchExecutor
 from repro.perf.lru import LRUCache
 from repro.perf.substrates import SubstrateCache
+from repro.query.compiler import (
+    CompiledQuery,
+    compile_query,
+    execute_rung,
+    predicate_only_results,
+)
 from repro.query.parser import StructuredQuery, parse_query
-from repro.relational.database import Database, TupleId
+from repro.relational.database import Database
 from repro.relational.schema_graph import SchemaGraph
 from repro.resilience.budget import QueryBudget, make_budget
 from repro.resilience.circuit import CircuitBreaker
@@ -59,7 +65,6 @@ from repro.resilience.errors import (
     SubstrateBuildError,
 )
 from repro.resilience.failpoints import fail_point
-from repro.schema_search.topk import topk_global_pipeline
 from repro.storage import BACKEND_NAMES
 
 #: cached_property-backed structures derived from database *contents*
@@ -423,7 +428,7 @@ class KeywordSearchEngine:
     def _parse_canonical(self, text: str) -> StructuredQuery:
         """Parse DSL text into the canonical :class:`StructuredQuery`.
 
-        Bare keyword queries go through the same cleaning the legacy
+        Bare keyword queries go through the same cleaning
         :meth:`parse` applies, so the canonical form (and therefore the
         result-cache key) is clean-invariant.  Memoised per text; the
         memo drops with the other caches whenever the database version
@@ -511,11 +516,14 @@ class KeywordSearchEngine:
 
         *text* may use the fielded query DSL (``author:smith``,
         ``year:2008..2012``, ``AND``/``OR``/``NOT``, quoted phrases,
-        ``term^2`` — see :mod:`repro.query.parser`); bare keyword
-        queries take the legacy execution path byte-identically.  An
-        already-parsed :class:`StructuredQuery` is accepted in place of
-        text (the response pipeline passes its rewritten query); a bare
-        one answers byte-identically to ``search(query.raw, ...)``.
+        ``term^2`` — see :mod:`repro.query.parser`).  Every query,
+        bare keywords included, compiles to a
+        :class:`~repro.query.compiler.CompiledQuery` and runs through
+        one lowering per method; a bare query is the one-branch case
+        with nothing to filter, weight or merge.  An already-parsed
+        :class:`StructuredQuery` is accepted in place of text (the
+        response pipeline passes its rewritten query); a bare one
+        answers byte-identically to ``search(query.raw, ...)``.
         """
         self.refresh()
         if method not in KNOWN_METHODS:
@@ -531,10 +539,6 @@ class KeywordSearchEngine:
             fallback=fallback,
             trace=trace,
         )
-
-    def search_structured(self, query: StructuredQuery, **knobs) -> ResultSet:
-        """Alias of :meth:`search` for callers holding a parsed query."""
-        return self.search(query, **knobs)
 
     def _search_impl(
         self,
@@ -625,25 +629,17 @@ class KeywordSearchEngine:
                 cache.put(key, results)
         return results.clone()
 
-    def _legacy_query(
-        self, query: StructuredQuery, tracer: Optional[Tracer] = None
-    ) -> Query:
-        """The pre-DSL :class:`Query` a canonical (already cleaned) query
-        stands for; no keywords unless the query is bare.  The canonical
-        parse is memoised outside the trace, so this also re-emits the
-        ``parse`` / ``clean`` stages: span coverage matches the legacy
-        flow without cleaning twice."""
+    def _trace_parse(self, query: StructuredQuery, tracer: Tracer) -> None:
+        """Emit the ``parse`` / ``clean`` stages for an already-parsed query.
+
+        The canonical parse is memoised outside the trace, so the spans
+        are re-emitted here; nothing is parsed or cleaned twice."""
         with trace_span(tracer, "parse") as psp:
             psp.add("keywords", sum(len(g) for g in query.groups))
             psp.tag("bare", query.is_bare)
             if self.clean_queries and query.groups:
                 with trace_span(tracer, "clean") as csp:
                     csp.tag("changed", query.cleaned_from is not None)
-        return Query(
-            raw=query.raw,
-            keywords=tuple(query.bare_keywords()) if query.is_bare else (),
-            cleaned_from=query.cleaned_from,
-        )
 
     def _run_query(
         self,
@@ -654,32 +650,12 @@ class KeywordSearchEngine:
         fallback: bool,
         tracer: Optional[Tracer] = None,
     ) -> ResultSet:
-        """Execute a canonical query: legacy path for bare, else compiled.
-
-        Bare queries re-enter the untouched pre-DSL machinery through
-        the same :class:`Query` object the legacy parse would have
-        produced, so their results stay byte-identical.
-        """
+        """Compile a canonical query onto *method* and run the ladder."""
         fail_point("engine.search", key=query.raw)
-        legacy = self._legacy_query(query, tracer)
+        if tracer is not None:
+            self._trace_parse(query, tracer)
         if query.is_empty:
             return ResultSet(method=method)
-        if query.is_bare:
-            return self._run_ladder(legacy, k, method, budget, fallback, tracer)
-        return self._run_structured(query, k, method, budget, fallback, tracer)
-
-    def _run_structured(
-        self,
-        query: StructuredQuery,
-        k: int,
-        method: str,
-        budget: Optional[QueryBudget],
-        fallback: bool,
-        tracer: Optional[Tracer] = None,
-    ) -> ResultSet:
-        """Compile the DSL constructs onto *method* and run the ladder."""
-        from repro.query.compiler import compile_query, predicate_only_results
-
         with trace_span(tracer, "compile") as csp:
             compiled = compile_query(self, query)
             csp.add("branches", len(compiled.branches))
@@ -695,14 +671,14 @@ class KeywordSearchEngine:
 
     def _run_ladder(
         self,
-        query,
+        compiled: CompiledQuery,
         k: int,
         method: str,
         budget: Optional[QueryBudget],
         fallback: bool,
         tracer: Optional[Tracer] = None,
     ) -> ResultSet:
-        """Walk the degradation ladder for a parsed (or compiled) query.
+        """Walk the degradation ladder for a compiled query.
 
         Each rung goes through :meth:`_execute_rung`; a rung counts as
         degraded when its budget ran out or the executor reported
@@ -715,7 +691,7 @@ class KeywordSearchEngine:
                 budget.renew()
             is_last = i == len(chain) - 1
             try:
-                results, reasons = self._execute_rung(query, k, rung, budget, tracer)
+                results, reasons = self._execute_rung(compiled, k, rung, budget, tracer)
             except BudgetExceededError as exc:
                 # Exhaustion escaped an algorithm with no partial answer.
                 last_reason = str(exc)
@@ -756,7 +732,7 @@ class KeywordSearchEngine:
 
     def _execute_rung(
         self,
-        query,
+        compiled: CompiledQuery,
         k: int,
         rung: str,
         budget: Optional[QueryBudget],
@@ -764,36 +740,12 @@ class KeywordSearchEngine:
     ) -> Tuple[List[SearchResult], Sequence[str]]:
         """The execute seam: run one ladder rung, here and now.
 
-        *query* is a legacy :class:`Query` (bare keywords, the
-        untouched per-method paths) or a
-        :class:`~repro.query.compiler.CompiledQuery` (structured, the
-        branch executor).  Returns the rung's results plus the reasons,
-        if any, the answer is partial for a cause other than *budget*
-        running out — none for this local executor.
+        Returns the rung's results plus the reasons, if any, the answer
+        is partial for a cause other than *budget* running out — none
+        for this local executor
+        (:func:`repro.query.compiler.execute_rung`).
         """
-        if isinstance(query, Query):
-            return self._dispatch(query, k, rung, budget, tracer), ()
-        from repro.query.compiler import execute_structured
-
-        return execute_structured(self, query, k, rung, budget, tracer), ()
-
-    def _dispatch(
-        self,
-        query: Query,
-        k: int,
-        method: str,
-        budget: Optional[QueryBudget],
-        tracer: Optional[Tracer] = None,
-    ) -> List[SearchResult]:
-        fail_point("engine.method", key=method)
-        if method == "schema":
-            return self._search_schema(query, k, budget, tracer)
-        if method == "index_only":
-            return self._search_index_only(query, k, budget, tracer)
-        from repro.query.compiler import graph_results
-
-        # The graph family; raises QueryParseError for an unknown method.
-        return graph_results(self, None, query.keywords, k, method, budget, tracer)
+        return execute_rung(self, compiled, k, rung, budget, tracer), ()
 
     def search_many(
         self,
@@ -840,80 +792,6 @@ class KeywordSearchEngine:
             fallback=fallback,
             raise_on_error=raise_on_error,
         )
-
-    def _search_schema(
-        self,
-        query: Query,
-        k: int,
-        budget: Optional[QueryBudget] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> List[SearchResult]:
-        keywords = list(query.keywords)
-        with trace_span(tracer, "substrate_build") as ssp:
-            tuple_sets = self.substrates.tuple_sets(keywords)
-            ssp.add("tuple_set_keys", len(tuple_sets.non_free_keys()))
-        with trace_span(tracer, "cn_enumerate") as nsp:
-            cns = self.substrates.candidate_networks(
-                keywords, self.max_cn_size, budget=budget
-            )
-            nsp.add("cns", len(cns))
-        if not cns:
-            return []
-        result = topk_global_pipeline(
-            cns, tuple_sets, self.index, keywords, k=k, budget=budget, tracer=tracer
-        )
-        self._record_sharing(result.stats)
-        return [
-            SearchResult(score=score, network=label, joined=joined)
-            for score, label, joined in result.results
-        ]
-
-    def _search_index_only(
-        self,
-        query: Query,
-        k: int,
-        budget: Optional[QueryBudget] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> List[SearchResult]:
-        """Terminal ladder rung: score single tuples, no joins, no graph.
-
-        Every tuple matching any keyword is scored with the same
-        monotonic TF·IDF the CN pipeline uses; the top-k single-tuple
-        answers come back.  Cheap enough to finish under any budget
-        that permits k candidate scorings.
-        """
-        from repro.schema_search.scoring import tuple_score
-
-        keywords = list(query.keywords)
-        with trace_span(tracer, "substrate_build"):
-            index = self.index
-        scored: Dict[TupleId, float] = {}
-        with trace_span(tracer, "evaluate") as esp:
-            try:
-                for keyword in keywords:
-                    for tid in index.matching_tuples_view(keyword.lower()):
-                        if tid in scored:
-                            continue
-                        if budget is not None:
-                            budget.tick_candidates()
-                        scored[tid] = tuple_score(index, tid, keywords)
-            except BudgetExceededError:
-                pass  # partial scoring; caller sees budget.exhausted
-            esp.add("tuples_scored", len(scored))
-        with trace_span(tracer, "topk") as tsp:
-            top = sorted(scored.items(), key=lambda item: (-item[1], item[0]))[:k]
-            out = []
-            for tid, score in top:
-                joined = self._tree_to_joined({tid})
-                out.append(
-                    SearchResult(
-                        score=score,
-                        network=f"index-only({tid.table})",
-                        joined=joined,
-                    )
-                )
-            tsp.add("results", len(out))
-        return out
 
     def _tree_to_joined(self, nodes) -> "JoinedRow":
         from repro.relational.executor import JoinedRow

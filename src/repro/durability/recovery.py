@@ -177,6 +177,7 @@ def recover_engine(
     root_dir: str,
     metrics: Optional[MetricsRegistry] = None,
     trace: bool = True,
+    engine_builder=None,
     **engine_kwargs,
 ):
     """Recover and serve: returns ``(engine, RecoveryResult)``.
@@ -186,12 +187,19 @@ def recover_engine(
     incremental ``refresh()`` path live inserts use (a sharded engine
     routes them to their shards there).  Search results afterwards are
     byte-identical to a fresh engine over the same logical contents
-    (the PR 4 refresh-parity guarantee).  *engine_kwargs* go to
-    :func:`~repro.core.factory.build_engine`.
+    (the PR 4 refresh-parity guarantee).  *engine_builder* — a callable
+    taking the database — constructs the engine; a live server passes
+    its own generation builder so the recovered engine keeps the shape
+    (shards, partitioner, backend) of the one it replaces.  Without
+    one, *engine_kwargs* go to :func:`~repro.core.factory.build_engine`.
     """
     from repro.core.factory import build_engine
 
     metrics = metrics if metrics is not None else MetricsRegistry()
+    if engine_builder is None:
+        engine_builder = lambda db: build_engine(
+            db, metrics=metrics, **engine_kwargs
+        )
     store = SnapshotStore(
         os.path.join(root_dir, SNAPSHOT_SUBDIR), metrics=metrics
     )
@@ -200,7 +208,7 @@ def recover_engine(
     info = store.latest()
     if info is not None:
         db, _ = store.load(info)
-        engine = build_engine(db, metrics=metrics, **engine_kwargs)
+        engine = engine_builder(db)
         engine.warm()  # index the snapshot state, pre-replay
 
     # With a snapshot, replay mutates the database the engine already
@@ -215,7 +223,7 @@ def recover_engine(
     )
     log.close()
     if engine is None:
-        engine = build_engine(result.db, metrics=metrics, **engine_kwargs)
+        engine = engine_builder(result.db)
         engine.warm()
     return engine, result
 

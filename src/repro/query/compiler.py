@@ -1,7 +1,11 @@
-"""Lower a :class:`StructuredQuery` onto the existing search methods.
+"""Lower a :class:`StructuredQuery` onto the search methods — the one
+lowering every query takes, bare keywords included.
 
-The compiler maps each DSL construct onto the machinery the engine
-already has, without touching the bare-keyword code paths:
+A bare keyword query is the degenerate compiled query: one branch (the
+token stream as typed), no weights, no row filter, no phrases.  The
+engine's execute seam hands every ladder rung to :func:`execute_rung`;
+the sharded coordinator scatters ``schema`` / ``index_only`` rungs over
+the same building blocks and routes the rest through it.
 
 ========================  ==================================================
 construct                 lowering
@@ -17,8 +21,8 @@ field/range predicates    per-table allowed-row bitsets applied to every
                           by tree weight and ignore weights (graceful)
 ``OR`` groups             CNF groups expand into a capped cross-product of
                           conjunctive *branches*; each branch runs through
-                          the untouched conjunctive machinery and branch
-                          results merge by max-score per tuple signature
+                          the conjunctive machinery and branch results
+                          merge by max-score per tuple signature
 ``NOT term``              rows containing the term are banned from tuple
                           sets / seeds, plus the result post-filter
 phrases                   phrase tokens join the conjunctive keywords;
@@ -31,17 +35,29 @@ banks/banks2/steiner/distinct_root/ease) still honour predicates,
 NOT and phrases through seed filtering + the result post-filter; only
 term weights are ignored there because their scores are tree weights,
 not TF·IDF.
+
+:func:`merge_branch_results` (post-filter, dedup on tuple signature,
+``(-score, signature)`` order) is skipped exactly when the query is
+bare: a bare answer keeps its executor's own order and duplicates.
+Merging would change it — on 2 170 random bare (query, method, k) cases
+over biblio-150/300 it dedups or re-orders 732 (rooted answers over one
+node set, one tuple set reached through two CNs, ties the executors
+break by label) — so the rule is read off the query, not offered as an
+option.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.core.results import SearchResult
 from repro.index.text import tokenize
+from repro.obs.trace import span as trace_span
 from repro.relational.database import TupleId
-from repro.resilience.errors import QueryParseError
+from repro.resilience.errors import BudgetExceededError, QueryParseError
+from repro.resilience.failpoints import fail_point
 from repro.schema_search.candidate_networks import generate_candidate_networks
 from repro.schema_search.scoring import tuple_score
 from repro.schema_search.topk import topk_global_pipeline
@@ -283,6 +299,11 @@ class CompiledQuery:
             return index
         return WeightedIndexView(index, self.weights)
 
+    @property
+    def allows(self):
+        """The row filter's ``allows(tid)``, or None when every row passes."""
+        return None if self.row_filter is None else self.row_filter.allows
+
     # -- result post-filters ------------------------------------------
     def result_ok(self, result) -> bool:
         rows = result.joined.distinct_rows()
@@ -311,6 +332,10 @@ def compile_query(
 ) -> CompiledQuery:
     """Compile against a concrete engine (schema + index).
 
+    A bare query compiles to one branch, its token stream as typed: a
+    repeated keyword stays repeated (it counts twice in TF·IDF, as it
+    always has), where a DSL branch lists each token once.
+
     Raises :class:`QueryParseError` for unknown fields or an OR
     cross-product beyond *max_branches*.
     """
@@ -328,11 +353,10 @@ def compile_query(
                 )
     branches: List[Tuple[str, ...]] = []
     if query.groups:
+        bare = query.is_bare
         for choice in product(*query.groups):
-            seen: Dict[str, None] = {}
-            for term in choice:
-                seen.setdefault(term.token)
-            branches.append(tuple(seen))
+            tokens = [term.token for term in choice]
+            branches.append(tuple(tokens if bare else dict.fromkeys(tokens)))
     return CompiledQuery(
         query=query,
         branches=tuple(branches),
@@ -344,34 +368,46 @@ def compile_query(
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-def execute_structured(engine, compiled, k, method, budget=None, tracer=None):
-    """Run every branch through *method* and merge the branch top-ks.
+def execute_rung(engine, compiled, k, method, budget=None, tracer=None):
+    """The local executor: run every branch through *method*, then merge.
 
-    Returns a plain list of SearchResults (the engine wraps them in a
-    ResultSet with degradation metadata, mirroring ``_dispatch``).
-    Deduplication across branches keeps the best score per tuple
-    signature; ordering is (score desc, tuple ids) — deterministic and
-    identical for cached/uncached and sharded/unsharded execution.
+    The one place a ladder rung executes in this process, for every
+    query shape — which is why the ``engine.method`` failpoint lives
+    here.  Returns a plain list of SearchResults (the engine wraps them
+    in a ResultSet with degradation metadata).
     """
-    from repro.obs.trace import span as trace_span
-
+    fail_point("engine.method", key=method)
     gathered = []
     for branch in compiled.branches:
         with trace_span(tracer, "branch") as bsp:
             bsp.tag("keywords", " ".join(branch))
-            gathered.extend(
-                _run_branch(engine, compiled, branch, k, method, budget, tracer)
-            )
+            keywords = list(branch)
+            if method == "schema":
+                found = _branch_schema(engine, compiled, keywords, k, budget, tracer)
+            elif method == "index_only":
+                found = _branch_index_only(
+                    engine, compiled, keywords, k, budget, tracer
+                )
+            else:
+                found = graph_results(
+                    engine, compiled.allows, keywords, k, method, budget, tracer
+                )
+            gathered.extend(found)
     return merge_branch_results(gathered, compiled, k)
 
 
 def merge_branch_results(results, compiled, k):
     """Post-filter, dedup and order results — one rule for every path.
 
-    Shared by :func:`execute_structured` and the sharding
-    coordinator's structured gather, so sharded and single-engine
-    answers to the same structured query sort identically.
+    Shared by :func:`execute_rung` and the sharding coordinator's
+    gathers, so sharded and single-engine answers to the same query
+    sort identically.  A bare query has one branch and nothing to
+    post-filter: its answers stand as the executor ranked them.
+    Deduplication across branches keeps the best score per tuple
+    signature; ordering is (score desc, tuple ids).
     """
+    if compiled.query.is_bare:
+        return results
     merged: Dict[Tuple, object] = {}
     for result in results:
         if not compiled.result_ok(result):
@@ -391,8 +427,6 @@ def predicate_only_results(engine, compiled, k):
     ``field:value`` query degrades gracefully to the satisfying rows
     themselves, one single-tuple answer per row, in tuple-id order.
     """
-    from repro.core.results import SearchResult
-
     row_filter = compiled.row_filter
     if row_filter is None or not row_filter.allowed:
         return []
@@ -418,16 +452,6 @@ def predicate_only_results(engine, compiled, k):
     return out
 
 
-def _run_branch(engine, compiled, keywords, k, method, budget, tracer):
-    if method == "schema":
-        return _branch_schema(engine, compiled, keywords, k, budget, tracer)
-    if method == "index_only":
-        return _branch_index_only(engine, compiled, keywords, k, budget, tracer)
-    return graph_results(
-        engine, compiled.row_filter, keywords, k, method, budget, tracer
-    )
-
-
 def structured_substrates(engine, compiled, keywords, budget=None, tracer=None):
     """(tuple_sets, cns, index_view) for one conjunctive branch.
 
@@ -435,9 +459,6 @@ def structured_substrates(engine, compiled, keywords, budget=None, tracer=None):
     scattered CN plans carry the *filtered* tuple sets — predicates
     ride to the shards instead of being re-checked at the gather.
     """
-    from repro.obs.trace import span as trace_span
-
-    keywords = list(keywords)
     with trace_span(tracer, "substrate_build") as ssp:
         base = engine.substrates.tuple_sets(keywords)
         if compiled.row_filter is not None:
@@ -464,10 +485,15 @@ def structured_substrates(engine, compiled, keywords, budget=None, tracer=None):
     return tuple_sets, cns, compiled.index_view(engine.index)
 
 
-def _branch_schema(engine, compiled, keywords, k, budget, tracer):
-    from repro.core.results import SearchResult
+def schema_results(rows):
+    """``(score, label, joined)`` rows off a top-k heap as SearchResults."""
+    return [
+        SearchResult(score=score, network=label, joined=joined)
+        for score, label, joined in rows
+    ]
 
-    keywords = list(keywords)
+
+def _branch_schema(engine, compiled, keywords, k, budget, tracer):
     tuple_sets, cns, index = structured_substrates(
         engine, compiled, keywords, budget=budget, tracer=tracer
     )
@@ -477,35 +503,34 @@ def _branch_schema(engine, compiled, keywords, k, budget, tracer):
         cns, tuple_sets, index, keywords, k=k, budget=budget, tracer=tracer
     )
     engine._record_sharing(result.stats)
-    return [
-        SearchResult(score=score, network=label, joined=joined)
-        for score, label, joined in result.results
-    ]
+    return schema_results(result.results)
 
 
-def _branch_index_only(engine, compiled, keywords, k, budget, tracer):
-    from repro.core.results import SearchResult
-    from repro.obs.trace import span as trace_span
-    from repro.resilience.errors import BudgetExceededError
+def score_matching_tuples(index, keywords, allows=None, budget=None):
+    """``index_only`` scoring: every tuple matching any keyword, once.
 
-    index = compiled.index_view(engine.index)
-    row_filter = compiled.row_filter
-    keywords = list(keywords)
+    Scores with the same monotonic TF·IDF the CN pipeline uses (through
+    *index*, so a weighted view weights it), skipping tuples *allows*
+    rejects — the row filter, a shard's ownership, or both.  One
+    ``tick_candidates`` per scored tuple; on exhaustion the partial map
+    comes back and the caller sees ``budget.exhausted``.
+    """
     scored: Dict[TupleId, float] = {}
-    with trace_span(tracer, "evaluate") as esp:
-        try:
-            for keyword in keywords:
-                for tid in engine.index.matching_tuples_view(keyword.lower()):
-                    if tid in scored:
-                        continue
-                    if row_filter is not None and not row_filter.allows(tid):
-                        continue
-                    if budget is not None:
-                        budget.tick_candidates()
-                    scored[tid] = tuple_score(index, tid, keywords)
-        except BudgetExceededError:
-            pass  # partial scoring; caller sees budget.exhausted
-        esp.add("tuples_scored", len(scored))
+    try:
+        for keyword in keywords:
+            for tid in index.matching_tuples_view(keyword.lower()):
+                if tid in scored or (allows is not None and not allows(tid)):
+                    continue
+                if budget is not None:
+                    budget.tick_candidates()
+                scored[tid] = tuple_score(index, tid, keywords)
+    except BudgetExceededError:
+        pass
+    return scored
+
+
+def index_only_results(engine, scored, k):
+    """Top-*k* of a scored-tuple map, ``(-score, tid)`` order, wrapped."""
     top = sorted(scored.items(), key=lambda item: (-item[1], item[0]))[:k]
     return [
         SearchResult(
@@ -517,40 +542,49 @@ def _branch_index_only(engine, compiled, keywords, k, budget, tracer):
     ]
 
 
-def filtered_keyword_groups(engine, row_filter, keywords):
+def _branch_index_only(engine, compiled, keywords, k, budget, tracer):
+    """Terminal ladder rung: single tuples, no joins, no graph — cheap
+    enough to finish under any budget that permits k candidate scorings."""
+    with trace_span(tracer, "substrate_build"):
+        index = compiled.index_view(engine.index)
+    with trace_span(tracer, "evaluate") as esp:
+        scored = score_matching_tuples(index, keywords, compiled.allows, budget)
+        esp.add("tuples_scored", len(scored))
+    with trace_span(tracer, "topk") as tsp:
+        out = index_only_results(engine, scored, k)
+        tsp.add("results", len(out))
+    return out
+
+
+def filtered_keyword_groups(engine, allows, keywords):
     """Keyword-match seed groups with banned/filtered rows removed.
 
     Returns ``None`` when a keyword has no (surviving) matches — AND
-    semantics then yields no answers, same as the legacy groups path.
+    semantics then yields no answers.
     """
     groups = engine.substrates.keyword_groups(list(keywords))
-    if groups is None or row_filter is None:
+    if groups is None or allows is None:
         return groups
-    allows = row_filter.allows
     filtered = [[tid for tid in group if allows(tid)] for group in groups]
     if any(not group for group in filtered):
         return None
     return filtered
 
 
-def graph_results(engine, row_filter, keywords, k, method, budget, tracer):
+def graph_results(engine, allows, keywords, k, method, budget, tracer):
     """Graph-family lowering: seed groups -> algorithm -> SearchResults.
 
-    The one lowering for bare queries (``row_filter=None``) and DSL
-    branches alike.  Term weights do not lower here (scores are tree
-    weights); phrase and predicate semantics are enforced by seed
-    filtering plus the shared result post-filter in
-    :func:`execute_structured`.
+    Term weights do not lower here (scores are tree weights); phrase
+    and predicate semantics are enforced by seed filtering (*allows*)
+    plus the shared result post-filter in :func:`merge_branch_results`.
     """
-    from repro.core.results import SearchResult
     from repro.graph_search.banks import banks_backward, banks_bidirectional
     from repro.graph_search.ease import r_radius_steiner_graphs
     from repro.graph_search.semantics import distinct_root_results
     from repro.graph_search.steiner import group_steiner_dp
-    from repro.obs.trace import span as trace_span
 
     with trace_span(tracer, "substrate_build") as ssp:
-        groups = filtered_keyword_groups(engine, row_filter, keywords)
+        groups = filtered_keyword_groups(engine, allows, keywords)
         ssp.add("keyword_groups", len(groups) if groups else 0)
     if groups is None:
         return []

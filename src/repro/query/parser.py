@@ -24,9 +24,9 @@ result-cache key, span tags, ``search --json`` and the HTTP API all
 speak this one object.
 
 Bare keyword queries — no operators, fields, phrases or weights — are
-guaranteed to normalise to exactly the legacy token stream
-(:func:`repro.index.text.tokenize`), so :attr:`StructuredQuery.is_bare`
-gates a byte-identical legacy execution path.
+guaranteed to normalise to exactly the plain token stream
+(:func:`repro.index.text.tokenize`); :attr:`StructuredQuery.is_bare`
+marks them, and the compiler lowers one as a single branch.
 """
 
 from __future__ import annotations
@@ -132,8 +132,8 @@ class StructuredQuery:
     def is_bare(self) -> bool:
         """True when this is a plain keyword query with no DSL constructs.
 
-        Bare queries take the legacy execution path and are
-        byte-identical to the pre-DSL engine.
+        A bare query compiles to one branch with nothing to filter,
+        weight or merge (see :mod:`repro.query.compiler`).
         """
         return (
             not self.excluded

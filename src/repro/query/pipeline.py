@@ -418,8 +418,7 @@ def execute_pipeline(
     """Parse → expand → search → facets/highlights, as one response.
 
     With every knob off this is exactly ``engine.search(text, ...)``
-    plus the parsed query echo — bare queries stay byte-identical to
-    legacy search.
+    plus the parsed query echo.
     """
     query: StructuredQuery = engine._parse_canonical(text)
     knobs = parse_expand(expand)

@@ -684,13 +684,19 @@ class Router:
         Exercises the full durability path on a live server: snapshot
         the current state, replay it back through
         :func:`~repro.durability.recovery.recover_engine`, and serve
-        the recovered engine.  The WAL handle stays with the existing
-        :class:`DurableEngine`; only the serving engine is replaced.
+        the recovered engine — built by the same ``engine_builder`` a
+        ``rebuild`` swap uses, so it keeps the serving engine's shard
+        count, partitioner and backend.  The WAL handle stays with the
+        existing :class:`DurableEngine`; only the serving engine is
+        replaced.
         """
         from repro.durability.recovery import recover_engine
 
         self.durable.snapshot()
         engine, _ = recover_engine(
-            self.durable.root_dir, metrics=self.metrics, trace=False
+            self.durable.root_dir,
+            metrics=self.metrics,
+            trace=False,
+            engine_builder=self.engine_builder,
         )
         return engine

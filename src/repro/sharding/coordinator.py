@@ -41,12 +41,19 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.engine import KeywordSearchEngine
-from repro.core.query import Query
 from repro.core.results import SearchResult
 from repro.distributed.selection import DatabaseSummary, rank_databases
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, span as trace_span
 from repro.perf.lru import LRUCache
+from repro.query.compiler import (
+    CompiledQuery,
+    index_only_results,
+    merge_branch_results,
+    schema_results,
+    score_matching_tuples,
+    structured_substrates,
+)
 from repro.relational.database import Database, TupleId
 from repro.relational.executor import JoinStats
 from repro.resilience.budget import QueryBudget
@@ -55,11 +62,7 @@ from repro.resilience.errors import BudgetExceededError, QueryParseError
 from repro.resilience.failpoints import fail_point
 from repro.schema_search.topk import CNQueryContext
 from repro.sharding.partition import Shard, build_shards, make_partitioner
-from repro.sharding.scatter import (
-    GlobalTopK,
-    scatter_index_only,
-    scatter_schema,
-)
+from repro.sharding.scatter import GlobalTopK, scatter_schema
 
 #: Methods whose evaluation is scattered across shard anchor slices;
 #: the remaining KNOWN_METHODS are routed to one shard worker.
@@ -239,7 +242,7 @@ class ShardedSearchEngine(KeywordSearchEngine):
     # ------------------------------------------------------------------
     def _execute_rung(
         self,
-        query,
+        compiled: CompiledQuery,
         k: int,
         rung: str,
         budget: Optional[QueryBudget],
@@ -248,25 +251,25 @@ class ShardedSearchEngine(KeywordSearchEngine):
         """Scatter what partitions by anchor tuple; route the rest whole.
 
         Single-branch, phrase-free ``schema`` / ``index_only`` rungs
-        scatter — a compiled row filter rides to the shards inside the
-        plans (filtered tuple sets) or the ownership callable, and the
-        gather applies the same merge rule as the local executor.
-        OR-branches and phrase constraints post-filter top-k streams,
-        which would under-fill a scattered global k, and graph answers
-        are not partition-local: those run whole on one shard slot.
+        scatter — a row filter rides to the shards inside the plans
+        (filtered tuple sets) or the ownership callable, and the gather
+        applies the same merge rule as the local executor.  OR-branches
+        and phrase constraints post-filter top-k streams, which would
+        under-fill a scattered global k, and graph answers are not
+        partition-local: those run whole on one shard slot, through the
+        inherited local executor.
         """
-        if isinstance(query, Query):
-            compiled, keywords, scatterable = None, list(query.keywords), True
-        else:
-            compiled, keywords = query, list(query.branches[0])
-            scatterable = len(query.branches) == 1 and not query.query.phrases
-        if scatterable and rung == "schema":
-            return self._scatter_schema(keywords, k, budget, tracer, compiled)
-        if scatterable and rung == "index_only":
-            return self._scatter_index_only(keywords, k, budget, tracer, compiled)
+        keywords = list(compiled.branches[0])
+        if len(compiled.branches) == 1 and not compiled.query.phrases:
+            if rung == "schema":
+                return self._scatter_schema(compiled, keywords, k, budget, tracer)
+            if rung == "index_only":
+                return self._scatter_index_only(
+                    compiled, keywords, k, budget, tracer
+                )
         local = super()._execute_rung
         return self._route(
-            keywords, lambda fork: local(query, k, rung, fork)[0], budget, tracer
+            keywords, lambda fork: local(compiled, k, rung, fork)[0], budget, tracer
         )
 
     # ------------------------------------------------------------------
@@ -274,25 +277,16 @@ class ShardedSearchEngine(KeywordSearchEngine):
     # ------------------------------------------------------------------
     def _scatter_schema(
         self,
+        compiled: CompiledQuery,
         keywords: List[str],
         k: int,
         budget: Optional[QueryBudget],
         tracer: Optional[Tracer],
-        compiled=None,
     ) -> Tuple[List[SearchResult], List[str]]:
         with trace_span(tracer, "plan") as psp:
-            if compiled is not None:
-                from repro.query.compiler import structured_substrates
-
-                tuple_sets, cns, index = structured_substrates(
-                    self, compiled, keywords, budget=budget
-                )
-            else:
-                tuple_sets = self.substrates.tuple_sets(keywords)
-                cns = self.substrates.candidate_networks(
-                    keywords, self.max_cn_size, budget=budget
-                )
-                index = self.index
+            tuple_sets, cns, index = structured_substrates(
+                self, compiled, keywords, budget=budget, tracer=tracer
+            )
             context = CNQueryContext(cns, tuple_sets, index, keywords)
             psp.add("cns", len(cns))
         reasons: List[str] = []
@@ -322,68 +316,48 @@ class ShardedSearchEngine(KeywordSearchEngine):
                     self.metrics.inc("shard.pruned", run.pruned)
             self._record_sharing(merged)
             with trace_span(tracer, "gather") as gsp:
-                results = [
-                    SearchResult(score=score, network=label, joined=joined)
-                    for score, label, joined in gtopk.sorted_results()
-                ]
-                if compiled is not None:
-                    from repro.query.compiler import merge_branch_results
-
-                    results = merge_branch_results(results, compiled, k)
+                results = merge_branch_results(
+                    schema_results(gtopk.sorted_results()), compiled, k
+                )
                 gsp.add("results", len(results)).add("offers", gtopk.offers)
         return results, reasons
 
     def _scatter_index_only(
         self,
+        compiled: CompiledQuery,
         keywords: List[str],
         k: int,
         budget: Optional[QueryBudget],
         tracer: Optional[Tracer],
-        compiled=None,
     ) -> Tuple[List[SearchResult], List[str]]:
+        """Each shard scores its home tuples straight off the global index.
+
+        The home partition makes per-shard score maps disjoint, so their
+        union equals the single-engine scored map exactly.
+        """
         with trace_span(tracer, "plan"):
-            if compiled is not None:
-                index = compiled.index_view(self.index)
-                row_filter = compiled.row_filter
-            else:
-                index = self.index
-                row_filter = None
-        scored: Dict[TupleId, float] = {}
+            index = compiled.index_view(self.index)
+            allows = compiled.allows
 
         def fn(shard: Shard, fork, sp):
             owns = shard.owns
-            if row_filter is not None:
-                allows = row_filter.allows
-                base_owns = shard.owns
-                owns = lambda tid: base_owns(tid) and allows(tid)
-            run, shard_scored = scatter_index_only(
-                shard.shard_id, owns, index, keywords, fork
-            )
-            sp.add("evaluated", run.evaluated)
-            return run, shard_scored
+            mine = owns if allows is None else lambda tid: owns(tid) and allows(tid)
+            shard_scored = score_matching_tuples(index, keywords, mine, fork)
+            sp.add("evaluated", len(shard_scored))
+            return shard_scored
 
+        scored: Dict[TupleId, float] = {}
         reasons = []
         for outcome in self._scatter(fn, budget, tracer):
             if outcome.reason is not None:
                 reasons.append(outcome.reason)
             if outcome.payload is not None:
-                run, shard_scored = outcome.payload
-                self.metrics.inc("shard.evaluated", run.evaluated)
-                scored.update(shard_scored)
+                self.metrics.inc("shard.evaluated", len(outcome.payload))
+                scored.update(outcome.payload)
         with trace_span(tracer, "gather") as gsp:
-            top = sorted(scored.items(), key=lambda item: (-item[1], item[0]))[:k]
-            results = [
-                SearchResult(
-                    score=score,
-                    network=f"index-only({tid.table})",
-                    joined=self._tree_to_joined({tid}),
-                )
-                for tid, score in top
-            ]
-            if compiled is not None:
-                from repro.query.compiler import merge_branch_results
-
-                results = merge_branch_results(results, compiled, k)
+            results = merge_branch_results(
+                index_only_results(self, scored, k), compiled, k
+            )
             gsp.add("results", len(results))
         return results, reasons
 

@@ -24,14 +24,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from repro.index.inverted import InvertedIndex
 from repro.relational.database import TupleId
 from repro.relational.executor import JoinedRow, JoinStats
 from repro.resilience.budget import QueryBudget
-from repro.resilience.errors import BudgetExceededError
-from repro.schema_search.scoring import tuple_score
 from repro.schema_search.topk import CNQueryContext, _TopKHeap, run_bound_ordered
 
 
@@ -66,10 +63,7 @@ class ShardRunStats:
     shard_id: int
     evaluated: int = 0  # candidate results produced and offered
     pruned: int = 0  # anchor slots skipped via the global threshold
-    batches: int = 0
     cns: int = 0  # CNs with a non-empty anchor slice on this shard
-    exhausted: bool = False  # per-shard budget ran out
-    reason: Optional[str] = None
     join_stats: JoinStats = field(default_factory=JoinStats)
 
 
@@ -83,8 +77,8 @@ def scatter_schema(
     """Evaluate this shard's anchor slices against the global threshold.
 
     Skipped anchor slots are accounted as ``pruned``; budget exhaustion
-    returns the partial stats with ``exhausted`` set — never an
-    exception.
+    returns the partial stats — never an exception — and the caller
+    reads it off *budget* (the shard's fork).
     """
     run = ShardRunStats(shard_id)
     cursors = context.cursors(anchor_filter=owns)
@@ -94,37 +88,4 @@ def scatter_schema(
     )
     run.evaluated = done.produced
     run.pruned = done.pruned
-    run.batches = done.batches
-    if done.exhausted:
-        run.exhausted = True
-        run.reason = budget.reason if budget is not None else "budget exhausted"
     return run
-
-
-def scatter_index_only(
-    shard_id: int,
-    owns: Callable[[TupleId], bool],
-    index: InvertedIndex,
-    keywords: Sequence[str],
-    budget: Optional[QueryBudget] = None,
-) -> Tuple[ShardRunStats, Dict[TupleId, float]]:
-    """Score this shard's home tuples straight off the global index.
-
-    The home partition makes per-shard score maps disjoint, so the
-    coordinator's union equals the single-engine scored map exactly.
-    """
-    run = ShardRunStats(shard_id)
-    scored: Dict[TupleId, float] = {}
-    try:
-        for keyword in keywords:
-            for tid in index.matching_tuples_view(keyword.lower()):
-                if tid in scored or not owns(tid):
-                    continue
-                if budget is not None:
-                    budget.tick_candidates()
-                scored[tid] = tuple_score(index, tid, keywords)
-                run.evaluated += 1
-    except BudgetExceededError:
-        run.exhausted = True
-        run.reason = budget.reason if budget is not None else "budget exhausted"
-    return run, scored

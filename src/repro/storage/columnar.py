@@ -98,6 +98,25 @@ def distinct_count(entries: Sequence[Entry]) -> int:
     return seen
 
 
+def entries_to_view(entries: Sequence[Entry], table_names: Sequence[str]) -> TokenView:
+    """Decoded ``(table_idx, rowid, col, freq)`` entries as a TokenView
+    (row-major order kept, term frequency summed over a row's columns)."""
+    matching: List[TupleId] = []
+    tf: Dict[TupleId, int] = {}
+    last: Optional[Tuple[int, int]] = None
+    tid: Optional[TupleId] = None
+    for table_idx, rowid, _col, freq in entries:
+        key = (table_idx, rowid)
+        if key != last:
+            tid = TupleId(table_names[table_idx], rowid)
+            matching.append(tid)
+            tf[tid] = freq
+            last = key
+        else:
+            tf[tid] = tf[tid] + freq
+    return TokenView(tuple(matching), tf)
+
+
 class ColumnarBackend(StorageBackend):
     """Interned-id, delta+varint coded in-memory substrate."""
 
@@ -232,26 +251,9 @@ class ColumnarBackend(StorageBackend):
         if token_id is None:
             return None
         entries, _ = decode_token_entries(self._blobs[token_id])
-        view = self._entries_to_view(entries)
+        view = entries_to_view(entries, self._table_names)
         self._hot.put(token, view)
         return view
-
-    def _entries_to_view(self, entries: Sequence[Entry]) -> TokenView:
-        names = self._table_names
-        matching: List[TupleId] = []
-        tf: Dict[TupleId, int] = {}
-        last: Optional[Tuple[int, int]] = None
-        tid: Optional[TupleId] = None
-        for table_idx, rowid, _col, freq in entries:
-            key = (table_idx, rowid)
-            if key != last:
-                tid = TupleId(names[table_idx], rowid)
-                matching.append(tid)
-                tf[tid] = freq
-                last = key
-            else:
-                tf[tid] = tf[tid] + freq
-        return TokenView(tuple(matching), tf)
 
     def _row_token_ids(self, tid: TupleId) -> Optional[List[int]]:
         table_idx = self._table_ids.get(tid.table)

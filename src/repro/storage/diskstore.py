@@ -47,7 +47,11 @@ from repro.storage.base import (
     TokenView,
     TokenViewCache,
 )
-from repro.storage.columnar import ColumnarBackend, decode_token_entries
+from repro.storage.columnar import (
+    ColumnarBackend,
+    decode_token_entries,
+    entries_to_view,
+)
 from repro.storage.varint import decode_run
 
 MAGIC = b"RKWSEG01"
@@ -417,7 +421,7 @@ class DiskBackend(StorageBackend):
             blob = self._item(self._token_dir[token_id])
             if blob:
                 entries, _ = decode_token_entries(blob)
-                base_view = self._entries_to_view(entries)
+                base_view = entries_to_view(entries, self._tables)
         delta_view = (
             self._delta._view(token) if self._delta.has_token(token) else None
         )
@@ -438,23 +442,6 @@ class DiskBackend(StorageBackend):
             merged = TokenView(tuple(matching), tf)
         self._hot.put(token, merged)
         return merged
-
-    def _entries_to_view(self, entries) -> TokenView:
-        names = self._tables
-        matching: List[TupleId] = []
-        tf: Dict[TupleId, int] = {}
-        last = None
-        tid: Optional[TupleId] = None
-        for table_idx, rowid, _col, freq in entries:
-            key = (table_idx, rowid)
-            if key != last:
-                tid = TupleId(names[table_idx], rowid)
-                matching.append(tid)
-                tf[tid] = freq
-                last = key
-            else:
-                tf[tid] = tf[tid] + freq
-        return TokenView(tuple(matching), tf)
 
     # ------------------------------------------------------------------
     # Lookup

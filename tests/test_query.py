@@ -536,7 +536,7 @@ class TestPipeline:
 class TestEngineSurface:
     def test_search_structured_entry(self, engine):
         query = engine._parse_canonical("author:john")
-        direct = engine.search_structured(query, k=5)
+        direct = engine.search(query, k=5)
         via_text = engine.search("author:john", k=5)
         assert _signature(direct) == _signature(via_text)
 

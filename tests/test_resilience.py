@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
+from repro.core.factory import build_engine
 from repro.core.results import ResultSet
 from repro.core.xml_engine import XmlSearchEngine
 from repro.datasets.bibliographic import tiny_bibliographic_db
@@ -245,6 +246,18 @@ class TestDegradedSearch:
 # ----------------------------------------------------------------------
 # Degradation ladder
 # ----------------------------------------------------------------------
+#: The ladder descends the same way whatever the query's shape (bare or
+#: fielded) and whichever engine kind runs the rung (local or routed).
+LADDER_QUERIES = ("john database", "author:widom xml")
+
+
+@pytest.fixture()
+def ladder_engines(engine):
+    sharded = build_engine(tiny_bibliographic_db(), shards=2)
+    yield engine, sharded
+    sharded.close()
+
+
 class TestDegradationLadder:
     def test_chains_terminate_at_index_only(self):
         for method in KNOWN_METHODS:
@@ -253,33 +266,39 @@ class TestDegradationLadder:
             assert chain[-1] == "index_only"
             assert len(chain) == len(set(chain))
 
-    def test_fallback_descends_on_structural_error(self, engine):
+    def test_fallback_descends_on_structural_error(self, ladder_engines):
         # Poison the steiner rung itself; the ladder must land on banks.
         FAILPOINTS.activate(
             "engine.method", exc=ValueError("forced"), key="steiner"
         )
-        results = engine.search("john database", method="steiner", fallback=True)
-        assert results.degraded
-        assert results.method == "banks"
-        assert results.fallback_from == "steiner"
-        assert results  # banks found answers
-        assert result_signature(results) == result_signature(
-            engine.search("john database", method="banks", k=10, use_cache=False)
-        )
+        for engine in ladder_engines:
+            for text in LADDER_QUERIES:
+                results = engine.search(text, method="steiner", fallback=True)
+                assert results.degraded, text
+                assert results.method == "banks", text
+                assert results.fallback_from == "steiner"
+                assert results  # banks found answers
+                assert result_signature(results) == result_signature(
+                    engine.search(text, method="banks", k=10, use_cache=False)
+                )
 
-    def test_fallback_reaches_terminal_rung(self, engine):
+    def test_fallback_reaches_terminal_rung(self, ladder_engines):
         FAILPOINTS.activate("engine.method", exc=ValueError, key="banks")
-        results = engine.search("john database", method="banks", fallback=True)
-        assert results.method == "index_only"
-        assert results.fallback_from == "banks"
-        assert results
+        for engine in ladder_engines:
+            for text in LADDER_QUERIES:
+                results = engine.search(text, method="banks", fallback=True)
+                assert results.method == "index_only", text
+                assert results.fallback_from == "banks"
+                assert results
 
-    def test_no_fallback_propagates_structural_error(self, engine):
+    def test_no_fallback_propagates_structural_error(self, ladder_engines):
         FAILPOINTS.activate(
             "engine.method", exc=ValueError("forced"), key="steiner"
         )
-        with pytest.raises(ValueError):
-            engine.search("john database", method="steiner", fallback=False)
+        for engine in ladder_engines:
+            for text in LADDER_QUERIES:
+                with pytest.raises(ValueError):
+                    engine.search(text, method="steiner", fallback=False)
 
     def test_fallback_without_budget_clean_path(self, engine):
         results = engine.search("john database", method="banks", fallback=True)

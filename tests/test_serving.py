@@ -827,6 +827,50 @@ class TestHttpEndToEnd:
         assert now > before
 
 
+class TestRecoverSwapKeepsEngineShape:
+    def test_sharded_columnar_server_recovers_as_one(self, tmp_path):
+        """A ``recover`` swap builds the next generation through the
+        server's own ``engine_builder``: same engine kind, shard count
+        and backend, same answers, and inserts keep landing in it."""
+        from repro.sharding.coordinator import ShardedSearchEngine
+
+        options = {"shards": 2, "backend": "columnar"}
+        server = ServingServer(
+            build_engine(tiny_bibliographic_db(), **options),
+            port=0,
+            durable_dir=str(tmp_path / "d"),
+            engine_builder=lambda live_db: build_engine(live_db, **options),
+        )
+        server.start_in_thread()
+        try:
+            paths = ["/search?q=widom+xml&k=5", "/search?q=widom+xml&k=5&method=banks"]
+            before = [_http(server.address, path)[1]["results"] for path in paths]
+            assert all(before)
+            old = server.handle.engine
+            status, payload, _ = _http(
+                server.address, "/admin/swap", "POST", {"source": "recover"}
+            )
+            assert status == 200 and payload["drained"]
+            live = server.handle.engine
+            assert live is not old
+            assert isinstance(live, ShardedSearchEngine)
+            assert len(live.shards) == 2
+            assert live.backend_name == "columnar"
+            after = [_http(server.address, path)[1]["results"] for path in paths]
+            assert after == before
+            status, payload, _ = _http(
+                server.address, "/insert", "POST",
+                {"table": "author",
+                 "values": {"aid": 41_001, "name": "quillon afterswap"}},
+            )
+            assert status == 200 and payload["ok"]
+            status, payload, _ = _http(server.address, "/search?q=quillon")
+            assert status == 200 and payload["count"] >= 1
+        finally:
+            drained = server.stop()
+        assert drained
+
+
 class TestSwapDrainOutsideMutationLock:
     def test_insert_not_stalled_by_swap_drain(self):
         """The drain runs outside the mutation lock.
