@@ -32,7 +32,7 @@ import signal
 import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.factory import build_engine
+from repro.core.factory import DEFAULT_PARTITIONER, build_engine
 from repro.core.xml_engine import XmlSearchEngine
 from repro.obs.trace import format_trace
 from repro.resilience.degradation import KNOWN_METHODS
@@ -97,7 +97,7 @@ def _engine_options(args: argparse.Namespace) -> Dict[str, object]:
         options["cache_pages"] = cache_pages
     return {
         "shards": getattr(args, "shards", 1),
-        "partitioner": getattr(args, "partitioner", "affinity"),
+        "partitioner": getattr(args, "partitioner", DEFAULT_PARTITIONER),
         "backend": backend,
         "backend_options": options or None,
     }
@@ -125,7 +125,7 @@ def _add_shard_flags(p) -> None:
     )
     p.add_argument(
         "--partitioner",
-        default="affinity",
+        default=DEFAULT_PARTITIONER,
         choices=["hash", "affinity"],
         help="shard assignment strategy (with --shards > 1)",
     )
@@ -233,12 +233,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
             )
             print(f"   {attribute}: {rendered}")
     if args.explain:
-        if hasattr(engine, "shard_stats"):
+        from repro.sharding import ShardedSearchEngine
+
+        if isinstance(engine, ShardedSearchEngine):
             stats = engine.shard_stats()
             print(
                 f"-- shards: {stats['shards']} ({stats['partitioner']}), "
                 f"balance {stats['balance']:.2f}, "
-                f"{stats['boundary_replicas']} boundary replicas, "
                 f"{stats['cut_edges']}/{stats['total_edges']} FK edges cut"
             )
         _print_explain(engine)

@@ -19,11 +19,16 @@ from repro.core.engine import KeywordSearchEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.relational.database import Database
 
+#: Shard assignment when the caller names none.  Ownership is all a
+#: shard is, so cut edges affect balance only; hash assignment is
+#: stateless and the cheapest to compute.
+DEFAULT_PARTITIONER = "hash"
+
 
 def build_engine(
     db: Database,
     shards: int = 1,
-    partitioner="hash",
+    partitioner=DEFAULT_PARTITIONER,
     backend: str = "dict",
     backend_options: Optional[Dict[str, object]] = None,
     metrics: Optional[MetricsRegistry] = None,

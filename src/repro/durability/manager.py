@@ -45,6 +45,7 @@ import os
 import threading
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.core.factory import DEFAULT_PARTITIONER
 from repro.durability.recovery import (
     RecoveryResult,
     SNAPSHOT_SUBDIR,
@@ -196,7 +197,7 @@ class DurableEngine:
         metrics: Optional[MetricsRegistry] = None,
         trace: bool = True,
         shards: int = 1,
-        partitioner: str = "hash",
+        partitioner: str = DEFAULT_PARTITIONER,
         **engine_kwargs,
     ) -> Tuple["DurableEngine", RecoveryResult]:
         """Rebuild engine + durability layer after a crash.

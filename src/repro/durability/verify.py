@@ -14,9 +14,9 @@ is the pass condition the chaos tests gate on):
    stale stamp means a cache could serve pre-mutation results).
 3. **FK integrity** via :meth:`Database.validate` — the
    previously-unused integrity scan, now load-bearing.
-4. **Shard ownership** against a :class:`ShardSet`: homes must match the
-   partitioner's assignment, be mutually disjoint, and cover every
-   tuple; every shard-held row must exist in the source database.
+4. **Shard ownership** against a :class:`ShardSet`: its ``homes`` must
+   give every tuple of the store — and nothing else — one in-range
+   home, equal to the one a fresh run of the partitioner derives.
 """
 
 from __future__ import annotations
@@ -120,34 +120,25 @@ def _check_versions(engine, report: FsckReport) -> None:
 
 
 def _check_shards(db: Database, shards, report: FsckReport) -> None:
-    """Shard ownership vs the partitioner assignment and the store."""
-    tuples_checked = 0
-    owned: Dict[TupleId, int] = {}
-    for shard in shards.shards:
-        for tid in shard.home:
-            if tid in owned:
-                report.add(
-                    f"shards: {tid} home-owned by both shard {owned[tid]} "
-                    f"and shard {shard.shard_id}"
-                )
-            owned[tid] = shard.shard_id
-        for tid in set(shard.home) | set(shard.replicas):
-            tuples_checked += 1
-            if tid.table not in db.tables or not (
-                0 <= tid.rowid < len(db.table(tid.table))
-            ):
-                report.add(
-                    f"shards: shard {shard.shard_id} holds {tid} which is "
-                    "not in the source database"
-                )
-    for tid in db.all_tuple_ids():
-        home = shards.home(tid)
-        if owned.get(tid) != home:
+    """The ownership map vs a fresh partitioner run over the store.
+
+    ``homes`` is a dict, so "one home per tuple" is structural; equality
+    with the re-derived home also rules out an out-of-range shard id.
+    """
+    expected = shards.partitioner.assign(db)
+    homes = shards.homes
+    for tid in homes.keys() - expected.keys():
+        report.add(
+            f"shards: {tid} has home {homes[tid]} but is not in the "
+            "source database"
+        )
+    for tid, home in expected.items():
+        if homes.get(tid) != home:
             report.add(
                 f"shards: {tid} assigned home {home} but owned by "
-                f"{owned.get(tid)}"
+                f"{homes.get(tid)}"
             )
-    report.checked["shard_tuples"] = tuples_checked
+    report.checked["shard_tuples"] = len(homes)
 
 
 def fsck(

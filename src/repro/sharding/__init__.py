@@ -1,13 +1,12 @@
 """Sharded scale-out engine: partitioning, scatter-gather top-k, routing.
 
-Promotes (and subsumes) the :mod:`repro.distributed` demo layer: the
-source-selection scorer and cross-database federation re-export from
-here, and the :class:`ShardedSearchEngine` coordinator uses the scorer
-for selection-based shard routing.
+A partition is a tuple -> home-shard assignment; shard workers split
+the *work* of one query by that ownership over the coordinator's one
+index, executor context and data graph.  (Source selection and
+cross-database federation are separate library code in
+:mod:`repro.distributed`.)
 """
 
-from repro.distributed.kite import CrossDatabase, InterDbLink, cross_search
-from repro.distributed.selection import DatabaseSummary, rank_databases
 from repro.sharding.coordinator import SCATTER_METHODS, ShardedSearchEngine
 from repro.sharding.partition import (
     HashPartitioner,
@@ -30,9 +29,4 @@ __all__ = [
     "make_partitioner",
     "GlobalTopK",
     "ShardRunStats",
-    "DatabaseSummary",
-    "rank_databases",
-    "CrossDatabase",
-    "InterDbLink",
-    "cross_search",
 ]

@@ -3,8 +3,9 @@
 :class:`ShardedSearchEngine` is the :class:`KeywordSearchEngine` query
 front end (parse, clean, result cache, ladder, trace, metrics — all
 inherited, so a query is parsed and cleaned **once**) over one
-:class:`Database` partitioned into N shards
-(:mod:`repro.sharding.partition`), with a different execute seam:
+:class:`Database` whose tuples each have a home among N shards
+(:mod:`repro.sharding.partition` — an ownership predicate per shard,
+no per-shard copy of anything), with a different execute seam:
 
 * ``schema`` / ``index_only`` **scatter**: CN enumeration runs once at
   the coordinator over the shared substrates, the per-query executor
@@ -19,10 +20,10 @@ inherited, so a query is parsed and cleaned **once**) over one
   not partition-local under bounded replication (the EMBANKS/Mragyati
   tradeoff), OR-branch and phrase queries because they post-filter
   top-k streams.  The rung runs whole through the inherited local
-  executor on a shard worker slot, with circuit-breaker failover across
-  shards.  With ``selection_routing=True`` the order of shards tried
-  comes from the keyword-relationship source-selection scorer
-  (:mod:`repro.distributed.selection`) over per-shard summaries.
+  executor, at most once, after a shard worker slot admits it
+  (breaker + ``shard.execute`` failpoint, failing over round-robin to
+  the next slot).  The computation is the coordinator's, not a
+  shard's: its failure degrades the answer and touches no breaker.
 
 Per-shard fault isolation reuses the resilience layer: each shard
 worker ticks its own :meth:`QueryBudget.fork` of the caller's budget
@@ -41,11 +42,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.engine import KeywordSearchEngine
+from repro.core.factory import DEFAULT_PARTITIONER
 from repro.core.results import SearchResult
-from repro.distributed.selection import DatabaseSummary, rank_databases
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, span as trace_span
-from repro.perf.lru import LRUCache
 from repro.query.compiler import (
     CompiledQuery,
     index_only_results,
@@ -113,12 +113,11 @@ class ShardedSearchEngine(KeywordSearchEngine):
         self,
         db: Database,
         n_shards: int = 4,
-        partitioner="hash",
+        partitioner=DEFAULT_PARTITIONER,
         max_cn_size: int = 4,
         clean_queries: bool = True,
         result_cache_size: int = 512,
         enable_caches: bool = True,
-        selection_routing: bool = False,
         trace: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         max_workers: Optional[int] = None,
@@ -138,7 +137,6 @@ class ShardedSearchEngine(KeywordSearchEngine):
             backend=backend,
             backend_options=backend_options,
         )
-        self.selection_routing = selection_routing
         self.shards = build_shards(db, make_partitioner(partitioner, n_shards))
         self._key_token = self.shards.token
         self._breakers: List[CircuitBreaker] = [
@@ -153,7 +151,6 @@ class ShardedSearchEngine(KeywordSearchEngine):
             max_workers=max_workers or len(self.shards),
             thread_name_prefix="shard",
         )
-        self._summary_cache = LRUCache(32)
         self._row_marks: Dict[str, int] = {
             name: len(table) for name, table in db.tables.items()
         }
@@ -188,54 +185,25 @@ class ShardedSearchEngine(KeywordSearchEngine):
         self.metrics.inc(f"shard.circuit.transitions.{new_state}")
 
     def shard_stats(self) -> Dict[str, object]:
-        """Partition-quality numbers (balance, replicas, cut edges)."""
+        """Partition-quality numbers (home sizes, balance, cut edges)."""
         return self.shards.stats()
 
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
-    def refresh(self) -> int:
-        """Route rows inserted into the source database to their shards.
+    def refresh(self) -> None:
+        """Give each row inserted since the last call a home shard, then
+        patch the shared substrates (the inherited refresh).
 
-        Each new row is copied to its home shard plus — per the
-        radius-1 boundary-replica rule — every shard owning one of its
-        FK neighbours; its off-shard neighbours are replicated back
-        into the home shard.  No other shard is touched, and the shared
-        substrates are patched incrementally by the inherited refresh,
-        so a single-row insert stays O(neighbourhood), not O(database).
-        Returns the number of shard-row copies made.
+        Homes are assigned here, not lazily inside :meth:`Shard.owns`,
+        so shard worker threads only ever read the assignment.
         """
-        if self.db.data_version == self._served_version:
-            return 0
-        routed = 0
-        for name, table in self.db.tables.items():
-            start = self._row_marks.get(name, 0)
-            for rowid in range(start, len(table)):
-                tid = TupleId(name, rowid)
-                home = self.shards.home(tid)
-                neighbors = self.db.neighbors(tid)
-                targets = {home}
-                targets.update(
-                    self.shards.home(nb)
-                    for nb in neighbors
-                    if self.shards.home(nb) != home
-                )
-                for sid in targets:
-                    if self.shards.shards[sid].add_row(
-                        tid, is_home=(sid == home)
-                    ):
-                        routed += 1
-                home_shard = self.shards.shards[home]
-                for nb in neighbors:
-                    if self.shards.home(nb) != home and home_shard.add_row(
-                        nb, is_home=False
-                    ):
-                        routed += 1
-            self._row_marks[name] = len(table)
+        if self.db.data_version != self._served_version:
+            for name, table in self.db.tables.items():
+                for rowid in range(self._row_marks[name], len(table)):
+                    self.shards.home(TupleId(name, rowid))
+                self._row_marks[name] = len(table)
         super().refresh()
-        self._summary_cache.clear()
-        self.metrics.inc("refresh.rows_routed", routed)
-        return routed
 
     # ------------------------------------------------------------------
     # The execute seam
@@ -269,7 +237,7 @@ class ShardedSearchEngine(KeywordSearchEngine):
                 )
         local = super()._execute_rung
         return self._route(
-            keywords, lambda fork: local(compiled, k, rung, fork)[0], budget, tracer
+            lambda fork: local(compiled, k, rung, fork)[0], budget, tracer
         )
 
     # ------------------------------------------------------------------
@@ -427,69 +395,42 @@ class ShardedSearchEngine(KeywordSearchEngine):
     # ------------------------------------------------------------------
     # Routed methods
     # ------------------------------------------------------------------
-    def _summaries(self, keywords: Sequence[str]) -> List[DatabaseSummary]:
-        """Per-shard source-selection summaries over the query terms.
-
-        Restricting the summary vocabulary to the query keywords keeps
-        the pairwise join-distance BFS tiny, at the cost of one build
-        per new keyword set (memoised).
-        """
-        key = frozenset(kw.lower() for kw in keywords)
-        return self._summary_cache.get_or_compute(
-            key,
-            lambda: [
-                DatabaseSummary.build(
-                    f"shard-{shard.shard_id}",
-                    shard.db,
-                    vocabulary=list(key),
-                )
-                for shard in self.shards
-            ],
-        )
-
-    def route_order(self, keywords: Sequence[str]) -> List[int]:
-        """Shard try-order for routed methods.
-
-        With ``selection_routing`` the keyword-relationship scorer
-        ranks shards by their ability to answer the query jointly
-        (connectable keyword matches beat co-occurrence); unrankable
-        shards follow in id order as failover targets.  Otherwise a
-        round-robin spreads routed load across shard worker slots.
-        """
+    def route_order(self) -> List[int]:
+        """Slot try-order for routed rungs: round-robin over shard ids."""
         ids = list(range(len(self.shards)))
-        if len(ids) <= 1:
-            return ids
-        if self.selection_routing:
-            ranked = rank_databases(self._summaries(keywords), keywords)
-            ranked_ids = [
-                int(summary.name.split("-", 1)[1]) for summary, _ in ranked
-            ]
-            rest = [i for i in ids if i not in ranked_ids]
-            return ranked_ids + rest
         start = self._rr % len(ids)
         self._rr += 1
         return ids[start:] + ids[:start]
 
     def _route(
         self,
-        keywords: List[str],
         run_local,
         budget: Optional[QueryBudget],
         tracer: Optional[Tracer],
     ) -> Tuple[List[SearchResult], List[str]]:
-        """Run *run_local* on one shard worker slot, failing over.
+        """Run *run_local* once, on the first shard worker slot that admits it.
 
-        Evaluation uses the shared substrates and data graph (tree
-        answers are not partition-local), so results match the single
-        engine exactly; the shard layer contributes slot scheduling,
-        fault isolation and selection-based routing (ranked by the
-        first branch's keywords).
+        Admission (breaker + ``shard.execute`` failpoint) is the slot's:
+        a failure there is recorded on its breaker and the next id is
+        tried.  The computation is the coordinator's — the same shared
+        substrates and data graph whichever slot admitted it — so its
+        failure is reported as the degraded reason and neither charged
+        to a breaker nor retried: the retry would repeat the identical
+        work, and one bad query would open every shard's circuit for
+        the scattered rungs too.
         """
-        order = self.route_order(keywords)
+        order = self.route_order()
         reasons: List[str] = []
 
         def fn(shard, fork, sp):
-            inner = run_local(fork)
+            try:
+                inner = run_local(fork)
+            except (BudgetExceededError, QueryParseError, ValueError):
+                raise  # _run_shard already keeps these off the breaker
+            except Exception as exc:
+                reasons.append(f"route: {type(exc).__name__}: {exc}")
+                sp.tag("error", type(exc).__name__)
+                return []
             sp.add("results", len(inner))
             return inner
 

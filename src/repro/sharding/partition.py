@@ -1,15 +1,12 @@
 """Database partitioning for the sharded scatter-gather engine.
 
-A partitioner assigns every tuple a *home* shard.  The shard set built
-from an assignment gives each shard a sub-:class:`Database` holding its
-home tuples plus a radius-1 *boundary replica* set — the tuples one FK
-hop away that live on another shard.  The replicas are what keep
-shard-local structures (source-selection summaries, maintenance
-routing) aware of the FK edges the partition cuts; the
-scatter path itself partitions *work* by anchor tuple over the
-coordinator's shared substrates, so answers that span shards are still
-produced exactly once, by the home shard of their anchor tuple (see
-``docs/ALGORITHMS.md``).
+A partitioner assigns every tuple a *home* shard, and that assignment
+(:attr:`ShardSet.homes`) is all a partition is: a :class:`Shard` is an
+id plus the ``owns`` predicate over it.  No row is copied anywhere —
+the scatter path partitions *work* by anchor tuple over the
+coordinator's shared index, executor context and data graph, in global
+tuple ids, so answers that span shards are still produced exactly once,
+by the home shard of their anchor tuple (see ``docs/ALGORITHMS.md``).
 
 Two partitioners:
 
@@ -214,50 +211,18 @@ def make_partitioner(spec, n_shards: int):
 
 
 class Shard:
-    """One partition: a sub-database of home tuples + boundary replicas.
+    """One partition: an id and the ownership predicate the scatter
+    executors slice anchor queues with (over the shared *homes*)."""
 
-    ``db`` re-inserts member rows (``check_fk=False`` — a replica's
-    parent may live elsewhere) with fresh local rowids; the
-    ``local↔global`` maps translate.  ``home`` is the set of *global*
-    tuple ids this shard owns; :meth:`owns` is the predicate the
-    scatter executors slice anchor queues with.
-    """
-
-    def __init__(self, shard_id: int, source: Database):
+    def __init__(self, shard_id: int, homes: Dict[TupleId, int]):
         self.shard_id = shard_id
-        self.source = source
-        self.db = Database(source.schema)
-        self.home: Set[TupleId] = set()
-        self.replicas: Set[TupleId] = set()
-        self.local_to_global: Dict[TupleId, TupleId] = {}
-        self.global_to_local: Dict[TupleId, TupleId] = {}
+        self._homes = homes
 
-    # -- membership ----------------------------------------------------
     def owns(self, tid: TupleId) -> bool:
-        return tid in self.home
-
-    def contains(self, tid: TupleId) -> bool:
-        return tid in self.global_to_local
-
-    def add_row(self, tid: TupleId, is_home: bool) -> bool:
-        """Copy one global row in; returns False if already present."""
-        if tid in self.global_to_local:
-            if is_home:
-                self.home.add(tid)
-                self.replicas.discard(tid)
-            return False
-        row = self.source.row(tid)
-        local = self.db.insert(tid.table, check_fk=False, **row.as_dict())
-        self.local_to_global[local] = tid
-        self.global_to_local[tid] = local
-        (self.home if is_home else self.replicas).add(tid)
-        return True
+        return self._homes.get(tid) == self.shard_id
 
     def __repr__(self) -> str:
-        return (
-            f"Shard({self.shard_id}, home={len(self.home)}, "
-            f"replicas={len(self.replicas)})"
-        )
+        return f"Shard({self.shard_id})"
 
 
 class ShardSet:
@@ -267,15 +232,14 @@ class ShardSet:
         self,
         db: Database,
         partitioner,
-        shards: List[Shard],
         homes: Dict[TupleId, int],
         cut_edges: int,
         total_edges: int,
     ):
         self.db = db
         self.partitioner = partitioner
-        self.shards = shards
         self.homes = homes
+        self.shards = [Shard(i, homes) for i in range(partitioner.n_shards)]
         self.cut_edges = cut_edges
         self.total_edges = total_edges
 
@@ -299,16 +263,14 @@ class ShardSet:
         return self.partitioner.token
 
     def stats(self) -> Dict[str, object]:
-        sizes = [len(s.home) for s in self.shards]
-        replicas = sum(len(s.replicas) for s in self.shards)
-        total = max(1, self.db.size())
+        sizes = [0] * len(self.shards)
+        for shard_id in self.homes.values():
+            sizes[shard_id] += 1
         return {
             "shards": len(self.shards),
             "partitioner": self.partitioner.name,
             "home_sizes": sizes,
             "balance": (max(sizes) / max(1, min(sizes))) if sizes else 1.0,
-            "boundary_replicas": replicas,
-            "replication_factor": round((total + replicas) / total, 4),
             "cut_edges": self.cut_edges,
             "total_edges": self.total_edges,
             "cut_fraction": round(
@@ -318,36 +280,14 @@ class ShardSet:
 
 
 def build_shards(db: Database, partitioner) -> ShardSet:
-    """Partition *db*: home assignment, boundary replicas, cut-edge audit.
-
-    Rows are copied per shard in global ``(table, rowid)`` order so the
-    shard databases are reproducible for a given assignment.
-    """
+    """Partition *db*: home assignment plus the cut-edge audit."""
     homes = partitioner.assign(db)
-    n = partitioner.n_shards
-    shards = [Shard(i, db) for i in range(n)]
-    members: List[Set[TupleId]] = [set() for _ in range(n)]
-    replica_of: List[Set[TupleId]] = [set() for _ in range(n)]
     cut_edges = 0
     total_edges = 0
     for tid, shard_id in homes.items():
-        members[shard_id].add(tid)
-    for tid, shard_id in homes.items():
-        row = db.row(tid)
-        for parent, _ in db.references_of(row):
-            # Each FK edge is visited once, from its owning (child) side.
-            parent_tid = TupleId(parent.table.name, parent.rowid)
-            parent_home = homes[parent_tid]
+        # Each FK edge is visited once, from its owning (child) side.
+        for parent, _ in db.references_of(db.row(tid)):
             total_edges += 1
-            if parent_home != shard_id:
+            if homes[TupleId(parent.table.name, parent.rowid)] != shard_id:
                 cut_edges += 1
-                # Radius-1 boundary replicas, both directions of the cut.
-                if parent_tid not in members[shard_id]:
-                    replica_of[shard_id].add(parent_tid)
-                if tid not in members[parent_home]:
-                    replica_of[parent_home].add(tid)
-    for shard in shards:
-        mine = members[shard.shard_id] | replica_of[shard.shard_id]
-        for tid in sorted(mine):
-            shard.add_row(tid, is_home=tid in members[shard.shard_id])
-    return ShardSet(db, partitioner, shards, homes, cut_edges, total_edges)
+    return ShardSet(db, partitioner, homes, cut_edges, total_edges)

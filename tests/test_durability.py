@@ -29,7 +29,7 @@ from repro.durability import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import format_trace
-from repro.relational.database import Database
+from repro.relational.database import Database, TupleId
 from repro.relational.schema import (
     Column,
     ForeignKey,
@@ -482,6 +482,29 @@ class TestFsck:
         report = fsck(db=db)
         assert not report.ok
         assert any(p.startswith("fk: ") for p in report.problems)
+
+    def test_mis_homed_tuple_detected(self):
+        """Homes are audited against a fresh partitioner run, not
+        against the engine's own memo of them."""
+        db = tiny_bibliographic_db()
+        with ShardedSearchEngine(db, n_shards=2) as engine:
+            report = fsck(engine)
+            assert report.ok
+            assert report.checked["shard_tuples"] == db.size()
+            tid = next(iter(db.all_tuple_ids()))
+            right = engine.shards.partitioner.assign_one(db, tid, {})
+            wrong = 1 - right
+            engine.shards.homes[tid] = wrong
+            assert fsck(engine).problems == [
+                f"shards: {tid} assigned home {right} but owned by {wrong}"
+            ]
+            del engine.shards.homes[tid]
+            phantom = TupleId(tid.table, len(db.table(tid.table)))
+            engine.shards.homes[phantom] = 0
+            problems = fsck(engine).problems
+            assert len(problems) == 2
+            assert any("owned by None" in p for p in problems)
+            assert any("not in the source database" in p for p in problems)
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from repro.datasets.bibliographic import (
 )
 from repro.datasets.products import generate_product_db
 from repro.relational.database import TupleId
+from repro.resilience.degradation import KNOWN_METHODS
 from repro.resilience.failpoints import FAILPOINTS
 from repro.sharding import (
     HashPartitioner,
@@ -97,17 +98,6 @@ class TestPartitioners:
                 assert (
                     partitioner.assign_one(biblio_db, tid, probe) == homes[tid]
                 )
-
-    def test_boundary_replicas_cover_cut_edges(self, biblio_db):
-        shard_set = build_shards(biblio_db, HashPartitioner(4))
-        for shard in shard_set:
-            for tid in shard.home:
-                row = biblio_db.row(tid)
-                for parent, _ in biblio_db.references_of(row):
-                    parent_tid = TupleId(parent.table.name, parent.rowid)
-                    # Radius-1 rule: the FK parent of every home tuple is
-                    # present locally, home or replica.
-                    assert shard.contains(parent_tid)
 
     def test_make_partitioner(self):
         assert make_partitioner("hash", 2).name == "hash"
@@ -309,6 +299,29 @@ class TestResilience:
             assert _signature(got) == _signature(exact)
             assert got.degraded  # the dead slot is reported
 
+    def test_routed_failure_is_not_a_shard_failure(self, biblio_db, biblio_single):
+        """A routed rung is the coordinator's computation: failing, it
+        runs once per query, degrades that answer and leaves every
+        shard breaker closed for the scattered rungs."""
+        with ShardedSearchEngine(biblio_db, n_shards=4) as sharded:
+            FAILPOINTS.activate(
+                "engine.method", exc=RuntimeError("rung broke"), key="banks"
+            )
+            try:
+                for _ in range(3):
+                    got = sharded.search(
+                        "john conference", k=5, method="banks", use_cache=False
+                    )
+                    assert got.degraded and "rung broke" in got.degraded_reason
+                assert FAILPOINTS.hits("engine.method") == 3
+            finally:
+                FAILPOINTS.clear()
+            assert [b.state for b in sharded._breakers] == ["closed"] * 4
+            healthy = sharded.search("database keyword", k=5, use_cache=False)
+            exact = biblio_single.search("database keyword", k=5)
+            assert _signature(healthy) == _signature(exact)
+            assert not healthy.degraded
+
     def test_degraded_results_not_cached(self, biblio_db):
         with ShardedSearchEngine(biblio_db, n_shards=4) as sharded:
             FAILPOINTS.activate(
@@ -351,123 +364,104 @@ class TestShardedCache:
 
 
 # ----------------------------------------------------------------------
-# Incremental maintenance routing
+# Incremental maintenance: new rows get a home, nothing is copied
 # ----------------------------------------------------------------------
+def _insert_author_paper_write(db):
+    cid = next(iter(db.rows("conference")))["cid"]
+    return [
+        db.insert("author", aid=9001, name="zanzibar unique"),
+        db.insert("paper", pid=9002, title="zanzibar databases", cid=cid),
+        db.insert("write", wid=9003, aid=9001, pid=9002),
+    ]
+
+
 class TestRefreshRouting:
-    def test_insert_routes_to_owning_shard_only(self, biblio_db):
+    def test_construction_copies_no_rows(self, biblio_db, monkeypatch):
+        """A shard is an ownership predicate: building the engine and
+        homing a new row insert into no database but the caller's."""
+        from repro.relational.database import Database
+
+        inserts = []
+        real_insert = Database.insert
+
+        def counting_insert(self, *args, **kwargs):
+            inserts.append(self)
+            return real_insert(self, *args, **kwargs)
+
+        monkeypatch.setattr(Database, "insert", counting_insert)
         db = generate_bibliographic_db(
             n_authors=20, n_conferences=4, n_papers=40, seed=7
         )
-        with ShardedSearchEngine(
-            db, n_shards=4, partitioner="affinity"
-        ) as sharded:
+        generated = len(inserts)
+        with ShardedSearchEngine(db, n_shards=4) as sharded:
             sharded.search("database", k=3, use_cache=False)
-            before = {
-                s.shard_id: (len(s.home), len(s.replicas)) for s in sharded.shards
-            }
-            tid = db.insert("author", aid=9001, name="zanzibar unique")
-            routed = sharded.refresh()
-            after = {
-                s.shard_id: (len(s.home), len(s.replicas)) for s in sharded.shards
-            }
-            touched = [i for i in after if after[i] != before[i]]
-            # An author row has no FK neighbours: exactly one shard touched.
-            assert routed == 1
-            assert touched == [sharded.shards.home(tid)]
+            _insert_author_paper_write(db)
+            sharded.refresh()
+        assert len(inserts) == generated + 3
+        assert all(target is db for target in inserts)
+
+    def test_insert_routes_to_owning_shard_only(self):
+        from repro.durability import fsck
+
+        for partitioner in ("hash", "affinity"):
+            db = generate_bibliographic_db(
+                n_authors=20, n_conferences=4, n_papers=40, seed=7
+            )
+            with ShardedSearchEngine(
+                db, n_shards=4, partitioner=partitioner
+            ) as sharded:
+                sharded.search("database", k=3, use_cache=False)
+                before = dict(sharded.shards.homes)
+                new = _insert_author_paper_write(db)
+                sharded.refresh()
+                homes = sharded.shards.homes
+                # Every tuple has exactly one home; only the new rows'
+                # homes are new.
+                assert sorted(homes) == sorted(db.all_tuple_ids())
+                assert {
+                    t: h for t, h in homes.items() if t not in new
+                } == before
+                for tid in new:
+                    owners = [s.shard_id for s in sharded.shards if s.owns(tid)]
+                    assert owners == [homes[tid]]
+                assert sum(sharded.shard_stats()["home_sizes"]) == db.size()
+                report = fsck(sharded)
+                assert report.ok, report.problems
 
     def test_search_parity_after_inserts(self):
         db = generate_bibliographic_db(
             n_authors=20, n_conferences=4, n_papers=40, seed=7
         )
-        with ShardedSearchEngine(
-            db, n_shards=4, partitioner="affinity"
-        ) as sharded:
-            sharded.search("database", k=3, use_cache=False)
-            cid = next(iter(db.rows("conference")))["cid"]
-            aid = db.insert("author", aid=9001, name="zanzibar unique")
-            pid = db.insert(
-                "paper", pid=9002, title="zanzibar databases", cid=cid
-            )
-            db.insert("write", wid=9003, aid=9001, pid=9002)
+        engines = [
+            ShardedSearchEngine(db, n_shards=n, partitioner="affinity")
+            for n in (1, 2, 4)
+        ]
+        try:
+            for sharded in engines:
+                sharded.search("database", k=3, use_cache=False)
+            _insert_author_paper_write(db)
             single = KeywordSearchEngine(db)
-            got = sharded.search("zanzibar", k=5, use_cache=False)
-            exact = single.search("zanzibar", k=5)
-            assert _signature(got) == _signature(exact)
-            assert len(got) > 0
-            # The write row joins author and paper: if they landed on
-            # different shards, each got the other as a boundary replica.
-            wid_tid = TupleId("write", len(db.tables["write"]) - 1)
-            home = sharded.shards.home(wid_tid)
-            assert sharded.shards.shards[home].contains(aid)
-            assert sharded.shards.shards[home].contains(pid)
+            for method in KNOWN_METHODS:
+                exact = single.search("zanzibar", k=5, method=method)
+                assert len(exact) > 0, method
+                for sharded in engines:
+                    got = sharded.search(
+                        "zanzibar", k=5, method=method, use_cache=False
+                    )
+                    assert _signature(got) == _signature(exact), method
+                    assert not got.degraded
+        finally:
+            for sharded in engines:
+                sharded.close()
 
 
 # ----------------------------------------------------------------------
-# Source-selection routing (repro.distributed.selection via coordinator)
+# Routed-rung slot order
 # ----------------------------------------------------------------------
 class TestSelectionRouting:
-    def test_route_order_prefers_keyword_bearing_shard(self, biblio_db):
-        with ShardedSearchEngine(
-            biblio_db,
-            n_shards=4,
-            partitioner="affinity",
-            selection_routing=True,
-        ) as sharded:
-            # A term unique to some rows: find which shards hold it and
-            # check the scorer puts one of them first.
-            index = sharded.engine.index
-            term = None
-            for candidate in ("sigmod", "seattle", "xml"):
-                if index.matching_tuples(candidate):
-                    term = candidate
-                    break
-            assert term is not None
-            holders = {
-                shard.shard_id
-                for shard in sharded.shards
-                for tid in index.matching_tuples(term)
-                if shard.contains(tid)
-            }
-            order = sharded.route_order([term])
-            assert len(order) == 4 and sorted(order) == [0, 1, 2, 3]
-            assert order[0] in holders
-
-    def test_route_order_unmatched_term_falls_back(self, biblio_db):
-        with ShardedSearchEngine(
-            biblio_db, n_shards=4, selection_routing=True
-        ) as sharded:
-            # Nothing matches: no shard ranks, id order is the fallback.
-            assert sharded.route_order(["xylophone"]) == [0, 1, 2, 3]
-
     def test_round_robin_rotates_without_selection(self, biblio_db):
         with ShardedSearchEngine(biblio_db, n_shards=4) as sharded:
-            first = sharded.route_order(["database"])
-            second = sharded.route_order(["database"])
+            first = sharded.route_order()
+            second = sharded.route_order()
             assert first != second
             assert sorted(first) == sorted(second) == [0, 1, 2, 3]
-
-    def test_selection_routed_search_parity(self, biblio_db, biblio_single):
-        with ShardedSearchEngine(
-            biblio_db, n_shards=4, selection_routing=True
-        ) as sharded:
-            exact = biblio_single.search("john conference", k=5, method="banks")
-            got = sharded.search(
-                "john conference", k=5, method="banks", use_cache=False
-            )
-            assert _signature(got) == _signature(exact)
-
-    def test_summaries_score_shards(self, biblio_db):
-        """The per-shard DatabaseSummary path exercises selection.py."""
-        from repro.distributed.selection import rank_databases
-
-        with ShardedSearchEngine(
-            biblio_db, n_shards=4, selection_routing=True
-        ) as sharded:
-            summaries = sharded._summaries(["database"])
-            assert len(summaries) == 4
-            assert all(s.name.startswith("shard-") for s in summaries)
-            ranked = rank_databases(summaries, ["database"])
-            assert ranked
-            for summary, score in ranked:
-                assert score > 0
-                assert summary.coverage(["database"]) == 1.0
