@@ -37,6 +37,9 @@ def test_cn_count_grows_with_max_size(
     values = [counts[m] for m in sorted(counts)]
     assert values == sorted(values)
     assert values[-1] > 4 * values[0] if values[0] else values[-1] > 0
+    # EXPERIMENTS.md E1a, exactly: the enumerator may get cheaper, the
+    # CN space it enumerates may not move.
+    assert values == [0, 1, 1, 9]
 
 
 def test_cn_space_grows_with_keywords(
@@ -67,6 +70,7 @@ def test_cn_space_grows_with_keywords(
                 ["l", "query", "#tuple-sets", "#CNs"], rows)
     assert node_types[3] >= node_types[2] >= node_types[1]
     assert counts[3] > counts[1]
+    assert counts == {1: 16, 2: 9, 3: 30}  # EXPERIMENTS.md E1b, exactly
 
 
 def test_duplicate_free(benchmark, biblio_db, biblio_index, biblio_schema_graph):

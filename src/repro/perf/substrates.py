@@ -245,20 +245,31 @@ class SubstrateCache:
             # complete list is what later budgeted hits are charged.
             meter = budget if budget is not None else QueryBudget()
             before = meter.cns_enumerated
-            cns = self._build(
-                "candidate_networks",
-                lambda: generate_candidate_networks(
-                    self._schema_graph(),
-                    memo.tuple_sets,
-                    max_size=max_size,
-                    budget=meter,
-                ),
-                key=" ".join(key),
-            )
+            cns = self.enumerate_networks(memo.tuple_sets, max_size, meter)
             if not meter.exhausted:
                 memo.networks[max_size] = (cns, meter.cns_enumerated - before)
-                self.builds["candidate_networks"] += 1
             return cns
+
+    def enumerate_networks(
+        self, tuple_sets, max_size: int, budget: Optional[QueryBudget] = None
+    ) -> List[CandidateNetwork]:
+        """Enumerate CNs over *tuple_sets* inside the fault boundary.
+
+        The one call into the generator, shared by the memoised path
+        above and a structured query's row-filtered view (whose list
+        depends on the filter and is not stored).
+        """
+        cns = self._build(
+            "candidate_networks",
+            lambda: generate_candidate_networks(
+                self._schema_graph(), tuple_sets, max_size=max_size, budget=budget
+            ),
+            key=" ".join(tuple_sets.keywords),
+        )
+        if budget is None or not budget.exhausted:
+            with self._lock:
+                self.builds["candidate_networks"] += 1
+        return cns
 
     def keyword_groups(
         self, keywords: Sequence[str]

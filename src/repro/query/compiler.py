@@ -56,9 +56,12 @@ from repro.core.results import SearchResult
 from repro.index.text import tokenize
 from repro.obs.trace import span as trace_span
 from repro.relational.database import TupleId
-from repro.resilience.errors import BudgetExceededError, QueryParseError
+from repro.resilience.errors import (
+    BudgetExceededError,
+    QueryParseError,
+    UnsupportedSchemaError,
+)
 from repro.resilience.failpoints import fail_point
-from repro.schema_search.candidate_networks import generate_candidate_networks
 from repro.schema_search.scoring import tuple_score
 from repro.schema_search.topk import topk_global_pipeline
 from repro.schema_search.tuple_sets import TupleSetKey
@@ -244,12 +247,6 @@ class FilteredTupleSets:
 
     def non_free_keys(self) -> List[TupleSetKey]:
         return [k for k in self.base.non_free_keys() if self.size(k) > 0]
-
-    def keys_for_table(self, table: str) -> List[TupleSetKey]:
-        return [k for k in self.non_free_keys() if k.table == table]
-
-    def keyword_subsets(self, table: str) -> List[FrozenSet[str]]:
-        return [k.keywords for k in self.keys_for_table(table)]
 
     def covered_keywords(self) -> Set[str]:
         out: Set[str] = set()
@@ -458,7 +455,18 @@ def structured_substrates(engine, compiled, keywords, budget=None, tracer=None):
     Shared by the in-process engine and the sharding coordinator so
     scattered CN plans carry the *filtered* tuple sets — predicates
     ride to the shards instead of being re-checked at the gather.
+
+    Raises :class:`UnsupportedSchemaError` over a self-referencing
+    foreign key: a CN edge does not record which end owns the FK, so a
+    CN and its unsatisfiable mirror share a code and a join.
     """
+    for edge in engine.schema_graph.edges:
+        if edge.child == edge.parent:
+            raise UnsupportedSchemaError(
+                f"method 'schema' cannot join over the self-referencing "
+                f"foreign key {edge.child}.{edge.fk} (use a graph method "
+                f"such as banks, or fallback=True)"
+            )
     with trace_span(tracer, "substrate_build") as ssp:
         base = engine.substrates.tuple_sets(keywords)
         if compiled.row_filter is not None:
@@ -475,11 +483,8 @@ def structured_substrates(engine, compiled, keywords, budget=None, tracer=None):
                 keywords, engine.max_cn_size, budget=budget
             )
         else:
-            cns = generate_candidate_networks(
-                engine.schema_graph,
-                tuple_sets,
-                max_size=engine.max_cn_size,
-                budget=budget,
+            cns = engine.substrates.enumerate_networks(
+                tuple_sets, engine.max_cn_size, budget
             )
         nsp.add("cns", len(cns))
     return tuple_sets, cns, compiled.index_view(engine.index)

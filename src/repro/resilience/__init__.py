@@ -27,6 +27,7 @@ from repro.resilience.errors import (
     SearchExecutionError,
     SubstrateBuildError,
     TransientError,
+    UnsupportedSchemaError,
     classify_error,
 )
 from repro.resilience.failpoints import FAILPOINTS, FailpointRegistry, fail_point
@@ -41,6 +42,7 @@ __all__ = [
     "fallback_chain",
     "ReproError",
     "QueryParseError",
+    "UnsupportedSchemaError",
     "BudgetExceededError",
     "SubstrateBuildError",
     "TransientError",

@@ -7,6 +7,9 @@ classify outcomes without string matching:
 * :class:`QueryParseError` — the request itself is malformed (bad ``k``,
   unknown method, unparseable query).  Subclasses :class:`ValueError`
   so pre-taxonomy callers that caught ``ValueError`` keep working.
+* :class:`UnsupportedSchemaError` — the method cannot run over this
+  schema (``schema`` over a self-referencing foreign key).  A
+  :class:`ValueError` but not a parse error: the ladder descends on it.
 * :class:`BudgetExceededError` — a query ran out of its
   :class:`~repro.resilience.budget.QueryBudget`.  Algorithms catch this
   internally and return partial results; it only escapes when there was
@@ -45,6 +48,10 @@ class ReproError(Exception):
 
 class QueryParseError(ReproError, ValueError):
     """The request is malformed: bad k, unknown method, bad query text."""
+
+
+class UnsupportedSchemaError(ReproError, ValueError):
+    """The requested method cannot run over this database's schema."""
 
 
 class BudgetExceededError(ReproError):

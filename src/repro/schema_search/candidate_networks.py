@@ -242,19 +242,40 @@ def generate_candidate_networks(
     the output (enumeration order makes the cap deterministic).  An
     exhausted *budget* truncates enumeration the same way — the CNs
     found so far are returned and the budget records why.
+
+    Only trees that can still become a CN within *max_size* are built:
+    a partial tree needs at least ``needed`` more nodes — its free
+    leaves if it has any (each must gain a neighbour, and a new node
+    attaches to one node), else 1 if a keyword is uncovered, else 0.
+    The kept trees are closed under leaf removal, so the list, its node
+    numbering and the ``max_networks`` cut are those of the unpruned
+    BFS (docs/ALGORITHMS.md; ``tests/cn_reference.py`` is the oracle).
     """
-    query = list(tuple_sets.keywords)
+    query = frozenset(tuple_sets.keywords)
     if not query:
         return []
-    if tuple_sets.covered_keywords() != set(query):
+    non_free = tuple_sets.non_free_keys()
+    if tuple_sets.covered_keywords() != query:
         # Some keyword matches nothing: AND semantics yields no CNs.
         return []
+
+    # Per table: the nodes a new node of that table may be (R, then each
+    # R^K in non_free_keys() order), and the (edge, owns-the-FK,
+    # neighbour's options) steps out of it.
+    tables = schema_graph.tables
+    options = {t: [CNNode(TupleSetKey(t, frozenset()))] for t in tables}
+    for key in non_free:
+        options[key.table].append(CNNode(key))
+    steps = {
+        t: [(e, t == e.child, options[nbr]) for nbr, e in schema_graph.neighbors(t)]
+        for t in tables
+    }
 
     seen: Set[str] = set()
     results: List[CandidateNetwork] = []
     queue: deque = deque()
 
-    for key in tuple_sets.non_free_keys():
+    for key in non_free:
         cn = CandidateNetwork([CNNode(key)], [])
         code = cn.canonical_code()
         if code not in seen:
@@ -266,25 +287,42 @@ def generate_candidate_networks(
             cn = queue.popleft()
             if budget is not None:
                 budget.tick_cns()
-            if cn.is_valid(query):
+            nodes, edges = cn.nodes, cn.edges
+            size = len(nodes)
+            degree = [0] * size
+            # (FK-owning node, FK column) per edge: queued trees are
+            # non-degenerate, so only a new edge can repeat a pair.
+            used: Set[Tuple[int, str]] = set()
+            for a, b, edge in edges:
+                degree[a] += 1
+                degree[b] += 1
+                owner = a if nodes[a].table == edge.child else b
+                used.add((owner, edge.fk.column))
+            missing = query.difference(*(node.keywords for node in nodes))
+            free_leaves = sum(
+                1 for i in range(size) if degree[i] == 1 and nodes[i].is_free
+            )
+            if free_leaves == 0 and not missing:
                 results.append(cn)
                 if max_networks is not None and len(results) >= max_networks:
                     break
-            if cn.size >= max_size:
+            room = max_size - size - 1  # nodes an extension may still add
+            if room < 0:
                 continue
-            for i, node in enumerate(cn.nodes):
-                for nbr_table, edge in schema_graph.neighbors(node.table):
-                    # Candidate keyword sets for the new node: free, or any
-                    # non-empty exact subset available in the target table.
-                    options: List[TupleSetKey] = [TupleSetKey(nbr_table, frozenset())]
-                    options.extend(
-                        TupleSetKey(nbr_table, subset)
-                        for subset in tuple_sets.keyword_subsets(nbr_table)
-                    )
-                    for new_key in options:
-                        extended = cn.extend(i, edge, new_key)
-                        if extended.has_degenerate_join():
+            for i, node in enumerate(nodes):
+                leaves_kept = free_leaves - (degree[i] == 1 and node.is_free)
+                for edge, owns_fk, new_nodes in steps[node.table]:
+                    if owns_fk and (i, edge.fk.column) in used:
+                        continue
+                    for new_node in new_nodes:
+                        needed = leaves_kept + new_node.is_free
+                        if needed == 0 and not missing <= new_node.keywords:
+                            needed = 1
+                        if needed > room:
                             continue
+                        extended = CandidateNetwork(
+                            nodes + (new_node,), edges + ((i, size, edge),)
+                        )
                         code = extended.canonical_code()
                         if code in seen:
                             continue

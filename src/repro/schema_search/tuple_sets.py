@@ -44,6 +44,10 @@ class TupleSets:
         self.index = index
         self.keywords: Tuple[str, ...] = tuple(k.lower() for k in keywords)
         self._sets: Dict[TupleSetKey, List[TupleId]] = {}
+        # non_free_keys() memo.  Keys are only ever added, so it is
+        # current iff its length matches — which also re-sorts after a
+        # refresh() that created a key, even one racing a reader.
+        self._sorted_keys: List[TupleSetKey] = []
         # Rowids matching >= 1 keyword, as an int bitset per table (bit
         # ``rowid`` set).  Rowids are dense 0-based insertion indexes, so
         # one arbitrary-precision int per table replaces a Set[int] at a
@@ -119,7 +123,10 @@ class TupleSets:
     # ------------------------------------------------------------------
     def non_free_keys(self) -> List[TupleSetKey]:
         """All non-empty, non-free tuple-set identities, sorted by label."""
-        return sorted(self._sets, key=lambda k: k.label())
+        keys = self._sorted_keys
+        if len(keys) != len(self._sets):
+            keys = self._sorted_keys = sorted(self._sets, key=lambda k: k.label())
+        return list(keys)
 
     def keys_for_table(self, table: str) -> List[TupleSetKey]:
         return [k for k in self.non_free_keys() if k.table == table]
@@ -150,10 +157,6 @@ class TupleSets:
             # bin().count is the 3.9-safe popcount (int.bit_count is 3.10+).
             return len(self.db.table(key.table)) - bin(matched).count("1")
         return len(self._sets.get(key, ()))
-
-    def keyword_subsets(self, table: str) -> List[FrozenSet[str]]:
-        """Non-empty exact keyword subsets available in *table*."""
-        return [k.keywords for k in self.keys_for_table(table)]
 
     def covered_keywords(self) -> Set[str]:
         """Query keywords that match at least one tuple anywhere."""

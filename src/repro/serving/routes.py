@@ -42,7 +42,7 @@ from repro.core.factory import build_engine
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.budget import QueryBudget
 from repro.resilience.degradation import KNOWN_METHODS
-from repro.resilience.errors import QueryParseError, ReproError
+from repro.resilience.errors import QueryParseError, ReproError, UnsupportedSchemaError
 from repro.serving.admission import (
     AdmissionController,
     MODE_FALLBACK,
@@ -251,7 +251,7 @@ class Router:
         except BadRequest as exc:
             self.metrics.inc("serve.bad_requests")
             return _bad(str(exc))
-        except QueryParseError as exc:
+        except (QueryParseError, UnsupportedSchemaError) as exc:
             self.metrics.inc("serve.bad_requests")
             return _bad(str(exc))
         except Exception as exc:  # pragma: no cover - last-resort guard

@@ -7,6 +7,9 @@ substrate circuit breaker.
 
 from __future__ import annotations
 
+import asyncio
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
@@ -15,11 +18,15 @@ from repro.core.results import ResultSet
 from repro.core.xml_engine import XmlSearchEngine
 from repro.datasets.bibliographic import tiny_bibliographic_db
 from repro.datasets.xml_corpora import slide_conf_tree
+from repro.obs.metrics import MetricsRegistry
 from repro.perf.batch import (
     BatchQuery,
     BatchSearchExecutor,
     as_batch_query,
 )
+from repro.query.compiler import FilteredTupleSets, compile_query
+from repro.relational.database import Database
+from repro.relational.schema import Column, ForeignKey, Schema, TableSchema
 from repro.resilience.budget import QueryBudget, make_budget
 from repro.resilience.circuit import CircuitBreaker
 from repro.resilience.degradation import KNOWN_METHODS, fallback_chain
@@ -32,10 +39,14 @@ from repro.resilience.errors import (
     SearchExecutionError,
     SubstrateBuildError,
     TransientError,
+    UnsupportedSchemaError,
     classify_error,
 )
 from repro.resilience.failpoints import FAILPOINTS
 from repro.resilience.retry import RetryPolicy, call_with_retry
+from repro.serving.admission import AdmissionController
+from repro.serving.routes import Request, Router
+from repro.serving.swap import EngineHandle
 from repro.xml_search.slca import slca_indexed_lookup_eager, slca_scan_eager
 
 
@@ -305,6 +316,133 @@ class TestDegradationLadder:
         assert results.status == "ok"
         assert results.method == "banks"
         assert results.fallback_from is None
+
+
+def emp_db() -> Database:
+    """alice <- bob <- carol through ``emp.boss -> emp.eid``."""
+    schema = Schema(
+        [
+            TableSchema(
+                "emp",
+                (
+                    Column("eid", "int"),
+                    Column("name", "str", text=True),
+                    Column("boss", "int", nullable=True),
+                ),
+                "eid",
+                (ForeignKey("boss", "emp", "eid"),),
+            )
+        ]
+    )
+    db = Database(schema)
+    for eid, (name, boss) in enumerate([("alice", None), ("bob", 0), ("carol", 1)]):
+        db.insert("emp", eid=eid, name=name, boss=boss)
+    return db
+
+
+class TestSelfReferencingForeignKey:
+    """``schema`` cannot orient a self-referencing FK edge: it says so.
+
+    It used to answer ``[]`` — the one satisfiable CN shares a canonical
+    code with its unsatisfiable mirror — while ``banks`` found the tree.
+    """
+
+    QUERIES = ("alice bob", "bob alice", "bob carol", "carol bob")
+
+    @pytest.fixture()
+    def engines(self):
+        sharded = build_engine(emp_db(), shards=2)
+        yield build_engine(emp_db()), sharded
+        sharded.close()
+
+    def test_schema_refuses_naming_the_column(self, engines):
+        for engine in engines:
+            for text in self.QUERIES:
+                assert engine.search(text, method="banks"), text
+                with pytest.raises(UnsupportedSchemaError, match="emp.boss") as info:
+                    engine.search(text, method="schema")
+                assert isinstance(info.value, ReproError)
+                assert isinstance(info.value, ValueError)
+                assert not isinstance(info.value, QueryParseError)
+
+    def test_fallback_descends_instead_of_answering_nothing(self, engines):
+        for engine in engines:
+            for text in self.QUERIES:
+                results = engine.search(text, method="schema", fallback=True)
+                assert results, text
+                assert results.fallback_from == "schema"
+                assert results.method == fallback_chain("schema")[1]
+                assert "emp.boss" in results.degraded_reason
+
+    def test_http_answers_400_not_200_and_empty(self):
+        metrics = MetricsRegistry()
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            router = Router(
+                handle=EngineHandle(build_engine(emp_db()), metrics=metrics),
+                admission=AdmissionController(metrics=metrics),
+                executor=executor,
+                metrics=metrics,
+                db=None,
+            )
+            bad = asyncio.run(
+                router.dispatch(Request("GET", "/search", {"q": "alice bob"}))
+            )
+            ok = asyncio.run(
+                router.dispatch(
+                    Request("GET", "/search", {"q": "alice bob", "method": "banks"})
+                )
+            )
+        assert bad.status == 400 and "emp.boss" in bad.payload["error"]
+        assert ok.status == 200 and ok.payload["results"]
+
+
+class TestFilteredEnumerationFaultBoundary:
+    """A row filter that empties a tuple set re-enumerates CNs on every
+    request; that enumeration runs inside the same ``_build`` boundary
+    as the memoised one (it used to call the generator directly)."""
+
+    BARE = "john smith cloud"
+    FILTERED = "affiliation:stanford john smith cloud"  # drops author^{john}
+
+    def test_the_filter_empties_a_tuple_set(self, engine):
+        compiled = compile_query(engine, engine._parse_canonical(self.FILTERED))
+        base = engine.substrates.tuple_sets(list(compiled.branches[0]))
+        filtered = FilteredTupleSets(base, compiled.row_filter)
+        assert len(filtered.non_free_keys()) == len(base.non_free_keys()) - 1
+        assert engine.search(self.FILTERED, use_cache=False)
+
+    @pytest.mark.parametrize(
+        "exc, raised",
+        [(FaultInjectedError, FaultInjectedError), (RuntimeError("boom"), SubstrateBuildError)],
+    )
+    def test_failpoint_fails_filtered_exactly_as_bare(self, engine, exc, raised):
+        FAILPOINTS.activate("substrates.candidate_networks", exc=exc)
+        for text in (self.BARE, self.FILTERED):
+            for fallback in (False, True):
+                with pytest.raises(raised) as info:
+                    engine.search(text, use_cache=False, fallback=fallback)
+                if raised is SubstrateBuildError:
+                    assert info.value.site == "candidate_networks"
+        assert FAILPOINTS.hits("substrates.candidate_networks") == 4
+
+    def test_histogram_and_builds_count_every_filtered_enumeration(self, engine):
+        def counts():
+            snap = engine.metrics.snapshot()
+            observed = snap.get("substrates.build_ms.candidate_networks", {})
+            return (
+                observed.get("count", 0),
+                engine.substrates.builds["candidate_networks"],
+            )
+
+        first = engine.search(self.FILTERED, use_cache=False)
+        after_first = counts()
+        assert after_first == (1, 1)
+        again = engine.search(self.FILTERED, use_cache=False)
+        assert counts() == (2, 2)  # not memoised: the list depends on the filter
+        assert result_signature(again) == result_signature(first)
+        engine.search(self.BARE, use_cache=False)
+        engine.search(self.BARE, use_cache=False)
+        assert counts() == (3, 3)  # the bare list is
 
 
 # ----------------------------------------------------------------------
