@@ -95,7 +95,6 @@ class KeywordSearchEngine:
         clean_queries: bool = True,
         result_cache_size: int = 512,
         enable_caches: bool = True,
-        incremental_updates: bool = True,
         trace: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         backend: str = "dict",
@@ -115,12 +114,8 @@ class KeywordSearchEngine:
         self.max_cn_size = max_cn_size
         self.clean_queries = clean_queries
         self.enable_caches = enable_caches
-        self.incremental_updates = incremental_updates
         self.substrates = SubstrateCache(
-            db,
-            lambda: self.index,
-            lambda: self.schema_graph,
-            incremental=incremental_updates,
+            db, lambda: self.index, lambda: self.schema_graph
         )
         self._result_cache = LRUCache(result_cache_size)
         self._refine_cache = LRUCache(max(64, result_cache_size // 4))
@@ -221,29 +216,23 @@ class KeywordSearchEngine:
         without an explicit call; writers call it to pay the
         maintenance cost at insert time instead of on the next query.
 
-        With ``incremental_updates`` on, the substrate cache patches
-        the warm inverted index and memoised tuple sets in place
-        (insert-only data model), so only the graph-derived structures
-        — which hold per-tuple nodes — and the query-result caches are
-        dropped; they rebuild lazily.  If the delta could not be
-        applied (or incremental updates are off), everything drops as
-        before.
+        The substrate cache patches the warm inverted index and
+        memoised tuple sets in place (insert-only data model), so only
+        the graph-derived structures — which hold per-tuple nodes — and
+        the query-result caches are dropped; they rebuild lazily.  If
+        the delta could not be applied, everything drops.
         """
         version = self.db.data_version
         if version == self._served_version:
             return
         self._served_version = version
-        if self.incremental_updates:
-            self.substrates.check_version()
-            if self.substrates.last_delta_applied:
-                for attr in ("data_graph", "cleaner", "distance_index", "tastier"):
-                    self.__dict__.pop(attr, None)
-                self._result_cache.clear()
-                self._refine_cache.clear()
-                self._forms_cache.clear()
-                self._parse_cache.clear()
-                return
-        self.invalidate_caches()
+        self.substrates.check_version()
+        if not self.substrates.last_delta_applied:
+            self.invalidate_caches()
+            return
+        for attr in ("data_graph", "cleaner", "distance_index", "tastier"):
+            self.__dict__.pop(attr, None)
+        self._clear_query_caches()
 
     def warm(self) -> None:
         """Build the inverted index now instead of on the first query."""
@@ -271,6 +260,9 @@ class KeywordSearchEngine:
             # Release backend resources (ephemeral disk segments, mmaps).
             stale_index.close()
         self.substrates.clear()
+        self._clear_query_caches()
+
+    def _clear_query_caches(self) -> None:
         self._result_cache.clear()
         self._refine_cache.clear()
         self._forms_cache.clear()
@@ -691,6 +683,10 @@ class KeywordSearchEngine:
                 budget.renew()
             is_last = i == len(chain) - 1
             try:
+                if budget is not None:
+                    # Already cancelled or past the deadline (a batch
+                    # query that starts late): build nothing.
+                    budget.checkpoint()
                 results, reasons = self._execute_rung(compiled, k, rung, budget, tracer)
             except BudgetExceededError as exc:
                 # Exhaustion escaped an algorithm with no partial answer.
@@ -753,6 +749,7 @@ class KeywordSearchEngine:
         k: int = 10,
         method: str = "schema",
         max_workers: int = 8,
+        budget: Optional[QueryBudget] = None,
         timeout_ms: Optional[float] = None,
         max_expansions: Optional[int] = None,
         fallback: bool = False,
@@ -772,26 +769,23 @@ class KeywordSearchEngine:
         :class:`~repro.perf.batch.BatchOutcome`) while its neighbours
         complete normally.  ``raise_on_error=True`` restores the old
         fail-the-batch behavior.
+
+        *budget* bounds the whole batch (one deadline, per-query caps,
+        one cancellation: each query ticks a fork of it); ``timeout_ms``
+        / ``max_expansions`` alone give every query a fresh budget.
         """
         executor = BatchSearchExecutor(self, max_workers=max_workers)
+        options = {
+            "k": k,
+            "method": method,
+            "budget": budget,
+            "timeout_ms": timeout_ms,
+            "max_expansions": max_expansions,
+            "fallback": fallback,
+        }
         if detailed:
-            return executor.run_outcomes(
-                queries,
-                k=k,
-                method=method,
-                timeout_ms=timeout_ms,
-                max_expansions=max_expansions,
-                fallback=fallback,
-            )
-        return executor.run(
-            queries,
-            k=k,
-            method=method,
-            timeout_ms=timeout_ms,
-            max_expansions=max_expansions,
-            fallback=fallback,
-            raise_on_error=raise_on_error,
-        )
+            return executor.run_outcomes(queries, **options)
+        return executor.run(queries, raise_on_error=raise_on_error, **options)
 
     def _tree_to_joined(self, nodes) -> "JoinedRow":
         from repro.relational.executor import JoinedRow

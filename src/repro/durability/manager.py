@@ -74,7 +74,6 @@ class DurableEngine:
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.engine = engine
-        self.db = engine.db
         self.root_dir = root_dir
         #: Serializes mutations against snapshots (see module docstring).
         #: Re-entrant so bootstrap (``__init__`` -> ``snapshot``) and
@@ -112,6 +111,20 @@ class DurableEngine:
             )
             if bootstrap_snapshot and self.db.size():
                 self.snapshot()
+
+    @property
+    def db(self):
+        """The wrapped engine's database — what mutations land in."""
+        return self.engine.db
+
+    def rebind(self, engine) -> None:
+        """Log for *engine* from now on (the server's generation swap).
+
+        The WAL and snapshot store stay; mutations land in *engine*'s
+        database and refresh *engine*, not the retired generation.
+        """
+        with self.mutation_lock:
+            self.engine = engine
 
     # ------------------------------------------------------------------
     # Durable mutation path (validate -> log -> apply -> refresh)

@@ -12,9 +12,9 @@ dicts with one namespace of named metrics:
   substrate build counts, sharing totals) surface as metrics without
   double bookkeeping.
 * :class:`Histogram` — log-scale bucketed distribution with
-  p50/p95/p99 estimates; bucket width ``10^(1/buckets_per_decade)``
-  bounds the relative percentile error (~±4 % at the default 32
-  buckets per decade).
+  p50/p95/p99 estimates; bucket width ``10^(1/BUCKETS_PER_DECADE)``
+  bounds the relative percentile error (~±4 % at 32 buckets per
+  decade).
 
 Everything is dependency-free and thread-safe.  A process-wide default
 registry is available via :func:`get_global_registry`; engines default
@@ -95,14 +95,18 @@ class Gauge:
         return f"Gauge({self.name}={self.value})"
 
 
+#: Log-scale resolution of every :class:`Histogram`.
+BUCKETS_PER_DECADE = 32
+
+
 class Histogram:
     """Log-scale bucketed histogram with percentile estimates.
 
     A positive observation ``v`` lands in bucket
-    ``floor(log10(v) * buckets_per_decade)``; each bucket spans a
+    ``floor(log10(v) * BUCKETS_PER_DECADE)``; each bucket spans a
     ``10^(1/bpd)`` ratio, so a percentile reported as the bucket's
     geometric midpoint is within half a bucket width of the true value
-    (~±4 % relative at the default bpd=32).  Zero and negative
+    (~±4 % relative at bpd=32).  Zero and negative
     observations are counted in a dedicated underflow bucket treated as
     the smallest value.  Exact ``count`` / ``sum`` / ``min`` / ``max``
     are tracked alongside.
@@ -110,7 +114,6 @@ class Histogram:
 
     __slots__ = (
         "name",
-        "buckets_per_decade",
         "_buckets",
         "_underflow",
         "_count",
@@ -120,13 +123,8 @@ class Histogram:
         "_lock",
     )
 
-    def __init__(self, name: str, buckets_per_decade: int = 32):
-        if buckets_per_decade < 1:
-            raise ValueError(
-                f"buckets_per_decade must be >= 1, got {buckets_per_decade}"
-            )
+    def __init__(self, name: str):
         self.name = name
-        self.buckets_per_decade = buckets_per_decade
         self._buckets: Dict[int, int] = {}
         self._underflow = 0
         self._count = 0
@@ -144,14 +142,14 @@ class Histogram:
             if value > self._max:
                 self._max = value
             if value > 0.0:
-                idx = math.floor(math.log10(value) * self.buckets_per_decade)
+                idx = math.floor(math.log10(value) * BUCKETS_PER_DECADE)
                 self._buckets[idx] = self._buckets.get(idx, 0) + 1
             else:
                 self._underflow += 1
 
     # -- estimation ----------------------------------------------------
     def _bucket_mid(self, idx: int) -> float:
-        return 10.0 ** ((idx + 0.5) / self.buckets_per_decade)
+        return 10.0 ** ((idx + 0.5) / BUCKETS_PER_DECADE)
 
     def percentile(self, q: float) -> float:
         """Estimated q-quantile (q in [0, 1]) from the buckets."""
@@ -244,12 +242,12 @@ class MetricsRegistry:
                 metric = self._gauges[name] = Gauge(name)
             return metric
 
-    def histogram(self, name: str, buckets_per_decade: int = 32) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         with self._lock:
             metric = self._histograms.get(name)
             if metric is None:
                 self._check_free(name, self._histograms)
-                metric = self._histograms[name] = Histogram(name, buckets_per_decade)
+                metric = self._histograms[name] = Histogram(name)
             return metric
 
     def register_gauge(self, name: str, fn: Callable[[], Any]) -> None:

@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.results import ResultSet, SearchResult
 from repro.obs.metrics import MetricsRegistry
+from repro.resilience.budget import QueryBudget
 from repro.resilience.circuit import CircuitBreaker
 from repro.resilience.degradation import KNOWN_METHODS
 from repro.resilience.errors import (
@@ -127,8 +128,9 @@ class BatchSearchExecutor:
     Each query is executed inside a fault-isolation boundary: errors are
     captured as :class:`BatchOutcome` objects, transient errors retried
     per *retry* (capped exponential backoff, no jitter — deterministic),
-    and substrate-build failures counted against *breaker* (defaults to
-    the engine's own persistent ``circuit_breaker``).
+    and substrate-build failures counted against the engine's own
+    persistent ``circuit_breaker``.  Batch outcomes land in the engine's
+    metrics registry (``batch.*`` counters, ``batch.query_ms``).
     """
 
     def __init__(
@@ -136,27 +138,16 @@ class BatchSearchExecutor:
         engine,
         max_workers: int = 8,
         retry: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
         sleep: Callable[[float], None] = time.sleep,
-        metrics: Optional[MetricsRegistry] = None,
     ):
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.engine = engine
         self.max_workers = max_workers
         self.retry = retry if retry is not None else DEFAULT_RETRY
-        self.breaker = (
-            breaker
-            if breaker is not None
-            else getattr(engine, "circuit_breaker", None)
-        )
+        self.breaker: CircuitBreaker = engine.circuit_breaker
         self._sleep = sleep
-        #: Batch outcomes also land in the engine's metrics registry
-        #: (``batch.*`` counters, ``batch.query_ms`` histogram) unless a
-        #: different registry is passed in.
-        self.metrics = (
-            metrics if metrics is not None else getattr(engine, "metrics", None)
-        )
+        self.metrics: MetricsRegistry = engine.metrics
         # Counter updates take this lock: executors may be shared across
         # request threads, and read-modify-write on plain ints is not
         # atomic — served/computed/failed tallies must stay exact.
@@ -178,7 +169,7 @@ class BatchSearchExecutor:
         one broken substrate degrades the affected queries instead of
         killing the whole batch.
         """
-        if self.breaker is not None and self.breaker.state != "closed":
+        if self.breaker.state != "closed":
             return  # open circuit: don't re-attempt the broken build here
         engine = self.engine
         methods = {q.method for q in queries}
@@ -199,6 +190,7 @@ class BatchSearchExecutor:
         queries: Sequence[QueryLike],
         k: int = 10,
         method: str = "schema",
+        budget: Optional[QueryBudget] = None,
         timeout_ms: Optional[float] = None,
         max_expansions: Optional[int] = None,
         fallback: bool = False,
@@ -210,6 +202,13 @@ class BatchSearchExecutor:
         so callers cannot alias each other.  Submission-time validation
         errors (bad ``k``, unknown method) raise immediately — nothing
         has been dispatched yet.
+
+        *budget* bounds the batch as a whole: every query (every retry
+        attempt) ticks its own :meth:`QueryBudget.fork` — one absolute
+        deadline, caps applied per query, and poisoning *budget* stops
+        the queries in flight and those not yet started.  Without it
+        ``timeout_ms`` / ``max_expansions`` give each query a fresh
+        budget of its own, as in ``search()``.
         """
         batch = [as_batch_query(q, k=k, method=method) for q in queries]
         if not batch:
@@ -223,29 +222,32 @@ class BatchSearchExecutor:
             self.queries_served += len(batch)
             self.queries_computed += len(order)
         metrics = self.metrics
-        if metrics is not None:
-            metrics.inc("batch.queries_served", len(batch))
-            metrics.inc("batch.queries_computed", len(order))
-            metrics.inc("batch.duplicates_coalesced", len(batch) - len(order))
+        metrics.inc("batch.queries_served", len(batch))
+        metrics.inc("batch.queries_computed", len(order))
+        metrics.inc("batch.duplicates_coalesced", len(batch) - len(order))
 
         self.warm(order)
 
-        def one(query: BatchQuery) -> BatchOutcome:
-            return self._execute_one(
-                query,
+        def search(query: BatchQuery) -> ResultSet:
+            return self.engine.search(
+                query.text,
+                k=query.k,
+                method=query.method,
+                budget=budget.fork() if budget is not None else None,
                 timeout_ms=timeout_ms,
                 max_expansions=max_expansions,
                 fallback=fallback,
             )
 
         if self.max_workers == 1 or len(order) == 1:
-            computed = [one(q) for q in order]
+            computed = [self._execute_one(q, search) for q in order]
         else:
             workers = min(self.max_workers, len(order))
             computed = [None] * len(order)  # type: ignore[list-item]
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = {
-                    pool.submit(one, q): i for i, q in enumerate(order)
+                    pool.submit(self._execute_one, q, search): i
+                    for i, q in enumerate(order)
                 }
                 pending = set(futures)
                 while pending:
@@ -264,14 +266,13 @@ class BatchSearchExecutor:
             elif outcome.status == "degraded":
                 degraded += 1
             retries += max(0, outcome.attempts - 1)
-            if metrics is not None:
-                metrics.inc(f"batch.outcome.{outcome.status}")
-                metrics.observe("batch.query_ms", outcome.duration_ms)
+            metrics.inc(f"batch.outcome.{outcome.status}")
+            metrics.observe("batch.query_ms", outcome.duration_ms)
         with self._stats_lock:
             self.queries_failed += failed
             self.queries_degraded += degraded
             self.retries += retries
-        if metrics is not None and retries:
+        if retries:
             metrics.inc("batch.retries", retries)
 
         out: List[BatchOutcome] = []
@@ -294,6 +295,7 @@ class BatchSearchExecutor:
         queries: Sequence[QueryLike],
         k: int = 10,
         method: str = "schema",
+        budget: Optional[QueryBudget] = None,
         timeout_ms: Optional[float] = None,
         max_expansions: Optional[int] = None,
         fallback: bool = False,
@@ -313,6 +315,7 @@ class BatchSearchExecutor:
             queries,
             k=k,
             method=method,
+            budget=budget,
             timeout_ms=timeout_ms,
             max_expansions=max_expansions,
             fallback=fallback,
@@ -327,11 +330,9 @@ class BatchSearchExecutor:
     def _execute_one(
         self,
         query: BatchQuery,
-        timeout_ms: Optional[float],
-        max_expansions: Optional[int],
-        fallback: bool,
+        search: Callable[[BatchQuery], ResultSet],
     ) -> BatchOutcome:
-        """Fault-isolation boundary around one query.
+        """Fault-isolation boundary around one query (``search(query)``).
 
         Never raises: every exception is classified into the
         :class:`ReproError` taxonomy and returned as an error outcome.
@@ -339,55 +340,44 @@ class BatchSearchExecutor:
         feed the circuit breaker, and an open breaker fails fast.
         """
         start = time.perf_counter()
-        breaker = self.breaker
-        if breaker is not None and not breaker.allow():
-            err = CircuitOpenError(
-                "circuit open after repeated substrate failures; failing fast"
-            )
+
+        def failed(err: ReproError, attempts: int) -> BatchOutcome:
             return BatchOutcome(
                 query=query,
                 status="error",
                 results=ResultSet(method=query.method, error=err),
                 error=err,
-                attempts=0,
+                attempts=attempts,
                 duration_ms=(time.perf_counter() - start) * 1000.0,
+            )
+
+        breaker = self.breaker
+        if not breaker.allow():
+            return failed(
+                CircuitOpenError(
+                    "circuit open after repeated substrate failures; failing fast"
+                ),
+                attempts=0,
             )
         attempt = 1
         while True:
             try:
-                results = self.engine.search(
-                    query.text,
-                    k=query.k,
-                    method=query.method,
-                    timeout_ms=timeout_ms,
-                    max_expansions=max_expansions,
-                    fallback=fallback,
-                )
+                results = search(query)
             except Exception as exc:  # noqa: BLE001 — isolation boundary
                 err = classify_error(exc)
-                if breaker is not None and isinstance(err, SubstrateBuildError):
+                if isinstance(err, SubstrateBuildError):
                     breaker.record_failure()
                 retryable = (
                     err.transient
                     and attempt < self.retry.max_attempts
-                    and (breaker is None or breaker.allow())
+                    and breaker.allow()
                 )
                 if retryable:
                     self._sleep(self.retry.delay(attempt))
                     attempt += 1
                     continue
-                return BatchOutcome(
-                    query=query,
-                    status="error",
-                    results=ResultSet(method=query.method, error=err),
-                    error=err,
-                    attempts=attempt,
-                    duration_ms=(time.perf_counter() - start) * 1000.0,
-                )
-            if breaker is not None:
-                breaker.record_success()
-            if not isinstance(results, ResultSet):
-                results = ResultSet(results, method=query.method)
+                return failed(err, attempt)
+            breaker.record_success()
             return BatchOutcome(
                 query=query,
                 status=results.status,

@@ -17,8 +17,8 @@ insert-only, the default reaction to a mutation is an *incremental
 delta*: the inverted index patches postings for the appended rows and
 every memoised :class:`TupleSets` re-classifies just those rows,
 keeping warm-cache speedups across writes; memoised CN lists drop only
-when a new tuple-set key appears (``incremental=False`` restores the
-old drop-everything behavior).  Builds take a lock (double-checked) so
+when a new tuple-set key appears (a delta that raises falls back to
+dropping everything).  Builds take a lock (double-checked) so
 concurrent batch workers share one build instead of racing.
 
 The per-keyword-set memos are bounded: HTTP clients choose the keyword
@@ -86,7 +86,6 @@ class SubstrateCache:
         db: Database,
         index_supplier: Callable[[], InvertedIndex],
         schema_graph_supplier: Callable[[], SchemaGraph],
-        incremental: bool = True,
     ):
         self.db = db
         self._index = index_supplier
@@ -103,10 +102,6 @@ class SubstrateCache:
             "form_pipeline": 0,
         }
         self.invalidations = 0
-        #: When True, a version bump patches the index and memoised
-        #: tuple sets in place (insert-only data model) instead of
-        #: dropping everything; False restores clear-on-mutation.
-        self.incremental = incremental
         self.patches: Dict[str, int] = {
             "applied": 0,
             "index_rows": 0,
@@ -125,27 +120,23 @@ class SubstrateCache:
     # ------------------------------------------------------------------
     # Invalidation
     # ------------------------------------------------------------------
-    def check_version(self) -> bool:
-        """Reconcile with a mutated database; True if the version moved.
+    def check_version(self) -> None:
+        """Reconcile with a mutated database.
 
-        With ``incremental`` on, appended rows are patched into the
-        warm index and memoised tuple sets (see :meth:`_apply_delta`);
-        only stale CN memos and the cheap keyword/form memos drop.
-        Otherwise — or if the delta fails — everything is cleared as
-        before.
+        Appended rows are patched into the warm index and memoised
+        tuple sets (see :meth:`_apply_delta`); only stale CN memos and
+        the cheap keyword/form memos drop.  If the delta fails,
+        everything is cleared.
         """
         with self._lock:
             version = self.db.data_version
             if version == self._version:
-                return False
+                return
             self._version = version
-            if self.incremental and self._apply_delta():
-                self.last_delta_applied = True
-                return True
-            self.last_delta_applied = False
-            self._clear_locked()
-            self.invalidations += 1
-            return True
+            self.last_delta_applied = self._apply_delta()
+            if not self.last_delta_applied:
+                self._clear_locked()
+                self.invalidations += 1
 
     def _apply_delta(self) -> bool:
         """Patch memoised substrates in place for appended rows.
@@ -361,7 +352,6 @@ class SubstrateCache:
             return {
                 "version": self._version,
                 "invalidations": self.invalidations,
-                "incremental": self.incremental,
                 "patches": dict(self.patches),
                 "builds": dict(self.builds),
                 "entries": {

@@ -324,9 +324,7 @@ def _phrase_in_row(row, phrase: PhraseConstraint) -> bool:
     return False
 
 
-def compile_query(
-    engine, query: StructuredQuery, max_branches: int = MAX_BRANCHES
-) -> CompiledQuery:
+def compile_query(engine, query: StructuredQuery) -> CompiledQuery:
     """Compile against a concrete engine (schema + index).
 
     A bare query compiles to one branch, its token stream as typed: a
@@ -334,12 +332,12 @@ def compile_query(
     always has), where a DSL branch lists each token once.
 
     Raises :class:`QueryParseError` for unknown fields or an OR
-    cross-product beyond *max_branches*.
+    cross-product beyond :data:`MAX_BRANCHES`.
     """
-    if query.branch_count() > max_branches:
+    if query.branch_count() > MAX_BRANCHES:
         raise QueryParseError(
             f"query expands to {query.branch_count()} conjunctive branches "
-            f"(cap {max_branches}); simplify the OR structure"
+            f"(cap {MAX_BRANCHES}); simplify the OR structure"
         )
     weights: Dict[str, float] = {}
     for group in query.groups:
@@ -368,10 +366,11 @@ def compile_query(
 def execute_rung(engine, compiled, k, method, budget=None, tracer=None):
     """The local executor: run every branch through *method*, then merge.
 
-    The one place a ladder rung executes in this process, for every
-    query shape — which is why the ``engine.method`` failpoint lives
-    here.  Returns a plain list of SearchResults (the engine wraps them
-    in a ResultSet with degradation metadata).
+    The one place a ladder rung executes whole in this process, for
+    every query shape — which is why the ``engine.method`` failpoint
+    lives here (the sharded coordinator fires it itself for the rungs
+    it scatters instead).  Returns a plain list of SearchResults (the
+    engine wraps them in a ResultSet with degradation metadata).
     """
     fail_point("engine.method", key=method)
     gathered = []

@@ -24,8 +24,8 @@ The serving front end admits a request only after three gates:
    ======================  =======================================
    pressure                admitted as
    ======================  =======================================
-   ``< full_below``        requested method, full budget
-   ``< fallback_below``    requested method with ``fallback=True``
+   ``< FULL_BELOW``        requested method, full budget
+   ``< FALLBACK_BELOW``    requested method with ``fallback=True``
                            (budget exhaustion descends the ladder)
    ``< 1.0``               ``index_only`` — the terminal rung,
                            guaranteed cheap
@@ -59,6 +59,10 @@ MODE_FULL = "full"
 MODE_FALLBACK = "fallback"
 MODE_INDEX_ONLY = "index_only"
 MODES = (MODE_FULL, MODE_FALLBACK, MODE_INDEX_ONLY)
+
+#: Pressure thresholds of the shedding ladder (see the table above).
+FULL_BELOW = 0.5
+FALLBACK_BELOW = 0.8
 
 
 class TokenBucket:
@@ -190,9 +194,6 @@ class AdmissionController:
         tenant_rate: float = 200.0,
         tenant_burst: float = 400.0,
         target_latency_ms: float = 250.0,
-        full_below: float = 0.5,
-        fallback_below: float = 0.8,
-        ewma_alpha: float = 0.2,
         max_tenants: int = 1024,
         clock: Callable[[], float] = time.monotonic,
         metrics: Optional[MetricsRegistry] = None,
@@ -203,23 +204,15 @@ class AdmissionController:
             raise ValueError(f"max_queue_depth must be >= 0, got {max_queue_depth}")
         if max_tenants < 1:
             raise ValueError(f"max_tenants must be >= 1, got {max_tenants}")
-        if not 0.0 < full_below <= fallback_below <= 1.0:
-            raise ValueError(
-                "thresholds must satisfy 0 < full_below <= fallback_below <= 1, "
-                f"got {full_below} / {fallback_below}"
-            )
         self.max_concurrency = max_concurrency
         self.max_queue_depth = max_queue_depth
         self.capacity = max_concurrency + max_queue_depth
         self.tenant_rate = tenant_rate
         self.tenant_burst = tenant_burst
         self.target_latency_ms = target_latency_ms
-        self.full_below = full_below
-        self.fallback_below = fallback_below
         # Half-life = the shed threshold (2 x target): an idle server
         # forgets a latency spike on the time scale that defined it.
         self.latency = LatencyEWMA(
-            alpha=ewma_alpha,
             half_life_s=2.0 * target_latency_ms / 1000.0
             if target_latency_ms > 0
             else None,
@@ -271,7 +264,7 @@ class AdmissionController:
         The queue component reaches 1.0 exactly when the bounded queue
         is full; the latency component reaches 1.0 when the EWMA hits
         twice the target (degradation starts well before, at
-        ``full_below * 2 * target``).
+        ``FULL_BELOW * 2 * target``).
         """
         occupancy = self.depth() / self.capacity
         latency_ratio = 0.0
@@ -364,9 +357,9 @@ class AdmissionController:
                 retry_after_s=retry_after,
                 reason=f"tenant {tenant!r} over rate limit",
             )
-        if pressure < self.full_below:
+        if pressure < FULL_BELOW:
             mode = MODE_FULL
-        elif pressure < self.fallback_below:
+        elif pressure < FALLBACK_BELOW:
             mode = MODE_FALLBACK
         else:
             mode = MODE_INDEX_ONLY

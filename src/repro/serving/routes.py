@@ -14,21 +14,30 @@ Routes::
     GET  /ready        readiness: 503 while a swap or drain is active
     GET  /metrics      MetricsRegistry.snapshot() as JSON
     GET  /search       q, k, method, timeout_ms, max_expansions,
-    POST /search       fallback, tenant (also via X-Tenant header)
-    POST /batch        {"queries": [...], "k":, "method":, ...}
+    POST /search       fallback, tenant (also via X-Tenant header);
+                       expand, facets, highlight (/search only)
+    POST /batch        {"queries": [...]} plus k, method, timeout_ms,
+                       max_expansions, fallback, tenant — one value
+                       each, applied to every query of the batch
     POST /insert       {"table":, "values": {...}} (durable when the
                        server was started over a durability dir)
     POST /admin/swap   build + atomically install a new engine
                        generation; {"source": "rebuild"|"recover"}
 
-Request execution follows the admission verdict: ``full`` runs the
-requested method, ``fallback`` forces the degradation ladder on,
-``index_only`` pins the terminal rung, and a shed request is a 429
-carrying ``Retry-After``.  Every admitted query gets a
-:class:`~repro.resilience.budget.QueryBudget` carved from the
-request's remaining deadline; a client disconnect poisons that budget
-so the worker thread unwinds at its next cooperative tick instead of
-finishing work nobody will read.
+``/search`` and ``/batch`` are one admitted-request path
+(:meth:`Router._admitted`): admit (a batch costs one token per query),
+wait for a worker slot no longer than ``timeout_ms``, build the
+request's one :class:`~repro.resilience.budget.QueryBudget` from what
+is left of that deadline, pin the live generation, run on a worker
+thread.  The routes differ only in how they parse arguments and in
+the ``work(engine, budget, mode)`` function they hand it.  Execution
+follows the admission verdict: ``full`` runs the requested method,
+``fallback`` forces the degradation ladder on, ``index_only`` pins the
+terminal rung, and a shed request is a 429 carrying ``Retry-After``.
+The request budget is the only deadline below the router — a batch's
+queries each tick a fork of it — and a client disconnect poisons it,
+so every worker thread unwinds at its next cooperative tick instead of
+finishing work nobody will read (499).
 """
 
 from __future__ import annotations
@@ -36,17 +45,16 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.factory import build_engine
 from repro.obs.metrics import MetricsRegistry
-from repro.resilience.budget import QueryBudget
+from repro.resilience.budget import QueryBudget, make_budget
 from repro.resilience.degradation import KNOWN_METHODS
 from repro.resilience.errors import QueryParseError, ReproError, UnsupportedSchemaError
 from repro.serving.admission import (
     AdmissionController,
     MODE_FALLBACK,
-    MODE_FULL,
     MODE_INDEX_ONLY,
 )
 from repro.serving.swap import EngineHandle
@@ -122,8 +130,18 @@ class BadRequest(ReproError):
     """Maps to a 400 without touching an engine."""
 
 
+#: ``k`` when the request names none, and the cap on a client-chosen
+#: ``timeout_ms`` (the server-side default is not capped).
+DEFAULT_K = 10
+MAX_TIMEOUT_MS = 30000.0
+
+
 def _bad(message: str) -> Response:
     return Response(400, {"ok": False, "error": message})
+
+
+def _client_gone() -> Response:
+    return Response(499, {"ok": False, "error": "client disconnected"})
 
 
 def _shed_response(decision) -> Response:
@@ -167,6 +185,32 @@ def _truthy(value: Any) -> bool:
     return str(value).lower() in ("1", "true", "yes", "on")
 
 
+def _engine_kwargs(
+    args: Dict[str, Any], budget: QueryBudget, mode: str
+) -> Dict[str, Any]:
+    """What ``search`` / ``search_many`` are called with: the request's
+    ``k`` / ``method`` / ``fallback`` degraded per the admission verdict,
+    under the request's budget."""
+    method, fallback = args["method"], args["fallback"]
+    if mode == MODE_FALLBACK:
+        fallback = True
+    elif mode == MODE_INDEX_ONLY:
+        method, fallback = "index_only", False
+    return {"k": args["k"], "method": method, "fallback": fallback, "budget": budget}
+
+
+def _outcome_entry(outcome) -> Dict[str, Any]:
+    """One :class:`~repro.perf.batch.BatchOutcome` as its JSON entry."""
+    entry = outcome.results.to_dict()
+    entry["status"] = outcome.status
+    if outcome.error is not None:
+        entry["error"] = {
+            "type": type(outcome.error).__name__,
+            "message": str(outcome.error),
+        }
+    return entry
+
+
 class Router:
     """Route table + request execution over a swappable engine."""
 
@@ -176,20 +220,15 @@ class Router:
         admission: AdmissionController,
         executor,
         metrics: MetricsRegistry,
-        db,
         durable=None,
         engine_builder: Optional[Callable[[Any], Any]] = None,
         default_timeout_ms: float = 2000.0,
-        max_timeout_ms: float = 30000.0,
-        default_k: int = 10,
         is_ready: Optional[Callable[[], bool]] = None,
-        started_at: Optional[float] = None,
     ):
         self.handle = handle
         self.admission = admission
         self.executor = executor
         self.metrics = metrics
-        self.db = db
         self.durable = durable
         #: Builds the *next* generation's engine.  Called under the
         #: mutation lock (concurrent inserts can never produce a torn
@@ -201,15 +240,18 @@ class Router:
             lambda db: build_engine(db, metrics=self.metrics)
         )
         self.default_timeout_ms = default_timeout_ms
-        self.max_timeout_ms = max_timeout_ms
-        self.default_k = default_k
         self._is_ready = is_ready or (lambda: True)
-        self._started_at = started_at if started_at is not None else time.time()
+        self._started_at = time.time()
         #: Serialises mutations with generation builds and snapshots.
         self.mutation_lock = threading.Lock()
         # Created lazily inside the running loop: on 3.9 an asyncio
         # primitive built outside the loop binds the wrong one.
         self._slots: Optional[asyncio.Semaphore] = None
+
+    @property
+    def db(self):
+        """The live generation's database (the handle owns the engine)."""
+        return self.handle.engine.db
 
     @property
     def slots(self) -> asyncio.Semaphore:
@@ -301,13 +343,11 @@ class Router:
         return Response(200, {"ok": True, "metrics": self.metrics.snapshot()})
 
     # ------------------------------------------------------------------
-    # /search
+    # The admitted-request path (/search and /batch)
     # ------------------------------------------------------------------
-    def _search_args(self, request: Request) -> Dict[str, Any]:
-        text = request.param("q") or request.param("query")
-        if not text or not str(text).strip():
-            raise BadRequest("missing query parameter 'q'")
-        k = _parse_int(request.param("k", self.default_k), "k")
+    def _query_args(self, request: Request) -> Dict[str, Any]:
+        """The arguments both query routes take, validated."""
+        k = _parse_int(request.param("k", DEFAULT_K), "k")
         method = str(request.param("method", "schema"))
         if method not in KNOWN_METHODS:
             raise BadRequest(
@@ -317,14 +357,95 @@ class Router:
         if timeout_ms is None:
             timeout_ms = self.default_timeout_ms
         else:
-            timeout_ms = min(
-                _parse_float(timeout_ms, "timeout_ms"), self.max_timeout_ms
-            )
+            timeout_ms = min(_parse_float(timeout_ms, "timeout_ms"), MAX_TIMEOUT_MS)
         max_expansions = request.param("max_expansions")
         if max_expansions is not None:
             max_expansions = _parse_int(
                 max_expansions, "max_expansions", lo=1, hi=100_000_000
             )
+        return {
+            "k": k,
+            "method": method,
+            "timeout_ms": timeout_ms,
+            "max_expansions": max_expansions,
+            "fallback": _truthy(request.param("fallback", False)),
+        }
+
+    async def _admitted(
+        self,
+        request: Request,
+        cost: float,
+        timeout_ms: float,
+        max_expansions: Optional[int],
+        work: Callable[[Any, QueryBudget, str], Dict[str, Any]],
+    ) -> Response:
+        """Admit, queue, budget and run one query request; answer it.
+
+        *work* runs on a worker thread as ``work(engine, budget, mode)``
+        — the pinned generation's engine, the request's budget (also on
+        ``request.budget``, where the transport poisons it on
+        disconnect) and the admission mode — and returns the route's
+        part of the payload.
+        """
+        decision = self.admission.admit(request.tenant, cost=cost)
+        if not decision.admitted:
+            return _shed_response(decision)
+        start_s = time.perf_counter()
+        deadline_s = start_s + timeout_ms / 1000.0
+        self.admission.enqueued()
+        # Bounded queue wait: the deadline caps time-in-queue too, so a
+        # request cannot sit queued longer than it would be allowed to
+        # run.  Expiry while queued sheds late (429).
+        try:
+            await asyncio.wait_for(
+                self.slots.acquire(), timeout=max(0.001, deadline_s - time.perf_counter())
+            )
+        except asyncio.TimeoutError:
+            self.admission.abandoned()
+            self.metrics.inc("serve.shed.queue_timeout")
+            return _shed_response(decision)
+        self.admission.started()
+        try:
+            if request.disconnected:
+                self.metrics.inc("serve.disconnects")
+                return _client_gone()
+            remaining_ms = max(1.0, (deadline_s - time.perf_counter()) * 1000.0)
+            budget = request.budget = make_budget(remaining_ms, max_expansions)
+            if request.disconnected:
+                budget.poison("client disconnected")
+            loop = asyncio.get_running_loop()
+            with self.handle.acquire() as (engine, generation):
+                payload = await loop.run_in_executor(
+                    self.executor, work, engine, budget, decision.mode
+                )
+            if budget.poisoned:
+                self.metrics.inc("serve.cancelled")
+                return _client_gone()
+            payload.update(
+                {
+                    "ok": True,
+                    "generation": generation,
+                    "elapsed_ms": round((time.perf_counter() - start_s) * 1000.0, 3),
+                    "admission": {
+                        "mode": decision.mode,
+                        "pressure": round(decision.pressure, 4),
+                    },
+                }
+            )
+            return Response(200, payload)
+        finally:
+            self.slots.release()
+            self.admission.finished((time.perf_counter() - start_s) * 1000.0)
+
+    # ------------------------------------------------------------------
+    # /search
+    # ------------------------------------------------------------------
+    async def _search(self, request: Request) -> Response:
+        text = request.param("q") or request.param("query")
+        if not text or not str(text).strip():
+            raise BadRequest("missing query parameter 'q'")
+        text = str(text)
+        args = self._query_args(request)
         expand = request.param("expand")
         if expand is not None:
             expand = str(expand).strip() or None
@@ -347,113 +468,26 @@ class Router:
             elif text_value in ("1", "true", "yes", "on", "auto"):
                 facets = True
             # otherwise an explicit "table.column,..." list, passed through
-        return {
-            "text": str(text),
-            "k": k,
-            "method": method,
-            "timeout_ms": timeout_ms,
-            "max_expansions": max_expansions,
-            "fallback": _truthy(request.param("fallback", False)),
-            "expand": expand,
-            "facets": facets,
-            "highlight": _truthy(request.param("highlight", False)),
-        }
+        highlight = _truthy(request.param("highlight", False))
 
-    @staticmethod
-    def _apply_mode(args: Dict[str, Any], mode: str) -> Dict[str, Any]:
-        """Degrade the request per the admission verdict."""
-        out = dict(args)
-        if mode == MODE_FALLBACK:
-            out["fallback"] = True
-        elif mode == MODE_INDEX_ONLY:
-            out["method"] = "index_only"
-            out["fallback"] = False
-        return out
+        def work(engine: Any, budget: QueryBudget, mode: str) -> Dict[str, Any]:
+            kwargs = _engine_kwargs(args, budget, mode)
+            if expand or facets or highlight:
+                from repro.query.pipeline import execute_pipeline
 
-    def _run_query(
-        self,
-        engine: Any,
-        args: Dict[str, Any],
-        budget: Optional[QueryBudget],
-    ):
-        search_kwargs = {"budget": budget, "fallback": args["fallback"]}
-        if args.get("expand") or args.get("facets") or args.get("highlight"):
-            from repro.query.pipeline import execute_pipeline
+                return execute_pipeline(
+                    engine,
+                    text,
+                    expand=expand,
+                    facets=facets,
+                    highlight=highlight,
+                    **kwargs,
+                ).to_dict()
+            return engine.search(text, **kwargs).to_dict()
 
-            return execute_pipeline(
-                engine,
-                args["text"],
-                k=args["k"],
-                method=args["method"],
-                expand=args.get("expand"),
-                facets=args.get("facets"),
-                highlight=bool(args.get("highlight")),
-                **search_kwargs,
-            )
-        return engine.search(
-            args["text"], k=args["k"], method=args["method"], **search_kwargs
+        return await self._admitted(
+            request, 1.0, args["timeout_ms"], args["max_expansions"], work
         )
-
-    async def _search(self, request: Request) -> Response:
-        args = self._search_args(request)
-        decision = self.admission.admit(request.tenant)
-        if not decision.admitted:
-            return _shed_response(decision)
-        args = self._apply_mode(args, decision.mode)
-        start_s = time.perf_counter()
-        deadline_s = start_s + args["timeout_ms"] / 1000.0
-        self.admission.enqueued()
-        # Bounded queue wait: the deadline caps time-in-queue too, so a
-        # request cannot sit queued longer than it would be allowed to
-        # run.  Expiry or disconnect while queued sheds late (429).
-        try:
-            await asyncio.wait_for(
-                self.slots.acquire(), timeout=max(0.001, deadline_s - time.perf_counter())
-            )
-        except asyncio.TimeoutError:
-            self.admission.abandoned()
-            self.metrics.inc("serve.shed.queue_timeout")
-            return _shed_response(decision)
-        self.admission.started()
-        try:
-            if request.disconnected:
-                self.metrics.inc("serve.disconnects")
-                return Response(499, {"ok": False, "error": "client disconnected"})
-            remaining_ms = max(1.0, (deadline_s - time.perf_counter()) * 1000.0)
-            budget = QueryBudget(
-                timeout_ms=remaining_ms,
-                max_nodes=args["max_expansions"],
-                max_cns=args["max_expansions"],
-                max_candidates=args["max_expansions"],
-            )
-            request.budget = budget
-            if request.disconnected:
-                budget.poison("client disconnected")
-            loop = asyncio.get_running_loop()
-            with self.handle.acquire() as (engine, generation):
-                results = await loop.run_in_executor(
-                    self.executor, self._run_query, engine, args, budget
-                )
-            elapsed_ms = (time.perf_counter() - start_s) * 1000.0
-            payload = results.to_dict()
-            payload.update(
-                {
-                    "ok": True,
-                    "generation": generation,
-                    "elapsed_ms": round(elapsed_ms, 3),
-                    "admission": {
-                        "mode": decision.mode,
-                        "pressure": round(decision.pressure, 4),
-                    },
-                }
-            )
-            if budget.poisoned:
-                self.metrics.inc("serve.cancelled")
-                return Response(499, {"ok": False, "error": "client disconnected"})
-            return Response(200, payload)
-        finally:
-            self.slots.release()
-            self.admission.finished((time.perf_counter() - start_s) * 1000.0)
 
     # ------------------------------------------------------------------
     # /batch
@@ -464,110 +498,21 @@ class Router:
             raise BadRequest("body must carry a non-empty 'queries' list")
         if not all(isinstance(q, str) and q.strip() for q in queries):
             raise BadRequest("every query must be a non-empty string")
-        k = _parse_int(request.body.get("k", self.default_k), "k")
-        method = str(request.body.get("method", "schema"))
-        if method not in KNOWN_METHODS:
-            raise BadRequest(f"unknown method {method!r}")
-        timeout_ms = min(
-            _parse_float(
-                request.body.get("timeout_ms", self.default_timeout_ms),
-                "timeout_ms",
-            ),
-            self.max_timeout_ms,
-        )
-        decision = self.admission.admit(request.tenant, cost=float(len(queries)))
-        if not decision.admitted:
-            return _shed_response(decision)
-        mode_args = self._apply_mode(
-            {"method": method, "fallback": False}, decision.mode
-        )
-        start_s = time.perf_counter()
-        deadline_s = start_s + timeout_ms / 1000.0
-        self.admission.enqueued()
-        # Same bounded queue wait as /search: the per-query timeout
-        # caps time-in-queue, so a batch cannot sit queued longer than
-        # one of its queries would be allowed to run.
-        try:
-            await asyncio.wait_for(
-                self.slots.acquire(),
-                timeout=max(0.001, deadline_s - time.perf_counter()),
-            )
-        except asyncio.TimeoutError:
-            self.admission.abandoned()
-            self.metrics.inc("serve.shed.queue_timeout")
-            return _shed_response(decision)
-        self.admission.started()
-        try:
-            if request.disconnected:
-                self.metrics.inc("serve.disconnects")
-                return Response(499, {"ok": False, "error": "client disconnected"})
-            # Poison channel only (no deadline of its own — each query
-            # carries timeout_ms): a client disconnect mid-batch turns
-            # the unread answer into a 499.
-            budget = QueryBudget(timeout_ms=None)
-            request.budget = budget
-            if request.disconnected:
-                budget.poison("client disconnected")
-            loop = asyncio.get_running_loop()
-            with self.handle.acquire() as (engine, generation):
-                outcomes = await loop.run_in_executor(
-                    self.executor,
-                    lambda: self._run_batch(
-                        engine,
-                        queries,
-                        k,
-                        mode_args["method"],
-                        timeout_ms,
-                        mode_args["fallback"],
-                    ),
-                )
-            if budget.poisoned:
-                self.metrics.inc("serve.cancelled")
-                return Response(499, {"ok": False, "error": "client disconnected"})
-            payload = {
-                "ok": True,
-                "generation": generation,
-                "count": len(outcomes),
-                "admission": {
-                    "mode": decision.mode,
-                    "pressure": round(decision.pressure, 4),
-                },
-                "results": outcomes,
-                "elapsed_ms": round((time.perf_counter() - start_s) * 1000.0, 3),
-            }
-            return Response(200, payload)
-        finally:
-            self.slots.release()
-            self.admission.finished((time.perf_counter() - start_s) * 1000.0)
+        args = self._query_args(request)
 
-    def _run_batch(
-        self,
-        engine: Any,
-        queries,
-        k: int,
-        method: str,
-        timeout_ms: float,
-        fallback: bool,
-    ):
-        outcomes = engine.search_many(
-            queries,
-            k=k,
-            method=method,
-            timeout_ms=timeout_ms,
-            fallback=fallback,
-            detailed=True,
+        def work(engine: Any, budget: QueryBudget, mode: str) -> Dict[str, Any]:
+            outcomes = engine.search_many(
+                queries, detailed=True, **_engine_kwargs(args, budget, mode)
+            )
+            return {
+                "count": len(outcomes),
+                "results": [_outcome_entry(outcome) for outcome in outcomes],
+            }
+
+        cost = float(len(queries))  # one tenant token per query
+        return await self._admitted(
+            request, cost, args["timeout_ms"], args["max_expansions"], work
         )
-        out = []
-        for outcome in outcomes:
-            entry = outcome.results.to_dict()
-            entry["status"] = outcome.status
-            if outcome.error is not None:
-                entry["error"] = {
-                    "type": type(outcome.error).__name__,
-                    "message": str(outcome.error),
-                }
-            out.append(entry)
-        return out
 
     # ------------------------------------------------------------------
     # /insert
@@ -610,11 +555,10 @@ class Router:
         """
         with self.mutation_lock:
             if self.durable is not None:
-                tid = self.durable.insert(table, **values)
-            else:
-                tid = self.db.insert(table, **values)
-                with self.handle.acquire() as (engine, _):
-                    engine.refresh()
+                return self.durable.insert(table, **values)
+            with self.handle.acquire() as (engine, _):
+                tid = engine.db.insert(table, **values)
+                engine.refresh()
             return tid
 
     # ------------------------------------------------------------------
@@ -672,10 +616,8 @@ class Router:
             # database and refresh the live engine, not the retired
             # ones — a recovered generation carries a *new* Database
             # object rebuilt from snapshot + WAL.
-            self.db = new_engine.db
             if self.durable is not None:
-                self.durable.engine = new_engine
-                self.durable.db = new_engine.db
+                self.durable.rebind(new_engine)
         return self.handle.drain(old, drain_timeout_s=drain_timeout_s)
 
     def _recover_generation(self):

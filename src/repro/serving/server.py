@@ -171,7 +171,6 @@ class ServingServer:
             admission=self.admission,
             executor=self.executor,
             metrics=self.metrics,
-            db=engine.db,
             durable=durable,
             engine_builder=engine_builder,
             default_timeout_ms=default_timeout_ms,

@@ -122,7 +122,6 @@ class ShardedSearchEngine(KeywordSearchEngine):
         metrics: Optional[MetricsRegistry] = None,
         max_workers: Optional[int] = None,
         shard_failure_threshold: int = 3,
-        shard_reset_timeout_s: float = 30.0,
         backend: str = "dict",
         backend_options: Optional[Dict[str, object]] = None,
     ):
@@ -142,7 +141,6 @@ class ShardedSearchEngine(KeywordSearchEngine):
         self._breakers: List[CircuitBreaker] = [
             CircuitBreaker(
                 failure_threshold=shard_failure_threshold,
-                reset_timeout_s=shard_reset_timeout_s,
                 on_transition=self._on_shard_transition,
             )
             for _ in self.shards
@@ -228,13 +226,14 @@ class ShardedSearchEngine(KeywordSearchEngine):
         inherited local executor.
         """
         keywords = list(compiled.branches[0])
-        if len(compiled.branches) == 1 and not compiled.query.phrases:
+        scatterable = len(compiled.branches) == 1 and not compiled.query.phrases
+        if scatterable and rung in SCATTER_METHODS:
+            # A routed rung reaches this failpoint through the local
+            # executor; a scattered one never enters it.
+            fail_point("engine.method", key=rung)
             if rung == "schema":
                 return self._scatter_schema(compiled, keywords, k, budget, tracer)
-            if rung == "index_only":
-                return self._scatter_index_only(
-                    compiled, keywords, k, budget, tracer
-                )
+            return self._scatter_index_only(compiled, keywords, k, budget, tracer)
         local = super()._execute_rung
         return self._route(
             lambda fork: local(compiled, k, rung, fork)[0], budget, tracer

@@ -89,6 +89,11 @@ def test_search_many_equals_sequential_search(kind):
         front.search("author:widom xml", k=5),
     ]
     assert [g.to_dict() for g in got] == [w.to_dict() for w in want]
+    # Under one caller budget (each query ticks a fork of it) too.
+    budget = QueryBudget(timeout_ms=60_000.0)
+    under = front.search_many(batch, k=5, max_workers=3, budget=budget)
+    assert [g.to_dict() for g in under] == [w.to_dict() for w in want]
+    assert not budget.exhausted and len(budget._forks) == len(batch)
 
 
 def test_refresh_makes_an_insert_findable(kind):

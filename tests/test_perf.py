@@ -173,15 +173,23 @@ class TestSubstrateCache:
             for key in ts2.keys_for_table("author")
         )
 
-    def test_mutation_invalidates_without_incremental(self):
-        engine = KeywordSearchEngine(
-            tiny_bibliographic_db(), incremental_updates=False
-        )
+    def test_mutation_invalidates_without_incremental(self, engine, monkeypatch):
+        # A delta that cannot be applied falls back to dropping
+        # everything — and the rebuilt substrates see the new row.
         ts1 = engine.substrates.tuple_sets(["widom", "xml"])
-        engine.db.insert("author", aid=99, name="fresh author", affiliation=None)
+
+        def broken_refresh():
+            raise RuntimeError("index delta failed")
+
+        monkeypatch.setattr(engine.index, "refresh", broken_refresh)
+        engine.db.insert("author", aid=99, name="fresh widom fan", affiliation=None)
+        found = engine.search("fresh widom", k=5)
+        assert any(r.tuple_ids()[0].table == "author" for r in found)
         ts2 = engine.substrates.tuple_sets(["widom", "xml"])
         assert ts2 is not ts1
         assert engine.substrates.invalidations == 1
+        assert engine.substrates.patches["applied"] == 0
+        assert not engine.substrates.last_delta_applied
 
 
 # ----------------------------------------------------------------------

@@ -311,6 +311,33 @@ class TestDegradationLadder:
                 with pytest.raises(ValueError):
                     engine.search(text, method="steiner", fallback=False)
 
+    @pytest.mark.parametrize("rung", ["schema", "index_only"])
+    def test_method_failpoint_fires_on_scattered_rungs(self, ladder_engines, rung):
+        """``schema`` / ``index_only`` scatter on a sharded engine instead
+        of entering the local executor: the failpoint fires there too,
+        once per rung, and both kinds answer alike."""
+        FAILPOINTS.activate("engine.method", exc=ValueError("forced"), key=rung)
+        terminal = rung == "index_only"
+        for n, engine in enumerate(ladder_engines, start=1):
+            with pytest.raises(ValueError, match="forced"):
+                engine.search("john database", method=rung)
+            assert FAILPOINTS.hits("engine.method") == 2 * n - 1
+            results = engine.search("john database", method=rung, fallback=True)
+            assert FAILPOINTS.hits("engine.method") == 2 * n
+            assert results.degraded and results.degraded_reason == "forced"
+            if terminal:
+                assert results == [] and results.fallback_from is None
+            else:
+                assert results and results.method == "index_only"
+                assert results.fallback_from == "schema"
+        single, sharded = ladder_engines
+        FAILPOINTS.clear()
+        for engine in ladder_engines:  # disarmed: one clean hit-free answer
+            assert result_signature(engine.search("john database", method=rung))
+        assert result_signature(
+            sharded.search("john database", method=rung, use_cache=False)
+        ) == result_signature(single.search("john database", method=rung))
+
     def test_fallback_without_budget_clean_path(self, engine):
         results = engine.search("john database", method="banks", fallback=True)
         assert results.status == "ok"
@@ -382,7 +409,6 @@ class TestSelfReferencingForeignKey:
                 admission=AdmissionController(metrics=metrics),
                 executor=executor,
                 metrics=metrics,
-                db=None,
             )
             bad = asyncio.run(
                 router.dispatch(Request("GET", "/search", {"q": "alice bob"}))
@@ -595,6 +621,64 @@ class TestBatchFaultIsolation:
         )
         assert outcomes[0].status == "degraded"
         assert outcomes[0].results.degraded
+
+    def test_batch_budget_is_forked_per_query(self, engine):
+        """``search_many(budget=b)``: every query ticks its own fork of
+        *b* — one shared deadline, per-query caps, *b* itself untouched."""
+        now = [100.0]
+        budget = QueryBudget(timeout_ms=500.0, max_nodes=1, clock=lambda: now[0])
+        seen = []
+        real_search = engine.search
+
+        def spy(text, **kwargs):
+            seen.append(kwargs["budget"])
+            now[0] += 0.1  # each query starts 100 ms after the last
+            return real_search(text, **kwargs)
+
+        engine.search = spy
+        queries = ["john database", "widom xml", "keyword search"]
+        outcomes = engine.search_many(
+            queries, method="banks", budget=budget, max_workers=1, detailed=True
+        )
+        assert len(seen) == 3 and len({id(fork) for fork in seen}) == 3
+        assert budget not in seen
+        # One absolute deadline however late a query starts...
+        assert [fork.remaining_ms() for fork in seen] == [budget.remaining_ms()] * 3
+        # ...the cap applies to each query, not to the batch...
+        assert [o.status for o in outcomes] == ["degraded"] * 3
+        assert all(fork.nodes_expanded == 2 for fork in seen)
+        # ...and the caller's budget counted none of it.
+        assert not budget.exhausted
+        assert (budget.nodes_expanded, budget.cns_enumerated) == (0, 0)
+        assert budget.candidates_scored == 0
+
+    def test_poisoned_batch_budget_degrades_every_query(self, engine):
+        budget = QueryBudget(timeout_ms=60_000)
+        budget.poison("client disconnected")
+        queries = ["john database", "widom xml", "keyword search"]
+        outcomes = engine.search_many(queries, budget=budget, detailed=True)
+        assert [o.status for o in outcomes] == ["degraded"] * 3
+        for outcome in outcomes:
+            assert outcome.results == []
+            assert outcome.results.degraded_reason == "client disconnected"
+        # Cancelled before it started: nothing was built for any of them.
+        assert engine.substrates.builds["tuple_sets"] == 0
+        assert engine.metrics.snapshot()["budget.exhausted"] == 3
+        # Without a budget, timeout_ms keeps its per-query meaning.
+        fresh = engine.search_many(queries, timeout_ms=60_000, detailed=True)
+        assert [o.status for o in fresh] == ["ok"] * 3
+
+    def test_retry_attempts_fork_the_batch_budget_again(self, engine):
+        FAILPOINTS.activate(
+            "engine.search", exc=TransientError("flaky"), key="john database", times=1
+        )
+        budget = QueryBudget(timeout_ms=60_000, max_candidates=10_000)
+        executor = BatchSearchExecutor(
+            engine, max_workers=1, retry=RetryPolicy(max_attempts=2), sleep=lambda s: None
+        )
+        (outcome,) = executor.run_outcomes(["john database"], budget=budget)
+        assert outcome.status == "ok" and outcome.attempts == 2
+        assert len(budget._forks) == 2
 
     def test_executor_stats_count_failures(self, engine):
         FAILPOINTS.activate(

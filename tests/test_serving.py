@@ -17,6 +17,7 @@ from repro.core.factory import build_engine
 from repro.core.results import ResultSet
 from repro.datasets.bibliographic import tiny_bibliographic_db
 from repro.obs.metrics import MetricsRegistry
+from repro.perf.batch import BatchOutcome, BatchQuery
 from repro.resilience.budget import QueryBudget
 from repro.resilience.circuit import CircuitBreaker
 from repro.resilience.errors import BudgetExceededError
@@ -469,7 +470,7 @@ class TestBreakerTimeInState:
 # Router unit tests (no HTTP)
 # ----------------------------------------------------------------------
 class SpyEngine:
-    """Records search kwargs; returns a canned ResultSet."""
+    """Records search / search_many kwargs; returns canned results."""
 
     def __init__(self):
         self.calls = []
@@ -481,6 +482,32 @@ class SpyEngine:
              "fallback": fallback}
         )
         return ResultSet([], method=method)
+
+    def search_many(self, queries, detailed, **kwargs):
+        assert detailed
+        self.calls.append({"text": list(queries), **kwargs})
+        return [
+            BatchOutcome(BatchQuery(text), "ok", ResultSet([], method=kwargs["method"]))
+            for text in queries
+        ]
+
+
+def _search_request(**params):
+    return Request("GET", "/search", {"q": "hi", **params})
+
+
+def _batch_request(**params):
+    return Request("POST", "/batch", body={"queries": ["hi", "ho"], **params})
+
+
+#: /search and /batch share one admitted-request path: what holds for
+#: admission, queueing, modes and cancellation holds for both.
+QUERY_ROUTES = (_search_request, _batch_request)
+
+
+def _assert_idle(router):
+    snap = router.metrics.snapshot()
+    assert (snap["serve.queue_depth"], snap["serve.inflight"]) == (0, 0)
 
 
 @pytest.fixture()
@@ -496,7 +523,6 @@ def router_env():
         admission=admission,
         executor=executor,
         metrics=metrics,
-        db=None,
     )
     yield engine, admission, router
     executor.shutdown(wait=False)
@@ -545,28 +571,105 @@ class TestRouterUnit:
         engine, admission, router = router_env
         admission.enqueued()
         admission.enqueued()  # capacity 4 -> pressure 0.5
-        response = _dispatch(router, Request("GET", "/search", {"q": "hi"}))
-        assert response.payload["admission"]["mode"] == MODE_FALLBACK
-        assert engine.calls[-1]["fallback"] is True
+        for make_request in QUERY_ROUTES:
+            response = _dispatch(router, make_request())
+            assert response.payload["admission"]["mode"] == MODE_FALLBACK
+            assert engine.calls[-1]["fallback"] is True
+        admission.abandoned()
+        admission.abandoned()
+        _assert_idle(router)
 
     def test_index_only_mode_pins_method(self, router_env):
         engine, admission, router = router_env
-        # Latency signal: EWMA at 1.8x target -> pressure 0.9.
-        admission.latency.observe(admission.target_latency_ms * 1.8)
-        response = _dispatch(
-            router, Request("GET", "/search", {"q": "hi", "method": "steiner"})
-        )
-        assert response.payload["admission"]["mode"] == MODE_INDEX_ONLY
-        assert engine.calls[-1]["method"] == "index_only"
+        for make_request in QUERY_ROUTES:
+            # Latency signal: EWMA at 1.8x target -> pressure 0.9.
+            admission.latency = LatencyEWMA()
+            admission.latency.observe(admission.target_latency_ms * 1.8)
+            response = _dispatch(router, make_request(method="steiner", fallback=1))
+            assert response.payload["admission"]["mode"] == MODE_INDEX_ONLY
+            assert engine.calls[-1]["method"] == "index_only"
+            assert engine.calls[-1]["fallback"] is False
+        _assert_idle(router)
 
     def test_shed_returns_429_with_retry_after(self, router_env):
-        _, admission, router = router_env
+        engine, admission, router = router_env
         for _ in range(4):
             admission.enqueued()
-        response = _dispatch(router, Request("GET", "/search", {"q": "hi"}))
-        assert response.status == 429
-        assert response.headers["Retry-After"]
-        assert response.payload["retry_after_s"] > 0
+        for make_request in QUERY_ROUTES:
+            response = _dispatch(router, make_request())
+            assert response.status == 429
+            assert response.headers["Retry-After"]
+            assert response.payload["retry_after_s"] > 0
+        assert engine.calls == []
+        assert router.metrics.snapshot()["serve.queue_depth"] == 4  # ours only
+
+    @pytest.mark.parametrize("make_request", QUERY_ROUTES)
+    def test_queue_timeout_sheds_late_with_429(self, router_env, make_request):
+        """A request that waits out its whole ``timeout_ms`` for a worker
+        slot is shed (429 + Retry-After), never run, and leaves the
+        queue-depth gauge where it found it."""
+        engine, _, router = router_env
+
+        async def scenario():
+            for _ in range(2):  # max_concurrency: both slots held
+                await router.slots.acquire()
+            try:
+                return await router.dispatch(make_request(timeout_ms=30))
+            finally:
+                router.slots.release()
+                router.slots.release()
+
+        response = asyncio.run(scenario())
+        assert response.status == 429 and response.headers["Retry-After"]
+        assert engine.calls == []
+        assert router.metrics.snapshot()["serve.shed.queue_timeout"] == 1
+        _assert_idle(router)
+
+    def test_batch_runs_under_the_remaining_deadline(self, router_env):
+        """Time spent queued comes off the batch's one deadline: its
+        queries fork the request budget, not a fresh ``timeout_ms``."""
+        engine, _, router = router_env
+
+        async def scenario():
+            for _ in range(2):
+                await router.slots.acquire()
+            task = asyncio.ensure_future(
+                router.dispatch(_batch_request(timeout_ms=400))
+            )
+            await asyncio.sleep(0.25)
+            router.slots.release()
+            try:
+                return await task
+            finally:
+                router.slots.release()
+
+        response = asyncio.run(scenario())
+        assert response.status == 200 and response.payload["count"] == 2
+        (call,) = engine.calls
+        assert "timeout_ms" not in call  # no second, fresh deadline
+        assert call["budget"].timeout_ms <= 160.0
+        _assert_idle(router)
+
+    def test_both_routes_take_the_same_query_args(self, router_env):
+        engine, _, router = router_env
+        for make_request in QUERY_ROUTES:
+            response = _dispatch(
+                router,
+                make_request(k=3, method="banks", max_expansions=7, fallback="yes"),
+            )
+            assert response.status == 200
+            call = engine.calls[-1]
+            assert (call["k"], call["method"], call["fallback"]) == (3, "banks", True)
+            budget = call["budget"]
+            assert (budget.max_nodes, budget.max_cns, budget.max_candidates) == (7, 7, 7)
+            assert budget.timeout_ms <= 2000.0
+            for bad in ({"method": "quantum"}, {"k": "zero"}, {"max_expansions": 0}):
+                refused = _dispatch(router, make_request(**bad))
+                assert refused.status == 400
+            assert "choices: schema, banks" in _dispatch(
+                router, make_request(method="quantum")
+            ).payload["error"]
+        _assert_idle(router)
 
     def test_disconnected_request_is_499(self, router_env):
         engine, _, router = router_env
@@ -604,6 +707,74 @@ class TestRouterUnit:
         response = _dispatch(router, request)
         assert response.status == 499
         assert engine.calls == []  # never reached the engine
+        _assert_idle(router)
+
+    def test_disconnect_mid_batch_stops_the_work(self, router_env):
+        """The request budget reaches every query of the batch: a client
+        hanging up poisons the forks in flight, and queries not yet
+        started never build a substrate."""
+        _, _, router = router_env
+        engine = KeywordSearchEngine(tiny_bibliographic_db())
+        engine.warm()
+        router.handle = EngineHandle(engine, metrics=router.metrics)
+        words = ("widom", "xml", "john", "query", "keyword", "search", "sigmod")
+        queries = [f"{a} {b}" for i, a in enumerate(words) for b in words[i + 1:]]
+        queries = queries[:16]  # 16 distinct keyword sets, 8 batch workers
+        delay_s = 0.05  # slept under the substrate lock: builds serialise
+        FAILPOINTS.activate("substrates.tuple_sets", exc=None, delay=delay_s)
+        request = Request(
+            "POST", "/batch", body={"queries": queries, "timeout_ms": 20_000}
+        )
+
+        def hang_up_once_running():
+            deadline = time.time() + 5.0
+            while not FAILPOINTS.hits("substrates.tuple_sets"):
+                assert time.time() < deadline
+                time.sleep(0.001)
+            request.cancel()
+
+        canceller = threading.Thread(target=hang_up_once_running)
+        canceller.start()
+        start_s = time.perf_counter()
+        response = _dispatch(router, request)
+        elapsed_s = time.perf_counter() - start_s
+        canceller.join(5.0)
+        assert not canceller.is_alive()
+        assert response.status == 499
+        assert router.metrics.snapshot()["serve.cancelled"] == 1
+        # Only queries already inside a build when the cancel landed got
+        # there; uncancelled, all 16 would have, one delay each.
+        assert 1 <= FAILPOINTS.hits("substrates.tuple_sets") <= 8
+        assert elapsed_s < len(queries) * delay_s
+        snap = engine.metrics.snapshot()
+        assert snap["budget.exhausted"] >= 8
+        assert snap["query.degraded"] == snap["query.count"] == len(queries)
+        _assert_idle(router)
+
+    def test_batch_honours_max_expansions_and_fallback(self, router_env):
+        _, _, router = router_env
+        engine = KeywordSearchEngine(tiny_bibliographic_db())
+        router.handle = EngineHandle(engine, metrics=router.metrics)
+        body = {"queries": ["john databases", "widom xml"], "method": "steiner",
+                "max_expansions": 1}
+        capped = _dispatch(router, Request("POST", "/batch", body=body))
+        assert [e["status"] for e in capped.payload["results"]] == ["degraded"] * 2
+        assert all("budget exhausted (1)" in e["degraded_reason"]
+                   for e in capped.payload["results"])
+        assert all(e["method"] == "steiner" for e in capped.payload["results"])
+        laddered = _dispatch(
+            router, Request("POST", "/batch", body={**body, "fallback": True})
+        )
+        assert all(e["fallback_from"] == "steiner" for e in laddered.payload["results"])
+        single = _dispatch(
+            router,
+            Request("GET", "/search", {"q": "john databases", "method": "steiner",
+                                       "max_expansions": "1", "fallback": "1"}),
+        )
+        entry = laddered.payload["results"][0]
+        assert {key: single.payload[key] for key in entry if key != "status"} == {
+            key: entry[key] for key in entry if key != "status"
+        }
 
 
 # ----------------------------------------------------------------------
