@@ -21,18 +21,17 @@ candidate networks / keyword groups / the form pipeline, and a
 from __future__ import annotations
 
 import threading
-import time
-from contextlib import contextmanager
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ambiguity.autocomplete import Tastier
-from repro.ambiguity.cleaning import CleaningResult, QueryCleaner
+from repro.ambiguity.cleaning import QueryCleaner
 from repro.analysis.clouds import data_cloud, frequent_cooccurring_terms
 from repro.analysis.differentiation import (
     FeatureSet,
     select_features_greedy,
 )
+from repro.core.frontend import QueryFrontEnd
 from repro.core.query import Query
 from repro.core.results import ResultSet, SearchResult
 from repro.forms.matching import rank_forms
@@ -41,7 +40,6 @@ from repro.index.distance import KeywordDistanceIndex
 from repro.index.inverted import InvertedIndex
 from repro.index.text import tokenize
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import Profiler
 from repro.obs.trace import Tracer, span as trace_span
 from repro.perf.batch import BatchSearchExecutor
 from repro.perf.lru import LRUCache
@@ -59,7 +57,6 @@ from repro.resilience.budget import QueryBudget, make_budget
 from repro.resilience.circuit import CircuitBreaker
 from repro.resilience.degradation import KNOWN_METHODS, fallback_chain
 from repro.resilience.errors import (
-    BudgetExceededError,
     QueryParseError,
     ReproError,
     SubstrateBuildError,
@@ -72,21 +69,17 @@ from repro.storage import BACKEND_NAMES
 _DATA_DERIVED = ("index", "data_graph", "cleaner", "distance_index", "tastier")
 
 
-class KeywordSearchEngine:
+class KeywordSearchEngine(QueryFrontEnd):
     """End-to-end keyword search over a relational database.
 
-    The query front end — validate, refresh, canonical parse, result
-    LRU with single-flight and version-guarded publish, bypass rules,
-    degradation ladder, trace and metrics — lives here once and ends in
-    one seam, :meth:`_execute_rung`.  This class implements the seam
-    with the local executor; :class:`~repro.sharding.coordinator.
+    Keeps what is relational — lazy substrates, caches, compile — and
+    implements the front end's seam, :meth:`_execute_rung`, with the
+    local executor; :class:`~repro.sharding.coordinator.
     ShardedSearchEngine` implements it with scatter / route and
     inherits everything else.
     """
 
-    #: Prefix of the per-query counters (``<prefix>.count``,
-    #: ``.latency_ms``, ``.degraded``, ``.cache_hits``, ``.coalesced``).
-    metric_prefix = "query"
+    known_methods = KNOWN_METHODS
 
     def __init__(
         self,
@@ -105,6 +98,7 @@ class KeywordSearchEngine:
                 f"unknown storage backend {backend!r} "
                 f"(choices: {', '.join(BACKEND_NAMES)})"
             )
+        super().__init__(trace=trace, metrics=metrics)
         self.db = db
         #: Storage backend name for the inverted index ("dict",
         #: "columnar", "disk") plus backend-specific options (e.g.
@@ -127,9 +121,6 @@ class KeywordSearchEngine:
         #: response-pipeline knob (see :mod:`repro.query.pipeline`).
         self.keyword_model = None
         self._served_version = db.data_version
-        #: Last component of every result-cache key; a subclass whose
-        #: answers depend on more than (query, method, k) sets it.
-        self._key_token: Optional[str] = None
         self._sharing_lock = threading.Lock()
         self._sharing: Dict[str, int] = {
             "queries": 0,
@@ -145,22 +136,7 @@ class KeywordSearchEngine:
         self.circuit_breaker = CircuitBreaker(
             on_transition=self._on_breaker_transition
         )
-        #: When True, every :meth:`search` builds a span tree and
-        #: attaches it as ``result.trace`` (per-call ``trace=`` wins).
-        self.trace_enabled = trace
-        #: Named counters / gauges / histograms for this engine; pass
-        #: ``metrics=get_global_registry()`` to aggregate process-wide.
-        #: A private registry is the default so tests and concurrent
-        #: engines stay isolated.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.substrates.metrics = self.metrics
-        prefix = self.metric_prefix
-        self._m_count = f"{prefix}.count"
-        self._m_latency = f"{prefix}.latency_ms"
-        self._m_degraded = f"{prefix}.degraded"
-        self._m_cache_hits = f"{prefix}.cache_hits"
-        self._m_coalesced = f"{prefix}.coalesced"
-        self._profiler: Optional[Profiler] = None
         self._wire_metrics()
 
     # ------------------------------------------------------------------
@@ -346,31 +322,6 @@ class KeywordSearchEngine:
     def _on_breaker_transition(self, old_state: str, new_state: str) -> None:
         self.metrics.inc(f"circuit.transitions.{new_state}")
 
-    @contextmanager
-    def profiled(self) -> Iterator[Profiler]:
-        """Trace every query in the block; yields the :class:`Profiler`.
-
-        ::
-
-            with engine.profiled() as prof:
-                engine.search("widom xml")
-                engine.search("john sigmod")
-            print(prof.summary())   # per-stage wall-clock totals
-
-        Tracing reverts to the constructor setting when the block
-        exits.  Batch workers record into the same profiler (it is
-        lock-protected).
-        """
-        profiler = Profiler()
-        prev_enabled, prev_profiler = self.trace_enabled, self._profiler
-        self.trace_enabled = True
-        self._profiler = profiler
-        try:
-            yield profiler
-        finally:
-            self.trace_enabled = prev_enabled
-            self._profiler = prev_profiler
-
     def _record_sharing(self, stats) -> None:
         """Fold one schema search's JoinStats into the sharing totals."""
         with self._sharing_lock:
@@ -382,40 +333,24 @@ class KeywordSearchEngine:
             totals["subexpressions_materialized"] += stats.subexpressions_materialized
             totals["semijoin_pruned"] += stats.semijoin_pruned
 
-    def _query_key(self, query, method: str, k: int) -> Tuple:
-        """Cache key: canonical StructuredQuery identity + method + k
-        (+ the engine's ``_key_token``).
-
-        *query* may be raw text or an already-parsed
-        :class:`StructuredQuery`.  Keying on the post-parse,
-        post-clean canonical form (not the raw token stream) means two
-        texts that clean to the same query share one LRU entry, while
-        structurally different queries that happen to tokenize
-        identically (``author:smith`` vs ``author smith``) get
-        distinct keys.
-        """
-        if isinstance(query, str):
-            query = self._parse_canonical(query)
-        return (query.cache_key(), method, k, self._key_token)
+    def _data_version(self) -> int:
+        return self.db.data_version
 
     # ------------------------------------------------------------------
     # Query handling
     # ------------------------------------------------------------------
-    def parse(self, text: str, tracer: Optional[Tracer] = None) -> Query:
+    def parse(self, text: str) -> Query:
         """Parse and (optionally) clean a raw query string."""
-        with trace_span(tracer, "parse") as psp:
-            query = Query.parse(text)
-            psp.add("keywords", len(query.keywords))
-            if not self.clean_queries or not query.keywords:
-                return query
-            with trace_span(tracer, "clean") as csp:
-                cleaning: CleaningResult = self.cleaner.clean(list(query.keywords))
-                cleaned = cleaning.cleaned_tokens()
-                changed = bool(cleaned) and cleaned != list(query.keywords)
-                csp.tag("changed", changed)
-            if changed:
-                return query.with_keywords(cleaned)
-            return query
+        query = Query.parse(text)
+        cleaned = self._cleaned(list(query.keywords))
+        return query if cleaned is None else query.with_keywords(cleaned)
+
+    def _cleaned(self, tokens: List[str]) -> Optional[List[str]]:
+        """*tokens* after query cleaning, or None when they stand."""
+        if not self.clean_queries or not tokens:
+            return None
+        cleaned = self.cleaner.clean(tokens).cleaned_tokens()
+        return cleaned if cleaned and cleaned != tokens else None
 
     def _parse_canonical(self, text: str) -> StructuredQuery:
         """Parse DSL text into the canonical :class:`StructuredQuery`.
@@ -430,11 +365,9 @@ class KeywordSearchEngine:
         if cached is not None:
             return cached
         query = parse_query(text)
-        if self.clean_queries and query.groups and query.is_bare:
-            tokens = query.bare_keywords()
-            cleaning: CleaningResult = self.cleaner.clean(list(tokens))
-            cleaned = cleaning.cleaned_tokens()
-            if cleaned and cleaned != tokens:
+        if query.groups and query.is_bare:
+            cleaned = self._cleaned(query.bare_keywords())
+            if cleaned is not None:
                 query = query.with_bare_keywords(cleaned)
         if self.enable_caches:
             self._parse_cache.put(text, query)
@@ -517,121 +450,9 @@ class KeywordSearchEngine:
         response pipeline passes its rewritten query); a bare one
         answers byte-identically to ``search(query.raw, ...)``.
         """
-        self.refresh()
-        if method not in KNOWN_METHODS:
-            raise QueryParseError(
-                f"unknown method {method!r} (choices: {', '.join(KNOWN_METHODS)})"
-            )
         return self._search_impl(
-            self._parse_canonical(text) if isinstance(text, str) else text,
-            k=k,
-            method=method,
-            use_cache=use_cache,
-            budget=budget if budget is not None else make_budget(timeout_ms, max_expansions),
-            fallback=fallback,
-            trace=trace,
+            text, k, method, use_cache, budget, timeout_ms, max_expansions, fallback, trace
         )
-
-    def _search_impl(
-        self,
-        query: StructuredQuery,
-        k: int,
-        method: str,
-        use_cache: bool,
-        budget: Optional[QueryBudget],
-        fallback: bool,
-        trace: Optional[bool],
-    ) -> ResultSet:
-        tracing = self.trace_enabled if trace is None else trace
-        tracer = Tracer() if tracing else None
-        metrics = self.metrics
-        metrics.inc(self._m_count)
-        start_s = time.perf_counter()
-        with trace_span(tracer, "search") as root:
-            if tracer is not None:
-                root.tag("method", method).tag("k", k)
-                root.tag("query", query.canonical())
-            if budget is not None or fallback or not (use_cache and self.enable_caches):
-                # Budgeted and ladder answers may be partial: never cached.
-                with trace_span(tracer, "cache_lookup") as csp:
-                    csp.tag("outcome", "bypass")
-                results = self._run_query(query, k, method, budget, fallback, tracer)
-            else:
-                results = self._serve_cached(query, k, method, tracer)
-        metrics.observe(self._m_latency, (time.perf_counter() - start_s) * 1000.0)
-        if results.degraded:
-            metrics.inc(self._m_degraded)
-        if budget is not None and budget.exhausted:
-            metrics.inc("budget.exhausted")
-        if tracer is not None:
-            finished = tracer.finish()
-            results.trace = finished
-            profiler = self._profiler
-            if profiler is not None:
-                profiler.record(finished)
-        return results
-
-    def _serve_cached(
-        self, query: StructuredQuery, k: int, method: str, tracer: Optional[Tracer]
-    ) -> ResultSet:
-        """Result-LRU path with per-key single-flight misses.
-
-        The first lookup counts a hit or miss as before.  On a miss the
-        per-key lock serialises concurrent computations of the same
-        query: one thread computes while the rest wait, re-check via the
-        non-counting :meth:`LRUCache.peek`, and are served the freshly
-        published entry (counted as ``coalesced`` — duplicate
-        computations avoided).  The returned set is always a clone so
-        callers can sort/slice without poisoning the cache; the clone
-        carries its own trace (a cache hit's trace describes the
-        lookup, tagged ``cache_hit=True``, never the original compute)
-        while degradation metadata is preserved from the cached entry.
-        """
-        key = self._query_key(query, method, k)
-        cache = self._result_cache
-        lookup_span = trace_span(tracer, "cache_lookup")
-        with lookup_span as csp:
-            cached = cache.get(key)
-            if cached is not None:
-                csp.tag("outcome", "hit").tag("cache_hit", True)
-        if cached is not None:
-            self.metrics.inc(self._m_cache_hits)
-            return cached.clone()
-        with cache.key_lock(key):
-            cached = cache.peek(key)
-            if cached is not None:
-                # A concurrent miss on the same key published while we
-                # waited: serve it instead of recomputing.
-                cache.stats.record_coalesced()
-                self.metrics.inc(self._m_coalesced)
-                lookup_span.tag("outcome", "coalesced").tag("cache_hit", True)
-                return cached.clone()
-            lookup_span.tag("outcome", "miss")
-            computed_at = self.db.data_version
-            results = self._run_query(query, k, method, None, False, tracer)
-            # Chaos hook: delay between computing and publishing to the
-            # LRU, to widen the race window against concurrent mutation.
-            fail_point("cache.result_put", key=query.raw)
-            if self.db.data_version == computed_at and not results.degraded:
-                # Version-guarded publish: results computed against a
-                # since-mutated database are served but never cached, so
-                # a slow compute can't pin a stale entry past
-                # invalidation.  Nor is a degraded answer (a dead or
-                # skipped shard): the next query should retry in full.
-                cache.put(key, results)
-        return results.clone()
-
-    def _trace_parse(self, query: StructuredQuery, tracer: Tracer) -> None:
-        """Emit the ``parse`` / ``clean`` stages for an already-parsed query.
-
-        The canonical parse is memoised outside the trace, so the spans
-        are re-emitted here; nothing is parsed or cleaned twice."""
-        with trace_span(tracer, "parse") as psp:
-            psp.add("keywords", sum(len(g) for g in query.groups))
-            psp.tag("bare", query.is_bare)
-            if self.clean_queries and query.groups:
-                with trace_span(tracer, "clean") as csp:
-                    csp.tag("changed", query.cleaned_from is not None)
 
     def _run_query(
         self,
@@ -645,7 +466,14 @@ class KeywordSearchEngine:
         """Compile a canonical query onto *method* and run the ladder."""
         fail_point("engine.search", key=query.raw)
         if tracer is not None:
-            self._trace_parse(query, tracer)
+            # The canonical parse is memoised outside the trace, so its
+            # stages are re-emitted here; nothing is parsed or cleaned twice.
+            with tracer.span("parse") as psp:
+                psp.add("keywords", sum(len(g) for g in query.groups))
+                psp.tag("bare", query.is_bare)
+                if self.clean_queries and query.groups:
+                    with tracer.span("clean") as csp:
+                        csp.tag("changed", query.cleaned_from is not None)
         if query.is_empty:
             return ResultSet(method=method)
         with trace_span(tracer, "compile") as csp:
@@ -661,70 +489,7 @@ class KeywordSearchEngine:
                 )
         return self._run_ladder(compiled, k, method, budget, fallback, tracer)
 
-    def _run_ladder(
-        self,
-        compiled: CompiledQuery,
-        k: int,
-        method: str,
-        budget: Optional[QueryBudget],
-        fallback: bool,
-        tracer: Optional[Tracer] = None,
-    ) -> ResultSet:
-        """Walk the degradation ladder for a compiled query.
-
-        Each rung goes through :meth:`_execute_rung`; a rung counts as
-        degraded when its budget ran out or the executor reported
-        reasons of its own (a failed or skipped shard).
-        """
-        chain = fallback_chain(method) if fallback else (method,)
-        last_reason: Optional[str] = None
-        for i, rung in enumerate(chain):
-            if i > 0 and budget is not None:
-                budget.renew()
-            is_last = i == len(chain) - 1
-            try:
-                if budget is not None:
-                    # Already cancelled or past the deadline (a batch
-                    # query that starts late): build nothing.
-                    budget.checkpoint()
-                results, reasons = self._execute_rung(compiled, k, rung, budget, tracer)
-            except BudgetExceededError as exc:
-                # Exhaustion escaped an algorithm with no partial answer.
-                last_reason = str(exc)
-                if is_last:
-                    break
-                continue
-            except QueryParseError:
-                raise
-            except ValueError as exc:
-                # Structurally infeasible rung (e.g. steiner group cap).
-                if not fallback:
-                    raise
-                last_reason = str(exc)
-                if is_last:
-                    break
-                continue
-            if not reasons and budget is not None and budget.exhausted:
-                reasons = (budget.reason or "budget exhausted",)
-            if results or not reasons or is_last:
-                fell_back = rung != method
-                return ResultSet(
-                    results,
-                    method=rung,
-                    degraded=bool(reasons) or fell_back,
-                    degraded_reason="; ".join(reasons)
-                    or (last_reason if fell_back else None),
-                    fallback_from=method if fell_back else None,
-                )
-            # Degraded with nothing to show: descend the ladder.
-            last_reason = "; ".join(reasons)
-        return ResultSet(
-            [],
-            method=chain[-1],
-            degraded=True,
-            degraded_reason=last_reason or "budget exhausted",
-            fallback_from=method if chain[-1] != method else None,
-        )
+    _rung_chain = staticmethod(fallback_chain)
 
     def _execute_rung(
         self,
@@ -734,13 +499,8 @@ class KeywordSearchEngine:
         budget: Optional[QueryBudget],
         tracer: Optional[Tracer] = None,
     ) -> Tuple[List[SearchResult], Sequence[str]]:
-        """The execute seam: run one ladder rung, here and now.
-
-        Returns the rung's results plus the reasons, if any, the answer
-        is partial for a cause other than *budget* running out — none
-        for this local executor
-        (:func:`repro.query.compiler.execute_rung`).
-        """
+        """The execute seam: run one ladder rung, here and now, on the
+        local executor — which has no reasons of its own to report."""
         return execute_rung(self, compiled, k, rung, budget, tracer), ()
 
     def search_many(

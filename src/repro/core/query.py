@@ -35,5 +35,8 @@ class Query:
     def __len__(self) -> int:
         return len(self.keywords)
 
-    def __str__(self) -> str:
+    def canonical(self) -> str:
+        """The text form traces show (as ``StructuredQuery.canonical``)."""
         return " ".join(self.keywords)
+
+    __str__ = canonical

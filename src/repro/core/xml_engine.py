@@ -7,20 +7,17 @@ inference, type clustering, describable clustering).
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.clustering import rank_clusters, xbridge_clusters
 from repro.analysis.snippets import SnippetItem, generate_snippet
+from repro.core.frontend import QueryFrontEnd
 from repro.core.query import Query
 from repro.core.results import ResultSet, XmlResult
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import Profiler
-from repro.obs.trace import Tracer, span as trace_span
-from repro.resilience.budget import QueryBudget, make_budget
-from repro.resilience.errors import QueryParseError
+from repro.obs.trace import span as trace_span
+from repro.resilience.budget import QueryBudget
 from repro.xml_search.describable import describable_clusters
 from repro.xml_search.elca import elca_candidates_verify
 from repro.xml_search.slca import slca_indexed_lookup_eager, slca_multiway
@@ -30,9 +27,21 @@ from repro.xml_search.xseek import XSeek
 from repro.xmltree.index import XmlKeywordIndex
 from repro.xmltree.node import Dewey, XmlNode
 
+#: semantics -> the ?LCA algorithm that computes it.
+_ALGORITHMS = {
+    "slca": slca_indexed_lookup_eager,
+    "multiway": slca_multiway,
+    "elca": elca_candidates_verify,
+}
 
-class XmlSearchEngine:
-    """End-to-end keyword search over one XML document."""
+
+class XmlSearchEngine(QueryFrontEnd):
+    """End-to-end keyword search over one XML document: the front end's
+    third executor, one rung per semantics, result LRU bypassed."""
+
+    known_methods = tuple(_ALGORITHMS)
+    method_noun = "semantics"
+    unbounded_k = True
 
     def __init__(
         self,
@@ -41,26 +50,9 @@ class XmlSearchEngine:
         trace: bool = False,
         metrics: Optional[MetricsRegistry] = None,
     ):
+        super().__init__(trace=trace, metrics=metrics)
         self.root = root
         self.match_tags = match_tags
-        #: When True, every :meth:`search` builds a span tree and
-        #: attaches it as ``result.trace`` (per-call ``trace=`` wins).
-        self.trace_enabled = trace
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._profiler: Optional[Profiler] = None
-
-    @contextmanager
-    def profiled(self) -> Iterator[Profiler]:
-        """Trace every query in the block; yields the :class:`Profiler`."""
-        profiler = Profiler()
-        prev_enabled, prev_profiler = self.trace_enabled, self._profiler
-        self.trace_enabled = True
-        self._profiler = profiler
-        try:
-            yield profiler
-        finally:
-            self.trace_enabled = prev_enabled
-            self._profiler = prev_profiler
 
     @cached_property
     def index(self) -> XmlKeywordIndex:
@@ -94,67 +86,32 @@ class XmlSearchEngine:
         ranked, with the result set marked ``degraded``.
 
         ``trace=True`` (or ``XmlSearchEngine(trace=True)``) attaches a
-        span tree (``search -> parse -> substrate_build -> evaluate ->
-        score -> topk``) as ``result.trace``; tracing never changes the
-        evaluation order, so results are byte-identical with it on or
-        off.
+        span tree (``search -> cache_lookup -> parse -> substrate_build
+        -> evaluate -> score -> topk``) as ``result.trace``; tracing
+        never changes the evaluation order, so results are
+        byte-identical with it on or off.
         """
-        algorithms = {
-            "slca": slca_indexed_lookup_eager,
-            "multiway": slca_multiway,
-            "elca": elca_candidates_verify,
-        }
-        if semantics not in algorithms:
-            raise QueryParseError(
-                f"unknown semantics {semantics!r} "
-                f"(choices: {', '.join(algorithms)})"
-            )
-        if budget is None:
-            budget = make_budget(timeout_ms, max_expansions)
-        tracing = self.trace_enabled if trace is None else trace
-        tracer = Tracer() if tracing else None
-        self.metrics.inc("query.count")
-        start_s = time.perf_counter()
-        with trace_span(tracer, "search") as root_span:
-            root_span.tag("semantics", semantics)
-            out = self._run_search(text, k, semantics, budget, algorithms, tracer)
-        self.metrics.observe(
-            "query.latency_ms", (time.perf_counter() - start_s) * 1000.0
+        return self._search_impl(
+            text, k, semantics, True, budget, timeout_ms, max_expansions, False, trace
         )
-        if out.degraded:
-            self.metrics.inc("query.degraded")
-        if budget is not None and budget.exhausted:
-            self.metrics.inc("budget.exhausted")
-        if tracer is not None:
-            finished = tracer.finish()
-            out.trace = finished
-            profiler = self._profiler
-            if profiler is not None:
-                profiler.record(finished)
-        return out
 
-    def _run_search(
-        self,
-        text: str,
-        k: Optional[int],
-        semantics: str,
-        budget: Optional[QueryBudget],
-        algorithms: Dict,
-        tracer: Optional[Tracer],
-    ) -> ResultSet:
+    _parse_canonical = staticmethod(Query.parse)
+
+    def _execute_rung(self, query: Query, k, semantics, budget, tracer):
+        """Match lists -> ?LCA roots -> XRank scores -> sort; nothing
+        but *budget* running out makes the answer partial."""
         with trace_span(tracer, "parse") as psp:
-            query = Query.parse(text)
             psp.add("keywords", len(query.keywords))
         if not query.keywords:
-            return ResultSet(method=semantics)
+            return [], ()
         with trace_span(tracer, "substrate_build") as ssp:
             lists = self.index.match_lists(list(query.keywords))
             ssp.add("match_lists", len(lists))
             ssp.add("matches", sum(len(lst) for lst in lists))
         if any(not lst for lst in lists):
-            return ResultSet(method=semantics)
+            return [], ()
         with trace_span(tracer, "evaluate") as esp:
-            roots = algorithms[semantics](
+            roots = _ALGORITHMS[semantics](
                 lists,
                 budget=budget,
                 span=esp if tracer is not None else None,
@@ -179,13 +136,7 @@ class XmlSearchEngine:
                 )
             results.sort(key=lambda r: (-r.score, r.root))
             tsp.add("results", len(results))
-        exhausted = budget is not None and budget.exhausted
-        return ResultSet(
-            results[:k] if k is not None else results,
-            method=semantics,
-            degraded=exhausted,
-            degraded_reason=budget.reason if exhausted else None,
-        )
+        return (results[:k] if k is not None else results), ()
 
     # ------------------------------------------------------------------
     # Structure inference

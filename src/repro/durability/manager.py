@@ -19,8 +19,8 @@ Mutations follow the WAL discipline:
    made durable) to the WAL;
 3. **apply** — the row is stored and the serving engine's
    ``refresh()`` runs: the substrates are patched in place, and a
-   sharded engine first routes the new row to its home shard and
-   boundary replicas.
+   sharded engine first gives the new row a home shard (an entry in
+   the one ownership map; nothing is copied per shard).
 
 A fresh directory over a non-empty database bootstraps itself: the
 schema is logged as the WAL's first record and an initial snapshot

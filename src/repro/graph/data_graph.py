@@ -16,8 +16,6 @@ import threading
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.relational.database import Database, TupleId
 
 
@@ -209,6 +207,8 @@ class DataGraph:
     # Export
     # ------------------------------------------------------------------
     def to_networkx(self) -> "nx.Graph":
+        import networkx as nx  # test-oracle export only: not a start-up cost
+
         graph = nx.Graph()
         for node, weight in self._node_weight.items():
             graph.add_node(node, weight=weight)

@@ -25,6 +25,7 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core.frontend import validate_k
 from repro.core.results import ResultSet, SearchResult
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.budget import QueryBudget
@@ -84,8 +85,7 @@ def as_batch_query(
 
 
 def _validated(query: BatchQuery) -> BatchQuery:
-    if not isinstance(query.k, int) or isinstance(query.k, bool) or query.k < 1:
-        raise QueryParseError(f"k must be a positive integer, got {query.k!r}")
+    validate_k(query.k)
     if query.method not in KNOWN_METHODS:
         raise QueryParseError(
             f"unknown method {query.method!r} "

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-import networkx as nx
-
 from repro.relational.schema import ForeignKey, Schema
 
 
@@ -84,14 +82,22 @@ class SchemaGraph:
     def edges_between(self, a: str, b: str) -> List[SchemaEdge]:
         return [e for e in self._adjacency[a] if e.other(a) == b]
 
+    # networkx is imported where it is used: no serving path reaches
+    # these three, so start-up and recovery do not pay for the import.
     def is_connected(self) -> bool:
+        import networkx as nx
+
         return nx.is_connected(self.to_networkx()) if self.tables else True
 
     def shortest_join_path(self, source: str, target: str) -> List[str]:
         """Shortest table path between two tables (tables, not edges)."""
+        import networkx as nx
+
         return nx.shortest_path(self.to_networkx(), source, target)
 
     def to_networkx(self) -> "nx.MultiGraph":
+        import networkx as nx
+
         graph = nx.MultiGraph()
         graph.add_nodes_from(self.tables)
         for edge in self._edges:

@@ -48,6 +48,7 @@ import time
 from typing import Any, Callable, Dict, Optional
 
 from repro.core.factory import build_engine
+from repro.core.frontend import validate_k
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.budget import QueryBudget, make_budget
 from repro.resilience.degradation import KNOWN_METHODS
@@ -347,7 +348,14 @@ class Router:
     # ------------------------------------------------------------------
     def _query_args(self, request: Request) -> Dict[str, Any]:
         """The arguments both query routes take, validated."""
-        k = _parse_int(request.param("k", DEFAULT_K), "k")
+        k = request.param("k", DEFAULT_K)
+        if isinstance(k, str):  # query-string values arrive as text
+            try:
+                k = int(k)
+            except ValueError:
+                pass  # validate_k names the problem
+        validate_k(k)  # the engines' own check, with the engines' message
+        k = _parse_int(k, "k")  # serving policy: the hi=1000 cap
         method = str(request.param("method", "schema"))
         if method not in KNOWN_METHODS:
             raise BadRequest(

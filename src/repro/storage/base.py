@@ -74,36 +74,35 @@ class TokenView:
         self.tf = tf
 
 
-class TokenViewCache:
-    """Bounded LRU of :class:`TokenView` keyed by token string.
+class BoundedLRU:
+    """Unlocked bounded LRU with hit / miss / eviction counters.
 
-    Query vocabularies are tiny and heavily repeated relative to the
-    corpus vocabulary, so a small cache keeps the compact backends'
-    decode cost off the steady-state path while bounding how much
-    decoded (pointer-rich) state they re-materialise.
+    The one body behind :class:`TokenViewCache` and
+    :class:`~repro.storage.diskstore.PageCache`; callers serialise
+    access themselves (a backend is read under its index's lock).
     """
 
     __slots__ = ("capacity", "_entries", "hits", "misses", "evictions")
 
     def __init__(self, capacity: int):
         self.capacity = max(1, int(capacity))
-        self._entries: "OrderedDict[str, TokenView]" = OrderedDict()
+        self._entries: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def get(self, token: str) -> Optional[TokenView]:
-        entry = self._entries.get(token)
+    def get(self, key):
+        entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
-        self._entries.move_to_end(token)
+        self._entries.move_to_end(key)
         self.hits += 1
         return entry
 
-    def put(self, token: str, view: TokenView) -> None:
-        self._entries[token] = view
-        self._entries.move_to_end(token)
+    def put(self, key, value) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
@@ -122,6 +121,18 @@ class TokenViewCache:
             "misses": self.misses,
             "evictions": self.evictions,
         }
+
+
+class TokenViewCache(BoundedLRU):
+    """Bounded LRU of :class:`TokenView` keyed by token string.
+
+    Query vocabularies are tiny and heavily repeated relative to the
+    corpus vocabulary, so a small cache keeps the compact backends'
+    decode cost off the steady-state path while bounding how much
+    decoded (pointer-rich) state they re-materialise.
+    """
+
+    __slots__ = ()
 
 
 class StorageBackend(ABC):

@@ -36,12 +36,12 @@ import struct
 import tempfile
 import zlib
 from array import array
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.relational.database import Database, TupleId
 from repro.storage.base import (
     EMPTY_TUPLES,
+    BoundedLRU,
     Posting,
     StorageBackend,
     TokenView,
@@ -83,38 +83,18 @@ class _PageWriter:
         return len(self.pages) - 1, offset, len(item)
 
 
-class PageCache:
+class PageCache(BoundedLRU):
     """Bounded LRU of decompressed pages with lazy page-in accounting."""
 
-    __slots__ = ("capacity", "_pages", "hits", "misses", "evictions", "_ever")
+    __slots__ = ("_ever",)
 
     def __init__(self, capacity: int):
-        self.capacity = max(1, int(capacity))
-        self._pages: "OrderedDict[int, bytes]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        super().__init__(capacity)
         self._ever: Set[int] = set()
 
-    def lookup(self, page_idx: int) -> Optional[bytes]:
-        page = self._pages.get(page_idx)
-        if page is None:
-            self.misses += 1
-            return None
-        self._pages.move_to_end(page_idx)
-        self.hits += 1
-        return page
-
-    def store(self, page_idx: int, raw: bytes) -> None:
+    def put(self, page_idx: int, raw: bytes) -> None:
         self._ever.add(page_idx)
-        self._pages[page_idx] = raw
-        self._pages.move_to_end(page_idx)
-        while len(self._pages) > self.capacity:
-            self._pages.popitem(last=False)
-            self.evictions += 1
-
-    def __len__(self) -> int:
-        return len(self._pages)
+        super().put(page_idx, raw)
 
     @property
     def pages_ever_loaded(self) -> int:
@@ -122,7 +102,7 @@ class PageCache:
 
     def stats(self) -> Dict[str, int]:
         return {
-            "resident_pages": len(self._pages),
+            "resident_pages": len(self),
             "capacity_pages": self.capacity,
             "hits": self.hits,
             "misses": self.misses,
@@ -397,11 +377,11 @@ class DiskBackend(StorageBackend):
     # Page access
     # ------------------------------------------------------------------
     def _page(self, page_idx: int) -> bytes:
-        page = self._cache.lookup(page_idx)
+        page = self._cache.get(page_idx)
         if page is None:
             file_off, comp_len, _raw_len = self._page_table[page_idx]
             page = zlib.decompress(self._mm[file_off:file_off + comp_len])
-            self._cache.store(page_idx, page)
+            self._cache.put(page_idx, page)
         return page
 
     def _item(self, loc: Tuple[int, int, int]) -> bytes:

@@ -28,7 +28,13 @@ from typing import Dict, List, Optional, Sequence
 from repro.resilience.budget import QueryBudget
 from repro.resilience.errors import BudgetExceededError
 from repro.xmltree.index import XmlKeywordIndex
-from repro.xmltree.node import Dewey, common_prefix, is_ancestor, lca_dewey
+from repro.xmltree.node import (
+    Dewey,
+    common_prefix,
+    is_ancestor,
+    is_ancestor_or_self,
+    lca_dewey,
+)
 
 
 def _dedup_keep_deepest(candidates: List[Dewey]) -> List[Dewey]:
@@ -49,6 +55,20 @@ def _dedup_keep_deepest(candidates: List[Dewey]) -> List[Dewey]:
             pending = cand
     if pending is not None:
         out.append(pending)
+    return out
+
+
+def _confirmed(candidates: List[Dewey], upcoming: Sequence[Dewey]) -> List[Dewey]:
+    """The SLCAs among *candidates* of a scan a budget may have stopped.
+
+    Candidates arrive in document order, so every one but the last is
+    settled; the last stands only if none of the *upcoming* matches (the
+    next unscanned one per list) lies under it — such a match could
+    still have produced a smaller LCA below it.
+    """
+    out = _dedup_keep_deepest(candidates)
+    if out and any(is_ancestor_or_self(out[-1], m) for m in upcoming):
+        out.pop()
     return out
 
 
@@ -108,8 +128,9 @@ def slca_indexed_lookup_eager(
 ) -> List[Dewey]:
     """XKSearch ILE: anchor on the smallest list, binary-search the rest.
 
-    An exhausted *budget* stops the anchor scan early; the SLCAs of the
-    anchors processed so far are returned (a sound partial answer).
+    An exhausted *budget* stops the anchor scan early; the SLCAs the
+    anchors processed so far settle are returned (a sound partial
+    answer, see :func:`_confirmed`).
 
     *span* (a tracing span, see :mod:`repro.obs.trace`) receives the
     ``anchors_scanned`` / ``candidates`` work counters; the computation
@@ -136,7 +157,7 @@ def slca_indexed_lookup_eager(
     if span is not None:
         span.add("anchors_scanned", scanned)
         span.add("candidates", len(candidates))
-    return _dedup_keep_deepest(candidates)
+    return _confirmed(candidates, anchors[scanned : scanned + 1])
 
 
 def slca_scan_eager(
@@ -187,7 +208,8 @@ def slca_scan_eager(
                 )
             acc = common_prefix(acc, closest)  # type: ignore[arg-type]
         candidates.append(acc)
-    return _dedup_keep_deepest(candidates)
+    scanned = len(candidates)
+    return _confirmed(candidates, anchors[scanned : scanned + 1])
 
 
 def slca_multiway(
@@ -217,7 +239,8 @@ def slca_multiway(
                 try:
                     budget.tick_candidates()
                 except BudgetExceededError:
-                    break
+                    heads = [lst[c] for c, lst in zip(cursors, lists)]
+                    return _confirmed(candidates, heads)
             rounds += 1
             anchor = max(lst[c] for c, lst in zip(cursors, lists))
             acc = anchor

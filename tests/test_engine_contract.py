@@ -1,18 +1,24 @@
 """One engine contract: every kind ``build_engine`` returns, bare or
 wrapped in a :class:`DurableEngine`, answers, batches, refreshes, warms
 and closes the same way — there is one query front end, so the kinds
-can differ only in how a rung executes, never in what comes back."""
+can differ only in how a rung executes, never in what comes back.  The
+front-end clauses (validation, trace, budgets, profiler, metric names)
+hold for :class:`XmlSearchEngine` too: it is the third executor behind
+the same :class:`~repro.core.frontend.QueryFrontEnd`."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.factory import build_engine
+from repro.core.xml_engine import XmlSearchEngine
 from repro.datasets.bibliographic import tiny_bibliographic_db
+from repro.datasets.xml_corpora import generate_bib_xml
 from repro.durability import DurableEngine
 from repro.query.parser import parse_query
 from repro.resilience.budget import QueryBudget
 from repro.resilience.degradation import KNOWN_METHODS
+from repro.resilience.errors import QueryParseError
 
 #: ``build_engine`` options per kind; ``durable-*`` wrap the same engine.
 KINDS = {"default": {}, "shards-1": {"shards": 1}, "shards-4": {"shards": 4}}
@@ -106,11 +112,27 @@ def test_refresh_makes_an_insert_findable(kind):
 
 
 def test_unknown_method_is_a_parse_error(kind):
-    from repro.resilience.errors import QueryParseError
-
     front, _ = kind
     with pytest.raises(QueryParseError, match="unknown method 'quantum'"):
         front.search("widom", method="quantum")
+
+
+#: Not a positive ``int``: each died differently before the shared check
+#: (``IndexError`` in the top-k heap, a wrong-length answer, ``TypeError``).
+BAD_K = (0, -1, 2.5, "3", True)
+
+
+def test_bad_k_is_a_parse_error_before_any_work(kind):
+    front, engine = kind
+    for method in KNOWN_METHODS:
+        for bad in BAD_K:
+            with pytest.raises(QueryParseError, match="k must be a positive integer"):
+                front.search("widom xml", k=bad, method=method)
+            with pytest.raises(QueryParseError, match="k must be a positive integer"):
+                front.search_many(["widom xml"], k=bad, method=method)
+    with pytest.raises(QueryParseError, match="k must be a positive integer"):
+        front.search("widom xml", k=None)
+    assert "index" not in engine.__dict__
 
 
 def test_warm_builds_the_index_and_close_twice_is_harmless(kind):
@@ -123,3 +145,89 @@ def test_warm_builds_the_index_and_close_twice_is_harmless(kind):
         front.close()
         engine.close()
     assert "index" not in engine.__dict__
+
+
+# ----------------------------------------------------------------------
+# The XML column: the front-end clauses, on the third executor
+# ----------------------------------------------------------------------
+XML_SEMANTICS = ("slca", "elca", "multiway")
+XML_QUERY = "database query"
+
+
+@pytest.fixture(scope="module")
+def xml():
+    return XmlSearchEngine(generate_bib_xml(seed=1))
+
+
+def _xml_signature(results):
+    return (
+        [(r.score, r.root, r.semantics) for r in results],
+        results.method,
+        results.degraded,
+        results.degraded_reason,
+    )
+
+
+def test_xml_unknown_semantics_and_bad_k_are_parse_errors():
+    engine = XmlSearchEngine(generate_bib_xml(seed=1))
+    with pytest.raises(QueryParseError, match="unknown semantics 'quantum'"):
+        engine.search(XML_QUERY, semantics="quantum")
+    for semantics in XML_SEMANTICS:
+        for bad in BAD_K:
+            with pytest.raises(QueryParseError, match="k must be a positive integer"):
+                engine.search(XML_QUERY, k=bad, semantics=semantics)
+    assert "index" not in engine.__dict__
+    assert len(engine.search(XML_QUERY, k=None)) > len(engine.search(XML_QUERY, k=3)) == 3
+
+
+@pytest.mark.parametrize("semantics", XML_SEMANTICS)
+def test_xml_trace_never_changes_the_answer(xml, semantics):
+    plain = xml.search(XML_QUERY, k=5, semantics=semantics, trace=False)
+    traced = xml.search(XML_QUERY, k=5, semantics=semantics, trace=True)
+    assert plain and _xml_signature(plain) == _xml_signature(traced)
+    assert plain.trace is None
+    assert traced.trace.span_names()[:2] == ["search", "cache_lookup"]
+
+
+@pytest.mark.parametrize("semantics", XML_SEMANTICS)
+def test_xml_budget_knobs(xml, semantics):
+    full = xml.search(XML_QUERY, semantics=semantics)
+    generous = (
+        {"timeout_ms": 60_000.0},
+        {"max_expansions": 1_000_000},
+        {"budget": QueryBudget(timeout_ms=60_000.0)},
+    )
+    for knobs in generous:
+        assert _xml_signature(xml.search(XML_QUERY, semantics=semantics, **knobs)) == (
+            _xml_signature(full)
+        )
+    budget = QueryBudget(max_candidates=1)
+    capped = xml.search(XML_QUERY, semantics=semantics, budget=budget)
+    assert capped.degraded and budget.exhausted
+    assert capped.degraded_reason == budget.reason
+    assert {r.root for r in capped} < {r.root for r in full}
+
+
+def test_xml_profiled_restores_the_trace_flag(xml):
+    with xml.profiled() as profiler:
+        assert xml.search(XML_QUERY).trace is not None
+    assert xml.trace_enabled is False and len(profiler) == 1
+    assert xml.search(XML_QUERY).trace is None
+
+
+def test_xml_metric_names_equal_the_relational_engines():
+    def names(engine, text):
+        engine.search(text)
+        assert engine.search(text, max_expansions=1).degraded
+        return {
+            name
+            for name in engine.metrics.snapshot()
+            if name.startswith(("query.", "budget."))
+        }
+
+    relational = build_engine(tiny_bibliographic_db())
+    xml_names = names(XmlSearchEngine(generate_bib_xml(seed=1)), XML_QUERY)
+    assert xml_names == names(relational, "widom xml")
+    assert xml_names == {
+        "query.count", "query.latency_ms", "query.degraded", "budget.exhausted"
+    }

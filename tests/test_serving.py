@@ -556,6 +556,22 @@ class TestRouterUnit:
             router, Request("GET", "/search", {"q": "x", "method": "quantum"})
         ).status == 400
 
+    def test_bad_k_gets_the_engines_message(self, router_env):
+        """``k`` is checked by the front end's ``validate_k`` on both
+        query routes; only the ``hi=1000`` cap is the router's own."""
+        engine, _, router = router_env
+        for make in QUERY_ROUTES:
+            for bad in ("0", "-1", "2.5", "True", 0, -1, 2.5, True):
+                response = _dispatch(router, make(k=bad))
+                assert response.status == 400, bad
+                assert response.payload["error"].startswith(
+                    "k must be a positive integer, got "
+                ), bad
+            response = _dispatch(router, make(k=1001))
+            assert response.status == 400
+            assert "[1, 1000]" in response.payload["error"]
+        assert engine.calls == []
+
     def test_search_passes_budget(self, router_env):
         engine, _, router = router_env
         response = _dispatch(
