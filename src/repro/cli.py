@@ -250,15 +250,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _print_explain(engine) -> None:
-    """CN-executor sharing and incremental-maintenance counters."""
+    """CN-executor work and incremental-maintenance counters."""
     stats = engine.cache_stats()
     sharing = stats["sharing"]
     patches = stats["substrates"]["patches"]
     print(
-        f"-- sharing: {sharing['subexpressions_materialized']} join build "
-        f"sides materialized, {sharing['reuse_hits']} reuse hits, "
-        f"{sharing['joins_saved']} hash builds avoided "
-        f"({sharing['joins_executed']} probes executed)"
+        f"-- executor: {sharing['joins_executed']} index probes, "
+        f"{sharing['tuples_read']} tuples read, "
+        f"{sharing['partials_dropped']} partials dropped by the bound"
     )
     print(
         f"-- incremental: {patches['applied']} index patches applied "
@@ -626,8 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--explain",
         action="store_true",
-        help="print the CN executor's sharing counters (join build "
-        "sides built, reuse hits, hash builds avoided) and incremental "
+        help="print the CN executor's work counters (index probes, "
+        "tuples read, partials dropped by the bound) and incremental "
         "index patches",
     )
     p.add_argument(

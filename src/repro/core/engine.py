@@ -125,10 +125,8 @@ class KeywordSearchEngine(QueryFrontEnd):
         self._sharing: Dict[str, int] = {
             "queries": 0,
             "joins_executed": 0,
-            "joins_saved": 0,
-            "reuse_hits": 0,
-            "subexpressions_materialized": 0,
-            "semijoin_pruned": 0,
+            "tuples_read": 0,
+            "partials_dropped": 0,
         }
         # Shared by every batch executor created against this engine, so
         # repeated substrate-build failures keep tripping it across
@@ -323,15 +321,15 @@ class KeywordSearchEngine(QueryFrontEnd):
         self.metrics.inc(f"circuit.transitions.{new_state}")
 
     def _record_sharing(self, stats) -> None:
-        """Fold one schema search's JoinStats into the sharing totals."""
+        """Fold one schema search's JoinStats into the executor totals:
+        index probes, rowids read off index buckets, partials the
+        in-slice bound dropped."""
         with self._sharing_lock:
             totals = self._sharing
             totals["queries"] += 1
             totals["joins_executed"] += stats.joins_executed
-            totals["joins_saved"] += stats.joins_saved
-            totals["reuse_hits"] += stats.reuse_hits
-            totals["subexpressions_materialized"] += stats.subexpressions_materialized
-            totals["semijoin_pruned"] += stats.semijoin_pruned
+            totals["tuples_read"] += stats.tuples_read
+            totals["partials_dropped"] += stats.partials_dropped
 
     def _data_version(self) -> int:
         return self.db.data_version

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.results import SearchResult
 from repro.index.text import tokenize
@@ -238,6 +238,13 @@ class FilteredTupleSets:
             cached = [t for t in self.base.tuple_ids(key) if allows(t)]
             self._members[key] = cached
         return list(cached)
+
+    def member_test(self, key: TupleSetKey) -> Callable[[int], bool]:
+        """The base's O(1) membership test narrowed by the row filter."""
+        member = self.base.member_test(key)
+        allows = self.row_filter.allows
+        table = key.table
+        return lambda rowid: member(rowid) and allows(TupleId(table, rowid))
 
     def rows(self, key: TupleSetKey):
         return [self.db.row(tid) for tid in self.tuple_ids(key)]

@@ -20,14 +20,16 @@ from repro.relational.table import Row
 class JoinStats:
     """Execution counters accumulated across executor calls.
 
-    Beyond the raw work counters, the sharing counters say how much
-    work reuse avoided.  In the engine's CN executor
-    (:mod:`repro.schema_search.topk`): ``subexpressions_materialized``
-    counts join build sides built, ``joins_saved`` hash builds avoided
-    because another CN had built the side, ``reuse_hits`` the CNs that
-    reused at least one.  In the operator-sharing evaluator
+    The engine's CN executor (:mod:`repro.schema_search.topk`) is an
+    index nested-loop join over rowids: ``joins_executed`` counts its
+    index probes, ``tuples_read`` the rowids those probes returned (plus
+    one anchor per slice), ``tuples_emitted`` the results produced and
+    ``partials_dropped`` the partial results its in-slice bound cut; it
+    builds nothing, so the sharing counters stay 0 there.  They belong
+    to the operator-sharing evaluator
     (:class:`~repro.schema_search.evaluate.SharedCNEvaluator`):
-    intermediates stored, joins a cached prefix skipped, and CN
+    ``subexpressions_materialized`` intermediates stored,
+    ``joins_saved`` joins a cached prefix skipped, ``reuse_hits`` CN
     evaluations seeded from one.  ``semijoin_pruned`` counts the tuples
     semi-join pre-filtering removed before any join ran.
     """
@@ -39,6 +41,7 @@ class JoinStats:
     joins_saved: int = 0
     subexpressions_materialized: int = 0
     semijoin_pruned: int = 0
+    partials_dropped: int = 0
 
     def merge(self, other: "JoinStats") -> None:
         self.tuples_read += other.tuples_read
@@ -48,6 +51,7 @@ class JoinStats:
         self.joins_saved += other.joins_saved
         self.subexpressions_materialized += other.subexpressions_materialized
         self.semijoin_pruned += other.semijoin_pruned
+        self.partials_dropped += other.partials_dropped
 
 
 class JoinedRow:

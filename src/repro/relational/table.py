@@ -9,7 +9,7 @@ evaluation (equi-joins along FKs) efficient.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.relational.schema import SchemaError, TableSchema
 
@@ -173,26 +173,35 @@ class Table:
         for rowid, values in enumerate(self._rows):
             yield Row(self, rowid, values)
 
+    def values(self, rowid: int) -> Tuple[object, ...]:
+        """The stored tuple of *rowid*, without a :class:`Row` around it."""
+        return self._rows[rowid]
+
+    def rowids(self, column: str, value: object) -> Sequence[int]:
+        """Rowids with ``row[column] == value``, ascending; do not mutate.
+
+        An index probe on a foreign-key column (the index bucket
+        itself) or the primary key (zero or one rowid); any other
+        column is a scan.
+        """
+        index = self._indexes.get(column)
+        if index is not None:
+            return index.get(value, ())
+        if column == self.schema.primary_key:
+            rowid = self._pk_map.get(value)
+            return () if rowid is None else (rowid,)
+        idx = self.column_index(column)
+        return [
+            rowid for rowid, values in enumerate(self._rows) if values[idx] == value
+        ]
+
     def by_key(self, pk_value: object) -> Optional[Row]:
-        rowid = self._pk_map.get(pk_value)
-        if rowid is None:
-            return None
-        return self.row(rowid)
+        rowids = self.rowids(self.schema.primary_key, pk_value)
+        return self.row(rowids[0]) if rowids else None
 
     def lookup(self, column: str, value: object) -> List[Row]:
         """All rows with ``row[column] == value`` (uses indexes if present)."""
-        if column == self.schema.primary_key:
-            row = self.by_key(value)
-            return [row] if row is not None else []
-        index = self._indexes.get(column)
-        if index is not None:
-            return [self.row(r) for r in index.get(value, ())]
-        idx = self.column_index(column)
-        return [
-            Row(self, rowid, values)
-            for rowid, values in enumerate(self._rows)
-            if values[idx] == value
-        ]
+        return [self.row(rowid) for rowid in self.rowids(column, value)]
 
     def distinct(self, column: str) -> List[object]:
         """Distinct non-null values of *column*, in first-seen order."""

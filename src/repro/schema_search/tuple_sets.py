@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.index.inverted import InvertedIndex
 from repro.relational.database import Database, TupleId
@@ -48,11 +48,14 @@ class TupleSets:
         # current iff its length matches — which also re-sorts after a
         # refresh() that created a key, even one racing a reader.
         self._sorted_keys: List[TupleSetKey] = []
-        # Rowids matching >= 1 keyword, as an int bitset per table (bit
-        # ``rowid`` set).  Rowids are dense 0-based insertion indexes, so
-        # one arbitrary-precision int per table replaces a Set[int] at a
-        # fraction of the memory, and free-set sizing is a popcount.
-        self._matched_by_table: Dict[str, int] = {}
+        # Rowids matching >= 1 keyword, as one flag byte per classified
+        # row of each table.  Rowids are dense 0-based insertion indexes,
+        # so a bytearray replaces a Set[int] at a fraction of the memory,
+        # answers "is this rowid free?" in O(1) whatever the table size,
+        # and free-set sizing is a count.
+        self._matched_by_table: Dict[str, bytearray] = {
+            name: bytearray(len(table)) for name, table in db.tables.items()
+        }
         # Rows classified so far per table (append-only data model);
         # refresh() patches membership for everything past this mark.
         self._row_counts: Dict[str, int] = {
@@ -73,7 +76,7 @@ class TupleSets:
         for tid, subset in by_tuple.items():
             key = TupleSetKey(tid.table, frozenset(subset))
             self._sets.setdefault(key, []).append(tid)
-            matched[tid.table] = matched.get(tid.table, 0) | (1 << tid.rowid)
+            matched[tid.table][tid.rowid] = 1
         for tids in self._sets.values():
             tids.sort()
 
@@ -97,9 +100,12 @@ class TupleSets:
         created: List[TupleSetKey] = []
         for name, table in self.db.tables.items():
             start = self._row_counts.get(name, 0)
-            if len(table) <= start:
+            total = len(table)
+            if total <= start:
                 continue
-            for rowid in range(start, len(table)):
+            matched = self._matched_by_table[name]
+            matched.extend(bytes(total - start))
+            for rowid in range(start, total):
                 tid = TupleId(name, rowid)
                 subset = frozenset(
                     k for k in query if self.index.contains_token(tid, k)
@@ -112,10 +118,8 @@ class TupleSets:
                     members = self._sets[key] = []
                     created.append(key)
                 bisect.insort(members, tid)
-                self._matched_by_table[name] = (
-                    self._matched_by_table.get(name, 0) | (1 << rowid)
-                )
-            self._row_counts[name] = len(table)
+                matched[rowid] = 1
+            self._row_counts[name] = total
         return created
 
     # ------------------------------------------------------------------
@@ -140,22 +144,36 @@ class TupleSets:
         exact-partition guarantee).
         """
         if key.is_free:
-            matched = self._matched_by_table.get(key.table, 0)
+            member = self.member_test(key)
             return [
                 TupleId(key.table, rowid)
                 for rowid in range(len(self.db.table(key.table)))
-                if not (matched >> rowid) & 1
+                if member(rowid)
             ]
         return list(self._sets.get(key, ()))
+
+    def member_test(self, key: TupleSetKey) -> Callable[[int], bool]:
+        """``rowid -> is it a member of *key*``, O(1) per rowid.
+
+        What an index nested-loop join asks of the child's tuple set.  A
+        free set is never materialised for it: a row is free iff it is
+        not flagged matched (rows inserted since the last
+        :meth:`refresh` are not classified yet and count as free, as in
+        :meth:`tuple_ids`); the test reads the live flags, so it stays
+        current across :meth:`refresh`.
+        """
+        if key.is_free:
+            matched = self._matched_by_table[key.table]
+            return lambda rowid: not (rowid < len(matched) and matched[rowid])
+        return {tid.rowid for tid in self._sets.get(key, ())}.__contains__
 
     def rows(self, key: TupleSetKey) -> List[Row]:
         return [self.db.row(tid) for tid in self.tuple_ids(key)]
 
     def size(self, key: TupleSetKey) -> int:
         if key.is_free:
-            matched = self._matched_by_table.get(key.table, 0)
-            # bin().count is the 3.9-safe popcount (int.bit_count is 3.10+).
-            return len(self.db.table(key.table)) - bin(matched).count("1")
+            matched = self._matched_by_table[key.table]
+            return len(self.db.table(key.table)) - matched.count(1)
         return len(self._sets.get(key, ()))
 
     def covered_keywords(self) -> Set[str]:

@@ -10,7 +10,7 @@ no per-shard copy of anything), with a different execute seam:
 * ``schema`` / ``index_only`` **scatter**: CN enumeration runs once at
   the coordinator over the shared substrates, the per-query executor
   context (:class:`~repro.schema_search.topk.CNQueryContext`: score
-  table, CN plans, shared build sides) is built once, and every shard
+  table, CN plans) is built once, and every shard
   runs the engine's bound-ordered loop over its home slice of each CN's
   anchor queue on the shared thread pool, pruning against the streaming
   global k-th score (:mod:`repro.sharding.scatter`).  The gathered top-k is

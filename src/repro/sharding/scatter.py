@@ -29,7 +29,12 @@ from typing import Callable, List, Optional, Tuple
 from repro.relational.database import TupleId
 from repro.relational.executor import JoinedRow, JoinStats
 from repro.resilience.budget import QueryBudget
-from repro.schema_search.topk import CNQueryContext, _TopKHeap, run_bound_ordered
+from repro.schema_search.topk import (
+    CNQueryContext,
+    _CNPlan,
+    _TopKHeap,
+    run_bound_ordered,
+)
 
 
 class GlobalTopK:
@@ -41,10 +46,11 @@ class GlobalTopK:
         self._lock = threading.Lock()
         self.offers = 0
 
-    def offer(self, score: float, label: str, joined: JoinedRow) -> None:
+    def offer(self, score: float, plan: _CNPlan, rowids: List[int]) -> None:
+        """An executor candidate: *rowids* in *plan*'s join order."""
         with self._lock:
             self.offers += 1
-            self._heap.offer(score, label, joined)
+            self._heap.offer_rowids(score, plan, rowids)
 
     def threshold(self) -> float:
         """Current global k-th score (``-inf`` until the heap fills)."""

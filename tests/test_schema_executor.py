@@ -11,15 +11,24 @@ ties at k decided by the content key alone) the common case.
 
 from __future__ import annotations
 
+import json
+import os
+import random
+import subprocess
+import sys
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import KeywordSearchEngine
+from repro.datasets import words
 from repro.datasets.bibliographic import generate_bibliographic_db
 from repro.index.inverted import InvertedIndex
+from repro.index.text import tokenize
+from repro.obs.trace import Tracer
 from repro.query.compiler import FilteredTupleSets, RowFilter, WeightedIndexView
 from repro.relational.database import Database
+from repro.relational.executor import JoinStats
 from repro.relational.schema import Column, ForeignKey, Schema, TableSchema
 from repro.relational.schema_graph import SchemaGraph
 from repro.resilience.budget import QueryBudget
@@ -27,9 +36,19 @@ from repro.schema_search import scoring
 from repro.schema_search.candidate_networks import generate_candidate_networks
 from repro.schema_search.evaluate import evaluate_cn
 from repro.schema_search.scoring import monotonic_result_score
-from repro.schema_search.topk import topk_global_pipeline
+from repro.schema_search.topk import (
+    CNQueryContext,
+    _TopKHeap,
+    run_bound_ordered,
+    topk_global_pipeline,
+    topk_naive,
+    topk_single_pipeline,
+    topk_sparse,
+)
 from repro.schema_search.tuple_sets import TupleSets
 from repro.sharding import ShardedSearchEngine
+
+from . import executor_reference as reference
 
 VOCAB = ["ant", "bee", "cat"]
 KS = (1, 3, 10)
@@ -348,3 +367,320 @@ def test_each_matched_tuple_is_scored_at_most_once(monkeypatch):
     assert len(results) == 10
     assert 0 < len(calls) <= matching
     assert len(set(calls)) == len(calls)
+
+
+# ----------------------------------------------------------------------
+# Differential: index nested-loop on rowids vs the hash-join reference
+# ----------------------------------------------------------------------
+def _tied(db: Database) -> Database:
+    """A copy of *db* whose every row carries the same text, so every
+    tuple of a table scores the same and results tie massively."""
+    out = Database(db.schema)
+    for name, table in db.tables.items():  # t0 first: parents before children
+        for row in table.rows():
+            out.insert(name, **{**row.as_dict(), "txt": "ant bee"})
+    return out
+
+
+maybe_tied_databases = st.one_of(databases(), databases().map(_tied))
+row_filters = st.one_of(
+    st.none(), st.tuples(st.integers(0, 2**12 - 1), st.integers(0, 2**6 - 1))
+)
+
+
+def _substrates(db, keywords, row_filter):
+    index = InvertedIndex(db)
+    tuple_sets = TupleSets(db, index, keywords)
+    if row_filter is not None:
+        banned_bits, allowed_bits = row_filter
+        every = sorted(db.all_tuple_ids())
+        banned = {tid for i, tid in enumerate(every) if (banned_bits >> (i % 12)) & 1}
+        tuple_sets = FilteredTupleSets(
+            tuple_sets, RowFilter({"t0": allowed_bits}, banned)
+        )
+    cns = generate_candidate_networks(
+        SchemaGraph(db.schema), tuple_sets, max_size=MAX_CN_SIZE
+    )
+    return index, tuple_sets, cns
+
+
+def _anchor_filters(owners):
+    """A partition of the tuple space into *owners* anchor filters."""
+    if owners == 1:
+        return [None]
+    return [
+        lambda tid, mine=mine: (tid.rowid + len(tid.table) + ord(tid.table[-1]))
+        % owners
+        == mine
+        for mine in range(owners)
+    ]
+
+
+def _run_index_join(cns, tuple_sets, index, keywords, k, anchor_filters, budget=None):
+    """The new executor over *anchor_filters*, one after the other, into one heap."""
+    heap = _TopKHeap(k)
+    context = CNQueryContext(cns, tuple_sets, index, keywords)
+    runs = [
+        run_bound_ordered(
+            context.cursors(anchor_filter),
+            heap.offer_rowids,
+            heap.kth_score,
+            JoinStats(),
+            budget,
+        )
+        for anchor_filter in anchor_filters
+    ]
+    return [(s, l, j.tuple_ids()) for s, l, j in heap.sorted_results()], runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    db=maybe_tied_databases,
+    keywords=keyword_sets,
+    row_filter=row_filters,
+    owners=st.sampled_from([1, 2, 4]),
+)
+def test_index_join_equals_hash_join_reference(db, keywords, row_filter, owners):
+    index, tuple_sets, cns = _substrates(db, keywords, row_filter)
+    everything = oracle(tuple_sets, cns, index, keywords)
+    filters = _anchor_filters(owners)
+    for k in KS:
+        want, ref_runs = reference.reference_topk(
+            cns, tuple_sets, index, keywords, k, anchor_filters=filters
+        )
+        got, runs = _run_index_join(cns, tuple_sets, index, keywords, k, filters)
+        assert got == [(s, l, j.tuple_ids()) for s, l, j in want] == everything[:k]
+        for run, ref_run in zip(runs, ref_runs):
+            # Same slices in the same order; fewer candidates leave them.
+            assert (run.batches, run.cns_executed, run.pruned) == (
+                ref_run.batches,
+                ref_run.cns_executed,
+                ref_run.pruned,
+            )
+            assert run.produced <= ref_run.produced
+            assert not run.exhausted
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    db=maybe_tied_databases,
+    keywords=keyword_sets,
+    row_filter=row_filters,
+    floor_rank=st.integers(0, 12),
+)
+def test_every_slice_keeps_the_reference_candidates_that_reach_the_floor(
+    db, keywords, row_filter, floor_rank
+):
+    """Slice by slice, under a floor drawn from the actual scores (or
+    none): exactly the reference's candidates scoring >= the floor, in
+    the reference's order — the in-slice bound only drops partials no
+    completion of which could have reached it."""
+    index, tuple_sets, cns = _substrates(db, keywords, row_filter)
+    scores = sorted({score for score, _, _ in oracle(tuple_sets, cns, index, keywords)})
+    floor = scores[floor_rank] if floor_rank < len(scores) else float("-inf")
+    ref_cursors = reference.CNQueryContext(cns, tuple_sets, index, keywords).cursors()
+    new_cursors = CNQueryContext(cns, tuple_sets, index, keywords).cursors()
+    stats, ref_stats = JoinStats(), JoinStats()
+    for new, ref in zip(new_cursors, ref_cursors):
+        while not ref.exhausted():
+            assert new.bound() == ref.bound()
+            want = [
+                (score, [row.rowid for row in rows])
+                for score, rows in ref.next_batch(ref_stats)
+                if score >= floor
+            ]
+            assert new.next_batch(stats, floor) == want
+        assert new.exhausted()
+    assert stats.tuples_emitted <= ref_stats.tuples_emitted
+    assert stats.reuse_hits == stats.subexpressions_materialized == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    db=maybe_tied_databases,
+    keywords=keyword_sets,
+    k=st.sampled_from(KS),
+    cap=st.integers(0, 12),
+)
+def test_candidate_budget_degrades_to_genuine_results(db, keywords, k, cap):
+    index, tuple_sets, cns = _substrates(db, keywords, None)
+    population = Counter(oracle(tuple_sets, cns, index, keywords))
+    full, (full_run,) = _run_index_join(cns, tuple_sets, index, keywords, k, [None])
+    budget = QueryBudget(max_candidates=cap)
+    partial, (run,) = _run_index_join(
+        cns, tuple_sets, index, keywords, k, [None], budget
+    )
+    assert run.exhausted == budget.exhausted == (full_run.produced > cap)
+    assert not Counter(partial) - population
+    if run.exhausted:
+        assert len(partial) <= min(k, cap)
+    else:
+        assert partial == full
+
+
+@settings(max_examples=30, deadline=None)
+@given(db=maybe_tied_databases, keywords=keyword_sets, k=st.sampled_from(KS))
+def test_traced_run_equals_untraced_with_the_same_span_names(db, keywords, k):
+    index, tuple_sets, cns = _substrates(db, keywords, None)
+    untraced = topk_global_pipeline(cns, tuple_sets, index, keywords, k=k)
+    tracer = Tracer()
+    with tracer.span("search"):
+        traced = topk_global_pipeline(
+            cns, tuple_sets, index, keywords, k=k, tracer=tracer
+        )
+    assert executor_signature(traced) == executor_signature(untraced)
+    trace = tracer.finish()
+    assert trace.span_names() == ["search", "plan", "score", "evaluate", "topk"]
+    evaluate = trace.find("evaluate")
+    assert set(evaluate.counters) == {
+        "batches", "cns_executed", "produced", "dropped", "pruned",
+    }
+    assert evaluate.counters["batches"] == traced.batches
+
+
+# ----------------------------------------------------------------------
+# The four VLDB 03 strategies are stop policies: one answer
+# ----------------------------------------------------------------------
+STRATEGIES = (topk_naive, topk_sparse, topk_single_pipeline, topk_global_pipeline)
+
+
+def _assert_strategies_agree(cns, tuple_sets, index, keywords, k):
+    naive, *others = (
+        executor_signature(strategy(cns, tuple_sets, index, keywords, k=k))
+        for strategy in STRATEGIES
+    )
+    for strategy, found in zip(STRATEGIES[1:], others):
+        assert found == naive, (strategy.__name__, keywords, k)
+
+
+def pool_shaped_queries(db, n=80, seed=11):
+    """``n`` distinct 1-3 keyword queries shaped like the e2e benchmark's
+    Zipf pool: topic / first / last / venue words of one paper, its
+    authors and its venue, so a joining network exists for each."""
+    rng = random.Random(seed)
+    topic = set(words.TOPIC_WORDS)
+    authors = {}
+    for write in db.rows("write"):
+        name = db.table("author").by_key(write["aid"])["name"]
+        authors.setdefault(write["pid"], []).append(name)
+    facts = []
+    for paper in db.rows("paper"):
+        topics = [t for t in dict.fromkeys(tokenize(paper["title"])) if t in topic]
+        if topics and paper["pid"] in authors:
+            venue = db.table("conference").by_key(paper["cid"])["name"]
+            facts.append((topics, authors[paper["pid"]], venue))
+    shapes = (
+        ("topic",), ("last",), ("venue",),
+        ("topic", "topic"), ("last", "topic"), ("first", "topic"),
+        ("venue", "topic"), ("first", "last"),
+        ("topic", "topic", "last"), ("venue", "topic", "last"),
+    )
+    pool = []
+    while len(pool) < n:
+        topics, names, venue = rng.choice(facts)
+        first, last = rng.choice(names).split()
+        parts = {"first": [first], "last": [last], "venue": [venue]}
+        parts["topic"] = rng.sample(topics, min(2, len(topics)))
+        shape = rng.choice(shapes)
+        if shape.count("topic") > len(parts["topic"]):
+            continue
+        text = " ".join(parts[part].pop() for part in shape)
+        if text not in pool:
+            pool.append(text)
+    return pool
+
+
+def test_strategies_agree_on_pool_shaped_queries():
+    """biblio-150, k=10.  ``sun xml`` / ``cloud`` / ``chen search`` are the
+    queries on which ``topk_single_pipeline`` stopped at a tie with the
+    k-th score (``bound <= kth + EPS``) and returned a different list."""
+    engine = KeywordSearchEngine(generate_bibliographic_db(seed=7))
+    queries = ["sun xml", "cloud", "chen search"] + pool_shaped_queries(engine.db)
+    for text in queries:
+        keywords = list(engine.parse(text).keywords)
+        cns = engine.substrates.candidate_networks(keywords, engine.max_cn_size)
+        tuple_sets = engine.substrates.tuple_sets(keywords)
+        _assert_strategies_agree(cns, tuple_sets, engine.index, keywords, 10)
+
+
+def test_strategies_agree_beside_a_burst_of_same_shaped_inserts():
+    """The insert workload's shape: 60 papers whose titles pair 6 topic
+    words, so ~20 results tie exactly at every score the topics reach."""
+    db = generate_bibliographic_db(seed=7)
+    topics = ("privacy", "provenance", "skyline", "spatial", "temporal", "workflow")
+    rng = random.Random(11)
+    for i in range(60):
+        pid = 100_000 + i
+        title = f"bt{i:04d} {topics[i % 6]} {topics[(i + 3) % 6]}"
+        db.insert("paper", pid=pid, title=title, abstract=None, cid=rng.randrange(8))
+        db.insert("write", wid=100_000 + i, aid=rng.randrange(60), pid=pid)
+    engine = KeywordSearchEngine(db)
+    lasts = sorted({a["name"].split()[1] for a in db.rows("author")})
+    venues = sorted({c["name"] for c in db.rows("conference")})
+    queries = list(topics)
+    for word in topics:
+        queries += [f"{word} {rng.choice(venues)}", f"{rng.choice(lasts)} {word}"]
+    for text in queries:
+        keywords = list(engine.parse(text).keywords)
+        cns = engine.substrates.candidate_networks(keywords, engine.max_cn_size)
+        tuple_sets = engine.substrates.tuple_sets(keywords)
+        _assert_strategies_agree(cns, tuple_sets, engine.index, keywords, 10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(db=databases().map(_tied), keywords=keyword_sets, k=st.sampled_from(KS))
+def test_strategies_agree_when_every_score_ties(db, keywords, k):
+    index, tuple_sets, cns = _substrates(db, keywords, None)
+    _assert_strategies_agree(cns, tuple_sets, index, keywords, k)
+
+
+# ----------------------------------------------------------------------
+# Hash-seed independence
+# ----------------------------------------------------------------------
+_SEED_PROBE = """
+import hashlib, json, sys
+from repro.core.engine import KeywordSearchEngine
+from repro.datasets.bibliographic import generate_bibliographic_db
+from repro.relational.executor import JoinStats
+from repro.schema_search.topk import CNQueryContext, _TopKHeap, run_bound_ordered
+
+engine = KeywordSearchEngine(generate_bibliographic_db(seed=7))
+answers, work = [], [0, 0, 0, 0]
+for text in json.load(sys.stdin):
+    keywords = list(engine.parse(text).keywords)
+    cns = engine.substrates.candidate_networks(keywords, engine.max_cn_size)
+    tuple_sets = engine.substrates.tuple_sets(keywords)
+    heap = _TopKHeap(10)
+    cursors = CNQueryContext(cns, tuple_sets, engine.index, keywords).cursors()
+    run = run_bound_ordered(cursors, heap.offer_rowids, heap.kth_score, JoinStats())
+    answers.append([(s, l, j.tuple_ids()) for s, l, j in heap.sorted_results()])
+    for i, n in enumerate((run.batches, run.produced, run.pruned, run.cns_executed)):
+        work[i] += n
+digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+print(json.dumps({"answers": digest, "work": work}))
+"""
+
+
+def test_answers_and_work_do_not_depend_on_the_hash_seed():
+    """Answers and ``(batches, produced, pruned, cns_executed)`` over the
+    80-query pool are the same under ``PYTHONHASHSEED`` 0, 1 and 2: the
+    executor iterates lists, index buckets and sorted queues, never a
+    set or a dict keyed by strings."""
+    queries = pool_shaped_queries(generate_bibliographic_db(seed=7))
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    outcomes = []
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _SEED_PROBE],
+            input=json.dumps(queries),
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outcomes.append(json.loads(done.stdout))
+    assert outcomes[0]["work"][1] > 0
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]
