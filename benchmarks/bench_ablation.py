@@ -147,7 +147,7 @@ def test_spark2_pruning_ablation(benchmark):
     pruned_keys = {frozenset(r.tuple_ids()) for _, r in pruned.results}
     baseline_keys = {frozenset(r.tuple_ids()) for _, r in baseline.results}
     assert pruned_keys == baseline_keys
-    assert pruned.stats.tuples_read <= baseline.stats.tuples_read
+    assert pruned.stats.tuples_read < baseline.stats.tuples_read
 
 
 def test_mesh_sharing_ablation(

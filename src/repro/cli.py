@@ -527,10 +527,15 @@ def _build_server(args: argparse.Namespace):
     recovered *plain* engine in the one
     :class:`~repro.durability.DurableEngine` that owns the directory's
     WAL (``DurableEngine.recover`` would hand back a second one).
+    Every engine generation — booted, recovered or swapped in — reports
+    into the server's one :class:`MetricsRegistry`, the one ``/metrics``
+    reads.
     """
+    from repro.obs.metrics import MetricsRegistry
     from repro.serving.server import ServingServer
 
-    options = _engine_options(args)
+    metrics = MetricsRegistry()
+    options = dict(_engine_options(args), metrics=metrics)
     durable_dir = args.dir
     engine = None
     if durable_dir is not None:
@@ -565,6 +570,7 @@ def _build_server(args: argparse.Namespace):
         drain_timeout_s=args.drain_timeout_s,
         durable_dir=durable_dir,
         engine_builder=lambda live_db: build_engine(live_db, **options),
+        metrics=metrics,
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.relational.database import Database
-from repro.relational.executor import JoinedRow, hash_join
+from repro.relational.executor import JoinedRow
 from repro.relational.schema_graph import SchemaEdge
 
 
@@ -83,24 +83,26 @@ class QueryForm:
         """Fill predicate slots with equality *bindings* and execute.
 
         ``bindings`` maps ``table.attribute`` labels to required values;
-        unbound slots are unconstrained (the form's open fields).
+        unbound slots are unconstrained (the form's open fields).  Joins
+        probe the tables' own PK/FK indexes (:meth:`Table.rowids`) from
+        node 0 outwards, as the CN executor does; results carry aliases
+        ``n0..n{size-1}`` in skeleton node order.
         """
-        tables = self.skeleton.tables
+        names = self.skeleton.tables
+        tables = [db.table(name) for name in names]
+        constraints: List[List[Tuple[int, object]]] = [[] for _ in names]
+        for slot in self.slots:
+            if slot.label() in bindings:
+                at = tables[slot.node].column_index(slot.attribute)
+                constraints[slot.node].append((at, bindings[slot.label()]))
 
-        def rows_for(node_idx: int):
-            table = db.table(tables[node_idx])
-            constraints = [
-                (slot.attribute, bindings[slot.label()])
-                for slot in self.slots
-                if slot.node == node_idx and slot.label() in bindings
-            ]
-            for row in table.rows():
-                if all(row[attr] == value for attr, value in constraints):
-                    yield row
+        def admits(node: int, rowid: int) -> bool:
+            values = tables[node].values(rowid)
+            return all(values[at] == value for at, value in constraints[node])
 
-        current = (
-            JoinedRow((f"n0",), (row,)) for row in rows_for(0)
-        )
+        # Join steps (joined node, new node, their columns), each new
+        # node attached to one already joined.
+        steps = []
         joined_nodes = {0}
         pending = list(self.skeleton.edges)
         while pending:
@@ -113,18 +115,29 @@ class QueryForm:
                     src, dst = b, a
                 else:
                     continue
-                left_col, right_col = edge.join_columns(tables[src])
-                current = hash_join(
-                    current,
-                    f"n{src}",
-                    left_col,
-                    rows_for(dst),
-                    f"n{dst}",
-                    right_col,
-                )
+                left_col, right_col = edge.join_columns(names[src])
+                steps.append((src, tables[src].column_index(left_col), dst, right_col))
                 joined_nodes.add(dst)
                 pending.remove(edge_entry)
                 progressed = True
             if not progressed:
                 raise ValueError("skeleton edges do not form a connected tree")
-        return list(current)
+
+        partials = [
+            {0: rowid} for rowid in range(len(tables[0])) if admits(0, rowid)
+        ]
+        for src, left_at, dst, right_col in steps:
+            extended = []
+            for partial in partials:
+                value = tables[src].values(partial[src])[left_at]
+                if value is None:
+                    continue  # null join keys never match (SQL semantics)
+                for rowid in tables[dst].rowids(right_col, value):
+                    if admits(dst, rowid):
+                        extended.append({**partial, dst: rowid})
+            partials = extended
+        aliases = tuple(f"n{i}" for i in range(len(names)))
+        return [
+            JoinedRow(aliases, tuple(t.row(p[i]) for i, t in enumerate(tables)))
+            for p in partials
+        ]

@@ -2,21 +2,15 @@
 
 This subpackage provides the structured-data foundation that the keyword
 search techniques surveyed in the ICDE 2011 tutorial operate on: typed
-tables with primary/foreign keys, a queryable schema graph, and a small
-relational executor (select / project / hash join) used to evaluate
-candidate networks.
+tables with primary/foreign keys whose PK/FK indexes the candidate
+network executor probes, a queryable schema graph, and the joined-row
+type CN results come back as.
 """
 
 from repro.relational.schema import Column, ForeignKey, TableSchema, Schema
 from repro.relational.table import Row, Table
 from repro.relational.database import Database, TupleId
-from repro.relational.executor import (
-    select,
-    project,
-    hash_join,
-    join_rows,
-    JoinedRow,
-)
+from repro.relational.executor import JoinedRow
 from repro.relational.schema_graph import SchemaGraph, SchemaEdge
 
 __all__ = [
@@ -28,10 +22,6 @@ __all__ = [
     "Table",
     "Database",
     "TupleId",
-    "select",
-    "project",
-    "hash_join",
-    "join_rows",
     "JoinedRow",
     "SchemaGraph",
     "SchemaEdge",

@@ -2,9 +2,13 @@
 
 Pipeline: keyword query -> tuple sets (exact keyword-subset partition)
 -> candidate network (CN) enumeration over the schema graph -> CN
-evaluation by joins -> (top-k) results, optionally under SPARK's
-non-monotonic relevance scoring, with shared/parallel execution across
-CNs.
+evaluation by one join engine, an index nested-loop over the tables'
+own PK/FK indexes (:mod:`~repro.schema_search.topk`; exhaustive
+evaluation drains the same cursors) -> (top-k) results, optionally
+under SPARK's non-monotonic relevance scoring.  Sharing across CNs is
+simulated (the E12 makespan model, :mod:`~repro.schema_search.parallel`)
+and counted (the A4 operator mesh, :mod:`~repro.schema_search.mesh`),
+not executed.
 """
 
 from repro.schema_search.tuple_sets import TupleSets, TupleSetKey

@@ -143,19 +143,10 @@ class OperatorMesh:
                 continue
             # A candidate equal to an already-fed later row would double
             # count; the arrival list only holds fed tuples, so this is
-            # exactly "join against the past".
+            # exactly "join against the past".  The CN is a tree
+            # (``bfs_join_order`` validated it), so the edge just checked
+            # is next_pos's only edge into the assigned part.
             partial[next_pos] = candidate
-            # Verify any other edges touching next_pos.
-            if self._consistent(cn_index, partial):
-                out.extend(self._complete(cn_index, partial))
+            out.extend(self._complete(cn_index, partial))
             del partial[next_pos]
         return out
-
-    def _consistent(self, cn_index: int, partial: Dict[int, Row]) -> bool:
-        cn = self.cns[cn_index]
-        for a, b, edge in cn.edges:
-            if a in partial and b in partial:
-                left_col, right_col = edge.join_columns(cn.nodes[a].table)
-                if partial[a][left_col] != partial[b][right_col]:
-                    return False
-        return True

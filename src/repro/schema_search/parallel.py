@@ -17,7 +17,9 @@ join order.  Partitioning CNs across cores then matters:
 core's load is the summed cost of the *distinct* partials it must
 compute (a shared partial placed on a core is computed once).  The
 substitution preserves the ranking of the policies, which is the claim
-E12 reproduces.
+E12 reproduces.  Shared execution is simulated here, not executed: the
+engine evaluates CNs with its one index nested-loop executor
+(:mod:`repro.schema_search.topk`), whose joins build nothing to share.
 """
 
 from __future__ import annotations
@@ -53,9 +55,9 @@ class SharedExecutionGraph:
     def _plan(self, cn: CandidateNetwork) -> List[PlanStep]:
         """Left-deep plan: canonical partial-tree codes with costs.
 
-        Uses the same cardinality join order the shared executor runs
-        (:func:`~repro.schema_search.plans.cardinality_join_order`), so
-        the cost model prices the plans that actually execute.
+        Uses the cardinality join order
+        (:func:`~repro.schema_search.plans.cardinality_join_order`): the
+        smallest tuple set drives each left-deep plan.
         """
         steps = cardinality_join_order(cn, self.tuple_sets)
         codes = prefix_codes(cn, steps)
@@ -157,23 +159,3 @@ def partition_sharing_aware(graph: SharedExecutionGraph, cores: int) -> Assignme
         have[best_core] |= graph.codes(cn_index)
     return assignment
 
-
-def shared_plan_groups(
-    cns: Sequence[CandidateNetwork], tuple_sets: TupleSets, cores: int
-) -> List[List[int]]:
-    """Partition CN indices into at most *cores* shared-plan groups.
-
-    Sharing-aware placement (slide 132) keeps CNs with common partials
-    on the same core, so each group's
-    :class:`~repro.schema_search.evaluate.SharedCNEvaluator` sees the
-    reuse the cost model predicted.  Groups are sorted (and each group's
-    indices sorted) so the grouping — and therefore the merged result
-    stream — is deterministic for a given CN list.
-    """
-    if not cns:
-        return []
-    graph = SharedExecutionGraph(cns, tuple_sets)
-    assignment = partition_sharing_aware(graph, max(1, min(cores, len(cns))))
-    groups = [sorted(core) for core in assignment if core]
-    groups.sort()
-    return groups

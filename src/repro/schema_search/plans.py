@@ -6,24 +6,22 @@ fragile) across ``evaluate.py``, ``mesh.py`` and ``parallel.py``:
 * :func:`bfs_join_order` / :func:`cardinality_join_order` produce a
   left-deep join order for a CN as a list of :class:`JoinStep`; each
   step carries the schema edge that connects the new node to the
-  partial result, so executors never have to re-discover edges (the
+  partial result, so consumers never have to re-discover edges (the
   old ``next(e for nbr, e in adj[parent] ...)`` pattern could raise a
   bare ``StopIteration``).  Both validate the CN and raise
   :class:`~repro.resilience.errors.SearchExecutionError` for malformed
   input — non-tree edge counts, bad endpoints, disconnected nodes —
   instead of silently dropping nodes.
-* :func:`cardinality_join_order` is the execution-time planner: it
-  starts at the smallest tuple set and greedily attaches the smallest
-  adjacent one (deterministic label/index tie-breaks), so the driving
-  side of every hash join stays as small as possible.
+* :func:`cardinality_join_order` starts at the smallest tuple set and
+  greedily attaches the smallest adjacent one (deterministic
+  label/index tie-breaks) — the plan the E12 makespan simulation
+  prices (:mod:`repro.schema_search.parallel`).
 * :func:`prefix_identity` canonicalises the partial tree covered by a
   step prefix — the same unrooted-AHU-over-centroids code that
-  :meth:`CandidateNetwork.canonical_code` computes — and additionally
-  returns the CN's node indices in canonical traversal order.  The code
-  identifies a shared subexpression across CNs; the order lets a
-  materialised intermediate stored under that code be re-read into any
-  other CN whose partial is isomorphic (see
-  :class:`~repro.schema_search.evaluate.SharedCNEvaluator`).
+  :meth:`CandidateNetwork.canonical_code` computes — so isomorphic
+  partials of different CNs share one code: a shared subexpression in
+  the E12 cost model and one operator of the A4 operator mesh
+  (:mod:`repro.schema_search.mesh`).
 """
 
 from __future__ import annotations
@@ -101,10 +99,10 @@ def cardinality_join_order(
     """Cardinality-ordered left-deep plan: smallest tuple set first.
 
     Starts at the node with the fewest tuples and repeatedly attaches
-    the smallest tuple set adjacent to the tree built so far, so every
-    hash join keeps its probe side small.  Ties break on node label and
-    then index, making the plan (and thus result order and prefix
-    identities) deterministic for a given CN and tuple sets.
+    the smallest tuple set adjacent to the tree built so far, so the
+    driving side of every join stays small.  Ties break on node label
+    and then index, making the plan (and thus its prefix codes)
+    deterministic for a given CN and tuple sets.
     """
     _validate(cn)
 
@@ -159,27 +157,19 @@ def _prefix_centroids(
     return layer
 
 
-def prefix_identity(
-    cn: CandidateNetwork, steps: Sequence[JoinStep]
-) -> Tuple[str, Tuple[int, ...]]:
-    """Canonical identity of the partial tree covered by *steps*.
+def prefix_identity(cn: CandidateNetwork, steps: Sequence[JoinStep]) -> str:
+    """Canonical code of the partial tree covered by *steps*.
 
-    Returns ``(code, order)``.  *code* is the canonical unrooted AHU
-    code of the induced sub-tree — the same string for isomorphic
-    partials of different CNs, and identical to
+    The canonical unrooted AHU code of the induced sub-tree — the same
+    string for isomorphic partials of different CNs, and identical to
     :meth:`CandidateNetwork.canonical_code` when *steps* covers the
-    whole CN.  *order* lists this CN's node indices in the canonical
-    traversal order, so rows of a shared intermediate (stored
-    column-per-canonical-position) can be mapped onto any CN sharing
-    the code.  Isomorphic-sibling ambiguity is harmless: swapping equal
-    subtrees permutes an assignment set that is symmetric under the
-    swap.
+    whole CN.
     """
     included = frozenset(step.node for step in steps)
     adj = cn.adjacency()
     nodes = cn.nodes
 
-    def rooted(node: int, parent: int) -> Tuple[str, List[int]]:
+    def rooted(node: int, parent: int) -> str:
         children = []
         for nbr, edge in adj[node]:
             if nbr == parent or nbr not in included:
@@ -188,31 +178,16 @@ def prefix_identity(
                 nodes[node].table == edge.parent
             )
             direction = "v" if owner_is_child else "^"
-            sub_code, sub_order = rooted(nbr, node)
-            children.append(
-                (f"{edge.child}.{edge.fk.column}{direction}{sub_code}", sub_order)
-            )
-        children.sort(key=lambda child: child[0])
-        order = [node]
-        for _, sub_order in children:
-            order.extend(sub_order)
-        code = f"({nodes[node].label()}|{''.join(c for c, _ in children)})"
-        return code, order
+            sub_code = rooted(nbr, node)
+            children.append(f"{edge.child}.{edge.fk.column}{direction}{sub_code}")
+        children.sort()
+        return f"({nodes[node].label()}|{''.join(children)})"
 
-    best: Optional[Tuple[str, List[int]]] = None
-    for root in _prefix_centroids(included, adj):
-        code, order = rooted(root, -1)
-        if best is None or code < best[0]:
-            best = (code, order)
-    assert best is not None
-    return best[0], tuple(best[1])
+    return min(rooted(root, -1) for root in _prefix_centroids(included, adj))
 
 
 def prefix_codes(
     cn: CandidateNetwork, steps: Sequence[JoinStep]
 ) -> List[str]:
     """Canonical code of every plan prefix (length 1..len(steps))."""
-    return [
-        prefix_identity(cn, steps[: length + 1])[0]
-        for length in range(len(steps))
-    ]
+    return [prefix_identity(cn, steps[: length + 1]) for length in range(len(steps))]

@@ -36,9 +36,9 @@ sharded scatter — runs :func:`run_bound_ordered` over one per-query
 The four VLDB 03 strategies the paper contrasts (E2) are stop policies
 over the same cursors, all on the strict rule: **naive** never stops,
 **sparse** skips whole CNs, **single pipeline** also stops inside a CN,
-**global pipeline** is the bound-ordered loop itself.
-:func:`topk_shared` keeps the operator-sharing evaluator of slides
-129-134 as library code for E12/E20.
+**global pipeline** is the bound-ordered loop itself.  Exhaustive
+evaluation (:func:`~repro.schema_search.evaluate.evaluate_cn`) drains
+the same cursors with no floor.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -57,8 +56,7 @@ from repro.relational.executor import JoinedRow, JoinStats
 from repro.resilience.budget import QueryBudget
 from repro.resilience.errors import BudgetExceededError
 from repro.schema_search.candidate_networks import CandidateNetwork
-from repro.schema_search.evaluate import SharedCNEvaluator
-from repro.schema_search.scoring import monotonic_result_score, tuple_score
+from repro.schema_search.scoring import tuple_score
 from repro.schema_search.tuple_sets import TupleSetKey, TupleSets
 
 _NEG_INF = float("-inf")
@@ -388,28 +386,21 @@ class _TopKHeap:
 
     def __init__(self, k: int):
         self.k = k
-        # (score, key, plan, rowids) from the executor, materialised by
-        # sorted_results(); (score, key, None, JoinedRow) from offer().
-        self._heap: List[Tuple[float, _RevKey, Optional[_CNPlan], object]] = []
-
-    def offer(self, score: float, label: str, joined: JoinedRow) -> None:
-        """A materialised answer (the library evaluators)."""
-        if len(self._heap) < self.k or score >= self._heap[0][0]:
-            self._accept(score, (label, joined.tuple_ids()), None, joined)
+        # (score, key, plan, rowids), materialised by sorted_results().
+        self._heap: List[Tuple[float, _RevKey, _CNPlan, List[int]]] = []
 
     def offer_rowids(self, score: float, plan: _CNPlan, rowids: List[int]) -> None:
         """An executor candidate, *rowids* in *plan*'s join order: accepted
         or not on its score and, at a tie, its content key — no ``Row`` is
         built for it unless :meth:`sorted_results` still finds it here."""
-        if len(self._heap) < self.k or score >= self._heap[0][0]:
-            self._accept(score, plan.content_key(rowids), plan, rowids)
-
-    def _accept(self, score: float, key: Tuple, plan, item) -> None:
         heap = self._heap
         if len(heap) < self.k:
-            heapq.heappush(heap, (score, _RevKey(key), plan, item))
-        elif score > heap[0][0] or key < heap[0][1].key:
-            heapq.heapreplace(heap, (score, _RevKey(key), plan, item))
+            key = _RevKey(plan.content_key(rowids))
+            heapq.heappush(heap, (score, key, plan, rowids))
+        elif score >= heap[0][0]:
+            key = plan.content_key(rowids)
+            if score > heap[0][0] or key < heap[0][1].key:
+                heapq.heapreplace(heap, (score, _RevKey(key), plan, rowids))
 
     def kth_score(self) -> float:
         return self._heap[0][0] if len(self._heap) >= self.k else _NEG_INF
@@ -417,8 +408,8 @@ class _TopKHeap:
     def sorted_results(self) -> List[Tuple[float, str, JoinedRow]]:
         ordered = sorted(self._heap, key=lambda e: (-e[0], e[1].key))
         return [
-            (score, rev.key[0], item if plan is None else plan.joined(item))
-            for score, rev, plan, item in ordered
+            (score, rev.key[0], plan.joined(rowids))
+            for score, rev, plan, rowids in ordered
         ]
 
 
@@ -591,72 +582,3 @@ def topk_global_pipeline(
             tracer.record("topk", topk[0], {"offers": topk[1]})
     return TopKResult(heap.sorted_results(), stats, run.cns_executed, run.batches)
 
-
-def topk_shared(
-    cns: Sequence[CandidateNetwork],
-    tuple_sets: TupleSets,
-    index: InvertedIndex,
-    keywords: Sequence[str],
-    k: int = 10,
-    budget: Optional[QueryBudget] = None,
-    max_workers: int = 1,
-) -> TopKResult:
-    """Exhaustive top-k over operator-shared CN evaluation (slides 129-134).
-
-    Library code for E12/E20; the engine does not call it.  Evaluates
-    the CNs through a :class:`SharedCNEvaluator`, so join prefixes
-    common to several CNs are materialised once and reused; the stats
-    report ``reuse_hits`` / ``joins_saved``.
-
-    With ``max_workers > 1`` and no budget, the CNs are partitioned
-    into independent shared-plan groups by the sharing-aware placement
-    policy (:func:`~repro.schema_search.parallel.shared_plan_groups`)
-    and each group runs on its own worker with its own evaluator; the
-    heap's content tie-breaking makes the merged top-k independent of
-    worker scheduling.  Budgeted queries always run as one sequential
-    group — a :class:`QueryBudget` is not shared across threads —
-    charging one node expansion per join and one candidate per emitted
-    result, and return the partial heap on exhaustion.
-    """
-    from repro.schema_search.parallel import shared_plan_groups
-
-    stats = JoinStats()
-    heap = _TopKHeap(k)
-    if not cns:
-        return TopKResult([], stats)
-    keywords = list(keywords)
-    if max_workers > 1 and budget is None and len(cns) > 1:
-        groups = shared_plan_groups(cns, tuple_sets, max_workers)
-    else:
-        groups = [list(range(len(cns)))]
-
-    def run_group(cn_indices: List[int]):
-        group_stats = JoinStats()
-        evaluator = SharedCNEvaluator(tuple_sets, stats=group_stats, budget=budget)
-        evaluator.plan([cns[i] for i in cn_indices])
-        scored: List[Tuple[float, str, JoinedRow]] = []
-        executed = 0
-        try:
-            for i in cn_indices:
-                label = cns[i].label()
-                for joined in evaluator.evaluate(cns[i]):
-                    scored.append(
-                        (monotonic_result_score(index, joined, keywords), label, joined)
-                    )
-                executed += 1
-        except BudgetExceededError:
-            pass  # partial top-k; caller sees budget.exhausted
-        return group_stats, scored, executed
-
-    if len(groups) == 1:
-        outcomes = [run_group(groups[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=min(max_workers, len(groups))) as pool:
-            outcomes = list(pool.map(run_group, groups))
-    executed = 0
-    for group_stats, scored, group_executed in outcomes:
-        stats.merge(group_stats)
-        executed += group_executed
-        for score, label, joined in scored:
-            heap.offer(score, label, joined)
-    return TopKResult(heap.sorted_results(), stats, executed, batches=len(groups))

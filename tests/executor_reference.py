@@ -7,9 +7,11 @@ into (``tuple_sets.rows(key)`` — the whole table for a free node),
 builds a hash map over them per ``(tuple set, column)``, produces every
 result of a slice as a list of ``Row`` objects and wraps each one that
 clears the floor in a ``JoinedRow`` before the heap sees it — slow, and
-obviously the definition.  The one addition is :func:`reference_topk`,
-the parent's ``topk_global_pipeline`` without its tracing, over one
-or several anchor filters.
+obviously the definition.  Two additions: :func:`reference_topk`, the
+parent's ``topk_global_pipeline`` without its tracing, over one or
+several anchor filters; and :class:`BuildSideStats`, the counters this
+executor's shared build sides wrote, which the engine's
+:class:`JoinStats` no longer carries.
 """
 
 from __future__ import annotations
@@ -31,6 +33,19 @@ from repro.schema_search.scoring import tuple_score
 from repro.schema_search.tuple_sets import TupleSetKey, TupleSets
 
 _NEG_INF = float("-inf")
+
+
+@dataclass
+class BuildSideStats(JoinStats):
+    """:class:`JoinStats` plus the build-side sharing counters:
+    ``subexpressions_materialized`` build sides built, ``joins_saved``
+    builds another CN's side spared, ``reuse_hits`` plans that reused
+    at least one."""
+
+    reuse_hits: int = 0
+    joins_saved: int = 0
+    subexpressions_materialized: int = 0
+
 
 AnchorQueue = List[Tuple[float, TupleId]]
 BuildSide = Dict[object, List[Row]]
@@ -169,7 +184,7 @@ class CNQueryContext:
     # ------------------------------------------------------------------
     # Shared build sides
     # ------------------------------------------------------------------
-    def resolve(self, plan: _CNPlan, stats: JoinStats) -> List[BuildSide]:
+    def resolve(self, plan: _CNPlan, stats: BuildSideStats) -> List[BuildSide]:
         """The plan's build sides, one per join step, built at most once.
 
         The caller that triggers a build pays its ``tuples_read``; a
@@ -256,7 +271,7 @@ class CNCursor:
             total += value
         return total / plan.denom
 
-    def next_batch(self, stats: JoinStats) -> List[ScoredPartial]:
+    def next_batch(self, stats: BuildSideStats) -> List[ScoredPartial]:
         """All results anchored at the next anchor tuple, scored."""
         if self.pos >= len(self.queue):
             return []
@@ -381,7 +396,7 @@ def run_bound_ordered(
     cursors: Sequence[CNCursor],
     offer: Callable[[float, str, JoinedRow], None],
     threshold: Callable[[], float],
-    stats: JoinStats,
+    stats: BuildSideStats,
     budget: Optional[QueryBudget] = None,
 ) -> PipelineRun:
     """Advance the cursor with the highest bound until none can matter.
@@ -444,7 +459,7 @@ def reference_topk(
     context = CNQueryContext(cns, tuple_sets, index, keywords)
     runs = [
         run_bound_ordered(
-            context.cursors(anchor_filter), heap.offer, heap.kth_score, JoinStats(), budget
+            context.cursors(anchor_filter), heap.offer, heap.kth_score, BuildSideStats(), budget
         )
         for anchor_filter in anchor_filters
     ]

@@ -1,8 +1,12 @@
-"""Tests for the shared-execution CN engine: cardinality-ordered plans,
-operator-level join sharing, parallel evaluation, deterministic top-k
-tie-breaking, and incremental index/substrate maintenance."""
+"""CN plans and their shared-subexpression codes, malformed-CN checks,
+what a query's CNs and workers share (one query context, one top-k
+heap), one executor across execution modes, and incremental
+index/substrate maintenance."""
 
 from __future__ import annotations
+
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -21,20 +25,23 @@ from repro.schema_search.candidate_networks import (
     CandidateNetwork,
     generate_candidate_networks,
 )
-from repro.schema_search.evaluate import (
-    SharedCNEvaluator,
-    all_results,
-    all_results_shared,
-    evaluate_cn,
-)
+from repro.schema_search.evaluate import all_results, cn_results, evaluate_cn
 from repro.schema_search.plans import (
     bfs_join_order,
     cardinality_join_order,
     prefix_codes,
     prefix_identity,
 )
-from repro.schema_search.topk import _TopKHeap, topk_naive, topk_shared
+from repro.schema_search.topk import (
+    CNQueryContext,
+    _TopKHeap,
+    topk_global_pipeline,
+    topk_naive,
+)
 from repro.schema_search.tuple_sets import TupleSets
+from repro.sharding.scatter import GlobalTopK, scatter_schema
+
+from .test_schema_executor import _assignments, _per_cn, definition_results, oracle
 
 BIBLIO_QUERIES = [
     ["database", "query"],
@@ -57,17 +64,23 @@ def _substrates(db, index, keywords, max_size=4):
     return tuple_sets, cns
 
 
-def _result_multiset(pairs):
-    return sorted(
-        (cn.canonical_code(), tuple(j.tuple_ids())) for cn, j in pairs
-    )
+def _topk_signature(results):
+    return [(score, label, joined.tuple_ids()) for score, label, joined in results]
 
 
-def _topk_signature(result):
-    return [
-        (round(score, 9), label, joined.tuple_ids())
-        for score, label, joined in result.results
-    ]
+def _shared_heap_topk(cns, tuple_sets, index, keywords, k, workers):
+    """*workers* threads, one anchor slice each of one query context,
+    offering into one shared heap (the sharded engine's scatter)."""
+    context = CNQueryContext(cns, tuple_sets, index, keywords)
+    heap = GlobalTopK(k)
+
+    def run(mine):
+        owns = lambda tid: (tid.rowid + len(tid.table)) % workers == mine
+        return scatter_schema(mine, owns, context, heap)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        runs = list(pool.map(run, range(workers)))
+    return heap.sorted_results(), runs
 
 
 @pytest.fixture(scope="module")
@@ -120,9 +133,8 @@ class TestPlans:
     def test_full_prefix_identity_matches_canonical_code(self, joiny_cn):
         tuple_sets, cn = joiny_cn
         steps = cardinality_join_order(cn, tuple_sets)
-        code, order = prefix_identity(cn, steps)
+        code = prefix_identity(cn, steps)
         assert code == cn.canonical_code()
-        assert sorted(order) == list(range(cn.size))
         assert prefix_codes(cn, steps)[-1] == code
 
     def test_isomorphic_prefixes_share_codes(self, joiny_cn):
@@ -177,137 +189,119 @@ class TestMalformedCNs:
         with pytest.raises(SearchExecutionError, match="disconnected"):
             cardinality_join_order(broken, tuple_sets)
 
-    def test_shared_evaluator_raises_eagerly(self, joiny_cn):
-        tuple_sets, cn = joiny_cn
-        broken = CandidateNetwork(cn.nodes, cn.edges[:-1])
-        evaluator = SharedCNEvaluator(tuple_sets)
-        with pytest.raises(SearchExecutionError):
-            evaluator.evaluate(broken)  # raises before iteration starts
 
 
 # ----------------------------------------------------------------------
-# Shared evaluation: parity and reuse accounting
+# Exhaustive evaluation over one shared query context
 # ----------------------------------------------------------------------
 class TestSharedParity:
-    @pytest.mark.parametrize("keywords", BIBLIO_QUERIES)
-    def test_biblio_same_results_fewer_joins(self, biblio_setup, keywords):
-        db, index = biblio_setup
-        tuple_sets, cns = _substrates(db, index, keywords)
-        unshared, shared = JoinStats(), JoinStats()
-        baseline = all_results(cns, tuple_sets, stats=unshared)
-        via_cache = all_results_shared(cns, tuple_sets, stats=shared)
-        assert _result_multiset(baseline) == _result_multiset(via_cache)
-        assert shared.joins_executed <= unshared.joins_executed
+    """``all_results`` evaluates every CN of a query over one shared
+    :class:`CNQueryContext` (one score table, one plan per CN): per CN
+    it equals the CN evaluated over a context of its own and the
+    definition."""
 
     @pytest.mark.parametrize("keywords", PRODUCT_QUERIES)
     def test_products_parity(self, product_db, keywords):
         index = InvertedIndex(product_db)
         tuple_sets, cns = _substrates(product_db, index, keywords)
-        baseline = all_results(cns, tuple_sets)
-        via_cache = all_results_shared(cns, tuple_sets)
-        assert _result_multiset(baseline) == _result_multiset(via_cache)
-
-    def test_reuse_counters_move(self, biblio_setup):
-        db, index = biblio_setup
-        tuple_sets, cns = _substrates(db, index, ["xml", "query"])
-        stats = JoinStats()
-        all_results_shared(cns, tuple_sets, stats=stats)
-        assert stats.reuse_hits > 0
-        assert stats.joins_saved > 0
-        assert stats.subexpressions_materialized > 0
-
-    def test_single_cn_query_shares_nothing(self, biblio_setup):
-        db, index = biblio_setup
-        tuple_sets, cns = _substrates(db, index, ["xml", "query"])
-        stats = JoinStats()
-        all_results_shared(cns[:1], tuple_sets, stats=stats)
-        assert stats.reuse_hits == 0
+        assert cns
+        shared = _per_cn(cns, all_results(cns, tuple_sets))
+        alone = _per_cn(
+            cns, [(cn, joined) for cn in cns for joined in cn_results(cn, tuple_sets)]
+        )
+        definition = _per_cn(
+            cns,
+            [(cn, j) for cn in cns for j in definition_results(cn, tuple_sets)],
+        )
+        assert shared == alone == definition
 
     def test_require_distinct_prunes_repeats(self, biblio_setup):
+        """A tuple never fills two nodes of one result: what the join
+        predicates alone admit, minus every assignment repeating a tuple
+        — through ``evaluate_cn`` and the shared context alike."""
         db, index = biblio_setup
         tuple_sets, cns = _substrates(db, index, ["xml", "query"])
+        pruned = 0
         for cn in cns:
-            strict = list(evaluate_cn(cn, tuple_sets, require_distinct=True))
-            loose = list(evaluate_cn(cn, tuple_sets, require_distinct=False))
-            assert len(strict) <= len(loose)
-            for joined in strict:
-                ids = joined.tuple_ids()
-                assert len(set(ids)) == len(ids)
-        # The shared evaluator applies the same pruning.
-        evaluator = SharedCNEvaluator(tuple_sets)
-        for cn in cns:
-            for joined in evaluator.evaluate(cn):
-                ids = joined.tuple_ids()
-                assert len(set(ids)) == len(ids)
+            strict = Counter(j.tuple_ids() for j in evaluate_cn(cn, tuple_sets))
+            members = [
+                [db.row(t) for t in tuple_sets.tuple_ids(node.key)] for node in cn.nodes
+            ]
+            loose = Counter(
+                tuple((r.table.name, r.rowid) for r in rows)
+                for rows in _assignments(members, cn.edges, False)
+            )
+            distinct = Counter(
+                {ids: n for ids, n in loose.items() if len(set(ids)) == len(ids)}
+            )
+            assert strict == distinct
+            pruned += sum(loose.values()) - sum(strict.values())
+        assert pruned  # some CN joins one table twice and a tuple repeats
+        for _, joined in all_results(cns, tuple_sets):
+            ids = joined.tuple_ids()
+            assert len(set(ids)) == len(ids)
 
 
 # ----------------------------------------------------------------------
-# Top-k: parity, determinism, budgets
+# Top-k: one heap shared by every worker
 # ----------------------------------------------------------------------
 class TestTopKShared:
+    """The top-k heap every worker (shard) of a query offers into: its
+    answer is the single-threaded one, partial under a budget, and
+    independent of offer order."""
+
     @pytest.mark.parametrize("keywords", BIBLIO_QUERIES)
     def test_shared_matches_naive(self, biblio_setup, keywords):
         db, index = biblio_setup
         tuple_sets, cns = _substrates(db, index, keywords)
         naive = topk_naive(cns, tuple_sets, index, keywords, k=10)
-        shared = topk_shared(cns, tuple_sets, index, keywords, k=10)
-        assert _topk_signature(naive) == _topk_signature(shared)
+        shared, _ = _shared_heap_topk(cns, tuple_sets, index, keywords, 10, workers=4)
+        assert _topk_signature(shared) == _topk_signature(naive.results)
 
     @pytest.mark.parametrize("workers", [2, 4, 8])
     def test_parallel_matches_sequential(self, biblio_setup, workers):
         db, index = biblio_setup
         keywords = ["xml", "query"]
         tuple_sets, cns = _substrates(db, index, keywords)
-        sequential = topk_shared(cns, tuple_sets, index, keywords, k=10)
-        parallel = topk_shared(
-            cns, tuple_sets, index, keywords, k=10, max_workers=workers
+        sequential = topk_global_pipeline(cns, tuple_sets, index, keywords, k=10)
+        parallel, runs = _shared_heap_topk(
+            cns, tuple_sets, index, keywords, 10, workers
         )
-        assert _topk_signature(sequential) == _topk_signature(parallel)
-        assert parallel.batches >= 1
+        assert _topk_signature(parallel) == _topk_signature(sequential.results)
+        assert len(runs) == workers and sum(r.evaluated for r in runs) >= 10
 
     def test_budget_exhaustion_returns_partial(self, biblio_setup):
         db, index = biblio_setup
         keywords = ["xml", "query"]
         tuple_sets, cns = _substrates(db, index, keywords)
-        full = topk_shared(cns, tuple_sets, index, keywords, k=10)
+        full = topk_global_pipeline(cns, tuple_sets, index, keywords, k=10)
         budget = QueryBudget(max_candidates=3)
-        partial = topk_shared(
+        partial = topk_global_pipeline(
             cns, tuple_sets, index, keywords, k=10, budget=budget
         )
         assert budget.exhausted
         assert partial.cns_executed < len(cns)
-        assert len(partial.results) <= len(full.results)
+        assert len(partial.results) <= 3 < len(full.results)
 
-    def test_budgeted_runs_sequentially_even_with_workers(self, biblio_setup):
+    def test_heap_order_independent(self, biblio_setup):
+        """Every candidate of a query offered at one tied score, forwards
+        and backwards: the retained top-3 is the same — the content key
+        decides, never the arrival order."""
         db, index = biblio_setup
         keywords = ["xml", "query"]
         tuple_sets, cns = _substrates(db, index, keywords)
-        budget = QueryBudget(max_candidates=3)
-        partial = topk_shared(
-            cns, tuple_sets, index, keywords, k=10, budget=budget, max_workers=4
-        )
-        assert budget.exhausted
-        assert partial.batches == 1  # one evaluator, not a pool
-
-    def test_heap_order_independent(self):
-        from repro.relational.executor import JoinedRow
-        from repro.relational.table import Row, Table
-        from repro.relational.schema import Column, TableSchema
-
-        table = Table(
-            TableSchema("t", (Column("id", "int"),), primary_key="id")
-        )
-        for i in range(8):
-            table.insert(id=i)
-        entries = [
-            (1.0, f"cn{i}", JoinedRow(("n0",), (table.row(i),)))
-            for i in range(8)
-        ]
+        stats = JoinStats()
+        entries = []
+        for cursor in CNQueryContext(cns, tuple_sets, index, keywords).cursors():
+            while not cursor.exhausted():
+                batch = cursor.next_batch(stats)
+                entries += [(cursor.plan, rowids) for _, rowids in batch]
+        assert len(entries) > 3
         forward, backward = _TopKHeap(3), _TopKHeap(3)
-        for score, label, joined in entries:
-            forward.offer(score, label, joined)
-        for score, label, joined in reversed(entries):
-            backward.offer(score, label, joined)
+        for plan, rowids in entries:
+            forward.offer_rowids(1.0, plan, rowids)
+        for plan, rowids in reversed(entries):
+            backward.offer_rowids(1.0, plan, rowids)
         take = lambda heap: [
             (s, l, j.tuple_ids()) for s, l, j in heap.sorted_results()
         ]
@@ -416,21 +410,21 @@ class TestIncrementalEngine:
         # probes, the rowids they return and the partials its in-slice
         # bound drops, and has no build sides to share.
         sharing = engine.cache_stats()["sharing"]
-        assert sharing["queries"] == 1
+        assert sharing == {
+            "queries": 1,
+            "joins_executed": sharing["joins_executed"],
+            "tuples_read": sharing["tuples_read"],
+            "partials_dropped": sharing["partials_dropped"],
+        }
         assert sharing["joins_executed"] > 0
         assert sharing["tuples_read"] > 0
         assert sharing["partials_dropped"] > 0
-        for build_side_counter in (
-            "reuse_hits",
-            "joins_saved",
-            "subexpressions_materialized",
-        ):
-            assert sharing.get(build_side_counter, 0) == 0
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_execution_modes_agree(self, shards):
-        """One executor: the engine, the scatter and the exhaustive
-        operator-sharing evaluator (the pre-unification default) agree."""
+        """One executor: the engine and the scatter both equal the
+        brute-force oracle (every CN's results from the definition, one
+        full sort)."""
         from repro.sharding import ShardedSearchEngine
 
         db = generate_bibliographic_db(seed=7)
@@ -441,16 +435,15 @@ class TestIncrementalEngine:
         ]
         for text in ("xml query", "john database", "widom xml"):
             keywords = list(single.parse(text).keywords)
-            exhaustive = topk_shared(
-                single.substrates.candidate_networks(keywords, single.max_cn_size),
+            exhaustive = oracle(
                 single.substrates.tuple_sets(keywords),
+                single.substrates.candidate_networks(keywords, single.max_cn_size),
                 single.index,
                 keywords,
-                k=5,
             )
             expected = [
-                (score, label, tuple(TupleId(*t) for t in joined.tuple_ids()))
-                for score, label, joined in exhaustive.results
+                (score, label, tuple(TupleId(*t) for t in ids))
+                for score, label, ids in exhaustive[:5]
             ]
             assert signature(single.search(text, k=5)) == expected
             assert signature(sharded.search(text, k=5)) == expected

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.index.inverted import InvertedIndex
 from repro.relational.database import Database, TupleId
-from repro.relational.executor import JoinStats, hash_join, join_rows, project, select
 from repro.relational.executor import JoinedRow
 from repro.relational.schema import (
     Column,
@@ -13,6 +13,9 @@ from repro.relational.schema import (
     TableSchema,
 )
 from repro.relational.schema_graph import SchemaGraph
+from repro.schema_search.candidate_networks import CandidateNetwork, CNNode
+from repro.schema_search.evaluate import evaluate_cn
+from repro.schema_search.tuple_sets import TupleSetKey, TupleSets
 
 
 def make_schema():
@@ -208,49 +211,24 @@ class TestExecutor:
         db.insert("b", id=13, a_id=None, note="orphan")
         return db
 
-    def test_select_counts(self):
-        db = self._populated()
-        stats = JoinStats()
-        rows = list(select(db.rows("b"), lambda r: r["a_id"] == 1, stats))
-        assert [r["note"] for r in rows] == ["one", "two"]
-        assert stats.tuples_read == 4
-        assert stats.tuples_emitted == 2
-
-    def test_project(self):
-        db = self._populated()
-        names = list(project(db.rows("a"), ["name"]))
-        assert names == [("alpha",), ("beta",)]
-
-    def test_hash_join_basic(self):
-        db = self._populated()
-        left = (JoinedRow(("a",), (row,)) for row in db.rows("a"))
-        joined = list(
-            hash_join(left, "a", "id", db.rows("b"), "b", "a_id")
-        )
-        pairs = sorted((j["a"]["name"], j["b"]["note"]) for j in joined)
-        assert pairs == [
-            ("alpha", "one"),
-            ("alpha", "two"),
-            ("beta", "three"),
-        ]
-
     def test_null_keys_never_join(self):
+        """A null FK probes nothing (SQL semantics): the orphan joins no
+        ``a`` row, its sibling joins its parent."""
         db = self._populated()
-        left = (JoinedRow(("b",), (row,)) for row in db.rows("b"))
-        joined = list(hash_join(left, "b", "a_id", db.rows("a"), "a", "id"))
-        assert all(j["b"]["a_id"] is not None for j in joined)
+        tuple_sets = TupleSets(db, InvertedIndex(db), ["orphan", "one"])
+        edge = SchemaGraph(db.schema).edges_between("b", "a")[0]
 
-    def test_join_rows_pipeline(self):
-        db = self._populated()
-        results = list(
-            join_rows(
-                db.rows("a"),
-                "a",
-                [("a", "id", list(db.rows("b")), "b", "a_id")],
-            )
-        )
-        assert len(results) == 3
-        assert results[0].aliases == ("a", "b")
+        def b_to_a(word):
+            nodes = [
+                CNNode(TupleSetKey("b", frozenset([word]))),
+                CNNode(TupleSetKey("a", frozenset())),
+            ]
+            return CandidateNetwork(nodes, [(0, 1, edge)])
+
+        assert list(evaluate_cn(b_to_a("orphan"), tuple_sets)) == []
+        assert [j.tuple_ids() for j in evaluate_cn(b_to_a("one"), tuple_sets)] == [
+            (("b", 0), ("a", 0))
+        ]
 
     def test_joined_row_equality_and_lookup(self):
         db = self._populated()

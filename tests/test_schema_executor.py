@@ -1,10 +1,14 @@
 """Generated differential test for the unified CN executor.
 
 Small random schemas, databases and keyword sets; every path that
-answers a ``schema`` query must equal a brute-force oracle — exhaustive
-``evaluate_cn`` over every CN, ``monotonic_result_score`` per result,
-one full sort on ``(-score, (label, tuple ids))`` — in scores, tuple ids
-and labels, results tied at the k-th score included.  A three-word
+answers a ``schema`` query must equal a brute-force oracle — every CN's
+results straight from the definition (:func:`definition_results`: the
+product of its tuple sets, filtered by the join predicates and tuple
+distinctness), ``monotonic_result_score`` per result, one full sort on
+``(-score, (label, tuple ids))`` — in scores, tuple ids and labels,
+results tied at the k-th score included.  The exhaustive evaluators
+(``cn_results``, ``all_results``, SPARK2 pruning, the operator mesh,
+query forms) must equal the definition CN by CN.  A three-word
 vocabulary and texts of at most two words make equal scores (and so
 ties at k decided by the content key alone) the common case.
 """
@@ -23,19 +27,22 @@ from hypothesis import given, settings, strategies as st
 from repro.core.engine import KeywordSearchEngine
 from repro.datasets import words
 from repro.datasets.bibliographic import generate_bibliographic_db
+from repro.forms.model import PredicateSlot, QueryForm, Skeleton
 from repro.index.inverted import InvertedIndex
 from repro.index.text import tokenize
 from repro.obs.trace import Tracer
 from repro.query.compiler import FilteredTupleSets, RowFilter, WeightedIndexView
 from repro.relational.database import Database
-from repro.relational.executor import JoinStats
+from repro.relational.executor import JoinedRow, JoinStats
 from repro.relational.schema import Column, ForeignKey, Schema, TableSchema
 from repro.relational.schema_graph import SchemaGraph
 from repro.resilience.budget import QueryBudget
 from repro.schema_search import scoring
 from repro.schema_search.candidate_networks import generate_candidate_networks
-from repro.schema_search.evaluate import evaluate_cn
+from repro.schema_search.evaluate import all_results, cn_results
+from repro.schema_search.mesh import OperatorMesh
 from repro.schema_search.scoring import monotonic_result_score
+from repro.schema_search.spark2 import evaluate_with_pruning, evaluate_without_pruning
 from repro.schema_search.topk import (
     CNQueryContext,
     _TopKHeap,
@@ -59,11 +66,19 @@ MAX_CN_SIZE = 4
 # Generated inputs
 # ----------------------------------------------------------------------
 @st.composite
-def databases(draw) -> Database:
-    """2-4 tables; table i references 1-2 earlier tables (never itself)."""
+def databases(draw, parallel_fks: bool = False) -> Database:
+    """2-4 tables; table i references 1-2 earlier tables (never itself).
+
+    With *parallel_fks*, table 1 references table 0 through two foreign
+    keys, so CNs differ only in which FK an edge uses.  FK values are
+    drawn null or a valid key.
+    """
     n_tables = draw(st.integers(2, 4))
     fk_targets = [[]]
     for i in range(1, n_tables):
+        if parallel_fks and i == 1:
+            fk_targets.append([0, 0])
+            continue
         fk_targets.append(
             draw(st.lists(st.integers(0, i - 1), min_size=1, max_size=2))
         )
@@ -97,12 +112,59 @@ keyword_sets = st.lists(st.sampled_from(VOCAB), min_size=1, max_size=3, unique=T
 # ----------------------------------------------------------------------
 # The oracle
 # ----------------------------------------------------------------------
+def _joins(rows, a, b, edge) -> bool:
+    """Does CN edge (a, b) hold: the FK column of the endpoint on the
+    edge's child side equals the referenced column of the other, and is
+    not null?"""
+    if rows[a].table.name != edge.child:
+        a, b = b, a
+    value = rows[a][edge.fk.column]
+    return value is not None and value == rows[b][edge.fk.ref_column]
+
+
+def _assignments(members, edges, distinct):
+    """Every choice of one row from each node's list of *members* where
+    every edge joins (and, if *distinct*, no row repeats): the filtered
+    product, enumerated node by node so an edge is checked as soon as
+    both its ends are chosen."""
+    checks = [[e for e in edges if max(e[0], e[1]) == i] for i in range(len(members))]
+    rows = []
+
+    def extend():
+        i = len(rows)
+        if i == len(members):
+            yield tuple(rows)
+            return
+        for row in members[i]:
+            if distinct and row in rows:
+                continue
+            rows.append(row)
+            if all(_joins(rows, a, b, edge) for a, b, edge in checks[i]):
+                yield from extend()
+            rows.pop()
+
+    return extend()
+
+
+def definition_results(cn, tuple_sets):
+    """The CN's joining networks of tuples, by brute force from the
+    definition: the product of each node's ``tuple_ids``, kept where
+    every CN edge joins on equal non-null values and no tuple occurs
+    twice.  JoinedRows in CN node order."""
+    db = tuple_sets.db
+    members = [[db.row(t) for t in tuple_sets.tuple_ids(node.key)] for node in cn.nodes]
+    aliases = tuple(f"n{i}" for i in range(cn.size))
+    return [
+        JoinedRow(aliases, rows) for rows in _assignments(members, cn.edges, True)
+    ]
+
+
 def oracle(tuple_sets, cns, index, keywords):
     """Every result of every CN, fully sorted in the executor's order."""
     scored = [
         (monotonic_result_score(index, joined, keywords), cn.label(), joined.tuple_ids())
         for cn in cns
-        for joined in evaluate_cn(cn, tuple_sets)
+        for joined in definition_results(cn, tuple_sets)
     ]
     scored.sort(key=lambda entry: (-entry[0], (entry[1], entry[2])))
     return scored
@@ -480,7 +542,7 @@ def test_every_slice_keeps_the_reference_candidates_that_reach_the_floor(
     floor = scores[floor_rank] if floor_rank < len(scores) else float("-inf")
     ref_cursors = reference.CNQueryContext(cns, tuple_sets, index, keywords).cursors()
     new_cursors = CNQueryContext(cns, tuple_sets, index, keywords).cursors()
-    stats, ref_stats = JoinStats(), JoinStats()
+    stats, ref_stats = JoinStats(), reference.BuildSideStats()
     for new, ref in zip(new_cursors, ref_cursors):
         while not ref.exhausted():
             assert new.bound() == ref.bound()
@@ -492,7 +554,6 @@ def test_every_slice_keeps_the_reference_candidates_that_reach_the_floor(
             assert new.next_batch(stats, floor) == want
         assert new.exhausted()
     assert stats.tuples_emitted <= ref_stats.tuples_emitted
-    assert stats.reuse_hits == stats.subexpressions_materialized == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -536,6 +597,82 @@ def test_traced_run_equals_untraced_with_the_same_span_names(db, keywords, k):
         "batches", "cns_executed", "produced", "dropped", "pruned",
     }
     assert evaluate.counters["batches"] == traced.batches
+
+
+# ----------------------------------------------------------------------
+# Exhaustive evaluation equals the definition, CN by CN
+# ----------------------------------------------------------------------
+definition_databases = st.one_of(
+    databases(), databases(parallel_fks=True)
+).flatmap(lambda db: st.sampled_from([db, _tied(db)]))
+
+
+def _per_cn(cns, pairs):
+    """(cn, joined) pairs as one tuple-id multiset per CN of *cns*."""
+    at = {id(cn): i for i, cn in enumerate(cns)}
+    out = [Counter() for _ in cns]
+    for cn, joined in pairs:
+        out[at[id(cn)]][joined.tuple_ids()] += 1
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    db=definition_databases,
+    keywords=keyword_sets,
+    bound=st.lists(st.sampled_from([None, "ant", "bee", "ant bee", "cat"]), max_size=4),
+)
+def test_exhaustive_evaluation_equals_the_definition(db, keywords, bound):
+    """FK nulls, all-tied scores and two parallel FKs between one table
+    pair: every exhaustive evaluator yields each CN's definition as a
+    multiset, and a query form over a CN's join tree yields the
+    definition over whole tables filtered by its bindings."""
+    index = InvertedIndex(db)
+    tuple_sets = TupleSets(db, index, keywords)
+    cns = generate_candidate_networks(
+        SchemaGraph(db.schema), tuple_sets, max_size=MAX_CN_SIZE
+    )
+    want = _per_cn(
+        cns, [(cn, j) for cn in cns for j in definition_results(cn, tuple_sets)]
+    )
+    assert _per_cn(
+        cns, [(cn, joined) for cn in cns for joined in cn_results(cn, tuple_sets)]
+    ) == want
+    assert _per_cn(cns, all_results(cns, tuple_sets)) == want
+    pruned = evaluate_with_pruning(cns, tuple_sets)
+    assert _per_cn(cns, pruned.results) == want
+    assert _per_cn(cns, evaluate_without_pruning(cns, tuple_sets).results) == want
+    assert pruned.evaluated + pruned.pruned == len(cns)
+
+    mesh = OperatorMesh(cns, keywords)
+    streamed = [Counter() for _ in cns]
+    for tid in db.all_tuple_ids():
+        for cn_index, rows in mesh.feed(db.row(tid)):
+            streamed[cn_index][tuple((r.table.name, r.rowid) for r in rows)] += 1
+    assert streamed == want
+
+    # Bind the text of the first len(bound) tables; a binding applies to
+    # every node of its table, as a form's slot labels do.
+    bindings = {f"t{i}.txt": value for i, value in enumerate(bound)}
+    for cn in cns:
+        tables = tuple(node.table for node in cn.nodes)
+        form = QueryForm(
+            Skeleton(tables, tuple(cn.edges)),
+            tuple(PredicateSlot(i, t, "txt") for i, t in enumerate(tables)),
+        )
+        members = [
+            [
+                row
+                for row in db.rows(table)
+                if bindings.get(f"{table}.txt", row["txt"]) == row["txt"]
+            ]
+            for table in tables
+        ]
+        expected = Counter(
+            tuple((r.table.name, r.rowid) for r in rows)
+            for rows in _assignments(members, cn.edges, False)
+        )
+        assert Counter(j.tuple_ids() for j in form.evaluate(db, bindings)) == expected
 
 
 # ----------------------------------------------------------------------

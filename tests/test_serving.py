@@ -1212,3 +1212,35 @@ class TestServeRestart:
             assert len(found) == 2
         finally:
             dispose(second)
+
+    @pytest.mark.parametrize("source", ["rebuild", "recover"])
+    def test_cli_serve_metrics_carry_every_engine_generation(self, tmp_path, source):
+        """``repro serve``'s ``/metrics`` reads the registry its engines
+        report into: the boot engine's ``query.count`` shows after one
+        ``/search``, survives an ``/admin/swap`` and keeps counting on
+        the swapped-in generation."""
+        from repro.cli import _build_server, _register_datasets, build_parser
+
+        _register_datasets()
+        argv = ["serve", "--dataset", "tiny", "--port", "0"]
+        if source == "recover":
+            argv += ["--dir", str(tmp_path / "d")]
+        server = _build_server(build_parser().parse_args(argv))
+        server.start_in_thread()
+        try:
+            query_count = lambda: _http(server.address, "/metrics")[1]["metrics"][
+                "query.count"
+            ]
+            assert _http(server.address, "/search?q=widom+xml")[0] == 200
+            assert query_count() == 1
+            old = server.handle.engine
+            status, payload, _ = _http(
+                server.address, "/admin/swap", "POST", {"source": source}
+            )
+            assert status == 200 and payload["drained"]
+            assert server.handle.engine is not old
+            assert query_count() == 1
+            assert _http(server.address, "/search?q=widom+xml")[0] == 200
+            assert query_count() == 2
+        finally:
+            assert server.stop()
