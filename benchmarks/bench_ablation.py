@@ -18,7 +18,6 @@ import pytest
 from benchmarks.conftest import print_table
 from repro.ambiguity.cleaning import QueryCleaner
 from repro.graph.data_graph import build_data_graph
-from repro.graph.weights import BanksWeighting
 from repro.graph_search.banks import banks_backward
 from repro.schema_search.candidate_networks import generate_candidate_networks
 from repro.schema_search.mesh import OperatorMesh
@@ -37,20 +36,16 @@ def _hub_graph(hub_penalty: bool):
     from repro.graph.data_graph import DataGraph
     from repro.relational.database import TupleId
 
-    g = DataGraph()
     k1, k2 = TupleId("t", 0), TupleId("t", 1)
     hub = TupleId("t", 2)
     hub_degree = 30
     hub_weight = 1.0 + math.log1p(hub_degree) if hub_penalty else 1.0
-    g.add_edge(k1, hub, hub_weight)
-    g.add_edge(hub, k2, hub_weight)
+    edges = [(k1, hub, hub_weight), (hub, k2, hub_weight)]
     for i in range(hub_degree - 2):  # make the hub an actual hub
-        g.add_edge(hub, TupleId("t", 100 + i), hub_weight)
+        edges.append((hub, TupleId("t", 100 + i), hub_weight))
     m1, m2 = TupleId("t", 3), TupleId("t", 4)
-    g.add_edge(k1, m1, 1.0)
-    g.add_edge(m1, m2, 1.0)
-    g.add_edge(m2, k2, 1.0)
-    return g, k1, k2, hub
+    edges += [(k1, m1, 1.0), (m1, m2, 1.0), (m2, k2, 1.0)]
+    return DataGraph({}, edges), k1, k2, hub
 
 
 def test_banks_weighting_ablation(benchmark):

@@ -17,6 +17,7 @@ from repro.graph_search.semantics import (
     distinct_core_results,
     distinct_root_results,
 )
+from repro.index.distance import within_hops
 
 QUERY = ["query", "john"]
 DMAX = 4.0
@@ -63,7 +64,7 @@ def test_ease_steiner_reduction(benchmark, biblio_graph, groups):
     rows = []
     shrunk = 0
     for answer in answers[:8]:
-        ball = len(biblio_graph.bfs_hops(answer.center, max_hops=r))
+        ball = len(within_hops(biblio_graph, (biblio_graph.index[answer.center],), r))
         rows.append((str(answer.center), ball, answer.size()))
         if answer.size() < ball:
             shrunk += 1

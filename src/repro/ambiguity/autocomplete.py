@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.data_graph import DataGraph
+from repro.index.distance import within_hops
 from repro.index.forward import DeltaForwardIndex
 from repro.index.inverted import InvertedIndex
 from repro.index.trie import Trie
@@ -143,12 +144,13 @@ class Tastier:
         self, candidate: TupleId, ranges: Sequence[Tuple[int, int]]
     ) -> Optional[float]:
         """Summed hop distance from candidate to each prefix's nearest match."""
-        hops = self.graph.bfs_hops(candidate, max_hops=self.delta)
+        ids = self.graph.ids
+        hops = within_hops(self.graph, (self.graph.index[candidate],), self.delta)
         total = 0.0
         for lo, hi in ranges:
             best = None
             for node, distance in hops.items():
-                node_tokens = self.index.tokens_of(node)
+                node_tokens = self.index.tokens_of(ids[node])
                 direct = any(
                     lo <= self.trie.token_id(t) <= hi
                     for t in node_tokens

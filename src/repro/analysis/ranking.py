@@ -97,20 +97,21 @@ def authority_scores(
     (slide 145: different edge types may be treated differently);
     default weight 1.0 reproduces plain undirected PageRank.
     """
-    nodes = graph.nodes
-    n = len(nodes)
+    ids, nbrs = graph.ids, graph.nbrs
+    n = len(ids)
     if n == 0:
         return {}
-    rank = {node: 1.0 / n for node in nodes}
-    out_weight: Dict[TupleId, float] = {}
+    nodes = range(n)
+    rank = [1.0 / n] * n
+    out_weight: List[float] = []
     for node in nodes:
         total = 0.0
-        for nbr, _ in graph.neighbors(node):
-            w = edge_type_weight(node, nbr) if edge_type_weight else 1.0
+        for nbr in nbrs[node]:
+            w = edge_type_weight(ids[node], ids[nbr]) if edge_type_weight else 1.0
             total += w
-        out_weight[node] = total
+        out_weight.append(total)
     for _ in range(iterations):
-        nxt = {node: (1.0 - damping) / n for node in nodes}
+        nxt = [(1.0 - damping) / n] * n
         for node in nodes:
             total = out_weight[node]
             if total == 0:
@@ -118,8 +119,8 @@ def authority_scores(
                 for other in nodes:
                     nxt[other] += share
                 continue
-            for nbr, _ in graph.neighbors(node):
-                w = edge_type_weight(node, nbr) if edge_type_weight else 1.0
+            for nbr in nbrs[node]:
+                w = edge_type_weight(ids[node], ids[nbr]) if edge_type_weight else 1.0
                 nxt[nbr] += damping * rank[node] * (w / total)
         rank = nxt
-    return rank
+    return dict(zip(ids, rank))

@@ -58,16 +58,14 @@ class CrossDatabase:
         self.graph = self._build_graph()
 
     def _build_graph(self) -> DataGraph:
-        graph = DataGraph()
+        nodes: Dict[TupleId, float] = {}
+        edges: List[Tuple[TupleId, TupleId, float]] = []
         for name, db in self.databases.items():
             local = build_data_graph(db)
-            for node in local.nodes:
-                graph.add_node(_qualify(name, node))
-            for node in local.nodes:
-                for nbr, weight in local.neighbors(node):
-                    graph.add_edge(
-                        _qualify(name, node), _qualify(name, nbr), weight
-                    )
+            nodes.update((_qualify(name, node), 0.0) for node in local.ids)
+            edges.extend(
+                (_qualify(name, u), _qualify(name, v), w) for u, v, w in local.edges()
+            )
         for link in self.links:
             db_a = self.databases[link.db_a]
             db_b = self.databases[link.db_b]
@@ -84,12 +82,12 @@ class CrossDatabase:
                 if value is None:
                     continue
                 for target in by_value.get(self._normalise(value), ()):
-                    graph.add_edge(
+                    edges.append((
                         _qualify(link.db_a, TupleId(link.table_a, row.rowid)),
                         _qualify(link.db_b, target),
                         link.weight,
-                    )
-        return graph
+                    ))
+        return DataGraph(nodes, edges)
 
     @staticmethod
     def _normalise(value: object) -> object:

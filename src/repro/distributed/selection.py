@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.graph.data_graph import DataGraph, build_data_graph
+from repro.index.distance import within_hops
 from repro.index.inverted import InvertedIndex
 from repro.relational.database import Database
 
@@ -60,30 +61,16 @@ class DatabaseSummary:
         pair_distance: Dict[FrozenSet[str], int] = {}
         terms = sorted(frequency)
         # Pairwise min distances via bounded BFS from each term's matches.
-        reach: Dict[str, Dict] = {}
+        reach: Dict[str, Dict[int, int]] = {}
         for term in terms:
-            sources = index.matching_tuples(term)
-            dist: Dict = {}
-            frontier = list(sources)
-            for s in sources:
-                dist[s] = 0
-            hops = 0
-            while frontier and hops < horizon:
-                hops += 1
-                nxt = []
-                for node in frontier:
-                    for nbr, __ in graph.neighbors(node):
-                        if nbr not in dist:
-                            dist[nbr] = hops
-                            nxt.append(nbr)
-                frontier = nxt
-            reach[term] = dist
+            sources = [graph.index[tid] for tid in index.matching_tuples(term)]
+            reach[term] = within_hops(graph, sources, horizon)
         for a, b in itertools.combinations(terms, 2):
             best: Optional[int] = None
             b_matches = index.matching_tuples(b)
             dist_a = reach[a]
             for tid in b_matches:
-                d = dist_a.get(tid)
+                d = dist_a.get(graph.index[tid])
                 if d is not None and (best is None or d < best):
                     best = d
             if best is not None:

@@ -8,11 +8,6 @@ distance/hub/reachability indexes operate on :class:`DataGraph`.
 """
 
 from repro.graph.data_graph import DataGraph, build_data_graph
-from repro.graph.weights import banks_edge_weight, banks_node_prestige
+from repro.graph.weights import BanksWeighting
 
-__all__ = [
-    "DataGraph",
-    "build_data_graph",
-    "banks_edge_weight",
-    "banks_node_prestige",
-]
+__all__ = ["DataGraph", "build_data_graph", "BanksWeighting"]

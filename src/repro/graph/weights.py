@@ -41,12 +41,3 @@ class BanksWeighting:
     def node_prestige(self, db: Database, tid: TupleId) -> float:
         return math.log1p(_indegree(db, tid, self._cache))
 
-
-def banks_edge_weight(db: Database, u: TupleId, v: TupleId) -> float:
-    """Stateless convenience wrapper (no cache sharing)."""
-    return BanksWeighting().edge_weight(db, u, v)
-
-
-def banks_node_prestige(db: Database, tid: TupleId) -> float:
-    """Stateless convenience wrapper (no cache sharing)."""
-    return BanksWeighting().node_prestige(db, tid)

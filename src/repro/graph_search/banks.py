@@ -48,7 +48,7 @@ def _result_tree(
     graph: DataGraph, root: int, parents: List[Dict[int, Optional[int]]]
 ) -> SteinerTree:
     """Union of shortest paths from *root* back to each group."""
-    ids = graph.compact().ids
+    ids = graph.ids
     pairs: Set[Tuple[int, int]] = set()
     for parent in parents:
         node = root
@@ -71,14 +71,13 @@ def _expand(
 ) -> BanksResult:
     """Expand all groups from one heap ordered by *priority*.
 
-    Nodes are compact ints (``graph.compact()``); *priority* maps
+    Nodes are the graph's integer ids; *priority* maps
     ``(distance, group, node)`` to the heap key.
     """
     g = len(groups)
     if g == 0 or any(not group for group in groups):
         return BanksResult([], 0)
-    cg = graph.compact()
-    index, nbrs, wts = cg.index, cg.nbrs, cg.wts
+    index, nbrs, wts = graph.index, graph.nbrs, graph.wts
     dists: List[Dict[int, float]] = [dict() for _ in range(g)]
     parents: List[Dict[int, Optional[int]]] = [dict() for _ in range(g)]
     settled: List[Set[int]] = [set() for _ in range(g)]
@@ -182,7 +181,7 @@ def banks_bidirectional(
 ) -> BanksResult:
     """BANKS II: activation-prioritised expansion (see module docstring)."""
     group_factor = [math.log(2 + max(1, len(group))) for group in groups]
-    nbrs = graph.compact().nbrs
+    nbrs = graph.nbrs
 
     def priority(dist: float, i: int, node: int) -> float:
         return dist * (group_factor[i] * math.log(2 + len(nbrs[node])))

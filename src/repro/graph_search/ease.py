@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.data_graph import DataGraph
+from repro.index.distance import within_hops
 from repro.relational.database import TupleId
 from repro.resilience.budget import QueryBudget
 from repro.resilience.errors import BudgetExceededError
@@ -47,25 +48,24 @@ def r_radius_steiner_graphs(
     """
     if not groups or any(not g for g in groups):
         return []
-    cg = graph.compact()
-    index, ids, nbrs = cg.index, cg.ids, cg.nbrs
+    index, ids, nbrs = graph.index, graph.ids, graph.nbrs
     group_sets = [{index[m] for m in g if m in index} for g in groups]
-    # Steiner node set -> (smallest center, matched keyword nodes), compact ints.
+    # Steiner node set -> (smallest center, matched keyword nodes), as ids.
     answers: Dict[FrozenSet[int], Tuple[int, Set[int]]] = {}
     try:
         # A ball of radius r covers a group iff its center is within r
         # hops of a member, so only those nodes can be centers.
         centers: Optional[Set[int]] = None
         for gs in group_sets:
-            reach = _within_hops(nbrs, gs, r)
+            reach = within_hops(graph, gs, r).keys()
             if budget is not None:
                 budget.tick_nodes(max(1, len(reach)))
-            centers = reach if centers is None else centers & reach
+            centers = set(reach) if centers is None else centers & reach
         for center in sorted(centers):
-            members = _within_hops(nbrs, (center,), r)
+            members = within_hops(graph, (center,), r)
             if budget is not None:
                 budget.tick_nodes(len(members))
-            keyword_nodes = set().union(*(members & gs for gs in group_sets))
+            keyword_nodes = set().union(*(members.keys() & gs for gs in group_sets))
             steiner = frozenset(_steiner_reduce(nbrs, members, keyword_nodes))
             if steiner not in answers:  # centers ascend: the first is smallest
                 answers[steiner] = (center, keyword_nodes)
@@ -82,25 +82,8 @@ def r_radius_steiner_graphs(
     ]
 
 
-def _within_hops(nbrs: List[List[int]], sources: Iterable[int], r: int) -> Set[int]:
-    """Nodes at most *r* hops from any of *sources* (level-by-level BFS)."""
-    seen = set(sources)
-    frontier = list(seen)
-    for _ in range(r):
-        nxt = []
-        for node in frontier:
-            for nbr in nbrs[node]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    nxt.append(nbr)
-        if not nxt:
-            break
-        frontier = nxt
-    return seen
-
-
 def _steiner_reduce(
-    nbrs: List[List[int]], members: Set[int], keyword_nodes: Set[int]
+    nbrs: Sequence[Sequence[int]], members: Iterable[int], keyword_nodes: Set[int]
 ) -> Set[int]:
     """Drop ball nodes not on any path between keyword nodes.
 

@@ -41,14 +41,14 @@ def steiner_milp_rooted(
     groups = [list(dict.fromkeys(g)) for g in groups]
     if not groups or any(not g for g in groups):
         return None
-    nodes = sorted(graph.nodes)
-    node_index = {n: i for i, n in enumerate(nodes)}
+    nodes, node_index = graph.ids, graph.index
     if root not in node_index:
         return None
-    arcs: List[Tuple[int, int, float]] = []
-    for u in nodes:
-        for v, w in graph.neighbors(u):
-            arcs.append((node_index[u], node_index[v], w))
+    arcs: List[Tuple[int, int, float]] = [
+        (u, v, w)
+        for u, (row, ws) in enumerate(zip(graph.nbrs, graph.wts))
+        for v, w in zip(row, ws)
+    ]
     n_arcs = len(arcs)
     n_groups = len(groups)
     # Terminal selection variables: per group, per candidate terminal.

@@ -74,11 +74,10 @@ def distinct_root_results(
     """
     if not groups or any(not g for g in groups):
         return []
-    cg = graph.compact()
-    index, ids = cg.index, cg.ids
+    index, ids = graph.index, graph.ids
     per_group = [
         nearest_source_labels(
-            cg,
+            graph,
             [(index[m], rank) for rank, m in enumerate(group) if m in index],
             dmax,
             budget,

@@ -25,24 +25,27 @@ from repro.relational.database import TupleId
 INF = float("inf")
 
 
+Edges = Set[Tuple[int, int]]
+
+
 def _multi_source_dijkstra(
-    graph: DataGraph, sources: Sequence[TupleId]
-) -> Tuple[Dict[TupleId, float], Dict[TupleId, Optional[TupleId]]]:
-    dist: Dict[TupleId, float] = {}
-    parent: Dict[TupleId, Optional[TupleId]] = {}
-    heap: List[Tuple[float, TupleId]] = []
+    graph: DataGraph, sources: Sequence[int]
+) -> Tuple[Dict[int, float], Dict[int, Optional[int]]]:
+    nbrs, wts = graph.nbrs, graph.wts
+    dist: Dict[int, float] = {}
+    parent: Dict[int, Optional[int]] = {}
+    heap: List[Tuple[float, int]] = []
     for s in sources:
-        if s in graph:
-            dist[s] = 0.0
-            parent[s] = None
-            heapq.heappush(heap, (0.0, s))
-    settled: Set[TupleId] = set()
+        dist[s] = 0.0
+        parent[s] = None
+        heapq.heappush(heap, (0.0, s))
+    settled: Set[int] = set()
     while heap:
         d, node = heapq.heappop(heap)
         if node in settled:
             continue
         settled.add(node)
-        for nbr, w in graph.neighbors(node):
+        for nbr, w in zip(nbrs[node], wts[node]):
             nd = d + w
             if nd < dist.get(nbr, INF):
                 dist[nbr] = nd
@@ -52,13 +55,14 @@ def _multi_source_dijkstra(
 
 
 def _initial_tree(
-    graph: DataGraph, groups: Sequence[Sequence[TupleId]]
-) -> Optional[Tuple[TupleId, Set[Tuple[TupleId, TupleId]], List[TupleId]]]:
-    """Best distinct-root tree: root minimising summed group distance."""
+    graph: DataGraph, groups: Sequence[Sequence[int]]
+) -> Optional[Tuple[int, Edges, List[int]]]:
+    """Best distinct-root tree: root minimising summed group distance,
+    ties to the lowest id."""
     per_group = [_multi_source_dijkstra(graph, group) for group in groups]
     best_root = None
     best_cost = INF
-    for node in graph.nodes:
+    for node in range(len(graph)):
         cost = 0.0
         for dist, _ in per_group:
             d = dist.get(node)
@@ -71,8 +75,8 @@ def _initial_tree(
             best_root = node
     if best_root is None:
         return None
-    edges: Set[Tuple[TupleId, TupleId]] = set()
-    terminals: List[TupleId] = [best_root]
+    edges: Edges = set()
+    terminals: List[int] = [best_root]
     for dist, parent in per_group:
         node = best_root
         while parent.get(node) is not None:
@@ -83,21 +87,19 @@ def _initial_tree(
     return best_root, edges, terminals
 
 
-def _loose_paths(
-    edges: Set[Tuple[TupleId, TupleId]], terminals: Set[TupleId]
-) -> List[List[TupleId]]:
+def _loose_paths(edges: Edges, terminals: Set[int]) -> List[List[int]]:
     """Maximal tree paths whose interior nodes have degree 2 and are
     not terminals (the replaceable segments)."""
-    adj: Dict[TupleId, List[TupleId]] = {}
-    for u, v in edges:
+    adj: Dict[int, List[int]] = {}
+    for u, v in sorted(edges):
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     fixpoints = {
         n for n, nbrs in adj.items() if len(nbrs) != 2 or n in terminals
     }
-    paths: List[List[TupleId]] = []
-    visited_edges: Set[Tuple[TupleId, TupleId]] = set()
-    for start in fixpoints:
+    paths: List[List[int]] = []
+    visited_edges: Edges = set()
+    for start in sorted(fixpoints):
         for nbr in adj[start]:
             edge = (min(start, nbr), max(start, nbr))
             if edge in visited_edges:
@@ -113,11 +115,12 @@ def _loose_paths(
     return paths
 
 
-def _path_weight(graph: DataGraph, path: List[TupleId]) -> float:
-    return sum(
-        graph.edge_weight(path[i], path[i + 1]) or 0.0
-        for i in range(len(path) - 1)
-    )
+def _weight(graph: DataGraph, u: int, v: int) -> float:
+    return graph.wts[u][graph.nbrs[u].index(v)]
+
+
+def _path_weight(graph: DataGraph, path: List[int]) -> float:
+    return sum(_weight(graph, path[i], path[i + 1]) for i in range(len(path) - 1))
 
 
 def star_approximation(
@@ -128,6 +131,8 @@ def star_approximation(
     """STAR: initial distinct-root tree + loose-path improvement."""
     if not groups or any(not g for g in groups):
         return None
+    index, ids = graph.index, graph.ids
+    groups = [list(dict.fromkeys(index[m] for m in g if m in index)) for g in groups]
     init = _initial_tree(graph, groups)
     if init is None:
         return None
@@ -166,20 +171,25 @@ def star_approximation(
                 break
         if not improved:
             break
-    weight = sum(graph.edge_weight(u, v) or 0.0 for u, v in edges)
-    return SteinerTree(root=root, edges=sorted(edges), weight=weight)
+    pairs = sorted(edges)
+    return SteinerTree(
+        root=ids[root],
+        edges=[(ids[u], ids[v]) for u, v in pairs],
+        weight=sum(_weight(graph, u, v) for u, v in pairs),
+    )
 
 
 def _restricted_shortest_path(
     graph: DataGraph,
-    source: TupleId,
-    target: TupleId,
-    forbidden: Set[TupleId],
-) -> Optional[List[TupleId]]:
-    dist: Dict[TupleId, float] = {source: 0.0}
-    parent: Dict[TupleId, TupleId] = {}
-    heap: List[Tuple[float, TupleId]] = [(0.0, source)]
-    settled: Set[TupleId] = set()
+    source: int,
+    target: int,
+    forbidden: Set[int],
+) -> Optional[List[int]]:
+    nbrs, wts = graph.nbrs, graph.wts
+    dist: Dict[int, float] = {source: 0.0}
+    parent: Dict[int, int] = {}
+    heap: List[Tuple[float, int]] = [(0.0, source)]
+    settled: Set[int] = set()
     while heap:
         d, node = heapq.heappop(heap)
         if node in settled:
@@ -191,7 +201,7 @@ def _restricted_shortest_path(
                 path.append(parent[path[-1]])
             path.reverse()
             return path
-        for nbr, w in graph.neighbors(node):
+        for nbr, w in zip(nbrs[node], wts[node]):
             if nbr in forbidden and nbr != target:
                 continue
             nd = d + w

@@ -85,10 +85,9 @@ def group_steiner_dp(
     if any(not group for group in groups):
         return None
 
-    cg = graph.compact()
-    index, ids, nbrs, wts = cg.index, cg.ids, cg.nbrs, cg.wts
+    index, ids, nbrs, wts = graph.index, graph.ids, graph.nbrs, graph.wts
     full = (1 << g) - 1
-    # dp[mask][node] = best weight, nodes as compact ints.
+    # dp[mask][node] = best weight, nodes as integer ids.
     dp: List[Dict[int, float]] = [{} for _ in range(full + 1)]
     # back[mask][node] = parent node (grow) or (m1, m2) (merge); leaves absent.
     back: List[Dict[int, object]] = [{} for _ in range(full + 1)]

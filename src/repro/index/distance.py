@@ -14,7 +14,7 @@ import heapq
 import threading
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.graph.data_graph import CompactGraph, DataGraph
+from repro.graph.data_graph import DataGraph
 from repro.index.inverted import InvertedIndex
 from repro.relational.database import TupleId
 from repro.resilience.budget import QueryBudget
@@ -24,12 +24,12 @@ _UNREACHED = (float("inf"), 0)
 
 
 def nearest_source_labels(
-    cg: CompactGraph,
+    graph: DataGraph,
     seeds: Iterable[Tuple[int, int]],
     max_distance: float,
     budget: Optional[QueryBudget] = None,
 ) -> Dict[int, Tuple[float, int]]:
-    """Multi-source bounded Dijkstra over compact node ids.
+    """Multi-source bounded Dijkstra over the graph's integer ids.
 
     *seeds* are ``(node, rank)`` pairs.  Every node within
     *max_distance* of a seed maps to the lexicographically smallest
@@ -39,7 +39,7 @@ def nearest_source_labels(
     the search and returns the nodes settled so far, whose labels are
     final.
     """
-    nbrs, wts = cg.nbrs, cg.wts
+    nbrs, wts = graph.nbrs, graph.wts
     best: Dict[int, Tuple[float, int]] = {}
     heap: List[Tuple[float, int, int]] = []
     for node, rank in seeds:
@@ -69,16 +69,34 @@ def nearest_source_labels(
     return settled
 
 
+def within_hops(graph: DataGraph, sources: Iterable[int], r: int) -> Dict[int, int]:
+    """Nodes at most *r* hops from any of the ids *sources*, mapped to
+    their hop count (level-by-level BFS)."""
+    nbrs = graph.nbrs
+    seen = dict.fromkeys(sources, 0)
+    frontier = list(seen)
+    for hops in range(1, r + 1):
+        nxt = []
+        for node in frontier:
+            for nbr in nbrs[node]:
+                if nbr not in seen:
+                    seen[nbr] = hops
+                    nxt.append(nbr)
+        if not nxt:
+            break
+        frontier = nxt
+    return seen
+
+
 def bounded_bfs_distances(
     graph: DataGraph, sources: Iterable[TupleId], max_distance: float
 ) -> Dict[TupleId, float]:
     """Multi-source Dijkstra: distance from each node to its nearest source."""
-    cg = graph.compact()
-    index, ids = cg.index, cg.ids
+    index, ids = graph.index, graph.ids
     seeds = [(index[s], 0) for s in sources if s in index]
     return {
         ids[node]: d
-        for node, (d, _) in nearest_source_labels(cg, seeds, max_distance).items()
+        for node, (d, _) in nearest_source_labels(graph, seeds, max_distance).items()
     }
 
 

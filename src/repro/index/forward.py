@@ -37,22 +37,26 @@ class DeltaForwardIndex:
         self._build()
 
     def _build(self) -> None:
+        ids, nbrs = self.graph.ids, self.graph.nbrs
         # Token ids directly on each node.
-        local: Dict[TupleId, Set[int]] = {}
-        for node in self.graph.nodes:
-            tokens = self.index.tokens_of(node)
+        local: Dict[int, Set[int]] = {}
+        for node, tid in enumerate(ids):
+            tokens = self.index.tokens_of(tid)
             if tokens:
                 local[node] = {self.trie.token_id(t) for t in tokens if t in self.trie}
-        # Propagate δ hops by iterated neighbourhood union.
-        reach: Dict[TupleId, Set[int]] = {
-            node: set(ids) for node, ids in local.items()
+        # Propagate δ hops by iterated neighbourhood union.  A round
+        # reads only the previous round's additions (*frontier_sets*,
+        # never the sets it is growing), so round h adds exactly the
+        # tokens first reachable at h hops.
+        reach: Dict[int, Set[int]] = {
+            node: set(tokens) for node, tokens in local.items()
         }
-        frontier_sets = dict(reach)
+        frontier_sets = local
         for _ in range(self.delta):
-            nxt: Dict[TupleId, Set[int]] = {}
-            for node in self.graph.nodes:
+            nxt: Dict[int, Set[int]] = {}
+            for node, row in enumerate(nbrs):
                 gathered: Set[int] = set()
-                for nbr, _w in self.graph.neighbors(node):
+                for nbr in row:
                     nbr_tokens = frontier_sets.get(nbr)
                     if nbr_tokens:
                         gathered |= nbr_tokens
@@ -65,7 +69,7 @@ class DeltaForwardIndex:
             frontier_sets = nxt
             if not frontier_sets:
                 break
-        self._forward = {node: sorted(ids) for node, ids in reach.items()}
+        self._forward = {ids[node]: sorted(tokens) for node, tokens in reach.items()}
 
     # ------------------------------------------------------------------
     # Lookup

@@ -19,6 +19,7 @@ import heapq
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.graph.data_graph import DataGraph
+from repro.index.distance import bounded_bfs_distances
 from repro.relational.database import TupleId
 
 INF = float("inf")
@@ -43,35 +44,38 @@ class HubIndex:
         self._build()
 
     def _build(self) -> None:
-        for node in self.graph.nodes:
-            to_hubs, local = self._hub_avoiding_dijkstra(node)
-            self._to_hubs[node] = to_hubs
-            self._local[node] = local
+        hubs = {self.graph.index[hub] for hub in self.hubs}
+        for node in range(len(self.graph)):
+            to_hubs, local = self._hub_avoiding_dijkstra(node, hubs)
+            self._to_hubs[self.graph.ids[node]] = to_hubs
+            self._local[self.graph.ids[node]] = local
         for hub in self.hubs:
-            self._hub_dist[hub] = self.graph.dijkstra(hub)
+            self._hub_dist[hub] = bounded_bfs_distances(self.graph, [hub], INF)
 
     def _hub_avoiding_dijkstra(
-        self, source: TupleId
+        self, source: int, hubs: Set[int]
     ) -> Tuple[Dict[TupleId, float], Dict[TupleId, float]]:
         """Distances from *source* along paths whose interior avoids hubs."""
-        dist: Dict[TupleId, float] = {source: 0.0}
-        settled: Set[TupleId] = set()
-        heap: List[Tuple[float, TupleId]] = [(0.0, source)]
+        nbrs, wts = self.graph.nbrs, self.graph.wts
+        dist: Dict[int, float] = {source: 0.0}
+        settled: Set[int] = set()
+        heap: List[Tuple[float, int]] = [(0.0, source)]
         while heap:
             d, node = heapq.heappop(heap)
             if node in settled:
                 continue
             settled.add(node)
             # Expansion stops at hubs: a hub may be reached but not crossed.
-            if node in self.hubs and node != source:
+            if node in hubs and node != source:
                 continue
-            for nbr, weight in self.graph.neighbors(node):
+            for nbr, weight in zip(nbrs[node], wts[node]):
                 nd = d + weight
                 if nd < dist.get(nbr, INF):
                     dist[nbr] = nd
                     heapq.heappush(heap, (nd, nbr))
-        to_hubs = {n: d for n, d in dist.items() if n in self.hubs and n in settled}
-        local = {n: d for n, d in dist.items() if n not in self.hubs and n in settled}
+        ids = self.graph.ids
+        to_hubs = {ids[n]: d for n, d in dist.items() if n in hubs and n in settled}
+        local = {ids[n]: d for n, d in dist.items() if n not in hubs and n in settled}
         return to_hubs, local
 
     # ------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.graph.data_graph import DataGraph
+from repro.index.distance import within_hops
 from repro.index.inverted import InvertedIndex
 from repro.relational.database import TupleId
 
@@ -35,8 +36,9 @@ class DReachabilityIndex:
         self._build()
 
     def _build(self) -> None:
-        for node in self.graph.nodes:
-            within = set(self.graph.bfs_hops(node, max_hops=self.d))
+        ids = self.graph.ids
+        for i, node in enumerate(ids):
+            within = {ids[j] for j in within_hops(self.graph, (i,), self.d)}
             self._n2n[node] = within
             terms: Set[str] = set()
             for other in within:

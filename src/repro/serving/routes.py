@@ -37,14 +37,19 @@ terminal rung, and a shed request is a 429 carrying ``Retry-After``.
 The request budget is the only deadline below the router — a batch's
 queries each tick a fork of it — and a client disconnect poisons it,
 so every worker thread unwinds at its next cooperative tick instead of
-finishing work nobody will read (499).
+finishing work nobody will read (499).  Every ``/search`` and
+``/batch`` response, whatever its status, carries an ``X-Request-Id``
+header: the client's own id if it sent 1-64 characters of
+``[A-Za-z0-9._-]``, otherwise a freshly minted one.
 """
 
 from __future__ import annotations
 
 import asyncio
+import re
 import threading
 import time
+import uuid
 from typing import Any, Callable, Dict, Optional
 
 from repro.core.factory import build_engine
@@ -59,6 +64,11 @@ from repro.serving.admission import (
     MODE_INDEX_ONLY,
 )
 from repro.serving.swap import EngineHandle
+
+
+#: A client-supplied ``X-Request-Id`` is kept only if it matches;
+#: otherwise the router mints ``uuid4().hex``.
+_REQUEST_ID = re.compile(r"[A-Za-z0-9._-]{1,64}")
 
 
 class Request:
@@ -264,6 +274,18 @@ class Router:
     # Dispatch
     # ------------------------------------------------------------------
     async def dispatch(self, request: Request) -> Response:
+        """Route *request*; a ``/search`` or ``/batch`` response echoes
+        the request id as ``X-Request-Id``."""
+        if request.path not in ("/search", "/batch"):
+            return await self._route(request)
+        request_id = request.headers.get("x-request-id", "")
+        if not _REQUEST_ID.fullmatch(request_id):
+            request_id = uuid.uuid4().hex
+        response = await self._route(request)
+        response.headers["X-Request-Id"] = request_id
+        return response
+
+    async def _route(self, request: Request) -> Response:
         route = (request.method, request.path)
         try:
             if request.path == "/health":

@@ -1,13 +1,14 @@
-"""Generated differential test for the compact-graph search loops.
+"""Generated differential test for the graph search loops.
 
-``graph_search`` and ``index.distance`` walk ``DataGraph.compact()``, an
-integer-id view of the adjacency.  The ``TupleId``-keyed loops they
-replaced live on in this file, verbatim, as the oracle: on generated
-graphs (tied and non-unit weights, disconnected parts, hubs; groups with
-duplicate matches and with ids the graph does not hold) all five
-methods and ``bounded_bfs_distances`` must return equal answers —
-tie-broken roots, edges and matches included — and report equal
-``nodes_expanded`` / ``nodes_settled`` / ``masks``.
+``graph_search`` and ``index.distance`` walk :class:`DataGraph`'s
+integer-id adjacency.  The ``TupleId``-keyed loops they replaced live on
+in this file, verbatim, as the oracle; they walk :class:`DictGraph`, a
+``TupleId`` dict adjacency built here from the same node and edge
+lists.  On generated graphs (tied and non-unit weights, disconnected
+parts, hubs; groups with duplicate matches and with ids the graph does
+not hold) all five methods and ``bounded_bfs_distances`` must return
+equal answers — tie-broken roots, edges and matches included — and
+report equal ``nodes_expanded`` / ``nodes_settled`` / ``masks``.
 
 Weights are multiples of 0.25, so every path length is exact in floats
 and "equally near" means the same to both implementations.
@@ -18,17 +19,17 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-import threading
 import time
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core import engine as engine_module
+
 from repro.core.engine import KeywordSearchEngine
 from repro.datasets.bibliographic import tiny_bibliographic_db
-from repro.graph import data_graph
 from repro.graph.data_graph import DataGraph
-from repro.graph_search import banks, ease, semantics, steiner
+from repro.graph_search import banks, ease, semantics, star, steiner
 from repro.graph_search.banks import BanksResult
 from repro.graph_search.ease import RadiusSteinerGraph
 from repro.graph_search.semantics import RootedAnswer
@@ -42,10 +43,66 @@ INF = float("inf")
 
 
 # ----------------------------------------------------------------------
-# The oracle: the TupleId-keyed implementations this PR replaced
+# The oracle: the TupleId-keyed implementations the int loops replaced
 # ----------------------------------------------------------------------
+class DictGraph:
+    """``TupleId -> {TupleId: weight}`` adjacency, built by the rules
+    :class:`DataGraph` keeps: self-loops dropped, parallel edges keep
+    the lightest weight."""
+
+    def __init__(self, nodes: Iterable[TupleId], edges) -> None:
+        self._adj: Dict[TupleId, Dict[TupleId, float]] = {n: {} for n in nodes}
+        for u, v, w in edges:
+            if u == v:
+                continue
+            self._adj.setdefault(u, {})
+            self._adj.setdefault(v, {})
+            existing = self._adj[u].get(v)
+            if existing is None or w < existing:
+                self._adj[u][v] = w
+                self._adj[v][u] = w
+
+    def __contains__(self, node: TupleId) -> bool:
+        return node in self._adj
+
+    @property
+    def nodes(self) -> List[TupleId]:
+        return list(self._adj)
+
+    def neighbors(self, node: TupleId):
+        return iter(self._adj.get(node, {}).items())
+
+    def degree(self, node: TupleId) -> int:
+        return len(self._adj.get(node, {}))
+
+    def edge_weight(self, u: TupleId, v: TupleId) -> Optional[float]:
+        return self._adj.get(u, {}).get(v)
+
+    def bfs_hops(self, source: TupleId, max_hops: Optional[int] = None) -> Dict[TupleId, int]:
+        dist = {source: 0}
+        frontier = [source]
+        hops = 0
+        while frontier:
+            if max_hops is not None and hops >= max_hops:
+                break
+            hops += 1
+            nxt = []
+            for node in frontier:
+                for nbr, _ in self.neighbors(node):
+                    if nbr not in dist:
+                        dist[nbr] = hops
+                        nxt.append(nbr)
+            frontier = nxt
+        return dist
+
+
+def both(nodes: Sequence[TupleId], edges) -> Tuple[DataGraph, DictGraph]:
+    """The graph under test and its oracle, from one node and edge list."""
+    return DataGraph(dict.fromkeys(nodes, 0.0), edges), DictGraph(nodes, edges)
+
+
 def bounded_bfs_distances(
-    graph: DataGraph, sources: Iterable[TupleId], max_distance: float
+    graph: DictGraph, sources: Iterable[TupleId], max_distance: float
 ) -> Dict[TupleId, float]:
     """Multi-source Dijkstra: distance from each node to its nearest source."""
     dist: Dict[TupleId, float] = {}
@@ -71,7 +128,7 @@ def bounded_bfs_distances(
 
 
 def group_steiner_dp(
-    graph: DataGraph,
+    graph: DictGraph,
     groups: Sequence[Sequence[TupleId]],
     max_groups: int = 10,
     budget: Optional[QueryBudget] = None,
@@ -183,7 +240,7 @@ def _reconstruct(
 
 
 def _result_tree(
-    graph: DataGraph,
+    graph: DictGraph,
     root: TupleId,
     parents: List[Dict[TupleId, Optional[TupleId]]],
     dists: List[Dict[TupleId, float]],
@@ -202,7 +259,7 @@ def _result_tree(
 
 
 def _expand(
-    graph: DataGraph,
+    graph: DictGraph,
     groups: Sequence[Sequence[TupleId]],
     k: int,
     priority: Callable[[float, int, TupleId], float],
@@ -243,7 +300,7 @@ def _expand(
 
 
 def _expand_loop(
-    graph: DataGraph,
+    graph: DictGraph,
     groups: Sequence[Sequence[TupleId]],
     k: int,
     priority: Callable[[float, int, TupleId], float],
@@ -289,7 +346,7 @@ def _expand_loop(
 
 
 def banks_backward(
-    graph: DataGraph,
+    graph: DictGraph,
     groups: Sequence[Sequence[TupleId]],
     k: int = 10,
     budget: Optional[QueryBudget] = None,
@@ -307,7 +364,7 @@ def banks_backward(
 
 
 def banks_bidirectional(
-    graph: DataGraph,
+    graph: DictGraph,
     groups: Sequence[Sequence[TupleId]],
     k: int = 10,
     budget: Optional[QueryBudget] = None,
@@ -324,7 +381,7 @@ def banks_bidirectional(
 
 
 def r_radius_steiner_graphs(
-    graph: DataGraph,
+    graph: DictGraph,
     groups: Sequence[Sequence[TupleId]],
     r: int = 2,
     k: Optional[int] = None,
@@ -369,7 +426,7 @@ def r_radius_steiner_graphs(
 
 
 def _steiner_reduce(
-    graph: DataGraph,
+    graph: DictGraph,
     members: Set[TupleId],
     keyword_nodes: Set[TupleId],
     center: TupleId,
@@ -400,7 +457,7 @@ def _steiner_reduce(
 
 
 def _distance_maps(
-    graph: DataGraph,
+    graph: DictGraph,
     groups: Sequence[Sequence[TupleId]],
     dmax: float,
 ) -> List[Dict[TupleId, Dict[TupleId, float]]]:
@@ -415,7 +472,7 @@ def _distance_maps(
 
 
 def distinct_root_results(
-    graph: DataGraph,
+    graph: DictGraph,
     groups: Sequence[Sequence[TupleId]],
     dmax: float = 4.0,
     k: Optional[int] = None,
@@ -466,7 +523,7 @@ class Counters:
 
 @st.composite
 def graphs_and_groups(draw):
-    """A small graph plus 1-3 keyword groups over it.
+    """A small graph's nodes and edges plus 1-3 keyword groups over it.
 
     Edges are drawn with repeats (a later, lighter copy lowers the
     weight), a hub is wired to a drawn subset, and sparse edge lists
@@ -476,23 +533,22 @@ def graphs_and_groups(draw):
     n = draw(st.integers(1, 12))
     nodes = [TupleId(draw(st.sampled_from(TABLES)), i) for i in range(n)]
     draw(st.randoms(use_true_random=False)).shuffle(nodes)
-    graph = DataGraph()
-    for node in nodes:
-        graph.add_node(node)
     positions = st.integers(0, n - 1)
-    for u, v, w in draw(
-        st.lists(st.tuples(positions, positions, st.sampled_from(WEIGHTS)), max_size=24)
-    ):
-        graph.add_edge(nodes[u], nodes[v], w)
+    edges = [
+        (nodes[u], nodes[v], w)
+        for u, v, w in draw(
+            st.lists(st.tuples(positions, positions, st.sampled_from(WEIGHTS)), max_size=24)
+        )
+    ]
     hub = nodes[draw(positions)]
     for spoke in draw(st.lists(positions, max_size=8)):
-        graph.add_edge(hub, nodes[spoke], draw(st.sampled_from(WEIGHTS)))
+        edges.append((hub, nodes[spoke], draw(st.sampled_from(WEIGHTS))))
     member = st.one_of(
         positions.map(nodes.__getitem__),
         st.integers(0, 2).map(lambda i: TupleId("zzz", i)),
     )
     groups = draw(st.lists(st.lists(member, min_size=1, max_size=5), min_size=1, max_size=3))
-    return graph, groups
+    return nodes, edges, groups
 
 
 budgets = st.one_of(st.none(), st.integers(1, 40))
@@ -514,20 +570,22 @@ def spent(budget: Optional[QueryBudget]):
 @settings(deadline=None)
 @given(graphs_and_groups(), st.floats(0.0, 6.0))
 def test_bounded_bfs_distances_matches_oracle(case, max_distance):
-    graph, groups = case
+    nodes, edges, groups = case
+    graph, oracle = both(nodes, edges)
     for group in groups:
         assert distance.bounded_bfs_distances(
             graph, group, max_distance
-        ) == bounded_bfs_distances(graph, group, max_distance)
+        ) == bounded_bfs_distances(oracle, group, max_distance)
 
 
 @settings(deadline=None)
 @given(graphs_and_groups(), budgets)
 def test_steiner_dp_matches_oracle(case, max_nodes):
-    graph, groups = case
+    nodes, edges, groups = case
+    graph, oracle = both(nodes, edges)
     old_budget, new_budget = budget_pair(max_nodes)
     old_span, new_span = Counters(), Counters()
-    old = group_steiner_dp(graph, groups, budget=old_budget, span=old_span)
+    old = group_steiner_dp(oracle, groups, budget=old_budget, span=old_span)
     new = steiner.group_steiner_dp(graph, groups, budget=new_budget, span=new_span)
     assert new == old
     assert new_span.counts == old_span.counts
@@ -537,12 +595,13 @@ def test_steiner_dp_matches_oracle(case, max_nodes):
 @settings(deadline=None)
 @given(graphs_and_groups(), st.integers(1, 6), budgets, st.booleans())
 def test_banks_matches_oracle(case, k, max_nodes, bidirectional):
-    graph, groups = case
+    nodes, edges, groups = case
+    graph, oracle = both(nodes, edges)
     old_algo = banks_bidirectional if bidirectional else banks_backward
     new_algo = banks.banks_bidirectional if bidirectional else banks.banks_backward
     old_budget, new_budget = budget_pair(max_nodes)
     old_span, new_span = Counters(), Counters()
-    old = old_algo(graph, groups, k=k, budget=old_budget, span=old_span)
+    old = old_algo(oracle, groups, k=k, budget=old_budget, span=old_span)
     new = new_algo(graph, groups, k=k, budget=new_budget, span=new_span)
     assert new.trees == old.trees
     assert new.nodes_expanded == old.nodes_expanded
@@ -553,10 +612,11 @@ def test_banks_matches_oracle(case, k, max_nodes, bidirectional):
 @settings(deadline=None)
 @given(graphs_and_groups(), st.integers(0, 3), st.one_of(st.none(), st.integers(1, 4)))
 def test_ease_matches_oracle(case, r, k):
-    graph, groups = case
+    nodes, edges, groups = case
+    graph, oracle = both(nodes, edges)
     assert ease.r_radius_steiner_graphs(
         graph, groups, r=r, k=k
-    ) == r_radius_steiner_graphs(graph, groups, r=r, k=k)
+    ) == r_radius_steiner_graphs(oracle, groups, r=r, k=k)
 
 
 @settings(deadline=None)
@@ -566,10 +626,11 @@ def test_ease_matches_oracle(case, r, k):
     st.one_of(st.none(), st.integers(1, 4)),
 )
 def test_distinct_root_matches_oracle(case, dmax, k):
-    graph, groups = case
+    nodes, edges, groups = case
+    graph, oracle = both(nodes, edges)
     assert semantics.distinct_root_results(
         graph, groups, dmax=dmax, k=k
-    ) == distinct_root_results(graph, groups, dmax=dmax, k=k)
+    ) == distinct_root_results(oracle, groups, dmax=dmax, k=k)
 
 
 @settings(deadline=None)
@@ -578,7 +639,8 @@ def test_budgeted_partials_are_exact_answers(case, max_nodes):
     """EASE and distinct root charge their budget differently from the
     oracle (only enumerated centers; one search per group), so a cut-off
     run is checked against the full answer set instead."""
-    graph, groups = case
+    nodes, edges, groups = case
+    graph, oracle = both(nodes, edges)
     budget = QueryBudget(max_nodes=max_nodes)
     partial = semantics.distinct_root_results(graph, groups, dmax=4.0, budget=budget)
     full = semantics.distinct_root_results(graph, groups, dmax=4.0)
@@ -586,7 +648,7 @@ def test_budgeted_partials_are_exact_answers(case, max_nodes):
     assert budget.exhausted or partial == full
     budget = QueryBudget(max_nodes=max_nodes)
     partial = ease.r_radius_steiner_graphs(graph, groups, r=2, budget=budget)
-    full = r_radius_steiner_graphs(graph, groups, r=2)
+    full = r_radius_steiner_graphs(oracle, groups, r=2)
     assert {a.nodes for a in partial} <= {a.nodes for a in full}
     assert budget.exhausted or partial == full
 
@@ -597,21 +659,22 @@ def test_slide30_graph_counters_match_oracle():
     def n(i: int) -> TupleId:
         return TupleId("n", i)
 
-    graph = DataGraph()
-    for u, v, w in [(1, 2, 5), (1, 4, 6), (2, 3, 7), (2, 4, 10), (3, 4, 11),
-                    (4, 5, 2), (4, 6, 3), (4, 7, 1), (5, 6, 1), (1, 5, 4)]:
-        graph.add_edge(n(u), n(v), float(w))
+    graph, oracle = both([], [
+        (n(u), n(v), float(w))
+        for u, v, w in [(1, 2, 5), (1, 4, 6), (2, 3, 7), (2, 4, 10), (3, 4, 11),
+                        (4, 5, 2), (4, 6, 3), (4, 7, 1), (5, 6, 1), (1, 5, 4)]
+    ])
     groups = [[n(1)], [n(3), n(6)], [n(7)]]
     old_span, new_span = Counters(), Counters()
     assert steiner.group_steiner_dp(
         graph, groups, span=new_span
-    ) == group_steiner_dp(graph, groups, span=old_span)
+    ) == group_steiner_dp(oracle, groups, span=old_span)
     assert new_span.counts == old_span.counts
     for new_algo, old_algo in (
         (banks.banks_backward, banks_backward),
         (banks.banks_bidirectional, banks_bidirectional),
     ):
-        new, old = new_algo(graph, groups, k=3), old_algo(graph, groups, k=3)
+        new, old = new_algo(graph, groups, k=3), old_algo(oracle, groups, k=3)
         assert (new.trees, new.nodes_expanded) == (old.trees, old.nodes_expanded)
 
 
@@ -620,12 +683,12 @@ def test_distinct_root_tie_goes_to_the_earlier_match():
     reaches the root from the later match first and must still relabel
     it with the earlier one, as the per-match oracle chooses."""
     early, late, x, y, root = (TupleId("t", i) for i in range(5))
-    graph = DataGraph()
-    for u, v, w in ((late, x, 0.5), (x, root, 1.0), (early, y, 1.0), (y, root, 0.5)):
-        graph.add_edge(u, v, w)
+    graph, oracle = both(
+        [], ((late, x, 0.5), (x, root, 1.0), (early, y, 1.0), (y, root, 0.5))
+    )
     groups = [[early, late], [root]]
     answers = semantics.distinct_root_results(graph, groups, dmax=4.0)
-    assert answers == distinct_root_results(graph, groups, dmax=4.0)
+    assert answers == distinct_root_results(oracle, groups, dmax=4.0)
     assert RootedAnswer(root, (early, root), 1.5) in answers
 
 
@@ -644,55 +707,60 @@ def test_distinct_root_runs_one_search_per_group(monkeypatch, tiny_graph, tiny_i
         sorted(tiny_index.matching_tuples("data")),
     ]
     assert sum(len(g) for g in groups) > len(groups)
+    oracle = DictGraph(tiny_graph.ids, tiny_graph.edges())
     answers = semantics.distinct_root_results(tiny_graph, groups, dmax=4.0)
-    assert answers == distinct_root_results(tiny_graph, groups, dmax=4.0)
+    assert answers == distinct_root_results(oracle, groups, dmax=4.0)
     assert answers and len(calls) == len(groups)
 
 
 # ----------------------------------------------------------------------
-# The compact view's lifetime
+# Construction order and the graph's lifetime
 # ----------------------------------------------------------------------
-def test_compact_is_memoised_and_sorted():
-    graph = DataGraph()
-    for table, rowid in (("b", 1), ("a", 2), ("b", 0), ("a", 10)):
-        graph.add_node(TupleId(table, rowid))
-    graph.add_edge(TupleId("b", 1), TupleId("a", 10), 2.0)
-    view = graph.compact()
-    assert graph.compact() is view
-    assert view.ids == sorted(graph.nodes)
-    assert [view.ids[i] for i in range(len(view.ids))] == [
-        t for t, _ in sorted(view.index.items(), key=lambda kv: kv[1])
+@settings(deadline=None)
+@given(graphs_and_groups(), st.randoms(use_true_random=False))
+def test_answers_do_not_depend_on_insertion_order(case, rng):
+    """Every method breaks ties in ``TupleId`` order, so permuting the
+    node order, the edge order and each edge's endpoints changes no
+    answer."""
+    nodes, edges, groups = case
+    shuffled_nodes, shuffled_edges = list(nodes), [(v, u, w) for u, v, w in edges]
+    rng.shuffle(shuffled_nodes)
+    rng.shuffle(shuffled_edges)
+    graphs = [
+        DataGraph(dict.fromkeys(nodes, 0.0), edges),
+        DataGraph(dict.fromkeys(shuffled_nodes, 0.0), shuffled_edges),
     ]
-    u, v = view.index[TupleId("b", 1)], view.index[TupleId("a", 10)]
-    assert (view.nbrs[u], view.wts[u]) == ([v], [2.0])
-    assert (view.nbrs[v], view.wts[v]) == ([u], [2.0])
+    first, second = (
+        [
+            banks.banks_backward(g, groups, k=3),
+            banks.banks_bidirectional(g, groups, k=3),
+            steiner.group_steiner_dp(g, groups),
+            star.star_approximation(g, groups),
+            ease.r_radius_steiner_graphs(g, groups, r=2),
+            semantics.distinct_root_results(g, groups, dmax=4.0),
+        ]
+        for g in graphs
+    )
+    assert first == second
 
 
-def test_compact_rebuilt_after_every_mutation():
-    a, b, c = TupleId("t", 0), TupleId("t", 1), TupleId("t", 2)
-    graph = DataGraph()
-    graph.add_edge(a, b, 2.0)
-    first = graph.compact()
-    graph.add_node(c)
-    second = graph.compact()
-    assert second is not first and second.ids == [a, b, c]
-    graph.add_edge(b, c, 1.0)
-    third = graph.compact()
-    assert third is not second and third.nbrs[2] == [1]
-    # A lighter copy of an existing edge: no count changes, weight does.
-    graph.add_edge(a, b, 0.5)
-    assert (len(graph), graph.edge_count()) == (3, 2)
-    fourth = graph.compact()
-    assert fourth is not third and fourth.wts[0] == [0.5]
-    assert distance.bounded_bfs_distances(graph, [a], 1.0) == {a: 0.0, b: 0.5}
-    assert steiner.group_steiner_dp(graph, [[a], [c]]).weight == 1.5
+def test_ids_sorted_and_adjacency_parallel():
+    nodes = [TupleId(table, rowid) for table, rowid in (("b", 1), ("a", 2), ("b", 0), ("a", 10))]
+    graph = DataGraph(dict.fromkeys(nodes, 0.0), [(TupleId("b", 1), TupleId("a", 10), 2.0)])
+    assert graph.ids == sorted(nodes) == graph.nodes
+    assert [graph.ids[i] for i in range(len(graph.ids))] == [
+        t for t, _ in sorted(graph.index.items(), key=lambda kv: kv[1])
+    ]
+    u, v = graph.index[TupleId("b", 1)], graph.index[TupleId("a", 10)]
+    assert (graph.nbrs[u], graph.wts[u]) == ((v,), (2.0,))
+    assert (graph.nbrs[v], graph.wts[v]) == ((u,), (2.0,))
 
 
 def test_engine_answers_graph_query_right_after_insert():
     db = tiny_bibliographic_db()
     engine = KeywordSearchEngine(db)
     assert not engine.search("zebrafish widom", method="banks", use_cache=False)
-    old_view = engine.data_graph.compact()
+    old_graph = engine.data_graph
     author = next(r for r in db.rows("author") if "widom" in r["name"].lower())
     pid = max(r["pid"] for r in db.rows("paper")) + 1
     cid = next(iter(db.rows("conference")))["cid"]
@@ -708,26 +776,24 @@ def test_engine_answers_graph_query_right_after_insert():
         assert [(r.score, r.tuple_ids()) for r in got] == [
             (r.score, r.tuple_ids()) for r in want
         ], method
-    assert engine.data_graph.compact() is not old_view
-    assert paper in engine.data_graph.compact().index
+    assert engine.data_graph is not old_graph
+    assert paper in engine.data_graph and paper not in old_graph
 
 
-def test_concurrent_first_callers_share_one_compact_view(monkeypatch):
+def test_concurrent_first_callers_answer_like_sequential(monkeypatch):
     engine = KeywordSearchEngine(tiny_bibliographic_db())
     sequential = [
         engine.search(q, method="banks", use_cache=False)
         for q in ("john database", "widom xml")
     ]
     engine.invalidate_caches()
-    builds = []
-    build = data_graph.CompactGraph.__init__
+    build = engine_module.build_data_graph
 
-    def slow_build(self, adj):
-        builds.append(threading.get_ident())
+    def slow_build(db):
         time.sleep(0.05)  # hold the build open so the other worker arrives
-        build(self, adj)
+        return build(db)
 
-    monkeypatch.setattr(data_graph.CompactGraph, "__init__", slow_build)
+    monkeypatch.setattr(engine_module, "build_data_graph", slow_build)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -738,7 +804,6 @@ def test_concurrent_first_callers_share_one_compact_view(monkeypatch):
         )
     finally:
         sys.setswitchinterval(interval)
-    assert len(builds) == 1
     assert [[(r.score, r.tuple_ids()) for r in rs] for rs in batch] == [
         [(r.score, r.tuple_ids()) for r in rs] for rs in sequential
     ]

@@ -1,15 +1,25 @@
 """Tests for graph substrate and the distance/forward/hub/reachability indexes."""
 
+import networkx as nx
 import pytest
 
 from repro.graph.data_graph import DataGraph, build_data_graph
 from repro.graph.weights import BanksWeighting
-from repro.index.distance import KeywordDistanceIndex, bounded_bfs_distances
+from repro.index.distance import (
+    KeywordDistanceIndex,
+    bounded_bfs_distances,
+    nearest_source_labels,
+    within_hops,
+)
 from repro.index.forward import DeltaForwardIndex
 from repro.index.hub import HubIndex
 from repro.index.reachability import DReachabilityIndex
 from repro.index.trie import Trie
 from repro.relational.database import TupleId
+from repro.resilience.budget import QueryBudget
+
+
+INF = float("inf")
 
 
 def N(i):
@@ -17,18 +27,15 @@ def N(i):
 
 
 def path_graph(n, weight=1.0):
-    g = DataGraph()
-    for i in range(n - 1):
-        g.add_edge(N(i), N(i + 1), weight)
-    return g
+    return DataGraph({}, [(N(i), N(i + 1), weight) for i in range(n - 1)])
 
 
 class TestDataGraph:
     def test_build_from_db(self, tiny_db, tiny_graph):
         assert len(tiny_graph) == tiny_db.size()
         # write table rows each connect author and paper
-        w0 = TupleId("write", 0)
-        nbr_tables = {n.table for n, _ in tiny_graph.neighbors(w0)}
+        w0 = tiny_graph.index[TupleId("write", 0)]
+        nbr_tables = {tiny_graph.ids[n].table for n in tiny_graph.nbrs[w0]}
         assert nbr_tables == {"author", "paper"}
 
     def test_edges_match_fk_count(self, tiny_db, tiny_graph):
@@ -39,65 +46,42 @@ class TestDataGraph:
                     if row[fk.column] is not None:
                         expected += 1
         assert tiny_graph.edge_count() == expected
+        assert len(list(tiny_graph.edges())) == expected
 
     def test_dijkstra_on_path(self):
         g = path_graph(5, weight=2.0)
-        dist = g.dijkstra(N(0))
+        dist = bounded_bfs_distances(g, [N(0)], INF)
         assert dist[N(4)] == 8.0
 
     def test_dijkstra_early_stop(self):
+        # An exhausted budget ends the search; what it settled is exact.
         g = path_graph(10)
-        dist = g.dijkstra(N(0), targets={N(2)})
-        assert dist[N(2)] == 2.0
+        budget = QueryBudget(max_nodes=3)
+        labels = nearest_source_labels(g, [(g.index[N(0)], 0)], INF, budget)
+        assert budget.exhausted
+        assert {g.ids[n]: d for n, (d, _) in labels.items()} == {
+            N(0): 0.0, N(1): 1.0, N(2): 2.0,
+        }
+
+    def test_dijkstra_early_stop_settles_minimum(self):
+        # Two seeds at the path's ends: a two-node budget settles both
+        # seeds (distance 0) and none of the path between them.
+        g = path_graph(10)
+        seeds = [(g.index[N(0)], 0), (g.index[N(9)], 1)]
+        labels = nearest_source_labels(g, seeds, INF, QueryBudget(max_nodes=2))
+        assert {g.ids[n]: label for n, label in labels.items()} == {
+            N(0): (0.0, 0), N(9): (0.0, 1),
+        }
 
     def test_dijkstra_max_distance(self):
         g = path_graph(10)
-        dist = g.dijkstra(N(0), max_distance=3)
+        dist = bounded_bfs_distances(g, [N(0)], 3)
         assert N(3) in dist and N(4) not in dist
-
-    def test_dijkstra_early_stop_settles_minimum(self):
-        # Settling the near target must not settle the rest of the path.
-        g = path_graph(10)
-        dist = g.dijkstra(N(0), targets={N(1)})
-        assert dist[N(1)] == 1.0
-        assert N(5) not in dist and N(9) not in dist
-
-    def test_dijkstra_bounded_with_unreachable_target(self):
-        # Target beyond max_distance: terminate when the frontier
-        # drains instead of chasing the unreachable target.
-        g = path_graph(10)
-        dist = g.dijkstra(N(0), max_distance=3, targets={N(9)})
-        assert N(9) not in dist
-        assert dist[N(3)] == 3.0
-        assert N(4) not in dist
-
-    def test_dijkstra_targets_outside_graph(self):
-        # Targets not in the graph are discarded up front; the scan
-        # stops immediately rather than exploring everything.
-        g = path_graph(10)
-        dist = g.dijkstra(N(0), targets={TupleId("zzz", 0)})
-        assert dist == {N(0): 0.0}
-
-    def test_dijkstra_mixed_targets(self):
-        # One reachable + one absent target: stop once the reachable
-        # one settles.
-        g = path_graph(10)
-        dist = g.dijkstra(N(0), targets={N(2), TupleId("zzz", 0)})
-        assert dist[N(2)] == 2.0
-        assert N(8) not in dist
-
-    def test_shortest_path(self):
-        g = path_graph(4)
-        assert g.shortest_path(N(0), N(3)) == [N(0), N(1), N(2), N(3)]
-        g2 = DataGraph()
-        g2.add_node(N(0))
-        g2.add_node(N(9))
-        assert g2.shortest_path(N(0), N(9)) is None
 
     def test_bfs_hops(self):
         g = path_graph(6)
-        hops = g.bfs_hops(N(0), max_hops=2)
-        assert hops == {N(0): 0, N(1): 1, N(2): 2}
+        hops = within_hops(g, (g.index[N(0)],), 2)
+        assert {g.ids[n]: h for n, h in hops.items()} == {N(0): 0, N(1): 1, N(2): 2}
 
     def test_subgraph(self):
         g = path_graph(5)
@@ -107,10 +91,29 @@ class TestDataGraph:
         assert sub.edge_weight(N(1), N(3)) is None
 
     def test_parallel_edge_keeps_min_weight(self):
-        g = DataGraph()
-        g.add_edge(N(0), N(1), 5.0)
-        g.add_edge(N(0), N(1), 2.0)
-        assert g.edge_weight(N(0), N(1)) == 2.0
+        g = DataGraph({}, [(N(0), N(1), 5.0), (N(1), N(0), 2.0), (N(0), N(1), 3.0)])
+        assert g.edge_weight(N(0), N(1)) == g.edge_weight(N(1), N(0)) == 2.0
+        assert g.edge_count() == 1
+
+    def test_self_loop_ignored(self):
+        n = TupleId("t", 0)
+        g = DataGraph({}, [(n, n, 1.0)])
+        assert len(g) == 0
+        assert g.edge_count() == 0
+
+    def test_empty_graph(self):
+        g = DataGraph({})
+        assert len(g) == 0
+        assert g.edge_count() == 0
+        # An unknown source seeds nothing.
+        assert bounded_bfs_distances(g, [TupleId("t", 0)], INF) == {}
+
+    def test_node_weight_default(self):
+        n = TupleId("t", 0)
+        g = DataGraph({n: 2.5}, [(n, TupleId("t", 1), 1.0)])
+        assert g.node_weight(n) == 2.5
+        assert g.node_weight(TupleId("t", 1)) == 0.0
+        assert g.node_weight(TupleId("t", 9)) == 0.0
 
     def test_banks_weights(self, tiny_db):
         weighting = BanksWeighting()
@@ -122,9 +125,7 @@ class TestDataGraph:
         # Papers are referenced by writes/cites: positive prestige.
         assert graph.node_weight(TupleId("paper", 0)) > 0
         # All edges at least weight 1.
-        for u in graph.nodes:
-            for v, w in graph.neighbors(u):
-                assert w >= 1.0
+        assert all(w >= 1.0 for _, _, w in graph.edges())
 
 
 class TestKeywordDistanceIndex:
@@ -184,6 +185,23 @@ class TestDeltaForward:
         assert kept
         assert len(kept) < len(candidates)
 
+    @pytest.mark.parametrize("delta", [1, 2, 3])
+    def test_forward_is_the_hop_ball(self, biblio_graph, biblio_index, delta):
+        """Every node's forward set is exactly the tokens on tuples
+        within δ hops (networkx BFS), whatever order nodes are visited."""
+        trie = Trie(biblio_index.vocabulary)
+        fwd = DeltaForwardIndex(biblio_graph, biblio_index, trie, delta=delta)
+        nxg = biblio_graph.to_networkx()
+        for node in biblio_graph.nodes[::7]:
+            ball = nx.single_source_shortest_path_length(nxg, node, cutoff=delta)
+            want = {
+                trie.token_id(t)
+                for other in ball
+                for t in biblio_index.tokens_of(other)
+                if t in trie
+            }
+            assert fwd.tokens_within_delta(node) == sorted(want), node
+
     def test_delta_zero_is_local_tokens(self, tiny_graph, tiny_index):
         trie = Trie(tiny_index.vocabulary)
         fwd = DeltaForwardIndex(tiny_graph, tiny_index, trie, delta=0)
@@ -206,7 +224,7 @@ class TestHubIndex:
         hub = HubIndex(tiny_graph, hub_count=4)
         nodes = tiny_graph.nodes[:8]
         for u in nodes:
-            exact = tiny_graph.dijkstra(u)
+            exact = bounded_bfs_distances(tiny_graph, [u], INF)
             for v in nodes:
                 expected = exact.get(v, float("inf"))
                 assert hub.distance(u, v) == pytest.approx(expected)
@@ -229,7 +247,10 @@ class TestDReachability:
     def test_n2n_matches_bfs(self, tiny_graph, tiny_index):
         idx = DReachabilityIndex(tiny_graph, tiny_index, d=2)
         node = TupleId("author", 0)
-        assert idx.nodes_within(node) == set(tiny_graph.bfs_hops(node, max_hops=2))
+        nxg = tiny_graph.to_networkx()
+        assert idx.nodes_within(node) == set(
+            nx.single_source_shortest_path_length(nxg, node, cutoff=2)
+        )
 
     def test_term_reachability(self, tiny_graph, tiny_index):
         idx = DReachabilityIndex(tiny_graph, tiny_index, d=2)

@@ -12,7 +12,7 @@ from repro.graph_search.semantics import (
 )
 from repro.graph_search.star import star_approximation
 from repro.graph_search.steiner import group_steiner_dp, tree_weight
-from repro.index.distance import KeywordDistanceIndex
+from repro.index.distance import KeywordDistanceIndex, within_hops
 from repro.index.inverted import InvertedIndex
 from repro.relational.database import TupleId
 
@@ -29,15 +29,10 @@ def slide30_graph():
     Edges: a-b 5, b-c 2, b-d 3, a-c 6, a-d 7, a-e 10, e-? 11 (e-c).
     The ST rooted at a via (c, d) costs 6+7=13; via b: 5+2+3=10 (GST).
     """
-    g = DataGraph()
     a, b, c, d, e = (N(i) for i in range(5))
-    g.add_edge(a, b, 5)
-    g.add_edge(b, c, 2)
-    g.add_edge(b, d, 3)
-    g.add_edge(a, c, 6)
-    g.add_edge(a, d, 7)
-    g.add_edge(a, e, 10)
-    g.add_edge(e, c, 11)
+    g = DataGraph({}, [
+        (a, b, 5), (b, c, 2), (b, d, 3), (a, c, 6), (a, d, 7), (a, e, 10), (e, c, 11),
+    ])
     groups = [[a, e], [c], [d]]  # k1, k2, k3
     return g, (a, b, c, d, e), groups
 
@@ -69,9 +64,7 @@ class TestGroupSteinerDP:
         assert tree.nodes == {a}
 
     def test_disconnected_returns_none(self):
-        g = DataGraph()
-        g.add_edge(N(0), N(1), 1)
-        g.add_node(N(5))
+        g = DataGraph({N(5): 0.0}, [(N(0), N(1), 1)])
         assert group_steiner_dp(g, [[N(0)], [N(5)]]) is None
 
     def test_too_many_groups_raises(self):
@@ -201,7 +194,8 @@ class TestEase:
         answers = r_radius_steiner_graphs(tiny_graph, groups, r=3)
         assert answers
         for answer in answers:
-            ball = set(tiny_graph.bfs_hops(answer.center, max_hops=3))
+            center = tiny_graph.index[answer.center]
+            ball = {tiny_graph.ids[i] for i in within_hops(tiny_graph, (center,), 3)}
             assert answer.nodes <= ball
             assert len(answer.nodes) <= len(ball)
 

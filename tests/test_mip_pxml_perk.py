@@ -27,15 +27,10 @@ def N(i):
 
 
 def slide30_graph():
-    g = DataGraph()
     a, b, c, d, ee = (N(i) for i in range(5))
-    g.add_edge(a, b, 5)
-    g.add_edge(b, c, 2)
-    g.add_edge(b, d, 3)
-    g.add_edge(a, c, 6)
-    g.add_edge(a, d, 7)
-    g.add_edge(a, ee, 10)
-    g.add_edge(ee, c, 11)
+    g = DataGraph({}, [
+        (a, b, 5), (b, c, 2), (b, d, 3), (a, c, 6), (a, d, 7), (a, ee, 10), (ee, c, 11),
+    ])
     return g, [[a, ee], [c], [d]]
 
 
@@ -49,12 +44,13 @@ class TestMilpSteiner:
     def test_matches_dp_on_random_graphs(self):
         for seed in (3, 5, 9):
             rng = random.Random(seed)
-            g = DataGraph()
             n = 8
+            edges = []
             for _ in range(14):
                 u, v = rng.randrange(n), rng.randrange(n)
                 if u != v:
-                    g.add_edge(N(u), N(v), rng.randint(1, 5))
+                    edges.append((N(u), N(v), rng.randint(1, 5)))
+            g = DataGraph({}, edges)
             nodes = g.nodes
             groups = [
                 [nodes[rng.randrange(len(nodes))]],
@@ -88,9 +84,8 @@ class TestMilpSteiner:
             "from repro.graph.data_graph import DataGraph\n"
             "from repro.graph_search.mip import steiner_milp\n"
             "from repro.relational.database import TupleId\n"
-            "g = DataGraph()\n"
             "a, b, c = (TupleId('t', i) for i in range(3))\n"
-            "g.add_edge(a, b, 2); g.add_edge(b, c, 3)\n"
+            "g = DataGraph({}, [(a, b, 2), (b, c, 3)])\n"
             "assert abs(steiner_milp(g, [[a], [c]]).weight - 5.0) < 1e-9\n"
             "assert 'scipy' in sys.modules\n"
         )

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.datasets.words import distinct_zipf_sample, zipf_choice, zipf_weights
-from repro.graph.data_graph import DataGraph
-from repro.graph.weights import banks_edge_weight, banks_node_prestige
+from repro.graph.weights import BanksWeighting
 from repro.index.inverted import InvertedIndex
 from repro.index.qgram import QGramIndex
 from repro.index.trie import Trie
@@ -41,34 +40,12 @@ class TestWeightsWrappers:
     def test_stateless_wrappers(self, tiny_db):
         paper0 = TupleId("paper", 0)
         write0 = TupleId("write", 0)
-        assert banks_edge_weight(tiny_db, write0, paper0) >= 1.0
-        assert banks_node_prestige(tiny_db, paper0) > 0.0
+        assert BanksWeighting().edge_weight(tiny_db, write0, paper0) >= 1.0
+        assert BanksWeighting().node_prestige(tiny_db, paper0) > 0.0
 
     def test_leaf_prestige_zero(self, tiny_db):
         # cite tuples are referenced by nothing.
-        assert banks_node_prestige(tiny_db, TupleId("cite", 0)) == 0.0
-
-
-class TestGraphEdgeCases:
-    def test_self_loop_ignored(self):
-        g = DataGraph()
-        n = TupleId("t", 0)
-        g.add_edge(n, n, 1.0)
-        assert g.edge_count() == 0
-
-    def test_empty_graph(self):
-        g = DataGraph()
-        assert len(g) == 0
-        assert g.edge_count() == 0
-        # An unknown source settles only itself at distance 0.
-        assert g.dijkstra(TupleId("t", 0)) == {TupleId("t", 0): 0.0}
-
-    def test_node_weight_default(self):
-        g = DataGraph()
-        n = TupleId("t", 0)
-        g.add_node(n, 2.5)
-        assert g.node_weight(n) == 2.5
-        assert g.node_weight(TupleId("t", 9)) == 0.0
+        assert BanksWeighting().node_prestige(tiny_db, TupleId("cite", 0)) == 0.0
 
 
 class TestIndexEdgeCases:

@@ -3,6 +3,7 @@
 import asyncio
 import json
 import os
+import re
 import socket
 import threading
 import time
@@ -641,6 +642,36 @@ class TestRouterUnit:
         assert router.metrics.snapshot()["serve.shed.queue_timeout"] == 1
         _assert_idle(router)
 
+    def test_request_id_is_echoed_or_minted(self, router_env):
+        engine, admission, router = router_env
+        for make_request in QUERY_ROUTES:
+            request = make_request()
+            request.headers["x-request-id"] = "client.id-7_A"
+            assert _dispatch(router, request).headers["X-Request-Id"] == "client.id-7_A"
+            minted = set()
+            for bad in ("", "has space", "semi;colon", "x" * 65, None):
+                request = make_request()
+                if bad is not None:
+                    request.headers["x-request-id"] = bad
+                response = _dispatch(router, request)
+                assert response.status == 200
+                minted.add(response.headers["X-Request-Id"])
+            assert len(minted) == 5 and all(re.fullmatch(r"[0-9a-f]{32}", m) for m in minted)
+        # Bad and client-gone requests carry one too; other routes do not.
+        gone = _search_request()
+        gone.cancel()
+        response = _dispatch(router, gone)
+        assert response.status == 499 and "X-Request-Id" in response.headers
+        assert "X-Request-Id" in _dispatch(router, Request("GET", "/search")).headers
+        assert "X-Request-Id" not in _dispatch(router, Request("GET", "/health")).headers
+        for _ in range(4):
+            admission.enqueued()
+        for make_request in QUERY_ROUTES:
+            request = make_request()
+            request.headers["x-request-id"] = "shed-1"
+            response = _dispatch(router, request)
+            assert response.status == 429 and response.headers["X-Request-Id"] == "shed-1"
+
     def test_batch_runs_under_the_remaining_deadline(self, router_env):
         """Time spent queued comes off the batch's one deadline: its
         queries fork the request budget, not a fresh ``timeout_ms``."""
@@ -796,13 +827,16 @@ class TestRouterUnit:
 # ----------------------------------------------------------------------
 # End-to-end over HTTP
 # ----------------------------------------------------------------------
-def _http(base, path, method="GET", body=None, timeout=10):
+def _http(base, path, method="GET", body=None, timeout=10, headers=None):
     data = json.dumps(body).encode() if body is not None else None
     req = urllib.request.Request(
         base + path,
         method=method,
         data=data,
-        headers={"Content-Type": "application/json"} if data else {},
+        headers={
+            **({"Content-Type": "application/json"} if data else {}),
+            **(headers or {}),
+        },
     )
     try:
         with urllib.request.urlopen(req, timeout=timeout) as resp:
@@ -864,6 +898,18 @@ class TestHttpEndToEnd:
         assert snap["serve.requests"] >= 1
         assert snap["swap.generation"] >= 1
         assert "serve.pressure" in snap
+
+    def test_request_id_header_over_http(self, http_server):
+        ids = []
+        for path in ("/search?q=databases", "/search"):
+            _, _, headers = _http(http_server.address, path)
+            ids.append(headers["X-Request-Id"])
+        assert ids[0] != ids[1]
+        status, _, headers = _http(
+            http_server.address, "/batch", "POST", {"queries": ["databases"]},
+            headers={"X-Request-Id": "trace-42"},
+        )
+        assert status == 200 and headers["X-Request-Id"] == "trace-42"
 
     def test_error_statuses(self, http_server):
         assert _http(http_server.address, "/nope")[0] == 404
