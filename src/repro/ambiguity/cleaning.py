@@ -21,13 +21,15 @@ than raw token rarity.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.ambiguity.spelling import NoisyChannelCorrector
 from repro.index.inverted import InvertedIndex
+from repro.relational.database import TupleId
 
 
 @dataclass(frozen=True)
@@ -69,12 +71,42 @@ class QueryCleaner:
         self.segment_penalty = segment_penalty
         self.variants_per_token = variants_per_token
         self.require_nonempty = require_nonempty
+        # Read before any statistic: rows past it are what refreshed()
+        # re-reads, so a row indexed mid-build is re-read, never skipped.
+        self.watermark = index.watermark
         frequencies = {
             token: index.document_frequency(token) for token in index.vocabulary
         }
         self.corrector = NoisyChannelCorrector(
             frequencies, max_distance=max_distance
         )
+
+    def refreshed(self) -> "QueryCleaner":
+        """This cleaner, or a patched copy once the index has absorbed
+        rows past its watermark.
+
+        The data model is insert-only, so only tokens of those rows can
+        have a new document frequency: each is re-read, a token the
+        vocabulary lacked joins it, and the corrector's total moves by
+        the difference (:meth:`NoisyChannelCorrector.updated`).  The
+        index's watermark is read first, so a row it absorbs meanwhile
+        lies past the copy's watermark and the next call re-reads it.
+        This cleaner is left as it was.
+        """
+        index = self.index
+        mark = index.watermark
+        if mark is self.watermark:
+            return self
+        tokens = set()
+        for table, end in mark.items():
+            for rowid in range(self.watermark.get(table, 0), end):
+                tokens.update(index.tokens_of(TupleId(table, rowid)))
+        patched = copy.copy(self)
+        patched.watermark = mark
+        patched.corrector = self.corrector.updated(
+            {token: index.document_frequency(token) for token in tokens}
+        )
+        return patched
 
     # ------------------------------------------------------------------
     # Segment scoring

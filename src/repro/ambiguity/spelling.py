@@ -12,6 +12,7 @@ Confusion sets come from the q-gram index (slide 67's Variants(k)).
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -35,10 +36,28 @@ class NoisyChannelCorrector:
         if not 0 < error_lambda < 1:
             raise ValueError("error_lambda must be in (0, 1)")
         self.frequencies = dict(frequencies)
-        self.total = sum(self.frequencies.values()) or 1
+        self._mass = sum(self.frequencies.values())
+        self.total = self._mass or 1
         self.max_distance = max_distance
         self.error_lambda = error_lambda
         self._qgrams = QGramIndex(self.frequencies, q=q)
+
+    def updated(self, frequencies: Dict[str, int]) -> "NoisyChannelCorrector":
+        """A copy with *frequencies* over this one's: a token the
+        vocabulary lacks joins it and the q-gram index, and the total
+        moves by the difference — integer sums, so the copy equals a
+        corrector built from the merged map.  Unchanged q-gram posting
+        lists are shared; this corrector is left as it was."""
+        patched = copy.copy(self)
+        merged = patched.frequencies = dict(self.frequencies)
+        new = [token for token in frequencies if token not in merged]
+        for token, freq in frequencies.items():
+            patched._mass += freq - merged.get(token, 0)
+            merged[token] = freq
+        patched.total = patched._mass or 1
+        if new:
+            patched._qgrams = self._qgrams.with_tokens(new)
+        return patched
 
     # ------------------------------------------------------------------
     # Model components

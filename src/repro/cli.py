@@ -254,10 +254,12 @@ def _print_explain(engine) -> None:
     stats = engine.cache_stats()
     sharing = stats["sharing"]
     patches = stats["substrates"]["patches"]
+    retired = engine.metrics.snapshot()["executor.retired"]
     print(
         f"-- executor: {sharing['joins_executed']} index probes, "
         f"{sharing['tuples_read']} tuples read, "
-        f"{sharing['partials_dropped']} partials dropped by the bound"
+        f"{sharing['partials_dropped']} partials dropped by the bound, "
+        f"{retired} cursors retired at a tie"
     )
     print(
         f"-- incremental: {patches['applied']} index patches applied "
@@ -632,7 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain",
         action="store_true",
         help="print the CN executor's work counters (index probes, "
-        "tuples read, partials dropped by the bound) and incremental "
+        "tuples read, partials dropped by the bound, cursors retired at "
+        "a tie) and incremental "
         "index patches",
     )
     p.add_argument(

@@ -66,7 +66,7 @@ from repro.storage import BACKEND_NAMES
 
 #: cached_property-backed structures derived from database *contents*
 #: (the schema graph only depends on the schema, which is immutable).
-_DATA_DERIVED = ("index", "data_graph", "cleaner", "distance_index", "tastier")
+_DATA_DERIVED = ("index", "data_graph", "distance_index", "tastier")
 
 
 class KeywordSearchEngine(QueryFrontEnd):
@@ -128,6 +128,10 @@ class KeywordSearchEngine(QueryFrontEnd):
             "tuples_read": 0,
             "partials_dropped": 0,
         }
+        self._cursors_retired = 0
+        # Query cleaner, built once and patched by its first reader after
+        # each mutation (see the ``cleaner`` property).
+        self._cleaner: Optional[QueryCleaner] = None
         # Shared by every batch executor created against this engine, so
         # repeated substrate-build failures keep tripping it across
         # batches (see repro.resilience.circuit).
@@ -168,9 +172,23 @@ class KeywordSearchEngine(QueryFrontEnd):
         except Exception as exc:
             raise SubstrateBuildError("data_graph", exc) from exc
 
-    @cached_property
+    @property
     def cleaner(self) -> QueryCleaner:
-        return QueryCleaner(self.index)
+        """The query cleaner over the current index.
+
+        Built once; the first reader after a mutation takes a copy
+        patched with the rows the index absorbed since
+        (:meth:`QueryCleaner.refreshed`).  Copy-on-write: a concurrent
+        reader sees the old cleaner or the new one, never half of one,
+        and two racing readers build equal copies.
+        """
+        cleaner = self._cleaner
+        if cleaner is None:
+            cleaner = QueryCleaner(self.index)
+        else:
+            cleaner = cleaner.refreshed()
+        self._cleaner = cleaner
+        return cleaner
 
     @cached_property
     def distance_index(self) -> KeywordDistanceIndex:
@@ -191,10 +209,13 @@ class KeywordSearchEngine(QueryFrontEnd):
         maintenance cost at insert time instead of on the next query.
 
         The substrate cache patches the warm inverted index and
-        memoised tuple sets in place (insert-only data model), so only
-        the graph-derived structures — which hold per-tuple nodes — and
-        the query-result caches are dropped; they rebuild lazily.  If
-        the delta could not be applied, everything drops.
+        memoised tuple sets in place (insert-only data model), and the
+        query cleaner's first reader patches it from the index (see
+        :attr:`cleaner`), so only the graph-derived structures — which
+        hold per-tuple nodes — and the query-result caches are dropped;
+        they rebuild lazily.  Nothing is patched here: a burst of
+        inserts no query reads in between pays for no patch.  If the
+        delta could not be applied, everything drops.
         """
         version = self.db.data_version
         if version == self._served_version:
@@ -204,7 +225,7 @@ class KeywordSearchEngine(QueryFrontEnd):
         if not self.substrates.last_delta_applied:
             self.invalidate_caches()
             return
-        for attr in ("data_graph", "cleaner", "distance_index", "tastier"):
+        for attr in ("data_graph", "distance_index", "tastier"):
             self.__dict__.pop(attr, None)
         self._clear_query_caches()
 
@@ -230,6 +251,7 @@ class KeywordSearchEngine(QueryFrontEnd):
         stale_index = self.__dict__.get("index")
         for attr in _DATA_DERIVED:
             self.__dict__.pop(attr, None)
+        self._cleaner = None
         if stale_index is not None:
             # Release backend resources (ephemeral disk segments, mmaps).
             stale_index.close()
@@ -288,6 +310,7 @@ class KeywordSearchEngine(QueryFrontEnd):
                 f"sharing.{field}",
                 lambda f=field: self._sharing[f],
             )
+        reg.register_gauge("executor.retired", lambda: self._cursors_retired)
         reg.register_gauge(
             "substrates.builds",
             lambda: sum(self.substrates.builds.values()),
@@ -323,13 +346,14 @@ class KeywordSearchEngine(QueryFrontEnd):
     def _record_sharing(self, stats) -> None:
         """Fold one schema search's JoinStats into the executor totals:
         index probes, rowids read off index buckets, partials the
-        in-slice bound dropped."""
+        in-slice bound dropped, cursors retired at a tie."""
         with self._sharing_lock:
             totals = self._sharing
             totals["queries"] += 1
             totals["joins_executed"] += stats.joins_executed
             totals["tuples_read"] += stats.tuples_read
             totals["partials_dropped"] += stats.partials_dropped
+            self._cursors_retired += stats.cursors_retired
 
     def _data_version(self) -> int:
         return self.db.data_version

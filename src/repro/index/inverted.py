@@ -55,6 +55,12 @@ class InvertedIndex:
     def rows_patched(self) -> int:
         return self.backend.rows_patched
 
+    @property
+    def watermark(self) -> Dict[str, int]:
+        """Rows indexed so far per text table (read-only; replaced, not
+        mutated, when it moves — after the rows' tokens are queryable)."""
+        return self.backend.watermark
+
     def refresh(self) -> int:
         """Delta-index rows inserted since the last build/refresh.
 

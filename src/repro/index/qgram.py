@@ -8,6 +8,8 @@ filtering before verifying with a banded edit-distance computation.
 
 from __future__ import annotations
 
+import bisect
+import copy
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 
@@ -41,6 +43,13 @@ def qgrams(token: str, q: int) -> List[str]:
     return [padded[i : i + q] for i in range(len(padded) - q + 1)]
 
 
+def _gram_counts(token: str, q: int) -> Dict[str, int]:
+    counts: Dict[str, int] = {}
+    for gram in qgrams(token, q):
+        counts[gram] = counts.get(gram, 0) + 1
+    return counts
+
+
 class QGramIndex:
     """Map q-grams to the tokens containing them.
 
@@ -54,15 +63,34 @@ class QGramIndex:
             raise ValueError("q must be >= 1")
         self.q = q
         self._tokens: List[str] = sorted(set(tokens))
-        # gram -> [(token index, multiplicity)]: the count filter is only
-        # valid over q-gram *multisets*, so multiplicities are kept.
-        self._index: Dict[str, List[Tuple[int, int]]] = {}
-        for idx, token in enumerate(self._tokens):
-            counts: Dict[str, int] = {}
-            for gram in qgrams(token, q):
-                counts[gram] = counts.get(gram, 0) + 1
-            for gram, count in counts.items():
-                self._index.setdefault(gram, []).append((idx, count))
+        # gram -> [(token, multiplicity)]: the count filter is only valid
+        # over q-gram *multisets*, so multiplicities are kept.
+        self._index: Dict[str, List[Tuple[str, int]]] = {}
+        for token in self._tokens:
+            for gram, count in _gram_counts(token, q).items():
+                self._index.setdefault(gram, []).append((token, count))
+
+    def with_tokens(self, tokens: Iterable[str]) -> "QGramIndex":
+        """A copy that also indexes *tokens*, vocabulary kept sorted.
+
+        Only the posting lists of the new tokens' q-grams are copied;
+        the rest are shared, and this index is left as it was.
+        """
+        patched = copy.copy(self)
+        vocabulary = patched._tokens = list(self._tokens)
+        index = patched._index = dict(self._index)
+        copied: Set[str] = set()
+        for token in tokens:
+            at = bisect.bisect_left(vocabulary, token)
+            if at < len(vocabulary) and vocabulary[at] == token:
+                continue
+            vocabulary.insert(at, token)
+            for gram, count in _gram_counts(token, self.q).items():
+                if gram not in copied:
+                    copied.add(gram)
+                    index[gram] = list(index.get(gram, ()))
+                index[gram].append((token, count))
+        return patched
 
     @property
     def vocabulary(self) -> List[str]:
@@ -70,17 +98,13 @@ class QGramIndex:
 
     def candidates(self, query: str, max_distance: int = 1) -> List[str]:
         """Tokens possibly within *max_distance* edits (count filter only)."""
-        query_grams: Dict[str, int] = {}
-        for gram in qgrams(query, self.q):
-            query_grams[gram] = query_grams.get(gram, 0) + 1
-        counts: Dict[int, int] = {}
-        for gram, qcount in query_grams.items():
-            for idx, tcount in self._index.get(gram, ()):
-                counts[idx] = counts.get(idx, 0) + min(qcount, tcount)
+        counts: Dict[str, int] = {}
+        for gram, qcount in _gram_counts(query, self.q).items():
+            for token, tcount in self._index.get(gram, ()):
+                counts[token] = counts.get(token, 0) + min(qcount, tcount)
         out = set()
         qlen = len(query)
-        for idx, shared in counts.items():
-            token = self._tokens[idx]
+        for token, shared in counts.items():
             needed = max(qlen, len(token)) + self.q - 1 - max_distance * self.q
             if shared >= needed:
                 out.add(token)

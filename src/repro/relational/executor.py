@@ -23,20 +23,24 @@ class JoinStats:
     The CN executor is an index nested-loop join over rowids:
     ``joins_executed`` counts its index probes, ``tuples_read`` the
     rowids those probes returned (plus one anchor per slice),
-    ``tuples_emitted`` the results produced and ``partials_dropped`` the
-    partial results its in-slice bound cut.
+    ``tuples_emitted`` the results produced, ``partials_dropped`` the
+    partial results its in-slice bound cut and ``cursors_retired`` the
+    cursors its bound-ordered loop retired at an exact tie with the k-th
+    score.
     """
 
     tuples_read: int = 0
     tuples_emitted: int = 0
     joins_executed: int = 0
     partials_dropped: int = 0
+    cursors_retired: int = 0
 
     def merge(self, other: "JoinStats") -> None:
         self.tuples_read += other.tuples_read
         self.tuples_emitted += other.tuples_emitted
         self.joins_executed += other.joins_executed
         self.partials_dropped += other.partials_dropped
+        self.cursors_retired += other.cursors_retired
 
 
 class JoinedRow:

@@ -25,8 +25,14 @@ sharded scatter — runs :func:`run_bound_ordered` over one per-query
   highest score upper bound and stops once that bound is *strictly*
   below the k-th score, so an equal-score answer with a smaller content
   key is still found: the top-k equals exhaustive evaluation, ties at
-  the k-th score included.  Inside a slice the same bound, tightened by
-  the scores joined so far, drops partials (:meth:`CNCursor.next_batch`).
+  the k-th score included.  At an *exact* tie — a bound equal to the
+  k-th score — a result can only enter on a content key below the k-th
+  entry's, so a cursor none of whose results can have one is retired
+  unadvanced (:meth:`CNCursor.skip_lost_ties`): its CN label sorts after
+  the k-th label, or, label equal and anchored at CN node 0, its anchor
+  tuple sorts after the k-th key's first tuple id.  Inside a slice the
+  same bound, tightened by the scores joined so far, drops partials
+  (:meth:`CNCursor.next_batch`).
 * **Late and lazy** — the heap decides on a score and, at a tie, a
   content key read off the plan and the rowids: ``Row`` / ``JoinedRow``
   objects exist only for the at most k answers returned.  A bound needs
@@ -285,6 +291,35 @@ class CNCursor:
             return _NEG_INF
         return _completion(self.plan.best, self.queue[self.pos][0], self.plan.denom)
 
+    def skip_lost_ties(self, key: Tuple) -> int:
+        """Skip the anchor slots whose results can only lose a tie with a
+        k-th entry of content key *key*; returns how many were skipped.
+
+        Called when :meth:`bound` equals the k-th score, so no result of
+        this cursor scores above it and one that ties must sort before
+        *key* to enter.  None can when the CN's label sorts after the
+        k-th label: every slot is skipped.  With the label equal and the
+        anchor at CN node 0, a result's key starts with its anchor tuple,
+        and the queue lists equal-score anchors in ascending tuple id: if
+        the next anchor sorts after the k-th key's first tuple id, so
+        does every anchor sharing its score, and all of those are
+        skipped.  A later, lower-score anchor can still reach the same
+        bound through float rounding, so it is left for the loop to
+        re-examine.
+        """
+        plan, queue, pos = self.plan, self.queue, self.pos
+        end = pos
+        if plan.label > key[0]:
+            end = len(queue)
+        elif plan.label == key[0] and plan.anchor == 0:
+            score, tid = queue[pos]
+            if (tid.table, tid.rowid) > key[1][0]:
+                end = pos + 1
+                while end < len(queue) and queue[end][0] == score:
+                    end += 1
+        self.pos = end
+        return end - pos
+
     def next_batch(self, stats: JoinStats, floor: float = _NEG_INF) -> List[Candidate]:
         """The results anchored at the next anchor tuple scoring >= *floor*.
 
@@ -405,6 +440,14 @@ class _TopKHeap:
     def kth_score(self) -> float:
         return self._heap[0][0] if len(self._heap) >= self.k else _NEG_INF
 
+    def kth(self) -> Optional[Tuple[float, Tuple]]:
+        """The k-th entry's (score, content key); None until k are held.
+        While the score stays put the key only falls."""
+        if len(self._heap) < self.k:
+            return None
+        entry = self._heap[0]
+        return entry[0], entry[1].key
+
     def sorted_results(self) -> List[Tuple[float, str, JoinedRow]]:
         ordered = sorted(self._heap, key=lambda e: (-e[0], e[1].key))
         return [
@@ -421,55 +464,70 @@ class PipelineRun:
     cns_executed: int = 0
     produced: int = 0  # candidate results produced (and budget-charged)
     dropped: int = 0  # partials cut inside a slice by the bound
-    pruned: int = 0  # anchor slots skipped via the threshold
+    pruned: int = 0  # anchor slots skipped via the k-th score or key
+    retired: int = 0  # times a cursor's slots were skipped at an exact tie
     exhausted: bool = False  # the budget ran out; results are partial
 
 
 def run_bound_ordered(
     cursors: Sequence[CNCursor],
     offer: Callable[[float, _CNPlan, List[int]], None],
-    threshold: Callable[[], float],
+    kth: Callable[[], Optional[Tuple[float, Tuple]]],
     stats: JoinStats,
     budget: Optional[QueryBudget] = None,
 ) -> PipelineRun:
     """Advance the cursor with the highest bound until none can matter.
 
-    *threshold* is the current k-th score of whatever *offer* feeds —
-    the caller's own heap, or the global heap every shard worker shares.
-    It only ever rises, so a result below the value read before a slice
-    can never enter the final top-k and is not produced; a slice whose
-    bound is strictly below it ends the run (every queued cursor bounds
-    lower still).  Each produced result charges *budget* one candidate,
-    each slice one node expansion; on exhaustion the run returns with
-    ``exhausted`` set and the heap holds a partial top-k.
+    *kth* reads the k-th entry of whatever *offer* feeds — the caller's
+    own heap, or the global heap every shard worker shares — as one
+    ``(score, content key)`` pair, or None while it holds fewer than k.
+    The score only ever rises, and the key only falls while the score
+    stays put.  So a result below the score read before a slice can
+    never enter the final top-k and is not produced; a slice whose bound
+    is strictly below it ends the run (every queued cursor bounds lower
+    still); and at a bound equal to it, the slots whose results would
+    lose the content-key tie are skipped unadvanced
+    (:meth:`CNCursor.skip_lost_ties`).  Each produced result charges
+    *budget* one candidate, each slice one node expansion; on exhaustion
+    the run returns with ``exhausted`` set and the heap holds a partial
+    top-k.
     """
     run = PipelineRun()
     dropped_before = stats.partials_dropped
     pq = [(-c.bound(), i, c) for i, c in enumerate(cursors) if not c.exhausted()]
     heapq.heapify(pq)
+    advanced = [False] * len(cursors)
     try:
         while pq:
             neg_bound, i, cursor = pq[0]
-            floor = threshold()
+            top = kth()
+            floor = _NEG_INF if top is None else top[0]
             if -neg_bound < floor:
-                run.pruned = sum(c.remaining() for _, _, c in pq)
+                run.pruned += sum(c.remaining() for _, _, c in pq)
                 break
-            for score, rowids in cursor.next_batch(stats, floor):
-                run.produced += 1
+            skipped = cursor.skip_lost_ties(top[1]) if -neg_bound == floor else 0
+            if skipped:
+                run.pruned += skipped
+                run.retired += 1
+            else:
+                advanced[i] = True
+                for score, rowids in cursor.next_batch(stats, floor):
+                    run.produced += 1
+                    if budget is not None:
+                        budget.tick_candidates()
+                    offer(score, cursor.plan, rowids)
+                run.batches += 1
                 if budget is not None:
-                    budget.tick_candidates()
-                offer(score, cursor.plan, rowids)
-            run.batches += 1
-            if budget is not None:
-                budget.tick_nodes()
+                    budget.tick_nodes()
             if cursor.exhausted():
                 heapq.heappop(pq)
             else:
                 heapq.heapreplace(pq, (-cursor.bound(), i, cursor))
     except BudgetExceededError:
         run.exhausted = True
-    run.cns_executed = sum(1 for cursor in cursors if cursor.pos)
+    run.cns_executed = sum(advanced)
     run.dropped = stats.partials_dropped - dropped_before
+    stats.cursors_retired += run.retired
     return run
 
 
@@ -574,10 +632,10 @@ def topk_global_pipeline(
             topk[1] += 1
 
     with trace_span(tracer, "evaluate") as esp:
-        run = run_bound_ordered(cursors, offer, heap.kth_score, stats, budget)
+        run = run_bound_ordered(cursors, offer, heap.kth, stats, budget)
         esp.add("batches", run.batches).add("cns_executed", run.cns_executed)
         esp.add("produced", run.produced).add("dropped", run.dropped)
-        esp.add("pruned", run.pruned)
+        esp.add("pruned", run.pruned).add("retired", run.retired)
         if tracer is not None:
             tracer.record("topk", topk[0], {"offers": topk[1]})
     return TopKResult(heap.sorted_results(), stats, run.cns_executed, run.batches)

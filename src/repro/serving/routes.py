@@ -404,6 +404,7 @@ class Router:
     async def _admitted(
         self,
         request: Request,
+        route: str,
         cost: float,
         timeout_ms: float,
         max_expansions: Optional[int],
@@ -415,7 +416,9 @@ class Router:
         — the pinned generation's engine, the request's budget (also on
         ``request.budget``, where the transport poisons it on
         disconnect) and the admission mode — and returns the route's
-        part of the payload.
+        part of the payload.  The wait for a worker slot and the run on
+        the worker are observed per *route* as
+        ``serve.queue_wait_ms.<route>`` and ``serve.exec_ms.<route>``.
         """
         decision = self.admission.admit(request.tenant, cost=cost)
         if not decision.admitted:
@@ -434,6 +437,10 @@ class Router:
             self.admission.abandoned()
             self.metrics.inc("serve.shed.queue_timeout")
             return _shed_response(decision)
+        finally:
+            self.metrics.observe(
+                f"serve.queue_wait_ms.{route}", (time.perf_counter() - start_s) * 1000.0
+            )
         self.admission.started()
         try:
             if request.disconnected:
@@ -445,8 +452,12 @@ class Router:
                 budget.poison("client disconnected")
             loop = asyncio.get_running_loop()
             with self.handle.acquire() as (engine, generation):
+                exec_s = time.perf_counter()
                 payload = await loop.run_in_executor(
                     self.executor, work, engine, budget, decision.mode
+                )
+                self.metrics.observe(
+                    f"serve.exec_ms.{route}", (time.perf_counter() - exec_s) * 1000.0
                 )
             if budget.poisoned:
                 self.metrics.inc("serve.cancelled")
@@ -516,7 +527,7 @@ class Router:
             return engine.search(text, **kwargs).to_dict()
 
         return await self._admitted(
-            request, 1.0, args["timeout_ms"], args["max_expansions"], work
+            request, "search", 1.0, args["timeout_ms"], args["max_expansions"], work
         )
 
     # ------------------------------------------------------------------
@@ -541,7 +552,7 @@ class Router:
 
         cost = float(len(queries))  # one tenant token per query
         return await self._admitted(
-            request, cost, args["timeout_ms"], args["max_expansions"], work
+            request, "batch", cost, args["timeout_ms"], args["max_expansions"], work
         )
 
     # ------------------------------------------------------------------

@@ -2,22 +2,26 @@
 
 * :class:`GlobalTopK` — the gather side: one lock-guarded
   :class:`~repro.schema_search.topk._TopKHeap` shared by every shard
-  worker.  Its ``threshold()`` is the current global k-th score, which
-  only ever rises — the monotonically tightening bound the shards
-  prune against.
+  worker.  Its ``kth()`` is the current global k-th entry as one
+  ``(score, content key)`` pair, read under the lock: the score only
+  ever rises and, while it stays put, the key only falls — the
+  monotonically tightening bound the shards prune against.
 * :func:`scatter_schema` — one shard's pass of the engine's own
   bound-ordered loop (:func:`~repro.schema_search.topk.run_bound_ordered`)
   over its slice of each CN's anchor queue, offering into the global
-  heap and pruning against the global threshold.
+  heap and pruning against the global k-th entry.
 
 Why the merged top-k is byte-identical to the single engine's: the
 heap retains the exact top-k of the *offered multiset* under the total
 order (score desc, content key asc) independent of offer order, shard
 anchor slices partition the global anchor queue of each CN, and a
-pruned anchor slot's answers score strictly below the threshold at
-prune time ≤ the final k-th score (exact comparisons make the
-threshold monotone non-decreasing), so none of them can enter the
-final heap or win an equal-score key tie-break.
+pruned anchor slot's answers are all worse in that order than the k-th
+entry read at prune time — they score strictly below it, or tie it
+with a larger content key — and so worse than the final k-th entry
+(exact comparisons make the k-th entry only improve).  None of them can
+enter the final heap.  Score and key are read as one pair: a score read
+before a rise paired with a key read after it could retire a cursor
+whose results still win a tie at the old score.
 """
 
 from __future__ import annotations
@@ -52,10 +56,11 @@ class GlobalTopK:
             self.offers += 1
             self._heap.offer_rowids(score, plan, rowids)
 
-    def threshold(self) -> float:
-        """Current global k-th score (``-inf`` until the heap fills)."""
+    def kth(self) -> Optional[Tuple[float, Tuple]]:
+        """Current global k-th (score, content key), None until the heap
+        fills; one consistent pair."""
         with self._lock:
-            return self._heap.kth_score()
+            return self._heap.kth()
 
     def sorted_results(self) -> List[Tuple[float, str, JoinedRow]]:
         with self._lock:
@@ -68,7 +73,7 @@ class ShardRunStats:
 
     shard_id: int
     evaluated: int = 0  # candidate results produced and offered
-    pruned: int = 0  # anchor slots skipped via the global threshold
+    pruned: int = 0  # anchor slots skipped via the global k-th entry
     cns: int = 0  # CNs with a non-empty anchor slice on this shard
     join_stats: JoinStats = field(default_factory=JoinStats)
 
@@ -80,7 +85,7 @@ def scatter_schema(
     gtopk: GlobalTopK,
     budget: Optional[QueryBudget] = None,
 ) -> ShardRunStats:
-    """Evaluate this shard's anchor slices against the global threshold.
+    """Evaluate this shard's anchor slices against the global k-th entry.
 
     Skipped anchor slots are accounted as ``pruned``; budget exhaustion
     returns the partial stats — never an exception — and the caller
@@ -89,9 +94,7 @@ def scatter_schema(
     run = ShardRunStats(shard_id)
     cursors = context.cursors(anchor_filter=owns)
     run.cns = sum(1 for cursor in cursors if not cursor.exhausted())
-    done = run_bound_ordered(
-        cursors, gtopk.offer, gtopk.threshold, run.join_stats, budget
-    )
+    done = run_bound_ordered(cursors, gtopk.offer, gtopk.kth, run.join_stats, budget)
     run.evaluated = done.produced
     run.pruned = done.pruned
     return run

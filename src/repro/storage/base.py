@@ -142,8 +142,9 @@ class StorageBackend(ABC):
     name = "abstract"
 
     def __init__(self) -> None:
-        # Rows indexed so far per text table; tables are append-only, so
-        # everything past this watermark is the delta refresh() patches.
+        # Rows indexed so far per text table (see ``watermark``); tables
+        # are append-only, so everything past it is the delta refresh()
+        # patches.
         self._row_counts: Dict[str, int] = {}
         self.doc_count = 0
         self.refreshes = 0
@@ -173,11 +174,12 @@ class StorageBackend(ABC):
     def _scan(self, db: Database, initial: bool) -> int:
         self._begin(db, initial)
         staged = 0
+        counts = {} if initial else dict(self._row_counts)
         for table in db.tables.values():
             text_cols = table.schema.text_columns
             if not text_cols:
                 continue
-            start = 0 if initial else self._row_counts.get(table.name, 0)
+            start = counts.get(table.name, 0)
             total = len(table)
             for rowid in range(start, total):
                 self._add_row(
@@ -185,12 +187,25 @@ class StorageBackend(ABC):
                 )
                 self.doc_count += 1
                 staged += 1
-            self._row_counts[table.name] = total
-        if initial or staged:
-            # N moved: every memoised IDF is stale.
-            self._idf_memo.clear()
+            counts[table.name] = total
         self._commit(db, initial, staged)
+        if initial or staged:
+            # N moved: every memoised IDF is stale.  The watermark goes
+            # last, once the rows it counts are queryable.
+            self._idf_memo.clear()
+            self._row_counts = counts
         return staged
+
+    @property
+    def watermark(self) -> Dict[str, int]:
+        """Rows indexed so far per text table.
+
+        Published as a new dict, and only once those rows' tokens are
+        queryable, so a reader that reads it before any statistic never
+        sees a row counted whose tokens it cannot read.  Treat it as
+        read-only.
+        """
+        return self._row_counts
 
     @staticmethod
     def _column_token_counts(

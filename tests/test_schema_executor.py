@@ -21,6 +21,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 from hypothesis import given, settings, strategies as st
 
@@ -32,7 +33,7 @@ from repro.index.inverted import InvertedIndex
 from repro.index.text import tokenize
 from repro.obs.trace import Tracer
 from repro.query.compiler import FilteredTupleSets, RowFilter, WeightedIndexView
-from repro.relational.database import Database
+from repro.relational.database import Database, TupleId
 from repro.relational.executor import JoinedRow, JoinStats
 from repro.relational.schema import Column, ForeignKey, Schema, TableSchema
 from repro.relational.schema_graph import SchemaGraph
@@ -54,6 +55,7 @@ from repro.schema_search.topk import (
 )
 from repro.schema_search.tuple_sets import TupleSets
 from repro.sharding import ShardedSearchEngine
+from repro.sharding.scatter import GlobalTopK, scatter_schema
 
 from . import executor_reference as reference
 
@@ -486,13 +488,31 @@ def _run_index_join(cns, tuple_sets, index, keywords, k, anchor_filters, budget=
         run_bound_ordered(
             context.cursors(anchor_filter),
             heap.offer_rowids,
-            heap.kth_score,
+            heap.kth,
             JoinStats(),
             budget,
         )
         for anchor_filter in anchor_filters
     ]
     return [(s, l, j.tuple_ids()) for s, l, j in heap.sorted_results()], runs
+
+
+def _run_scatter(cns, tuple_sets, index, keywords, k, shards, budgets=None):
+    """The sharded scatter: *shards* threads, one anchor partition each,
+    offering into one :class:`GlobalTopK` and pruning against its k-th
+    (score, key) pair as they race; shard i ticks ``budgets[i]``."""
+    context = CNQueryContext(cns, tuple_sets, index, keywords)
+    gtopk = GlobalTopK(k)
+    filters = _anchor_filters(shards)
+    budgets = budgets or [None] * shards
+
+    def shard(mine):
+        owns = filters[mine] or (lambda tid: True)
+        return scatter_schema(mine, owns, context, gtopk, budgets[mine])
+
+    with ThreadPoolExecutor(max_workers=shards) as pool:
+        runs = list(pool.map(shard, range(shards)))
+    return [(s, l, j.tuple_ids()) for s, l, j in gtopk.sorted_results()], runs
 
 
 @settings(max_examples=60, deadline=None)
@@ -513,14 +533,55 @@ def test_index_join_equals_hash_join_reference(db, keywords, row_filter, owners)
         got, runs = _run_index_join(cns, tuple_sets, index, keywords, k, filters)
         assert got == [(s, l, j.tuple_ids()) for s, l, j in want] == everything[:k]
         for run, ref_run in zip(runs, ref_runs):
-            # Same slices in the same order; fewer candidates leave them.
-            assert (run.batches, run.cns_executed, run.pruned) == (
-                ref_run.batches,
-                ref_run.cns_executed,
-                ref_run.pruned,
-            )
+            # The reference has no tie rule: the new loop advances no
+            # slice the reference does not, and fewer candidates leave
+            # them.  Equality held before exact ties retired cursors.
+            assert run.batches <= ref_run.batches
+            assert run.cns_executed <= ref_run.cns_executed
             assert run.produced <= ref_run.produced
             assert not run.exhausted
+        scattered, _ = _run_scatter(cns, tuple_sets, index, keywords, k, owners)
+        assert scattered == got
+
+
+def test_a_cursor_that_can_only_lose_ties_is_retired():
+    """One single-node CN over 300 rows that all score the same, k=10:
+    the first 10 slices fill the heap, after which every anchor ties the
+    k-th score and sorts after the k-th key's tuple, so the cursor is
+    retired — 10 candidates produced, not 300."""
+    db = Database(
+        Schema(
+            [
+                TableSchema(
+                    "t0",
+                    (Column("id", "int"), Column("txt", "str", text=True)),
+                    "id",
+                )
+            ]
+        )
+    )
+    for rowid in range(300):
+        db.insert("t0", id=rowid, txt="ant")
+    index, tuple_sets, cns = _substrates(db, ["ant"], None)
+    assert len(cns) == 1 and cns[0].size == 1
+    got, (run,) = _run_index_join(cns, tuple_sets, index, ["ant"], 10, [None])
+    assert got == fresh_oracle(db, ["ant"])[:10]
+    assert [ids for _, _, ids in got] == [(("t0", rowid),) for rowid in range(10)]
+    assert (run.produced, run.batches, run.retired, run.pruned) == (10, 10, 1, 290)
+    # Only anchors sharing the next one's score are skipped by tuple id:
+    # a lower score can reach the same bound through float rounding.
+    (cursor,) = CNQueryContext(cns, tuple_sets, index, ["ant"]).cursors()
+    label = cursor.plan.label
+    cursor.queue = [(1.0, TupleId("t0", r)) for r in (5, 7)] + [(0.5, TupleId("t0", 1))]
+    assert cursor.skip_lost_ties((label, (("t0", 6),))) == 0
+    assert cursor.skip_lost_ties((label, (("t0", 4),))) == 2
+    assert cursor.queue[cursor.pos][1].rowid == 1
+    assert cursor.skip_lost_ties((label[:-1], (("t0", 0),))) == 1  # label sorts after
+    assert cursor.exhausted()
+    for shards in (1, 2, 4):
+        scattered, runs = _run_scatter(cns, tuple_sets, index, ["ant"], 10, shards)
+        assert scattered == got
+        assert sum(r.evaluated for r in runs) < 300
 
 
 @settings(max_examples=60, deadline=None)
@@ -562,8 +623,9 @@ def test_every_slice_keeps_the_reference_candidates_that_reach_the_floor(
     keywords=keyword_sets,
     k=st.sampled_from(KS),
     cap=st.integers(0, 12),
+    shards=st.sampled_from([1, 2, 4]),
 )
-def test_candidate_budget_degrades_to_genuine_results(db, keywords, k, cap):
+def test_candidate_budget_degrades_to_genuine_results(db, keywords, k, cap, shards):
     index, tuple_sets, cns = _substrates(db, keywords, None)
     population = Counter(oracle(tuple_sets, cns, index, keywords))
     full, (full_run,) = _run_index_join(cns, tuple_sets, index, keywords, k, [None])
@@ -577,6 +639,13 @@ def test_candidate_budget_degrades_to_genuine_results(db, keywords, k, cap):
         assert len(partial) <= min(k, cap)
     else:
         assert partial == full
+    # Scattered, each shard capped on its own budget: genuine results,
+    # and the exact top-k when no shard ran out.
+    forks = [QueryBudget(max_candidates=cap) for _ in range(shards)]
+    scattered, _ = _run_scatter(cns, tuple_sets, index, keywords, k, shards, forks)
+    assert not Counter(scattered) - population
+    if not any(fork.exhausted for fork in forks):
+        assert scattered == full
 
 
 @settings(max_examples=30, deadline=None)
@@ -594,8 +663,9 @@ def test_traced_run_equals_untraced_with_the_same_span_names(db, keywords, k):
     assert trace.span_names() == ["search", "plan", "score", "evaluate", "topk"]
     evaluate = trace.find("evaluate")
     assert set(evaluate.counters) == {
-        "batches", "cns_executed", "produced", "dropped", "pruned",
+        "batches", "cns_executed", "produced", "dropped", "pruned", "retired",
     }
+    assert evaluate.counters["retired"] == traced.stats.cursors_retired
     assert evaluate.counters["batches"] == traced.batches
 
 
@@ -765,10 +835,20 @@ def test_strategies_agree_beside_a_burst_of_same_shaped_inserts():
 
 
 @settings(max_examples=40, deadline=None)
-@given(db=databases().map(_tied), keywords=keyword_sets, k=st.sampled_from(KS))
-def test_strategies_agree_when_every_score_ties(db, keywords, k):
+@given(
+    db=databases().map(_tied),
+    keywords=keyword_sets,
+    k=st.sampled_from(KS),
+    shards=st.sampled_from([1, 2, 4]),
+)
+def test_strategies_agree_when_every_score_ties(db, keywords, k, shards):
+    """Every score ties, so the content key alone decides at k: the four
+    strategies and the scatter over *shards* racing workers agree."""
     index, tuple_sets, cns = _substrates(db, keywords, None)
     _assert_strategies_agree(cns, tuple_sets, index, keywords, k)
+    naive = executor_signature(topk_naive(cns, tuple_sets, index, keywords, k=k))
+    scattered, _ = _run_scatter(cns, tuple_sets, index, keywords, k, shards)
+    assert scattered == naive
 
 
 # ----------------------------------------------------------------------
@@ -789,7 +869,7 @@ for text in json.load(sys.stdin):
     tuple_sets = engine.substrates.tuple_sets(keywords)
     heap = _TopKHeap(10)
     cursors = CNQueryContext(cns, tuple_sets, engine.index, keywords).cursors()
-    run = run_bound_ordered(cursors, heap.offer_rowids, heap.kth_score, JoinStats())
+    run = run_bound_ordered(cursors, heap.offer_rowids, heap.kth, JoinStats())
     answers.append([(s, l, j.tuple_ids()) for s, l, j in heap.sorted_results()])
     for i, n in enumerate((run.batches, run.produced, run.pruned, run.cns_executed)):
         work[i] += n

@@ -672,6 +672,37 @@ class TestRouterUnit:
             response = _dispatch(router, request)
             assert response.status == 429 and response.headers["X-Request-Id"] == "shed-1"
 
+    def test_queue_wait_and_execution_are_split_per_route(self, router_env):
+        """Each query route observes its own wait for a worker slot and
+        its own run on the worker; a held slot shows up as queue wait."""
+        _, _, router = router_env
+        for make_request in QUERY_ROUTES:
+            assert _dispatch(router, make_request()).status == 200
+        snap = router.metrics.snapshot()
+        for route in ("search", "batch"):
+            assert snap[f"serve.queue_wait_ms.{route}"]["count"] == 1
+            assert snap[f"serve.exec_ms.{route}"]["count"] == 1
+        assert snap["serve.request_ms"]["count"] == 2
+
+        hold_s = 0.1
+
+        async def scenario():
+            for _ in range(2):  # max_concurrency: both slots held
+                await router.slots.acquire()
+            task = asyncio.ensure_future(router.dispatch(_search_request()))
+            await asyncio.sleep(hold_s)
+            router.slots.release()
+            try:
+                return await task
+            finally:
+                router.slots.release()
+
+        assert asyncio.run(scenario()).status == 200
+        waited = router.metrics.snapshot()["serve.queue_wait_ms.search"]
+        assert waited["count"] == 2
+        assert waited["max"] >= hold_s * 1000.0
+        _assert_idle(router)
+
     def test_batch_runs_under_the_remaining_deadline(self, router_env):
         """Time spent queued comes off the batch's one deadline: its
         queries fork the request budget, not a fresh ``timeout_ms``."""
