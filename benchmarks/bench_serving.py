@@ -5,9 +5,9 @@ execution; PAPERS.md: EMBANKS, BLINKS):
 
 1. Warm-cache ``search()`` (LRU hit over memoised substrates) is >= 5x
    faster than the cold path on the bibliographic dataset.
-2. An 8-worker :class:`~repro.perf.batch.BatchSearchExecutor` serving a
-   50-query mixed workload (Zipf-repeated queries, mixed methods)
-   delivers >= 2x the throughput of the pre-PR serving path — a
+2. ``search_many`` serving a 50-query mixed workload (Zipf-repeated
+   queries, mixed methods) — duplicates coalesced, memoised substrates
+   and the result LRU shared — delivers >= 2x the throughput of a
    single-threaded loop that recomputes every query from scratch
    (``enable_caches=False``).
 
@@ -123,14 +123,13 @@ def measure_batch(
     db_factory: Callable[[], object],
     workload: Sequence[Tuple[str, str]],
     k: int = 5,
-    workers: int = 8,
 ) -> Dict[str, object]:
-    """Naive sequential serving vs concurrent cached batch serving.
+    """Naive sequential serving vs coalesced cached batch serving.
 
-    The baseline is the pre-PR serving path: one thread, no result or
-    substrate reuse, every query recomputed from scratch.  The batch
-    path shares memoised substrates and the result LRU across an
-    8-worker pool with duplicate-query coalescing.
+    The baseline is the uncached serving path: no result or substrate
+    reuse, every query recomputed from scratch.  The batch path computes
+    each distinct query once over the shared memoised substrates and
+    result LRU.
     """
     # Baseline: caches off, sequential.
     seq_engine = KeywordSearchEngine(db_factory(), enable_caches=False)
@@ -142,13 +141,12 @@ def measure_batch(
         ]
     )
 
-    # Serving layer: caches on, thread pool, duplicate coalescing.
+    # Serving layer: caches on, duplicate coalescing.
     batch_engine = KeywordSearchEngine(db_factory())
     batch_engine.index, batch_engine.schema_graph, batch_engine.data_graph
     batch_s, batch_results = _timed(
         lambda: batch_engine.search_many(
-            [(text, method, k) for text, method in workload],
-            max_workers=workers,
+            [(text, method, k) for text, method in workload]
         )
     )
 
@@ -160,7 +158,6 @@ def measure_batch(
     return {
         "workload": len(workload),
         "distinct_queries": len(set(workload)),
-        "workers": workers,
         "single_threaded_uncached_s": round(seq_s, 6),
         "batched_s": round(batch_s, 6),
         "batch_speedup": round(seq_s / batch_s, 2) if batch_s else float("inf"),
@@ -243,7 +240,7 @@ def test_batched_throughput():
                 stats["single_threaded_uncached_s"],
                 stats["single_threaded_qps"],
             ],
-            ["8 workers, shared caches", stats["batched_s"], stats["batched_qps"]],
+            ["coalesced + shared caches", stats["batched_s"], stats["batched_qps"]],
         ],
     )
     assert stats["results_identical"]

@@ -6,7 +6,7 @@ datasets without writing code:
     python -m repro search "john database" --method schema -k 5
     python -m repro search "widom xml" --dataset tiny --method steiner
     python -m repro search "john database" --trace
-    python -m repro batch "john database" "widom xml" --workers 8 --stats
+    python -m repro batch "john database" "widom xml" "john database" --stats
     python -m repro batch --file queries.txt --method banks
     python -m repro xml "keyword mark" --semantics elca --snippets
     python -m repro suggest "dat"
@@ -296,16 +296,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not queries:
         print("no queries given (positional args or --file)", file=sys.stderr)
         return 2
-    if args.workers < 1:
-        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
     engine = build_engine(factory(), **_engine_options(args))
     try:
         outcomes = engine.search_many(
             queries,
             k=args.k,
             method=args.method,
-            max_workers=args.workers,
             timeout_ms=args.timeout_ms,
             max_expansions=args.max_expansions,
             fallback=args.fallback,
@@ -679,13 +675,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shard_flags(p)
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("batch", help="concurrent batch keyword search")
+    p = sub.add_parser(
+        "batch", help="batch keyword search (duplicate queries computed once)"
+    )
     p.add_argument("queries", nargs="*", help="query strings")
     p.add_argument("--file", default=None, help="file with one query per line")
     p.add_argument("--dataset", default="biblio", help="dataset name")
     p.add_argument("--method", default="schema", choices=list(KNOWN_METHODS))
     p.add_argument("-k", type=int, default=5)
-    p.add_argument("--workers", type=int, default=8, help="thread pool size")
     p.add_argument(
         "--stats", action="store_true", help="print cache statistics after the batch"
     )

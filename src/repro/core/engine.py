@@ -12,8 +12,8 @@ Substructures (indexes, graphs, tuple sets) are built lazily and cached.
 The serving path layers three caches on top (see :mod:`repro.perf`):
 an LRU cache over final results keyed by (normalized query, method, k),
 a :class:`~repro.perf.substrates.SubstrateCache` memoising tuple sets /
-candidate networks / keyword groups / the form pipeline, and a
-:class:`~repro.perf.batch.BatchSearchExecutor` behind
+candidate networks / keyword groups / the form pipeline, and
+duplicate-query coalescing (:func:`~repro.perf.batch.run_batch`) behind
 :meth:`KeywordSearchEngine.search_many`.  All caches invalidate when
 :attr:`Database.data_version` moves, so mutations are always visible.
 """
@@ -41,7 +41,7 @@ from repro.index.inverted import InvertedIndex
 from repro.index.text import tokenize
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, span as trace_span
-from repro.perf.batch import BatchSearchExecutor
+from repro.perf.batch import run_batch
 from repro.perf.lru import LRUCache
 from repro.perf.substrates import SubstrateCache
 from repro.query.compiler import (
@@ -132,9 +132,9 @@ class KeywordSearchEngine(QueryFrontEnd):
         # Query cleaner, built once and patched by its first reader after
         # each mutation (see the ``cleaner`` property).
         self._cleaner: Optional[QueryCleaner] = None
-        # Shared by every batch executor created against this engine, so
-        # repeated substrate-build failures keep tripping it across
-        # batches (see repro.resilience.circuit).
+        # Consulted by every search_many batch, so repeated
+        # substrate-build failures keep tripping it across batches (see
+        # repro.resilience.circuit).
         self.circuit_breaker = CircuitBreaker(
             on_transition=self._on_breaker_transition
         )
@@ -530,44 +530,47 @@ class KeywordSearchEngine(QueryFrontEnd):
         queries: Sequence,
         k: int = 10,
         method: str = "schema",
-        max_workers: int = 8,
+        max_workers: Optional[int] = None,
         budget: Optional[QueryBudget] = None,
         timeout_ms: Optional[float] = None,
         max_expansions: Optional[int] = None,
         fallback: bool = False,
-        raise_on_error: bool = False,
         detailed: bool = False,
     ):
-        """Concurrent batch search (slides 129-133: shared execution).
+        """Batch search (slides 129-133: shared execution).
 
         *queries* may mix plain strings, ``(text, method[, k])`` tuples
         and :class:`~repro.perf.batch.BatchQuery` objects.  Duplicate
-        requests are computed once; results come back in request order
-        and are identical to sequential :meth:`search` calls.
+        requests are computed once, one after another on the calling
+        thread; results come back in request order and are identical to
+        sequential :meth:`search` calls.
 
         Failures are isolated per query: an erroring query yields an
         empty :class:`ResultSet` with ``error`` set (or, with
         ``detailed=True``, a full
         :class:`~repro.perf.batch.BatchOutcome`) while its neighbours
-        complete normally.  ``raise_on_error=True`` restores the old
-        fail-the-batch behavior.
+        complete normally.
 
         *budget* bounds the whole batch (one deadline, per-query caps,
         one cancellation: each query ticks a fork of it); ``timeout_ms``
         / ``max_expansions`` alone give every query a fresh budget.
+
+        ``max_workers`` is accepted and ignored: the end-to-end
+        benchmark's library child still passes it.
         """
-        executor = BatchSearchExecutor(self, max_workers=max_workers)
-        options = {
-            "k": k,
-            "method": method,
-            "budget": budget,
-            "timeout_ms": timeout_ms,
-            "max_expansions": max_expansions,
-            "fallback": fallback,
-        }
+        outcomes = run_batch(
+            self,
+            queries,
+            k=k,
+            method=method,
+            budget=budget,
+            timeout_ms=timeout_ms,
+            max_expansions=max_expansions,
+            fallback=fallback,
+        )
         if detailed:
-            return executor.run_outcomes(queries, **options)
-        return executor.run(queries, raise_on_error=raise_on_error, **options)
+            return outcomes
+        return [outcome.results for outcome in outcomes]
 
     def _tree_to_joined(self, nodes) -> "JoinedRow":
         from repro.relational.executor import JoinedRow

@@ -78,8 +78,8 @@ class QueryFrontEnd:
             print(prof.summary())   # per-stage wall-clock totals
 
         Tracing reverts to the constructor setting when the block
-        exits.  Batch workers record into the same profiler (it is
-        lock-protected).
+        exits.  Queries on other threads record into the same profiler
+        (it is lock-protected).
         """
         profiler = Profiler()
         prev_enabled, prev_profiler = self.trace_enabled, self._profiler
@@ -147,6 +147,8 @@ class QueryFrontEnd:
         with trace_span(tracer, "search") as root:
             if tracer is not None:
                 root.tag("method", method).tag("k", k).tag("query", query.canonical())
+                if budget is not None and budget.request_id is not None:
+                    root.tag("request_id", budget.request_id)
             if budget is not None or fallback or not (use_cache and self.enable_caches):
                 # Budgeted and ladder answers may be partial: never cached.
                 with trace_span(tracer, "cache_lookup") as csp:

@@ -4,7 +4,7 @@ The registry supersedes the scattered per-component ``cache_stats()``
 dicts with one namespace of named metrics:
 
 * :class:`Counter` — monotonic, lock-protected increments (exact under
-  concurrent batch workers; ``hits + misses == lookups`` holds to the
+  concurrent request threads; ``hits + misses == lookups`` holds to the
   unit).
 * :class:`Gauge` — last-written value; *callback gauges*
   (:meth:`MetricsRegistry.register_gauge`) read a live component

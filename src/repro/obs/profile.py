@@ -18,7 +18,7 @@ __all__ = ["Profiler"]
 
 
 class Profiler:
-    """Accumulates finished traces; safe to feed from batch workers."""
+    """Accumulates finished traces; safe to feed from request threads."""
 
     def __init__(self):
         self._lock = threading.Lock()

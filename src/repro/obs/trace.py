@@ -15,8 +15,8 @@ bracketed by a ``with`` block (e.g. per-result scoring inside the
 evaluation loop) are attached after the fact via :meth:`Tracer.record`
 with an accumulated duration.
 
-Tracers are *not* thread-safe: each query thread gets its own (the
-batch executor runs one query per worker).  When tracing is disabled
+Tracers are *not* thread-safe: each query gets its own, on the thread
+that runs it.  When tracing is disabled
 the call sites hold ``tracer is None`` and the helper :func:`span`
 yields the no-op :data:`NULL_SPAN`, so the disabled path costs one
 ``None`` check.

@@ -19,7 +19,7 @@ every memoised :class:`TupleSets` re-classifies just those rows,
 keeping warm-cache speedups across writes; memoised CN lists drop only
 when a new tuple-set key appears (a delta that raises falls back to
 dropping everything).  Builds take a lock (double-checked) so
-concurrent batch workers share one build instead of racing.
+concurrent request threads share one build instead of racing.
 
 The per-keyword-set memos are bounded: HTTP clients choose the keyword
 sets, and every insert patches every memoised :class:`TupleSets`, so
@@ -324,7 +324,7 @@ class SubstrateCache:
         Hits the ``substrates.<site>`` failpoint first (so chaos tests
         can inject faults or delays per keyword), then converts any
         build exception into a transient :class:`SubstrateBuildError`
-        that the batch executor retries and counts against the circuit
+        that ``search_many`` retries and counts against the circuit
         breaker.  Nothing is memoised on failure.
         """
         try:

@@ -31,7 +31,7 @@ from repro.resilience.errors import (
     classify_error,
 )
 from repro.resilience.failpoints import FAILPOINTS, FailpointRegistry, fail_point
-from repro.resilience.retry import DEFAULT_RETRY, RetryPolicy, call_with_retry
+from repro.resilience.retry import DEFAULT_RETRY, RetryPolicy
 
 __all__ = [
     "QueryBudget",
@@ -55,5 +55,4 @@ __all__ = [
     "fail_point",
     "RetryPolicy",
     "DEFAULT_RETRY",
-    "call_with_retry",
 ]

@@ -38,6 +38,7 @@ class QueryBudget:
         "candidates_scored",
         "exhausted",
         "reason",
+        "request_id",
         "_poisoned",
         "_forks",
         "_clock",
@@ -72,6 +73,9 @@ class QueryBudget:
         self.candidates_scored = 0
         self.exhausted = False
         self.reason: Optional[str] = None
+        #: The serving request this budget bounds (``X-Request-Id``);
+        #: every fork carries it, so spans can name their request.
+        self.request_id: Optional[str] = None
         self._poisoned = False
         self._forks: List["QueryBudget"] = []
         self._ops = 0
@@ -165,6 +169,7 @@ class QueryBudget:
         )
         child._t0 = self._t0
         child._deadline = self._deadline
+        child.request_id = self.request_id
         # Register first, then read the flag: poison() sets the flag
         # before it walks the list, so a racing cancel is seen by one
         # side or the other.

@@ -1,7 +1,7 @@
 """Structured exception taxonomy for the serving path.
 
 Every failure the serving layer can produce is a :class:`ReproError`
-subclass, so callers (the batch executor, the CLI, user code) can
+subclass, so callers (``search_many``, the CLI, user code) can
 classify outcomes without string matching:
 
 * :class:`QueryParseError` — the request itself is malformed (bad ``k``,

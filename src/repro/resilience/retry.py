@@ -3,13 +3,8 @@
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, TypeVar
-
-from repro.resilience.errors import ReproError, classify_error
-
-T = TypeVar("T")
+from typing import Callable, Optional
 
 
 @dataclass(frozen=True)
@@ -50,28 +45,6 @@ class RetryPolicy:
         return base * (1.0 + draw * self.jitter)
 
 
-#: Default policy used by the batch executor.
+#: The policy ``search_many`` retries transient failures under.
 DEFAULT_RETRY = RetryPolicy()
 
-
-def call_with_retry(
-    fn: Callable[[], T],
-    policy: RetryPolicy = DEFAULT_RETRY,
-    *,
-    sleep: Callable[[float], None] = time.sleep,
-) -> Tuple[T, int]:
-    """Run *fn*, retrying transient :class:`ReproError` failures.
-
-    Returns ``(result, attempts)``.  Non-transient errors and the final
-    failed attempt re-raise the original exception.
-    """
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            return fn(), attempt
-        except Exception as exc:
-            err = classify_error(exc)
-            if attempt >= policy.max_attempts or not err.transient:
-                raise
-            sleep(policy.delay(attempt))

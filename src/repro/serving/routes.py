@@ -18,7 +18,8 @@ Routes::
                        expand, facets, highlight (/search only)
     POST /batch        {"queries": [...]} plus k, method, timeout_ms,
                        max_expansions, fallback, tenant — one value
-                       each, applied to every query of the batch
+                       each, applied to every query of the batch; at
+                       most the tenant burst of queries
     POST /insert       {"table":, "values": {...}} (durable when the
                        server was started over a durability dir)
     POST /admin/swap   build + atomically install a new engine
@@ -40,7 +41,9 @@ so every worker thread unwinds at its next cooperative tick instead of
 finishing work nobody will read (499).  Every ``/search`` and
 ``/batch`` response, whatever its status, carries an ``X-Request-Id``
 header: the client's own id if it sent 1-64 characters of
-``[A-Za-z0-9._-]``, otherwise a freshly minted one.
+``[A-Za-z0-9._-]``, otherwise a freshly minted one.  The id rides the
+request's budget (and every fork of it) into the engine, whose root
+``search`` span carries it as ``request_id`` when tracing.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ class Request:
         "body",
         "budget",
         "disconnected",
+        "request_id",
     )
 
     def __init__(
@@ -101,6 +105,9 @@ class Request:
         #: transport can poison it on client disconnect.
         self.budget: Optional[QueryBudget] = None
         self.disconnected = False
+        #: The id a ``/search`` or ``/batch`` response echoes; set by
+        #: :meth:`Router.dispatch` and carried on the request's budget.
+        self.request_id: Optional[str] = None
 
     def cancel(self) -> None:
         """Transport-side disconnect: poison any in-flight budget."""
@@ -275,12 +282,14 @@ class Router:
     # ------------------------------------------------------------------
     async def dispatch(self, request: Request) -> Response:
         """Route *request*; a ``/search`` or ``/batch`` response echoes
-        the request id as ``X-Request-Id``."""
+        the request id as ``X-Request-Id``, and the id rides the
+        request's budget down to the engine's spans."""
         if request.path not in ("/search", "/batch"):
             return await self._route(request)
         request_id = request.headers.get("x-request-id", "")
         if not _REQUEST_ID.fullmatch(request_id):
             request_id = uuid.uuid4().hex
+        request.request_id = request_id
         response = await self._route(request)
         response.headers["X-Request-Id"] = request_id
         return response
@@ -448,6 +457,7 @@ class Router:
                 return _client_gone()
             remaining_ms = max(1.0, (deadline_s - time.perf_counter()) * 1000.0)
             budget = request.budget = make_budget(remaining_ms, max_expansions)
+            budget.request_id = request.request_id
             if request.disconnected:
                 budget.poison("client disconnected")
             loop = asyncio.get_running_loop()
@@ -539,6 +549,15 @@ class Router:
             raise BadRequest("body must carry a non-empty 'queries' list")
         if not all(isinstance(q, str) and q.strip() for q in queries):
             raise BadRequest("every query must be a non-empty string")
+        burst = self.admission.tenant_burst
+        if len(queries) > burst:
+            # A batch costs one tenant token per query and a bucket
+            # never holds more than the burst: admission would shed it
+            # on every retry.
+            raise BadRequest(
+                f"a batch may carry at most {burst:g} queries "
+                f"(the tenant burst), got {len(queries)}"
+            )
         args = self._query_args(request)
 
         def work(engine: Any, budget: QueryBudget, mode: str) -> Dict[str, Any]:

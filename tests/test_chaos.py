@@ -40,7 +40,7 @@ class TestMutationDuringBatch:
         def hammer():
             while not stop.is_set():
                 try:
-                    engine.search_many(QUERIES, k=5, max_workers=4)
+                    engine.search_many(QUERIES, k=5)
                 except Exception as exc:  # pragma: no cover - fail loudly
                     background_errors.append(exc)
                     return
@@ -112,7 +112,7 @@ class TestMutationDuringBatch:
             "substrates.tuple_sets", exc=None, delay=0.1, times=1
         )
         batch = threading.Thread(
-            target=lambda: engine.search_many(QUERIES, k=5, max_workers=4)
+            target=lambda: engine.search_many(QUERIES, k=5)
         )
         batch.start()
         try:

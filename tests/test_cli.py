@@ -41,8 +41,6 @@ class TestCli:
                 "widom xml",
                 "--dataset",
                 "tiny",
-                "--workers",
-                "4",
                 "--stats",
             ]
         ) == 0

@@ -88,7 +88,7 @@ def test_parsed_query_and_caller_budget(kind):
 def test_search_many_equals_sequential_search(kind):
     front, _ = kind
     batch = [("widom xml", "schema"), ("widom xml", "banks"), "author:widom xml"]
-    got = front.search_many(batch, k=5, max_workers=3)
+    got = front.search_many(batch, k=5)
     want = [
         front.search("widom xml", k=5),
         front.search("widom xml", k=5, method="banks"),
@@ -97,7 +97,7 @@ def test_search_many_equals_sequential_search(kind):
     assert [g.to_dict() for g in got] == [w.to_dict() for w in want]
     # Under one caller budget (each query ticks a fork of it) too.
     budget = QueryBudget(timeout_ms=60_000.0)
-    under = front.search_many(batch, k=5, max_workers=3, budget=budget)
+    under = front.search_many(batch, k=5, budget=budget)
     assert [g.to_dict() for g in under] == [w.to_dict() for w in want]
     assert not budget.exhausted and len(budget._forks) == len(batch)
 

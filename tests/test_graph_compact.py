@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
+import threading
 import time
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -794,16 +795,25 @@ def test_concurrent_first_callers_answer_like_sequential(monkeypatch):
         return build(db)
 
     monkeypatch.setattr(engine_module, "build_data_graph", slow_build)
+    batch = [None, None]
+
+    def first_caller(i, text):
+        batch[i] = engine.search(text, method="banks", use_cache=False)
+
+    callers = [
+        threading.Thread(target=first_caller, args=(i, text))
+        for i, text in enumerate(("john database", "widom xml"))
+    ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        batch = engine.search_many(
-            [("john database", "banks"), ("widom xml", "banks")],
-            max_workers=2,
-            raise_on_error=True,
-        )
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
     assert [[(r.score, r.tuple_ids()) for r in rs] for rs in batch] == [
         [(r.score, r.tuple_ids()) for r in rs] for rs in sequential
     ]

@@ -436,19 +436,15 @@ def test_cache_stats_exact_under_concurrency():
 
 
 def test_batch_executor_counts_exact():
-    from repro.perf.batch import BatchSearchExecutor
-
     engine = KeywordSearchEngine(tiny_bibliographic_db())
-    executor = BatchSearchExecutor(engine, max_workers=6)
     queries = [PARITY_QUERY, "levy fagin", PARITY_QUERY, "levy fagin"] * 3
-    outcomes = executor.run_outcomes(queries, k=3)
+    outcomes = engine.search_many(queries, k=3, detailed=True)
     assert len(outcomes) == len(queries)
-    stats = executor.stats()
-    assert stats["queries_served"] == len(queries)
-    # Two distinct queries; every duplicate was deduplicated in-flight,
-    # never computed twice.
-    assert stats["queries_computed"] == 2
     snap = engine.metrics.snapshot()
+    # Two distinct queries; every duplicate was coalesced before
+    # running, never computed twice.
+    assert snap["query.count"] == 2
+    assert snap["batch.outcome.ok"] == 2
     assert snap["batch.queries_served"] == len(queries)
     assert snap["batch.queries_computed"] == 2
     assert snap["batch.duplicates_coalesced"] == len(queries) - 2

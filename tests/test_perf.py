@@ -3,12 +3,15 @@ cache parity/invalidation, batch execution, and index fast paths."""
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
 from repro.datasets.bibliographic import tiny_bibliographic_db
 from repro.index.inverted import InvertedIndex
-from repro.perf.batch import BatchQuery, BatchSearchExecutor, as_batch_query
+from repro.perf.batch import BatchQuery, as_batch_query
 from repro.perf.lru import LRUCache
 from repro.perf.substrates import SubstrateCache, normalize_keywords
 from repro.relational.database import TupleId
@@ -286,7 +289,7 @@ class TestBatchSearch:
 
     def test_search_many_matches_sequential(self, engine):
         queries = ["widom xml", "john sigmod", ("widom xml", "banks2"), "cloud data"]
-        batched = engine.search_many(queries, k=5, max_workers=4)
+        batched = engine.search_many(queries, k=5)
         assert len(batched) == len(queries)
         expected = [
             engine.search("widom xml", k=5),
@@ -298,28 +301,39 @@ class TestBatchSearch:
             assert result_signature(got) == result_signature(want)
 
     def test_duplicates_coalesced(self, engine):
-        executor = BatchSearchExecutor(engine, max_workers=4)
-        results = executor.run(["widom xml"] * 6, k=5)
+        results = engine.search_many(["widom xml"] * 6, k=5)
         assert len(results) == 6
-        assert executor.queries_served == 6
-        assert executor.queries_computed == 1
+        snap = engine.metrics.snapshot()
+        assert snap["batch.queries_served"] == 6
+        assert snap["batch.queries_computed"] == 1
+        assert snap["query.count"] == 1  # one search, fanned out six times
+        assert len({id(r) for r in results}) == 6  # clones, never aliases
         signatures = {tuple(result_signature(r)) for r in results}
         assert len(signatures) == 1
 
     def test_empty_batch(self, engine):
         assert engine.search_many([]) == []
 
-    def test_single_worker_path(self, engine):
-        executor = BatchSearchExecutor(engine, max_workers=1)
-        results = executor.run(["widom xml", "john sigmod"], k=5)
-        assert len(results) == 2 and all(r for r in results)
+    def test_every_query_runs_on_the_callers_thread(self, engine):
+        """No pool: each distinct query is one ``search`` on the thread
+        that called ``search_many``, in first-seen order."""
+        seen = []
+        real_search = engine.search
 
-    def test_rejects_zero_workers(self, engine):
-        with pytest.raises(ValueError):
-            BatchSearchExecutor(engine, max_workers=0)
+        def spy(text, **kwargs):
+            seen.append((text, threading.get_ident()))
+            return real_search(text, **kwargs)
+
+        engine.search = spy
+        queries = ["widom xml", "john sigmod", "widom xml", ("xml keyword", "banks")]
+        results = engine.search_many(queries, k=5)
+        assert len(results) == 4 and all(r for r in results)
+        caller = threading.get_ident()
+        assert seen == [(t, caller) for t in ("widom xml", "john sigmod", "xml keyword")]
 
     def test_concurrent_stress_parity(self):
-        # Many workers hammering one engine must agree with sequential.
+        # Many callers batching against one engine must agree with
+        # sequential: the server runs each request on a worker thread.
         engine = KeywordSearchEngine(tiny_bibliographic_db())
         queries = [
             "widom xml",
@@ -329,12 +343,28 @@ class TestBatchSearch:
             ("john database", "steiner"),
             ("xml data", "ease"),
         ] * 4
-        batched = engine.search_many(queries, k=5, max_workers=8)
+        batches = [None] * 4
+
+        def caller(i):
+            batches[i] = engine.search_many(queries[i:] + queries[:i], k=5)
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         reference = KeywordSearchEngine(tiny_bibliographic_db(), enable_caches=False)
-        for query, got in zip(queries, batched):
-            bq = as_batch_query(query, k=5)
-            want = reference.search(bq.text, k=bq.k, method=bq.method)
-            assert result_signature(got) == result_signature(want)
+        for i, batched in enumerate(batches):
+            for query, got in zip(queries[i:] + queries[:i], batched):
+                bq = as_batch_query(query, k=5)
+                want = reference.search(bq.text, k=bq.k, method=bq.method)
+                assert result_signature(got) == result_signature(want)
 
 
 # ----------------------------------------------------------------------

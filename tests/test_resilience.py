@@ -19,11 +19,8 @@ from repro.core.xml_engine import XmlSearchEngine
 from repro.datasets.bibliographic import tiny_bibliographic_db
 from repro.datasets.xml_corpora import slide_conf_tree
 from repro.obs.metrics import MetricsRegistry
-from repro.perf.batch import (
-    BatchQuery,
-    BatchSearchExecutor,
-    as_batch_query,
-)
+from repro.perf import batch as batch_module
+from repro.perf.batch import BatchQuery, as_batch_query
 from repro.query.compiler import FilteredTupleSets, compile_query
 from repro.relational.database import Database
 from repro.relational.schema import Column, ForeignKey, Schema, TableSchema
@@ -43,7 +40,7 @@ from repro.resilience.errors import (
     classify_error,
 )
 from repro.resilience.failpoints import FAILPOINTS
-from repro.resilience.retry import RetryPolicy, call_with_retry
+from repro.resilience.retry import RetryPolicy
 from repro.serving.admission import AdmissionController
 from repro.serving.routes import Request, Router
 from repro.serving.swap import EngineHandle
@@ -57,6 +54,20 @@ def result_signature(results):
 @pytest.fixture()
 def engine():
     return KeywordSearchEngine(tiny_bibliographic_db())
+
+
+@pytest.fixture()
+def retry_policy(monkeypatch):
+    """Install a batch retry policy; returns the list the batch's
+    backoff sleeps are recorded into instead of slept."""
+    sleeps = []
+    monkeypatch.setattr(batch_module, "sleep", sleeps.append)
+
+    def install(policy):
+        monkeypatch.setattr(batch_module, "DEFAULT_RETRY", policy)
+        return sleeps
+
+    return install
 
 
 # ----------------------------------------------------------------------
@@ -552,10 +563,11 @@ class TestBatchValidation:
         assert as_batch_query("john").method == "schema"
 
     def test_batch_rejects_before_dispatch(self, engine):
-        executor = BatchSearchExecutor(engine, max_workers=2)
         with pytest.raises(QueryParseError):
-            executor.run(["fine", ("bad", "schema", 0)])
-        assert executor.queries_served == 0  # nothing was dispatched
+            engine.search_many(["fine", ("bad", "schema", 0)])
+        snap = engine.metrics.snapshot()
+        assert "batch.queries_served" not in snap  # nothing was dispatched
+        assert "query.count" not in snap  # not even the valid first query
 
 
 # ----------------------------------------------------------------------
@@ -600,13 +612,6 @@ class TestBatchFaultIsolation:
             if q != "poison pill":
                 assert batches[i].status == "ok"
 
-    def test_raise_on_error_restores_old_behavior(self, engine):
-        FAILPOINTS.activate(
-            "engine.search", exc=RuntimeError("boom"), key="poison pill"
-        )
-        with pytest.raises(SearchExecutionError):
-            engine.search_many(self.QUERIES, raise_on_error=True)
-
     def test_batch_parity_without_faults(self, engine):
         outcomes = engine.search_many(self.QUERIES, detailed=True)
         assert all(o.status == "ok" for o in outcomes)
@@ -638,7 +643,7 @@ class TestBatchFaultIsolation:
         engine.search = spy
         queries = ["john database", "widom xml", "keyword search"]
         outcomes = engine.search_many(
-            queries, method="banks", budget=budget, max_workers=1, detailed=True
+            queries, method="banks", budget=budget, detailed=True
         )
         assert len(seen) == 3 and len({id(fork) for fork in seen}) == 3
         assert budget not in seen
@@ -668,15 +673,13 @@ class TestBatchFaultIsolation:
         fresh = engine.search_many(queries, timeout_ms=60_000, detailed=True)
         assert [o.status for o in fresh] == ["ok"] * 3
 
-    def test_retry_attempts_fork_the_batch_budget_again(self, engine):
+    def test_retry_attempts_fork_the_batch_budget_again(self, engine, retry_policy):
         FAILPOINTS.activate(
             "engine.search", exc=TransientError("flaky"), key="john database", times=1
         )
+        retry_policy(RetryPolicy(max_attempts=2))
         budget = QueryBudget(timeout_ms=60_000, max_candidates=10_000)
-        executor = BatchSearchExecutor(
-            engine, max_workers=1, retry=RetryPolicy(max_attempts=2), sleep=lambda s: None
-        )
-        (outcome,) = executor.run_outcomes(["john database"], budget=budget)
+        (outcome,) = engine.search_many(["john database"], budget=budget, detailed=True)
         assert outcome.status == "ok" and outcome.attempts == 2
         assert len(budget._forks) == 2
 
@@ -684,11 +687,11 @@ class TestBatchFaultIsolation:
         FAILPOINTS.activate(
             "engine.search", exc=RuntimeError("boom"), key="poison pill"
         )
-        executor = BatchSearchExecutor(engine, max_workers=2)
-        executor.run(self.QUERIES)
-        stats = executor.stats()
-        assert stats["queries_failed"] == 1
-        assert stats["queries_served"] == len(self.QUERIES)
+        engine.search_many(self.QUERIES)
+        snap = engine.metrics.snapshot()
+        assert snap["batch.outcome.error"] == 1
+        assert snap["batch.outcome.ok"] == len(self.QUERIES) - 1
+        assert snap["batch.queries_served"] == len(self.QUERIES)
 
 
 # ----------------------------------------------------------------------
@@ -702,32 +705,17 @@ class TestRetries:
         assert policy.delay(3) == pytest.approx(0.03)  # capped
         assert policy.delay(10) == pytest.approx(0.03)
 
-    def test_call_with_retry_transient(self):
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise TransientError("flaky")
-            return "ok"
-
-        result, n = call_with_retry(
-            flaky, RetryPolicy(max_attempts=5), sleep=lambda s: None
+    def test_batch_does_not_retry_nontransient_fault(self, engine, retry_policy):
+        sleeps = retry_policy(RetryPolicy(max_attempts=5))
+        FAILPOINTS.activate(
+            "engine.search", exc=RuntimeError("permanent"), key="john database"
         )
-        assert result == "ok" and n == 3
+        (outcome,) = engine.search_many(["john database"], detailed=True)
+        assert outcome.status == "error" and outcome.attempts == 1
+        assert isinstance(outcome.error, SearchExecutionError)
+        assert FAILPOINTS.hits("engine.search") == 1 and sleeps == []
 
-    def test_call_with_retry_nontransient_raises_immediately(self):
-        attempts = []
-
-        def broken():
-            attempts.append(1)
-            raise RuntimeError("permanent")
-
-        with pytest.raises(RuntimeError):
-            call_with_retry(broken, sleep=lambda s: None)
-        assert len(attempts) == 1
-
-    def test_batch_retries_transient_fault_to_success(self, engine):
+    def test_batch_retries_transient_fault_to_success(self, engine, retry_policy):
         """A fault that fires twice is retried through to a clean answer."""
         FAILPOINTS.activate(
             "engine.search",
@@ -735,30 +723,20 @@ class TestRetries:
             key="john database",
             times=2,
         )
-        sleeps = []
-        executor = BatchSearchExecutor(
-            engine,
-            max_workers=1,
-            retry=RetryPolicy(max_attempts=3, base_delay=0.001),
-            sleep=sleeps.append,
-        )
-        outcomes = executor.run_outcomes(["john database"])
+        sleeps = retry_policy(RetryPolicy(max_attempts=3, base_delay=0.001))
+        outcomes = engine.search_many(["john database"], detailed=True)
         assert outcomes[0].status == "ok"
         assert outcomes[0].attempts == 3
         assert outcomes[0].results
-        assert len(sleeps) == 2
+        assert sleeps == [0.001, 0.002]
+        assert engine.metrics.snapshot()["batch.retries"] == 2
 
-    def test_batch_gives_up_after_max_attempts(self, engine):
+    def test_batch_gives_up_after_max_attempts(self, engine, retry_policy):
         FAILPOINTS.activate(
             "engine.search", exc=TransientError("flaky"), key="john database"
         )
-        executor = BatchSearchExecutor(
-            engine,
-            max_workers=1,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.001),
-            sleep=lambda s: None,
-        )
-        outcomes = executor.run_outcomes(["john database"])
+        retry_policy(RetryPolicy(max_attempts=2, base_delay=0.001))
+        outcomes = engine.search_many(["john database"], detailed=True)
         assert outcomes[0].status == "error"
         assert outcomes[0].attempts == 2
         assert isinstance(outcomes[0].error, TransientError)
@@ -811,7 +789,7 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.state == "closed"
 
-    def test_breaker_trips_on_repeated_substrate_failures(self):
+    def test_breaker_trips_on_repeated_substrate_failures(self, retry_policy):
         """Persistent index-build fault: retries, open circuit, fast-fail,
         then recovery once the fault clears."""
         engine = KeywordSearchEngine(tiny_bibliographic_db())
@@ -819,34 +797,37 @@ class TestCircuitBreaker:
             failure_threshold=3, reset_timeout_s=60.0
         )
         FAILPOINTS.activate("engine.index_build", exc=RuntimeError("disk gone"))
-        executor = BatchSearchExecutor(
-            engine,
-            max_workers=1,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.001),
-            sleep=lambda s: None,
+        retry_policy(RetryPolicy(max_attempts=2, base_delay=0.001))
+        outcomes = engine.search_many(
+            ["john database", "widom xml", "levy"], detailed=True
         )
-        outcomes = executor.run_outcomes(["john database", "widom xml", "levy"])
         # First queries burn build attempts until the breaker opens; the
         # remainder fail fast without touching the build.
         assert all(o.status == "error" for o in outcomes)
         assert any(isinstance(o.error, SubstrateBuildError) for o in outcomes)
         assert engine.circuit_breaker.state == "open"
         fired_before = FAILPOINTS.hits("engine.index_build")
-        outcomes = executor.run_outcomes(["another query"])
+        outcomes = engine.search_many(["another query"], detailed=True)
         assert isinstance(outcomes[0].error, CircuitOpenError)
         assert outcomes[0].attempts == 0
         assert FAILPOINTS.hits("engine.index_build") == fired_before
         # Fault clears, operator resets: service recovers.
         FAILPOINTS.deactivate("engine.index_build")
         engine.circuit_breaker.reset()
-        outcomes = executor.run_outcomes(["john database"])
+        outcomes = engine.search_many(["john database"], detailed=True)
         assert outcomes[0].status == "ok"
         assert outcomes[0].results
 
     def test_engine_owns_persistent_breaker(self, engine):
+        """``search_many`` consults the engine's own breaker: open it and
+        every batch fails fast without touching a search."""
         assert isinstance(engine.circuit_breaker, CircuitBreaker)
-        executor = BatchSearchExecutor(engine)
-        assert executor.breaker is engine.circuit_breaker
+        for _ in range(engine.circuit_breaker.failure_threshold):
+            engine.circuit_breaker.record_failure()
+        outcomes = engine.search_many(["john database", "widom xml"], detailed=True)
+        assert [type(o.error) for o in outcomes] == [CircuitOpenError] * 2
+        assert [o.attempts for o in outcomes] == [0, 0]
+        assert "query.count" not in engine.metrics.snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -937,8 +918,6 @@ class TestCliResilience:
                 "widom xml",
                 "--dataset",
                 "tiny",
-                "--workers",
-                "1",
             ]
         )
         assert code == 1  # partial failure reported in the exit code

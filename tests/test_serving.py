@@ -854,6 +854,56 @@ class TestRouterUnit:
             key: entry[key] for key in entry if key != "status"
         }
 
+    def test_batch_past_the_tenant_burst_is_400_not_429(self, router_env):
+        """A batch costs one token per query and a bucket never holds
+        more than the burst, so a longer batch would be shed on every
+        retry: it is a 400 naming the cap, refused before admission."""
+        engine, admission, router = router_env
+        burst = int(admission.tenant_burst)
+        over = _dispatch(
+            router, Request("POST", "/batch", body={"queries": ["hi"] * (burst + 1)})
+        )
+        assert over.status == 400 and "X-Request-Id" in over.headers
+        assert f"at most {burst} queries" in over.payload["error"]
+        assert router.metrics.snapshot().get("serve.shed.rate_limited", 0) == 0
+        assert engine.calls == []
+        at = _dispatch(router, Request("POST", "/batch", body={"queries": ["hi"] * burst}))
+        assert at.status == 200 and at.payload["count"] == burst
+        _assert_idle(router)
+
+    def test_request_id_reaches_the_engine_spans(self, router_env):
+        """The echoed id rides the request's budget into the engine:
+        every query of a batch, and a sharded query, tags its root span."""
+        _, _, router = router_env
+        single = KeywordSearchEngine(tiny_bibliographic_db())
+        sharded = build_engine(tiny_bibliographic_db(), shards=2)
+        batch = {"queries": ["widom xml", "john database", "widom xml"]}
+        cases = (
+            (single, Request("POST", "/batch", body=batch), 2),
+            (sharded, Request("GET", "/search", {"q": "widom xml"}), 1),
+        )
+        try:
+            for engine, request, searches in cases:
+                router.handle = EngineHandle(engine, metrics=router.metrics)
+                request.headers["x-request-id"] = "abc"
+                with engine.profiled() as prof:
+                    response = _dispatch(router, request)
+                assert response.status == 200
+                assert response.headers["X-Request-Id"] == "abc"
+                assert len(prof) == searches
+                assert [t.root.name for t in prof.traces] == ["search"] * searches
+                assert [t.root.tags["request_id"] for t in prof.traces] == ["abc"] * searches
+            # A minted id reaches the spans the same way.
+            router.handle = EngineHandle(single, metrics=router.metrics)
+            with single.profiled() as prof:
+                response = _dispatch(router, Request("POST", "/batch", body=batch))
+            minted = response.headers["X-Request-Id"]
+            assert [t.root.tags["request_id"] for t in prof.traces] == [minted] * 2
+        finally:
+            sharded.close()
+        # A library call carries no id: its root span has no such tag.
+        assert "request_id" not in single.search("widom xml", trace=True).trace.root.tags
+
 
 # ----------------------------------------------------------------------
 # End-to-end over HTTP
