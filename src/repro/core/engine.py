@@ -453,8 +453,11 @@ class KeywordSearchEngine(QueryFrontEnd):
         returns the best partial results with ``degraded`` set instead
         of raising.  ``fallback=True`` additionally descends the
         degradation ladder (e.g. steiner → banks → index_only) when a
-        rung exhausts with nothing to show.  Budgeted or ladder queries
-        bypass the result LRU so partial answers are never cached.
+        rung exhausts with nothing to show.  Only complete answers are
+        cached — never a degraded or fallen-back one — each with the
+        work it cost; a budgeted query is served a cached answer only
+        when its budget covers that cost, and is charged it, so its
+        answer is the one it would have computed.
 
         ``trace=True`` (or ``KeywordSearchEngine(trace=True)``) attaches
         a span tree covering the pipeline stages as ``result.trace``;
@@ -573,12 +576,11 @@ class KeywordSearchEngine(QueryFrontEnd):
         return [outcome.results for outcome in outcomes]
 
     def _tree_to_joined(self, nodes) -> "JoinedRow":
-        from repro.relational.executor import JoinedRow
+        from repro.relational.executor import JoinedRow, node_aliases
 
         ordered = sorted(nodes)
         rows = tuple(self.db.row(tid) for tid in ordered)
-        aliases = tuple(f"n{i}" for i in range(len(rows)))
-        return JoinedRow(aliases, rows)
+        return JoinedRow(node_aliases(len(rows)), rows)
 
     # ------------------------------------------------------------------
     # Analysis helpers

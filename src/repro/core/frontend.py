@@ -1,15 +1,21 @@
 """The query front end every engine shares.
 
 validate (``k``, method) -> refresh -> canonical parse -> result LRU
-with single-flight misses, or its bypass -> degradation ladder -> one
-seam, ``_execute_rung``; plus the per-query trace, profiler and metrics
-bookkeeping around it.  An engine supplies the hooks: four constants,
+with single-flight misses -> degradation ladder -> one seam,
+``_execute_rung``; plus the per-query trace, profiler and metrics
+bookkeeping around it.  Every call looks the LRU up except
+``use_cache=False`` and engines without caches.  An entry is a complete
+answer and the work it cost: a budgeted caller is served it only when
+its budget absorbs that cost (and is charged it), and only complete
+answers — not degraded, not fallen back, data version unchanged — are
+published.  An engine supplies the hooks: four constants,
 ``refresh``, ``_parse_canonical``, ``_data_version`` (cached engines),
 ``_run_query``, ``_rung_chain`` (engines with a ladder), ``_execute_rung``.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from contextlib import contextmanager
 from typing import Iterator, Optional, Tuple
@@ -149,13 +155,12 @@ class QueryFrontEnd:
                 root.tag("method", method).tag("k", k).tag("query", query.canonical())
                 if budget is not None and budget.request_id is not None:
                     root.tag("request_id", budget.request_id)
-            if budget is not None or fallback or not (use_cache and self.enable_caches):
-                # Budgeted and ladder answers may be partial: never cached.
+            if use_cache and self.enable_caches:
+                results = self._serve_cached(query, k, method, budget, fallback, tracer)
+            else:
                 with trace_span(tracer, "cache_lookup") as csp:
                     csp.tag("outcome", "bypass")
                 results = self._run_query(query, k, method, budget, fallback, tracer)
-            else:
-                results = self._serve_cached(query, k, method, tracer)
         metrics.observe(self._m_latency, (time.perf_counter() - start_s) * 1000.0)
         if results.degraded:
             metrics.inc(self._m_degraded)
@@ -170,53 +175,80 @@ class QueryFrontEnd:
         return results
 
     def _serve_cached(
-        self, query, k, method: str, tracer: Optional[Tracer]
+        self,
+        query,
+        k,
+        method: str,
+        budget: Optional[QueryBudget],
+        fallback: bool,
+        tracer: Optional[Tracer],
     ) -> ResultSet:
         """Result-LRU path with per-key single-flight misses.
 
-        The first lookup counts a hit or miss as before.  On a miss the
-        per-key lock serialises concurrent computations of the same
-        query: one thread computes while the rest wait, re-check via the
-        non-counting :meth:`LRUCache.peek`, and are served the freshly
-        published entry (counted as ``coalesced`` — duplicate
-        computations avoided).  The returned set is always a clone so
-        callers can sort/slice without poisoning the cache; the clone
-        carries its own trace (a cache hit's trace describes the
-        lookup, tagged ``cache_hit=True``, never the original compute)
-        while degradation metadata is preserved from the cached entry.
+        An entry is a *complete* answer plus what computing it cost,
+        ``(nodes, cns, candidates)``.  A complete top-k is the same
+        answer under any budget, so a hit is served to an unbudgeted
+        caller as is and to a budgeted one when
+        :meth:`QueryBudget.charge` admits the recorded cost.  When it
+        does not (a ``max_*`` cap, a passed deadline, a poisoned budget)
+        the query runs under its budget as an uncached query does, and
+        nothing is published; the lookup's span reads ``over_budget``
+        (the LRU's own counters see a hit, ``<prefix>.cache_hits`` only
+        answers served).
+
+        On a miss the per-key lock serialises concurrent computations of
+        the same query: one thread computes while the rest wait, re-check
+        via the non-counting :meth:`LRUCache.peek`, and are served the
+        freshly published entry (counted as ``coalesced`` — duplicate
+        computations avoided).  Every miss is metered, under the caller's
+        budget or a fresh uncapped one, its cost including the budget's
+        forks (a sharded query's per-shard work).  The returned set is
+        always a clone so callers can sort/slice without poisoning the
+        cache; the clone carries its own trace (a cache hit's trace
+        describes the lookup, tagged ``cache_hit=True``, never the
+        original compute).
         """
         key = self._query_key(query, method, k)
         cache = self._result_cache
         lookup_span = trace_span(tracer, "cache_lookup")
-        with lookup_span as csp:
-            cached = cache.get(key)
-            if cached is not None:
-                csp.tag("outcome", "hit").tag("cache_hit", True)
-        if cached is not None:
-            self.metrics.inc(self._m_cache_hits)
-            return cached.clone()
+        with lookup_span:
+            entry = cache.get(key)
+        if entry is not None:
+            if budget is None or budget.charge(entry[1]):
+                lookup_span.tag("outcome", "hit").tag("cache_hit", True)
+                self.metrics.inc(self._m_cache_hits)
+                return entry[0].clone()
+            lookup_span.tag("outcome", "over_budget")
+            return self._run_query(query, k, method, budget, fallback, tracer)
         with cache.key_lock(key):
-            cached = cache.peek(key)
-            if cached is not None:
+            entry = cache.peek(key)
+            if entry is not None and (budget is None or budget.charge(entry[1])):
                 # A concurrent miss on the same key published while we
                 # waited: serve it instead of recomputing.
                 cache.stats.record_coalesced()
                 self.metrics.inc(self._m_coalesced)
                 lookup_span.tag("outcome", "coalesced").tag("cache_hit", True)
-                return cached.clone()
+                return entry[0].clone()
             lookup_span.tag("outcome", "miss")
             computed_at = self._data_version()
-            results = self._run_query(query, k, method, None, False, tracer)
+            meter = budget if budget is not None else QueryBudget()
+            before = meter.spent()
+            results = self._run_query(query, k, method, meter, fallback, tracer)
             # Chaos hook: delay between computing and publishing to the
             # LRU, to widen the race window against concurrent mutation.
             fail_point("cache.result_put", key=query.raw)
-            if self._data_version() == computed_at and not results.degraded:
-                # Version-guarded publish: results computed against
-                # since-mutated data are served but never cached, so a
-                # slow compute can't pin a stale entry past
-                # invalidation.  Nor is a degraded answer (a dead or
-                # skipped shard): the next query should retry in full.
-                cache.put(key, results)
+            if (
+                not results.degraded
+                and results.fallback_from is None
+                and self._data_version() == computed_at
+            ):
+                # Only a complete answer is published: not degraded (out
+                # of budget, a dead or skipped shard) nor fallen back.
+                # Version-guarded: results computed against since-mutated
+                # data are served but never cached, so a slow compute
+                # can't pin a stale entry past invalidation.
+                cost = tuple(map(operator.sub, meter.spent(), before))
+                cache.put(key, (results, cost))
         return results.clone()
 
     def _run_ladder(

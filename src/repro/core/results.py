@@ -6,13 +6,17 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.relational.database import TupleId
-from repro.relational.executor import JoinedRow
+from repro.relational.executor import JoinedRow, node_aliases
 from repro.xmltree.node import Dewey, XmlNode
 
 
 @dataclass
 class SearchResult:
     """One relational answer: a joining network of tuples."""
+
+    # Slotted by hand (``dataclass(slots=True)`` needs Python 3.10): the
+    # result LRU holds hundreds of these.
+    __slots__ = ("score", "network", "joined")
 
     score: float
     network: str  # CN label / semantics description
@@ -157,8 +161,6 @@ class ResultSet(list):
         stay as plain dicts (score/network/tuples), which is enough for
         client-side display and comparisons.
         """
-        from repro.relational.executor import JoinedRow
-
         items: List[Any] = []
         for entry in data.get("results", ()):
             if db is None:
@@ -166,12 +168,11 @@ class ResultSet(list):
                 continue
             tids = [TupleId(table, rowid) for table, rowid in entry["tuples"]]
             rows = tuple(db.row(tid) for tid in tids)
-            aliases = tuple(f"n{i}" for i in range(len(rows)))
             items.append(
                 SearchResult(
                     score=entry["score"],
                     network=entry["network"],
-                    joined=JoinedRow(aliases, rows),
+                    joined=JoinedRow(node_aliases(len(rows)), rows),
                 )
             )
         error_data = data.get("error")

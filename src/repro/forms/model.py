@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.relational.database import Database
-from repro.relational.executor import JoinedRow
+from repro.relational.executor import JoinedRow, node_aliases
 from repro.relational.schema_graph import SchemaEdge
 
 
@@ -136,7 +136,7 @@ class QueryForm:
                     if admits(dst, rowid):
                         extended.append({**partial, dst: rowid})
             partials = extended
-        aliases = tuple(f"n{i}" for i in range(len(names)))
+        aliases = node_aliases(len(names))
         return [
             JoinedRow(aliases, tuple(t.row(p[i]) for i, t in enumerate(tables)))
             for p in partials

@@ -41,11 +41,7 @@ from repro.relational.database import Database, TupleId
 from repro.perf.lru import LRUCache
 from repro.relational.schema_graph import SchemaGraph
 from repro.resilience.budget import QueryBudget
-from repro.resilience.errors import (
-    BudgetExceededError,
-    ReproError,
-    SubstrateBuildError,
-)
+from repro.resilience.errors import ReproError, SubstrateBuildError
 from repro.resilience.failpoints import fail_point
 from repro.schema_search.candidate_networks import (
     CandidateNetwork,
@@ -209,10 +205,11 @@ class SubstrateCache:
         """Duplicate-free CNs for (keyword set, max size), memoised.
 
         A *complete* CN list is valid under any budget, so a hit charges
-        *budget* the ``tick_cns`` enumeration would have cost and serves
-        the memo.  When that charge would cross ``max_cns`` — or on a
-        miss — enumeration runs under the budget exactly as it would
-        without a memo, and the list is stored only if it finished.
+        *budget* the ``tick_cns`` enumeration would have cost
+        (:meth:`QueryBudget.charge`) and serves the memo.  When the
+        charge is refused — or on a miss — enumeration runs under the
+        budget exactly as it would without a memo, and the list is
+        stored only if it finished.
         """
         self.check_version()
         key = normalize_keywords(keywords)
@@ -221,17 +218,8 @@ class SubstrateCache:
             cached = memo.networks.get(max_size)
             if cached is not None:
                 cns, cost = cached
-                if budget is None:
+                if budget is None or budget.charge((0, cost, 0)):
                     return cns
-                if (
-                    budget.max_cns is None
-                    or budget.cns_enumerated + cost <= budget.max_cns
-                ):
-                    try:
-                        budget.tick_cns(cost)
-                        return cns
-                    except BudgetExceededError:
-                        pass  # deadline passed; enumeration stops at once
             # Enumeration is metered either way: the dequeue count of a
             # complete list is what later budgeted hits are charged.
             meter = budget if budget is not None else QueryBudget()

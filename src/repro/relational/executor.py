@@ -11,9 +11,20 @@ instead of the original papers' wall-clock numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Tuple
 
 from repro.relational.table import Row
+
+
+@lru_cache(maxsize=None)
+def node_aliases(n: int) -> Tuple[str, ...]:
+    """``("n0", ..., "n<n-1>")``, the aliases of an *n*-node answer.
+
+    One shared tuple per arity: every cached answer of one size points
+    at the same aliases instead of carrying its own copy.
+    """
+    return tuple(f"n{i}" for i in range(n))
 
 
 @dataclass

@@ -15,12 +15,17 @@ extra return values around.
 Deadline checks cost a clock read, so they run on the first tick and
 then every ``deadline_check_every`` ticks; counter checks are plain
 integer compares and run on every tick.
+
+The two memos of complete work — the result LRU and the CN-list memo —
+record what computing an entry cost (:meth:`QueryBudget.spent`) and
+serve it to a budgeted caller only through :meth:`QueryBudget.charge`,
+so a hit is admitted exactly when the computation would have fit.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.resilience.errors import BudgetExceededError
 
@@ -125,6 +130,49 @@ class QueryBudget:
     def checkpoint(self) -> None:
         """Deadline-only check for loops with no natural work counter."""
         self._tick()
+
+    # ------------------------------------------------------------------
+    # Memoised work
+    # ------------------------------------------------------------------
+    def spent(self) -> Tuple[int, int, int]:
+        """``(nodes, cns, candidates)`` charged to this budget and every
+        fork it made (a sharded query's per-shard work included)."""
+        nodes = self.nodes_expanded
+        cns = self.cns_enumerated
+        candidates = self.candidates_scored
+        for child in self._forks:
+            n, c, s = child.spent()
+            nodes += n
+            cns += c
+            candidates += s
+        return nodes, cns, candidates
+
+    def charge(self, cost: Tuple[int, int, int]) -> bool:
+        """Charge the recorded ``(nodes, cns, candidates)`` of a memoised
+        complete answer, so serving it costs what computing it would.
+
+        Returns False, charging nothing, when the cost would cross a
+        ``max_*`` cap, or when the budget is exhausted (poisoned) or past
+        its deadline: the caller then computes under the budget instead.
+        The deadline is read on every call — a hit skips the ticks that
+        would have sampled it.
+        """
+        nodes, cns, candidates = cost
+        if (
+            (self.max_nodes is not None and self.nodes_expanded + nodes > self.max_nodes)
+            or (self.max_cns is not None and self.cns_enumerated + cns > self.max_cns)
+            or (
+                self.max_candidates is not None
+                and self.candidates_scored + candidates > self.max_candidates
+            )
+            or self.exhausted
+            or (self._deadline is not None and self._clock() >= self._deadline)
+        ):
+            return False
+        self.nodes_expanded += nodes
+        self.cns_enumerated += cns
+        self.candidates_scored += candidates
+        return True
 
     # ------------------------------------------------------------------
     # Lifecycle & observability

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.index.inverted import InvertedIndex
 from repro.relational.database import TupleId
-from repro.relational.executor import JoinedRow
+from repro.relational.executor import JoinedRow, node_aliases
 from repro.relational.table import Row
 from repro.schema_search.candidate_networks import CandidateNetwork
 from repro.schema_search.scoring import spark_score, tuple_score
@@ -119,8 +119,7 @@ class _CNCombinations:
             ordered = tuple(assignment[i] for i in range(self.cn.size))
             if len({(r.table.name, r.rowid) for r in ordered}) < len(ordered):
                 continue
-            aliases = tuple(f"n{i}" for i in range(self.cn.size))
-            joined = JoinedRow(aliases, ordered)
+            joined = JoinedRow(node_aliases(self.cn.size), ordered)
             out.append((spark_score(self.index, joined, self.keywords), joined))
         return out
 

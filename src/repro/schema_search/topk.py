@@ -58,7 +58,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.index.inverted import InvertedIndex
 from repro.obs.trace import span as trace_span
 from repro.relational.database import TupleId
-from repro.relational.executor import JoinedRow, JoinStats
+from repro.relational.executor import JoinedRow, JoinStats, node_aliases
 from repro.resilience.budget import QueryBudget
 from repro.resilience.errors import BudgetExceededError
 from repro.schema_search.candidate_networks import CandidateNetwork
@@ -237,7 +237,7 @@ class CNQueryContext:
             for j in range(i + 1, size)
             if nodes[i].table == nodes[j].table
         ]
-        plan.aliases = tuple(f"n{i}" for i in range(size))
+        plan.aliases = node_aliases(size)
         tables = [db.table(node.table) for node in nodes]
         plan.nodes_at = [(t.name, t, position[i]) for i, t in enumerate(tables)]
         plan.steps = steps

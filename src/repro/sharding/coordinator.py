@@ -359,6 +359,8 @@ class ShardedSearchEngine(KeywordSearchEngine):
         start_s = time.perf_counter()
         with trace_span(shard_tracer, f"shard[{shard.shard_id}]") as sp:
             sp.tag("shard", shard.shard_id)
+            if budget is not None and budget.request_id is not None:
+                sp.tag("request_id", budget.request_id)
             if not breaker.allow():
                 outcome.skipped = True
                 sp.tag("skipped", "circuit_open")

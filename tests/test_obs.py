@@ -470,7 +470,9 @@ def test_cache_hit_preserves_degraded_metadata_and_tags_trace():
         degraded_reason="timeout_ms exhausted",
     )
     degraded.trace = computed.trace  # stale compute trace in the cache
-    engine._result_cache.put(key, degraded)
+    # An entry is (answer, recorded cost); the front end itself never
+    # publishes a degraded answer, so plant one by hand.
+    engine._result_cache.put(key, (degraded, (0, 0, 0)))
 
     served = engine.search(PARITY_QUERY, k=3)
     assert served.degraded is True

@@ -11,6 +11,7 @@ import asyncio
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import KeywordSearchEngine
 from repro.core.factory import build_engine
@@ -182,6 +183,40 @@ class TestQueryBudget:
         assert snap["nodes_expanded"] == 4
         assert snap["exhausted"] is False
 
+    def test_spent_sums_every_fork(self):
+        budget = QueryBudget()
+        budget.tick_cns(3)
+        fork = budget.fork()
+        fork.tick_nodes(2)
+        fork.fork().tick_candidates(5)
+        budget.fork().tick_candidates(1)
+        assert budget.spent() == (2, 3, 6)
+        assert fork.spent() == (2, 0, 5)
+
+    def test_charge_fits_every_cap_or_charges_nothing(self):
+        budget = QueryBudget(max_nodes=5, max_cns=5, max_candidates=5)
+        assert budget.charge((5, 0, 2))
+        assert budget.spent() == (5, 0, 2)
+        # Any one cap crossed refuses the whole charge.
+        for cost in ((1, 0, 0), (0, 6, 0), (0, 0, 4)):
+            assert not budget.charge(cost)
+        assert budget.spent() == (5, 0, 2) and not budget.exhausted
+        assert QueryBudget().charge((10**9, 10**9, 10**9))
+
+    def test_charge_refused_past_the_deadline_or_poisoned(self):
+        now = [0.0]
+        budget = QueryBudget(timeout_ms=50, clock=lambda: now[0])
+        for _ in range(3):
+            budget.checkpoint()  # the deadline read is now sampled
+        now[0] = 0.051
+        # charge reads the clock itself: a hit skips the ticks that
+        # would have sampled it.
+        assert not budget.charge((0, 0, 0))
+        assert budget.spent() == (0, 0, 0)
+        poisoned = QueryBudget()
+        poisoned.poison("client disconnected")
+        assert not poisoned.charge((0, 0, 0))
+
 
 # ----------------------------------------------------------------------
 # Degraded search (acceptance: budget exhaustion never raises)
@@ -241,14 +276,31 @@ class TestDegradedSearch:
         assert not budgeted.degraded
         assert result_signature(budgeted) == result_signature(full)
 
-    def test_budgeted_results_never_cached(self, engine):
+    def test_only_complete_answers_are_cached(self, engine):
+        """Degraded and fallen-back answers are never published; a
+        complete answer computed under a budget is, and the next
+        budgeted caller it fits is served it."""
         degraded = engine.search("john database", method="banks", max_expansions=1)
         assert degraded.degraded
+        fell_back = engine.search(
+            "john database", method="steiner", max_expansions=1, fallback=True
+        )
+        assert fell_back.fallback_from == "steiner"
+        assert len(engine._result_cache) == 0
         clean = engine.search("john database", method="banks")
         assert clean.status == "ok"
         assert result_signature(clean) == result_signature(
             engine.search("john database", method="banks", use_cache=False)
         )
+
+        budgeted = engine.search("widom xml", method="banks", max_expansions=10_000)
+        assert not budgeted.degraded
+        assert len(engine._result_cache) == 2
+        hits = engine.cache_stats()["results"]["hits"]
+        again = engine.search("widom xml", method="banks", timeout_ms=60_000)
+        assert engine.cache_stats()["results"]["hits"] == hits + 1
+        assert result_signature(again) == result_signature(budgeted)
+        assert engine.metrics.snapshot()["query.cache_hits"] == 1
 
     def test_unknown_method_is_parse_error(self, engine):
         with pytest.raises(QueryParseError):
@@ -263,6 +315,99 @@ class TestDegradedSearch:
         assert all(len(r.joined.rows) == 1 for r in results)
         scores = [r.score for r in results]
         assert scores == sorted(scores, reverse=True)
+
+
+# ----------------------------------------------------------------------
+# The result LRU under budgets
+# ----------------------------------------------------------------------
+CACHE_QUERIES = ("john database", "widom xml", "xml query", "keyword search", "levy fagin")
+CACHE_METHODS = ("schema", "banks", "index_only")
+
+
+@pytest.fixture(scope="module")
+def warm_engine():
+    """One engine whose LRU holds every (query, method) complete answer."""
+    engine = KeywordSearchEngine(tiny_bibliographic_db())
+    for text in CACHE_QUERIES:
+        for method in CACHE_METHODS:
+            assert not engine.search(text, k=5, method=method).degraded
+    return engine
+
+
+def _recorded_cost(engine, text, method, k=5):
+    entry = engine._result_cache.peek(engine._query_key(text, method, k))
+    assert entry is not None, (text, method)
+    return entry[1]
+
+
+def _answer(results):
+    return result_signature(results), results.degraded, results.degraded_reason
+
+
+class TestBudgetedResultCache:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_capped_search_answers_like_an_uncached_one(self, warm_engine, data):
+        """Whatever the cap — under, at or over the recorded cost — the
+        cached path answers exactly what the uncached path does: a hit
+        only when the whole computation would have fit."""
+        text = data.draw(st.sampled_from(CACHE_QUERIES), label="query")
+        method = data.draw(st.sampled_from(CACHE_METHODS), label="method")
+        top = max(_recorded_cost(warm_engine, text, method))
+        cap = data.draw(
+            st.integers(max(0, top - 3), top + 3) | st.integers(0, 2 * top + 2),
+            label="cap",
+        )
+        hits = warm_engine.metrics.snapshot().get("query.cache_hits", 0)
+        cached = warm_engine.search(text, k=5, method=method, max_expansions=cap)
+        served = warm_engine.metrics.snapshot().get("query.cache_hits", 0) - hits
+        uncached = warm_engine.search(
+            text, k=5, method=method, max_expansions=cap, use_cache=False
+        )
+        assert _answer(cached) == _answer(uncached)
+        assert served == (cap >= top)
+        # The entry is still the complete answer: nothing degraded was
+        # published over it.
+        assert not warm_engine._result_cache.peek(
+            warm_engine._query_key(text, method, 5)
+        )[0].degraded
+
+    def test_a_hit_charges_the_recorded_cost(self, warm_engine):
+        cost = _recorded_cost(warm_engine, "xml query", "schema")
+        assert all(c > 0 for c in cost)
+        budget = QueryBudget(max_nodes=10**6, max_cns=10**6, max_candidates=10**6)
+        budget.tick_nodes(1)
+        warm_engine.search("xml query", k=5, budget=budget)
+        assert budget.spent() == (cost[0] + 1, cost[1], cost[2])
+
+    def test_never_served_to_a_poisoned_or_late_budget(self, warm_engine):
+        text = "john database"
+        complete = warm_engine.search(text, k=5)
+        hits = warm_engine.metrics.snapshot()["query.cache_hits"]
+        poisoned = QueryBudget()
+        poisoned.poison("client disconnected")
+        cancelled = warm_engine.search(text, k=5, budget=poisoned)
+        assert cancelled.degraded
+        assert cancelled.degraded_reason == "client disconnected"
+        now = [0.0]
+        late = QueryBudget(timeout_ms=50, clock=lambda: now[0])
+        now[0] = 1.0
+        expired = warm_engine.search(text, k=5, budget=late)
+        assert expired.degraded and "deadline" in expired.degraded_reason
+        assert warm_engine.search(text, k=5, timeout_ms=0).degraded
+        assert warm_engine.metrics.snapshot()["query.cache_hits"] == hits
+        # The complete entry survives them all.
+        assert _answer(warm_engine.search(text, k=5, timeout_ms=60_000)) == _answer(
+            complete
+        )
+
+    def test_a_traced_budgeted_lookup_names_its_outcome(self):
+        engine = KeywordSearchEngine(tiny_bibliographic_db())
+        outcomes = []
+        for budget in (QueryBudget(), QueryBudget(), QueryBudget(max_nodes=0)):
+            results = engine.search("widom xml", budget=budget, trace=True)
+            outcomes.append(results.trace.find("cache_lookup").tags["outcome"])
+        assert outcomes == ["miss", "hit", "over_budget"]
 
 
 # ----------------------------------------------------------------------

@@ -1141,6 +1141,96 @@ class TestHttpEndToEnd:
         assert now > before
 
 
+class TestServedResultCache:
+    """Every HTTP query carries a budget; complete answers reach it from
+    the result LRU all the same, on one engine and on two shards."""
+
+    @pytest.fixture(params=[1, 2], ids=["single", "shards2"])
+    def cached_server(self, request):
+        metrics = MetricsRegistry()
+        engine = build_engine(
+            tiny_bibliographic_db(), shards=request.param, metrics=metrics
+        )
+        # No latency target: the admission pressure every body reports
+        # stays 0 for sequential requests, so bodies compare whole.
+        server = ServingServer(
+            engine, port=0, max_concurrency=2, target_latency_ms=0, metrics=metrics
+        )
+        server.start_in_thread()
+        yield server, engine
+        server.stop()
+        engine.close()
+
+    @staticmethod
+    def _hits(engine):
+        return engine.metrics.snapshot().get(f"{engine.metric_prefix}.cache_hits", 0)
+
+    @staticmethod
+    def _body(payload):
+        return {key: value for key, value in payload.items() if key != "elapsed_ms"}
+
+    def test_repeated_search_is_a_cache_hit(self, cached_server):
+        server, engine = cached_server
+        for path in ("/search?q=widom+xml&k=3", "/search?q=john+database&method=banks"):
+            status, first, first_headers = _http(server.address, path)
+            hits = self._hits(engine)
+            status_again, again, again_headers = _http(server.address, path)
+            assert status == status_again == 200 and first["count"] > 0
+            assert self._body(again) == self._body(first)
+            assert again_headers["X-Request-Id"] != first_headers["X-Request-Id"]
+            assert self._hits(engine) == hits + 1
+
+    def test_batch_of_warm_queries_is_served_from_the_cache(self, cached_server):
+        server, engine = cached_server
+        body = {
+            "queries": ["widom xml", "john database", "widom xml", "keyword search"],
+            "k": 3,
+        }
+        status, first, _ = _http(server.address, "/batch", "POST", body)
+        hits = self._hits(engine)
+        status_again, again, _ = _http(server.address, "/batch", "POST", body)
+        assert status == status_again == 200
+        assert self._body(again) == self._body(first)
+        assert self._hits(engine) == hits + 3  # the distinct queries
+
+    def test_a_warm_key_still_answers_a_gone_client_with_499(self, cached_server):
+        server, engine = cached_server
+        assert _http(server.address, "/search?q=widom+xml")[0] == 200
+        count = engine.metrics.snapshot()[f"{engine.metric_prefix}.count"]
+        # A second router over the same engine, driven from this thread's
+        # loop, so the hang-up lands while the request waits for a slot.
+        metrics = MetricsRegistry()
+        executor = ThreadPoolExecutor(max_workers=1)
+        router = Router(
+            handle=EngineHandle(engine, metrics=metrics),
+            admission=AdmissionController(
+                max_concurrency=1, max_queue_depth=2, metrics=metrics
+            ),
+            executor=executor,
+            metrics=metrics,
+        )
+
+        async def scenario():
+            gone = Request("GET", "/search", {"q": "widom xml"})
+            gone.cancel()
+            before_dispatch = await router.dispatch(gone)
+            await router.slots.acquire()  # the one worker slot held
+            request = Request("GET", "/search", {"q": "widom xml"})
+            task = asyncio.ensure_future(router.dispatch(request))
+            await asyncio.sleep(0.05)
+            request.cancel()
+            router.slots.release()
+            return before_dispatch, await task
+
+        try:
+            statuses = [r.status for r in asyncio.run(scenario())]
+        finally:
+            executor.shutdown(wait=False)
+        assert statuses == [499, 499]
+        assert metrics.snapshot()["serve.disconnects"] == 2
+        assert engine.metrics.snapshot()[f"{engine.metric_prefix}.count"] == count
+
+
 class TestRecoverSwapKeepsEngineShape:
     def test_sharded_columnar_server_recovers_as_one(self, tmp_path):
         """A ``recover`` swap builds the next generation through the

@@ -1,5 +1,7 @@
 """Sharded scatter-gather engine: partitioning, parity, resilience."""
 
+import json
+
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
@@ -9,6 +11,7 @@ from repro.datasets.bibliographic import (
 )
 from repro.datasets.products import generate_product_db
 from repro.relational.database import TupleId
+from repro.resilience.budget import QueryBudget
 from repro.resilience.degradation import KNOWN_METHODS
 from repro.resilience.failpoints import FAILPOINTS
 from repro.sharding import (
@@ -361,6 +364,52 @@ class TestShardedCache:
             assert first is not second
             snap = sharded.metrics.snapshot()
             assert snap["shard_query.cache_hits"] == 1
+
+    def test_cached_answer_is_byte_identical_and_costs_every_shard(self, biblio_db):
+        """A budgeted miss publishes the answer with the work of the
+        coordinator *and* its shard forks; a hit serves the same bytes
+        an uncached search computes."""
+        queries = ("database keyword", "john database", "xml query search")
+        with ShardedSearchEngine(biblio_db, n_shards=2) as sharded:
+            for method in ("schema", "index_only", "banks"):
+                for text in queries:
+                    budget = QueryBudget(timeout_ms=60_000)
+                    miss = sharded.search(text, k=5, method=method, budget=budget)
+                    assert miss and not miss.degraded
+                    key = sharded._query_key(text, method, 5)
+                    _, cost = sharded._result_cache.peek(key)
+                    assert budget._forks  # one per shard (or the routed slot)
+                    forks = [f.spent() for f in budget._forks]
+                    for i in range(3):
+                        assert cost[i] >= sum(f[i] for f in forks), (text, method)
+                    assert cost == budget.spent()
+                    hit = sharded.search(
+                        text, k=5, method=method, budget=QueryBudget(timeout_ms=60_000)
+                    )
+                    uncached = sharded.search(text, k=5, method=method, use_cache=False)
+                    assert json.dumps(hit.to_dict()) == json.dumps(uncached.to_dict())
+                    assert json.dumps(miss.to_dict()) == json.dumps(hit.to_dict())
+            snap = sharded.metrics.snapshot()
+            assert snap["shard_query.cache_hits"] == 3 * len(queries)
+
+    def test_shard_spans_carry_the_request_id(self, biblio_db):
+        with ShardedSearchEngine(biblio_db, n_shards=2) as sharded:
+            for method in ("schema", "banks"):
+                budget = QueryBudget()
+                budget.request_id = "r1"
+                results = sharded.search(
+                    "database keyword", k=5, method=method, budget=budget, trace=True
+                )
+                spans = list(results.trace.spans())
+                shard_spans = [s for s in spans if s.name.startswith("shard[")]
+                assert shard_spans, method
+                assert results.trace.root.tags["request_id"] == "r1"
+                assert all(s.tags["request_id"] == "r1" for s in shard_spans)
+            # No id, no tag.
+            untagged = sharded.search("john conference", k=5, trace=True)
+            assert all(
+                "request_id" not in s.tags for s in untagged.trace.spans()
+            )
 
 
 # ----------------------------------------------------------------------
