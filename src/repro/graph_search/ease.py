@@ -6,10 +6,22 @@ matches survive ("less unnecessary nodes", slide 31).  We enumerate
 candidate centers (nodes whose r-hop ball covers all keywords), extract
 the Steiner nodes of each ball, and deduplicate by node set, keeping the
 most compact representative.
+
+**Skipping centers that cannot reach the top k.**  Centers are visited
+in ascending order, so a new answer ties *after* every answer already
+kept: once k distinct answers are kept and ``s_k`` is the k-th smallest
+size, a new answer enters the top k only if it is strictly smaller.
+The peel never removes a keyword node, so a ball holding ≥ ``s_k``
+keyword nodes cannot yield one and its peel is skipped; once
+``s_k ≤ 1`` no center can, and the scan stops.  A later center that
+reaches a skipped node set cannot put it in the top k either: the set
+holds ≥ ``s_k`` nodes and ``s_k`` only falls.  ``k=None`` peels every
+center.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -38,13 +50,19 @@ def r_radius_steiner_graphs(
     r: int = 2,
     k: Optional[int] = None,
     budget: Optional[QueryBudget] = None,
+    span=None,
 ) -> List[RadiusSteinerGraph]:
     """Enumerate r-radius Steiner subgraphs covering all keyword groups.
 
     Results are ordered by (size, center) — smaller (more compact)
     subgraphs first, matching EASE's compactness-oriented ranking.
-    An exhausted *budget* stops center enumeration early and returns
-    the answers found so far.
+    With *k* set, centers whose answer cannot enter the top k are not
+    peeled (see the module docstring).  An exhausted *budget* stops
+    center enumeration early and returns the answers found so far.
+
+    *span* (a tracing span) receives the work counters ``centers``
+    (candidates), ``centers_peeled`` and ``centers_skipped`` without
+    altering the computation.
     """
     if not groups or any(not g for g in groups):
         return []
@@ -52,6 +70,9 @@ def r_radius_steiner_graphs(
     group_sets = [{index[m] for m in g if m in index} for g in groups]
     # Steiner node set -> (smallest center, matched keyword nodes), as ids.
     answers: Dict[FrozenSet[int], Tuple[int, Set[int]]] = {}
+    # The k smallest answer sizes so far, ascending (k set only).
+    sizes: List[int] = []
+    candidates = peeled = skipped = 0
     try:
         # A ball of radius r covers a group iff its center is within r
         # hops of a member, so only those nodes can be centers.
@@ -61,16 +82,33 @@ def r_radius_steiner_graphs(
             if budget is not None:
                 budget.tick_nodes(max(1, len(reach)))
             centers = set(reach) if centers is None else centers & reach
-        for center in sorted(centers):
+        order = sorted(centers)
+        candidates = len(order)
+        for position, center in enumerate(order):
+            full = k and len(sizes) == k
+            if full and sizes[-1] <= 1:
+                skipped += candidates - position
+                break
             members = within_hops(graph, (center,), r)
             if budget is not None:
                 budget.tick_nodes(len(members))
             keyword_nodes = set().union(*(members.keys() & gs for gs in group_sets))
+            if full and len(keyword_nodes) >= sizes[-1]:
+                skipped += 1
+                continue
+            peeled += 1
             steiner = frozenset(_steiner_reduce(nbrs, members, keyword_nodes))
             if steiner not in answers:  # centers ascend: the first is smallest
                 answers[steiner] = (center, keyword_nodes)
+                if k is not None:
+                    insort(sizes, len(steiner))
+                    del sizes[k:]
     except BudgetExceededError:
         pass  # partial enumeration; caller sees budget.exhausted
+    if span is not None:
+        span.add("centers", candidates)
+        span.add("centers_peeled", peeled)
+        span.add("centers_skipped", skipped)
     ranked = sorted(answers.items(), key=lambda item: (len(item[0]), item[1][0]))
     return [
         RadiusSteinerGraph(

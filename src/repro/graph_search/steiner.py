@@ -10,19 +10,34 @@ Dreyfus–Wagner style DP over group subsets:
     grow:   dp[S][v] -> dp[S][u] + w(u, v)          (Dijkstra relaxation)
     merge:  dp[S1][v] + dp[S2][v] -> dp[S1|S2][v]
 
-Complexity O(3^ℓ·n + 2^ℓ·(n log n + m)): exponential in ℓ only.
+Worst case O(3^ℓ·n + 2^ℓ·(n log n + m)): exponential in ℓ only.
+
+**Bounded by the cheapest star.**  The ℓ singleton-mask Dijkstras run
+in lockstep on one heap.  A node all ℓ of them have settled roots a
+*star* — a shortest path to each group — whose weight, the sum of its ℓ
+distances, is an upper bound on the optimum; ``bound`` is the least
+such sum.  The singleton searches stop once their heap top exceeds
+``bound``, and every later relaxation or merge above it is dropped.
+This is exact: weights are ≥ 0, so no subtree of an optimal tree
+weighs more than OPT ≤ ``bound``, and the states at or below ``bound``
+are popped in the same ``(w, node)`` order and relaxed from the same
+parents as in the unbounded DP — their values, back-pointers and the
+``(w, node)`` minimum over ``dp[full]`` are the unbounded DP's.  The
+3^ℓ merge structure is unchanged; only the states it visits shrink,
+so the worst case stays exponential while the work in practice is
+bounded by the optimum's weight.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.data_graph import DataGraph
 from repro.relational.database import TupleId
 from repro.resilience.budget import QueryBudget
-from repro.resilience.errors import BudgetExceededError
+from repro.resilience.errors import BudgetExceededError, UnsupportedSchemaError
 
 INF = float("inf")
 
@@ -67,11 +82,12 @@ def group_steiner_dp(
     """Minimum-weight group Steiner tree, or None if no tree connects all.
 
     *groups* are the keyword match sets; a tree must touch at least one
-    node from each group.  Raises for more than *max_groups* groups (the
-    DP is exponential in the group count).  An exhausted *budget* stops
-    the DP early and returns the best tree covering all groups found so
-    far (None if no mask reached full coverage yet); the budget's
-    ``exhausted`` flag tells the caller the answer may be suboptimal.
+    node from each group.  More than *max_groups* groups raise
+    :class:`UnsupportedSchemaError` (the DP is exponential in the group
+    count).  An exhausted *budget* stops the DP early and returns the
+    best tree covering all groups found so far (None if no mask reached
+    full coverage yet); the budget's ``exhausted`` flag tells the caller
+    the answer may be suboptimal.
 
     *span* (a tracing span, see :mod:`repro.obs.trace`) receives the
     DP's work counters — ``nodes_settled`` and ``masks`` — without
@@ -81,7 +97,9 @@ def group_steiner_dp(
     if g == 0:
         return None
     if g > max_groups:
-        raise ValueError(f"too many groups for exact DP ({g} > {max_groups})")
+        raise UnsupportedSchemaError(
+            f"too many groups for exact DP ({g} > {max_groups})"
+        )
     if any(not group for group in groups):
         return None
 
@@ -98,10 +116,16 @@ def group_steiner_dp(
             if node is not None:
                 dp[1 << i][node] = 0.0
 
-    nodes_settled = 0
+    # One settled set per Dijkstra: the len() of each is the work done,
+    # readable after a budget stop.
+    settled: List[Set[int]] = [set() for _ in range(g)]
     masks_done = 0
     try:
-        for mask in range(1, full + 1):
+        bound = _singleton_stars(dp, back, settled, nbrs, wts, budget)
+        masks_done = g
+        for mask in range(3, full + 1):
+            if not mask & (mask - 1):
+                continue  # a singleton: settled in lockstep above
             best, origin = dp[mask], back[mask]
             # Merge: combine proper submasks at the same root.
             sub = (mask - 1) & mask
@@ -111,28 +135,30 @@ def group_steiner_dp(
                     dp_other = dp[other]
                     for node, w1 in dp[sub].items():
                         w2 = dp_other.get(node)
-                        if w2 is not None and w1 + w2 < best.get(node, INF):
-                            best[node] = w1 + w2
-                            origin[node] = (sub, other)
+                        if w2 is not None:
+                            w = w1 + w2
+                            if w <= bound and w < best.get(node, INF):
+                                best[node] = w
+                                origin[node] = (sub, other)
                 sub = (sub - 1) & mask
-            # Grow: Dijkstra over dp[mask].
+            # Grow: Dijkstra over dp[mask], every state within the bound.
             heap = [(w, n) for n, w in best.items()]
             heapq.heapify(heap)
-            settled: Set[int] = set()
+            done: Set[int] = set()
+            settled.append(done)
             while heap:
                 w, node = heapq.heappop(heap)
-                if node in settled or w > best[node]:
+                if node in done or w > best[node]:
                     continue
-                settled.add(node)
+                done.add(node)
                 if budget is not None:
                     budget.tick_nodes()
                 for nbr, edge_w in zip(nbrs[node], wts[node]):
                     nw = w + edge_w
-                    if nw < best.get(nbr, INF):
+                    if nw <= bound and nw < best.get(nbr, INF):
                         best[nbr] = nw
                         origin[nbr] = node
                         heapq.heappush(heap, (nw, nbr))
-            nodes_settled += len(settled)
             masks_done += 1
     except BudgetExceededError:
         # Out of budget mid-DP: fall through and reconstruct from
@@ -140,7 +166,7 @@ def group_steiner_dp(
         pass
 
     if span is not None:
-        span.add("nodes_settled", nodes_settled)
+        span.add("nodes_settled", sum(map(len, settled)))
         span.add("masks", masks_done)
     if not dp[full]:
         return None
@@ -150,6 +176,56 @@ def group_steiner_dp(
     return SteinerTree(
         root=ids[root], edges=[(ids[u], ids[v]) for u, v in edges], weight=weight
     )
+
+
+def _singleton_stars(
+    dp: List[Dict[int, float]],
+    back: List[Dict[int, object]],
+    settled: List[Set[int]],
+    nbrs: Sequence[Sequence[int]],
+    wts: Sequence[Sequence[float]],
+    budget: Optional[QueryBudget],
+) -> float:
+    """Run the ℓ singleton-mask Dijkstras in lockstep; return the bound.
+
+    One heap of ``(w, node, i)`` entries advances whichever search has
+    the smallest top, so each search still pops its own entries in
+    ``(w, node)`` order.  When a node is settled by the last of the ℓ
+    searches, its star weight is folded ``d_0 + (d_1 + (… + d_ℓ-1))`` —
+    the association the merges use (a singleton lowest-bit submask
+    plus the rest), so the float DP value at that node never exceeds
+    it and ``bound`` ≥ OPT holds in floats too.  The lockstep stops
+    once the heap top exceeds ``bound``.
+    """
+    g = len(settled)
+    bound = INF
+    hits: Dict[int, int] = {}
+    heap = [(0.0, node, i) for i in range(g) for node in dp[1 << i]]
+    heapq.heapify(heap)
+    while heap and heap[0][0] <= bound:
+        w, node, i = heapq.heappop(heap)
+        done = settled[i]
+        if node in done:
+            continue
+        done.add(node)
+        if budget is not None:
+            budget.tick_nodes()
+        count = hits.get(node, 0) + 1
+        hits[node] = count
+        if count == g:
+            star = dp[1 << (g - 1)][node]
+            for j in range(g - 2, -1, -1):
+                star = dp[1 << j][node] + star
+            if star < bound:
+                bound = star
+        best, origin = dp[1 << i], back[1 << i]
+        for nbr, edge_w in zip(nbrs[node], wts[node]):
+            nw = w + edge_w
+            if nw <= bound and nw < best.get(nbr, INF):
+                best[nbr] = nw
+                origin[nbr] = node
+                heapq.heappush(heap, (nw, nbr, i))
+    return bound
 
 
 def _reconstruct(

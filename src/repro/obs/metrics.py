@@ -20,11 +20,15 @@ Everything is dependency-free and thread-safe.  A process-wide default
 registry is available via :func:`get_global_registry`; engines default
 to a private registry so tests and concurrent engines stay isolated,
 and accept ``metrics=get_global_registry()`` to aggregate.
+:meth:`MetricsRegistry.snapshot` is the JSON view (``GET /metrics``);
+:meth:`MetricsRegistry.prometheus` renders the same registry as
+Prometheus text (``GET /metrics?format=prometheus``).
 """
 
 from __future__ import annotations
 
 import math
+import re
 import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -268,13 +272,19 @@ class MetricsRegistry:
         self.histogram(name).observe(value)
 
     # -- export --------------------------------------------------------
+    def _families(self) -> Tuple[List, List, List, List]:
+        """(counters, gauges, histograms, callback gauges) as item lists."""
+        with self._lock:
+            return (
+                list(self._counters.items()),
+                list(self._gauges.items()),
+                list(self._histograms.items()),
+                list(self._gauge_fns.items()),
+            )
+
     def snapshot(self) -> Dict[str, Any]:
         """Flat name → value dict; histograms expand to summary dicts."""
-        with self._lock:
-            counters = list(self._counters.items())
-            gauges = list(self._gauges.items())
-            histograms = list(self._histograms.items())
-            gauge_fns = list(self._gauge_fns.items())
+        counters, gauges, histograms, gauge_fns = self._families()
         out: Dict[str, Any] = {}
         for name, counter in counters:
             out[name] = counter.value
@@ -288,6 +298,50 @@ class MetricsRegistry:
         for name, histogram in histograms:
             out[name] = histogram.snapshot()
         return dict(sorted(out.items()))
+
+    def prometheus(self) -> str:
+        """The registry in Prometheus text exposition format 0.0.4.
+
+        Counters and gauges keep their type; a callback gauge appears
+        only while its value is a number; a histogram becomes a
+        ``summary`` with the 0.5 / 0.95 / 0.99 quantiles, ``_sum`` and
+        ``_count``.  Names are prefixed ``repro_`` and every character
+        outside ``[a-zA-Z0-9_:]`` becomes ``_``; of two names that
+        collide, the first in sorted order is kept.
+        """
+        counters, gauges, histograms, gauge_fns = self._families()
+        families: List[Tuple[str, str, List[Tuple[str, Any]]]] = []
+        for name, counter in counters:
+            families.append((name, "counter", [("", counter.value)]))
+        for name, gauge in gauges:
+            families.append((name, "gauge", [("", gauge.value)]))
+        for name, fn in gauge_fns:
+            try:
+                value = fn()
+            except Exception:  # a dead callback must not poison the scrape
+                continue
+            if isinstance(value, (int, float)):
+                families.append((name, "gauge", [("", value)]))
+        for name, histogram in histograms:
+            samples: List[Tuple[str, Any]] = [
+                (f'{{quantile="{q}"}}', histogram.percentile(q))
+                for q in (0.5, 0.95, 0.99)
+            ]
+            samples += [("_sum", histogram.sum), ("_count", histogram.count)]
+            families.append((name, "summary", samples))
+        lines: List[str] = []
+        seen = set()
+        for name, kind, samples in sorted(families, key=lambda f: f[0]):
+            metric = "repro_" + _PROM_INVALID.sub("_", name)
+            names = {metric + suffix for suffix, _ in samples if suffix[:1] != "{"}
+            if metric in seen or names & seen:
+                continue
+            seen |= names | {metric}
+            lines.append(f"# TYPE {metric} {kind}")
+            lines.extend(
+                f"{metric}{suffix} {_prom_value(value)}" for suffix, value in samples
+            )
+        return "\n".join(lines) + "\n"
 
     def reset(self) -> None:
         """Zero every owned metric; callback gauges stay registered."""
@@ -307,6 +361,22 @@ class MetricsRegistry:
                 + len(self._gauge_fns)
             )
         return f"MetricsRegistry({n} metrics)"
+
+
+#: Characters a Prometheus metric name may not hold.
+_PROM_INVALID = re.compile(r"[^a-zA-Z0-9_:]")
+
+
+def _prom_value(value: Any) -> str:
+    """A sample value as the exposition format spells it."""
+    if isinstance(value, int):  # bool included: 0 / 1
+        return str(int(value))
+    value = float(value)
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
+    return repr(value)
 
 
 _GLOBAL_LOCK = threading.Lock()

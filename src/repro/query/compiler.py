@@ -630,7 +630,9 @@ def graph_results(engine, allows, keywords, k, method, budget, tracer):
                 for a in answers
             ]
         elif method == "ease":
-            answers = r_radius_steiner_graphs(graph, groups, r=2, k=k, budget=budget)
+            answers = r_radius_steiner_graphs(
+                graph, groups, r=2, k=k, budget=budget, span=span
+            )
             esp.add("answers", len(answers))
             found = [
                 (1.0 / a.size(), f"ease(center={a.center})", a.nodes)

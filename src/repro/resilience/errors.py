@@ -7,9 +7,11 @@ classify outcomes without string matching:
 * :class:`QueryParseError` — the request itself is malformed (bad ``k``,
   unknown method, unparseable query).  Subclasses :class:`ValueError`
   so pre-taxonomy callers that caught ``ValueError`` keep working.
-* :class:`UnsupportedSchemaError` — the method cannot run over this
-  schema (``schema`` over a self-referencing foreign key).  A
-  :class:`ValueError` but not a parse error: the ladder descends on it.
+* :class:`UnsupportedSchemaError` — the method cannot answer this query
+  over this database: ``schema`` over a self-referencing foreign key,
+  or ``steiner`` with more keyword groups than its exact DP takes.  A
+  :class:`ValueError` but not a parse error: the ladder descends on it
+  and HTTP answers 400.
 * :class:`BudgetExceededError` — a query ran out of its
   :class:`~repro.resilience.budget.QueryBudget`.  Algorithms catch this
   internally and return partial results; it only escapes when there was
@@ -51,7 +53,8 @@ class QueryParseError(ReproError, ValueError):
 
 
 class UnsupportedSchemaError(ReproError, ValueError):
-    """The requested method cannot run over this database's schema."""
+    """The requested method cannot answer this query over this database
+    (its schema, or the query's shape: too many groups for an exact DP)."""
 
 
 class BudgetExceededError(ReproError):

@@ -12,7 +12,8 @@ Routes::
 
     GET  /health       liveness: always 200 while the process runs
     GET  /ready        readiness: 503 while a swap or drain is active
-    GET  /metrics      MetricsRegistry.snapshot() as JSON
+    GET  /metrics      MetricsRegistry.snapshot() as JSON; with
+                       format=prometheus, Prometheus text (0.0.4)
     GET  /search       q, k, method, timeout_ms, max_expansions,
     POST /search       fallback, tenant (also via X-Tenant header);
                        expand, facets, highlight (/search only)
@@ -129,19 +130,27 @@ class Request:
 
 
 class Response:
-    """Status + JSON payload + extra headers."""
+    """Status + JSON payload + extra headers.
 
-    __slots__ = ("status", "payload", "headers")
+    A response with a raw *body* is sent as those bytes under
+    *content_type* instead of the JSON-encoded payload.
+    """
+
+    __slots__ = ("status", "payload", "headers", "content_type", "body")
 
     def __init__(
         self,
         status: int,
         payload: Dict[str, Any],
         headers: Optional[Dict[str, str]] = None,
+        content_type: str = "application/json",
+        body: Optional[bytes] = None,
     ):
         self.status = status
         self.payload = payload
         self.headers = headers or {}
+        self.content_type = content_type
+        self.body = body
 
 
 class BadRequest(ReproError):
@@ -152,6 +161,9 @@ class BadRequest(ReproError):
 #: ``timeout_ms`` (the server-side default is not capped).
 DEFAULT_K = 10
 MAX_TIMEOUT_MS = 30000.0
+
+#: What ``/metrics?format=prometheus`` answers with.
+PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 def _bad(message: str) -> Response:
@@ -302,7 +314,7 @@ class Router:
             if request.path == "/ready":
                 return self._ready()
             if request.path == "/metrics":
-                return self._metrics()
+                return self._metrics(request)
             if request.path == "/search":
                 if request.method not in ("GET", "POST"):
                     return self._method_not_allowed(request)
@@ -371,7 +383,17 @@ class Router:
         }
         return Response(200 if ready else 503, payload)
 
-    def _metrics(self) -> Response:
+    def _metrics(self, request: Request) -> Response:
+        fmt = str(request.param("format", "json"))
+        if fmt == "prometheus":
+            return Response(
+                200,
+                {},
+                content_type=PROMETHEUS_CONTENT_TYPE,
+                body=self.metrics.prometheus().encode("utf-8"),
+            )
+        if fmt != "json":
+            raise BadRequest(f"unknown metrics format {fmt!r} (choices: json, prometheus)")
         return Response(200, {"ok": True, "metrics": self.metrics.snapshot()})
 
     # ------------------------------------------------------------------

@@ -449,11 +449,14 @@ class ServingServer:
         response: Response,
         keep_alive: bool,
     ) -> None:
-        payload = json.dumps(response.payload).encode("utf-8")
+        if response.body is not None:
+            payload = response.body
+        else:
+            payload = json.dumps(response.payload).encode("utf-8")
         status_text = _STATUS_TEXT.get(response.status, "Unknown")
         head_lines = [
             f"HTTP/1.1 {response.status} {status_text}",
-            "Content-Type: application/json",
+            f"Content-Type: {response.content_type}",
             f"Content-Length: {len(payload)}",
             f"Connection: {'keep-alive' if keep_alive else 'close'}",
         ]

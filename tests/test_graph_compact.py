@@ -8,10 +8,15 @@ lists.  On generated graphs (tied and non-unit weights, disconnected
 parts, hubs; groups with duplicate matches and with ids the graph does
 not hold) all five methods and ``bounded_bfs_distances`` must return
 equal answers — tie-broken roots, edges and matches included — and
-report equal ``nodes_expanded`` / ``nodes_settled`` / ``masks``.
+report equal ``nodes_expanded``.  The Steiner DP runs bounded by the
+cheapest star, so it must use the oracle's ``masks`` and settle no more
+nodes; EASE skips centers that cannot reach the top k, so with a ``k``
+it spends no more budget than a full enumeration.
 
 Weights are multiples of 0.25, so every path length is exact in floats
-and "equally near" means the same to both implementations.
+and "equally near" means the same to both implementations; one Steiner
+property mixes in zero and wide-range weights, where float rounding is
+what the star bound must survive.
 """
 
 from __future__ import annotations
@@ -522,9 +527,18 @@ class Counters:
         self.counts[name] = self.counts.get(name, 0) + value
 
 
+#: Zero, multiples of 0.25 and weights across nine orders of magnitude.
+WIDE_WEIGHTS = st.one_of(
+    st.just(0.0),
+    st.integers(1, 16).map(lambda i: i * 0.25),
+    st.floats(1e-3, 1e6),
+)
+
+
 @st.composite
-def graphs_and_groups(draw):
-    """A small graph's nodes and edges plus 1-3 keyword groups over it.
+def graphs_and_groups(draw, weights=st.sampled_from(WEIGHTS), max_groups=3):
+    """A small graph's nodes and edges plus 1-*max_groups* keyword
+    groups over it, edge weights drawn from *weights*.
 
     Edges are drawn with repeats (a later, lighter copy lowers the
     weight), a hub is wired to a drawn subset, and sparse edge lists
@@ -538,17 +552,19 @@ def graphs_and_groups(draw):
     edges = [
         (nodes[u], nodes[v], w)
         for u, v, w in draw(
-            st.lists(st.tuples(positions, positions, st.sampled_from(WEIGHTS)), max_size=24)
+            st.lists(st.tuples(positions, positions, weights), max_size=24)
         )
     ]
     hub = nodes[draw(positions)]
     for spoke in draw(st.lists(positions, max_size=8)):
-        edges.append((hub, nodes[spoke], draw(st.sampled_from(WEIGHTS))))
+        edges.append((hub, nodes[spoke], draw(weights)))
     member = st.one_of(
         positions.map(nodes.__getitem__),
         st.integers(0, 2).map(lambda i: TupleId("zzz", i)),
     )
-    groups = draw(st.lists(st.lists(member, min_size=1, max_size=5), min_size=1, max_size=3))
+    groups = draw(
+        st.lists(st.lists(member, min_size=1, max_size=5), min_size=1, max_size=max_groups)
+    )
     return nodes, edges, groups
 
 
@@ -579,18 +595,52 @@ def test_bounded_bfs_distances_matches_oracle(case, max_distance):
         ) == bounded_bfs_distances(oracle, group, max_distance)
 
 
+def assert_bounded_work(new_span: Counters, old_span: Counters) -> None:
+    """The star-bounded DP runs the oracle's masks and settles no more."""
+    new, old = new_span.counts, old_span.counts
+    assert new.get("masks") == old.get("masks")
+    assert new.get("nodes_settled", 0) <= old.get("nodes_settled", 0)
+
+
+def covers(tree: SteinerTree, groups) -> bool:
+    return all(tree.nodes & set(group) for group in groups)
+
+
 @settings(deadline=None)
 @given(graphs_and_groups(), budgets)
 def test_steiner_dp_matches_oracle(case, max_nodes):
+    """Unbudgeted: the oracle's tree, masks, and no more settled nodes.
+    Budgeted: the unbudgeted oracle's tree unless the budget ran out, and
+    any tree returned covers every group and weighs at least the optimum."""
     nodes, edges, groups = case
     graph, oracle = both(nodes, edges)
-    old_budget, new_budget = budget_pair(max_nodes)
     old_span, new_span = Counters(), Counters()
-    old = group_steiner_dp(oracle, groups, budget=old_budget, span=old_span)
-    new = steiner.group_steiner_dp(graph, groups, budget=new_budget, span=new_span)
-    assert new == old
-    assert new_span.counts == old_span.counts
-    assert spent(new_budget) == spent(old_budget)
+    optimum = group_steiner_dp(oracle, groups, span=old_span)
+    assert steiner.group_steiner_dp(graph, groups, span=new_span) == optimum
+    assert_bounded_work(new_span, old_span)
+    if max_nodes is None:
+        return
+    budget = QueryBudget(max_nodes=max_nodes)
+    tree = steiner.group_steiner_dp(graph, groups, budget=budget)
+    assert budget.exhausted or tree == optimum
+    if tree is not None:
+        assert optimum is not None and covers(tree, groups)
+        assert tree.weight >= optimum.weight
+
+
+@settings(deadline=None)
+@given(graphs_and_groups(weights=WIDE_WEIGHTS, max_groups=4))
+def test_steiner_star_bound_exact_on_wide_weights(case):
+    """Zero edges, exact quarters and weights from 1e-3 to 1e6 in one
+    graph: the float star bound never cuts the optimum off, and the DP
+    never settles more nodes than the unbounded oracle."""
+    nodes, edges, groups = case
+    graph, oracle = both(nodes, edges)
+    old_span, new_span = Counters(), Counters()
+    assert steiner.group_steiner_dp(graph, groups, span=new_span) == group_steiner_dp(
+        oracle, groups, span=old_span
+    )
+    assert_bounded_work(new_span, old_span)
 
 
 @settings(deadline=None)
@@ -618,6 +668,60 @@ def test_ease_matches_oracle(case, r, k):
     assert ease.r_radius_steiner_graphs(
         graph, groups, r=r, k=k
     ) == r_radius_steiner_graphs(oracle, groups, r=r, k=k)
+
+
+@settings(deadline=None)
+@given(graphs_and_groups(), st.integers(0, 3), st.integers(1, 4))
+def test_ease_top_k_spends_no_more_than_full_enumeration(case, r, k):
+    """Skipping centers that cannot reach the top k changes no answer
+    and never costs budget: every candidate is peeled or skipped."""
+    nodes, edges, groups = case
+    graph, _ = both(nodes, edges)
+    every_budget, top_budget = QueryBudget(), QueryBudget()
+    every_span, top_span = Counters(), Counters()
+    every = ease.r_radius_steiner_graphs(
+        graph, groups, r=r, budget=every_budget, span=every_span
+    )
+    top = ease.r_radius_steiner_graphs(
+        graph, groups, r=r, k=k, budget=top_budget, span=top_span
+    )
+    assert top == every[:k]
+    assert top_budget.nodes_expanded <= every_budget.nodes_expanded
+    centers = every_span.counts.get("centers", 0)
+    assert every_span.counts.get("centers_peeled", 0) == centers
+    assert top_span.counts.get("centers", 0) == centers
+    assert (
+        top_span.counts.get("centers_peeled", 0)
+        + top_span.counts.get("centers_skipped", 0)
+        == centers
+    )
+
+
+def test_ease_skip_and_stop_boundaries():
+    """k=1, r=1, centers visited in id order.  First graph: a 3-node
+    answer is kept, then a center whose ball holds 2 keyword nodes must
+    still be peeled (2 < 3) and wins; the next center's 2 keyword nodes
+    tie the kept size and are skipped.  Second graph: a 2-node answer,
+    a skipped tie, then a 1-node answer that must still be found; after
+    it no center can win and the scan stops."""
+    t = [TupleId("t", i) for i in range(5)]
+    cases = [
+        # m=t0 joins a1=t1 and b1=t2; a2=t3 and b2=t4 are adjacent.
+        (t, [(t[0], t[1], 1.0), (t[0], t[2], 1.0), (t[3], t[4], 1.0)],
+         [[t[1], t[3]], [t[2], t[4]]], {t[3], t[4]}, (3, 2, 1)),
+        # a1=t0 and b1=t1 are adjacent; t2 and t3 match both groups.
+        (t[:4], [(t[0], t[1], 1.0)],
+         [[t[0], t[2], t[3]], [t[1], t[2], t[3]]], {t[2]}, (4, 2, 2)),
+    ]
+    for nodes, edges, groups, nodes_won, counts in cases:
+        graph, oracle = both(nodes, edges)
+        span = Counters()
+        top = ease.r_radius_steiner_graphs(graph, groups, r=1, k=1, span=span)
+        assert top == r_radius_steiner_graphs(oracle, groups, r=1, k=1)
+        assert top[0].nodes == nodes_won
+        assert counts == tuple(
+            span.counts[c] for c in ("centers", "centers_peeled", "centers_skipped")
+        )
 
 
 @settings(deadline=None)
@@ -670,7 +774,12 @@ def test_slide30_graph_counters_match_oracle():
     assert steiner.group_steiner_dp(
         graph, groups, span=new_span
     ) == group_steiner_dp(oracle, groups, span=old_span)
-    assert new_span.counts == old_span.counts
+    assert_bounded_work(new_span, old_span)
+    # The star bound (8, at n5) stops the singleton searches: 38 of 49.
+    assert (new_span.counts, old_span.counts) == (
+        {"nodes_settled": 38, "masks": 7},
+        {"nodes_settled": 49, "masks": 7},
+    )
     for new_algo, old_algo in (
         (banks.banks_backward, banks_backward),
         (banks.banks_bidirectional, banks_bidirectional),

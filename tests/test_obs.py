@@ -16,8 +16,10 @@ regression fixes this PR ships:
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
+from typing import Dict, Tuple
 
 import pytest
 
@@ -197,6 +199,101 @@ class TestMetricsRegistry:
         snap = reg.snapshot()
         assert snap["x"] == 0
         assert snap["live"] == 3
+
+
+# ----------------------------------------------------------------------
+# Prometheus text exposition
+# ----------------------------------------------------------------------
+_PROM_NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
+_TYPE_LINE = re.compile(rf"# TYPE ({_PROM_NAME}) (counter|gauge|summary|histogram|untyped)")
+_SAMPLE_LINE = re.compile(
+    rf'({_PROM_NAME})(\{{{_PROM_NAME}="[^"\\\n]*"(?:,{_PROM_NAME}="[^"\\\n]*")*\}})? '
+    r"(NaN|[+-]Inf|[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+)
+
+
+def prom_name(name: str) -> str:
+    return "repro_" + re.sub(r"[^a-zA-Z0-9_:]", "_", name)
+
+
+def parse_exposition(text: str) -> Dict[str, Tuple[str, Dict[str, float]]]:
+    """Parse text format 0.0.4 strictly: ``family -> (type, {sample: value})``.
+
+    Every line is a ``# TYPE`` line or a sample of the family the last
+    one opened (a summary's samples may add ``_sum`` / ``_count``), no
+    family is declared twice, and the text ends in a newline.
+    """
+    assert text.endswith("\n")
+    families: Dict[str, Tuple[str, Dict[str, float]]] = {}
+    family = None
+    for line in text[:-1].split("\n"):
+        declared = _TYPE_LINE.fullmatch(line)
+        if declared:
+            family, kind = declared.groups()
+            assert family not in families, line
+            families[family] = (kind, {})
+            continue
+        sample = _SAMPLE_LINE.fullmatch(line)
+        assert sample and family is not None, line
+        name, labels, value = sample.groups()
+        kind, samples = families[family]
+        allowed = {family} | ({family + "_sum", family + "_count"} if kind == "summary" else set())
+        assert name in allowed, line
+        samples[name + (labels or "")] = float(value)
+    return families
+
+
+class TestPrometheusExposition:
+    def test_every_line_parses_and_values_match_the_snapshot(self):
+        reg = MetricsRegistry()
+        reg.inc("serve.requests", 3)
+        reg.inc("serve.responses.200", 2)
+        reg.gauge("pool.size").set(7.5)
+        reg.register_gauge("serve.draining", lambda: 0)
+        reg.register_gauge("flag", lambda: True)
+        reg.register_gauge("cache.stats", lambda: {"hits": 1})
+        reg.register_gauge("dead", lambda: 1 / 0)
+        for value in (1.0, 2.0, 400.0):
+            reg.observe("serve.request_ms", value)
+        snap = reg.snapshot()
+        families = parse_exposition(reg.prometheus())
+        # Non-numeric and failing callback gauges are left out.
+        assert set(families) == {
+            prom_name(n) for n in snap if n not in ("cache.stats", "dead")
+        }
+        for name in ("serve.requests", "serve.responses.200"):
+            assert families[prom_name(name)] == ("counter", {prom_name(name): snap[name]})
+        assert families["repro_pool_size"] == ("gauge", {"repro_pool_size": 7.5})
+        assert families["repro_flag"][1] == {"repro_flag": 1.0}
+        kind, samples = families["repro_serve_request_ms"]
+        hist = reg.histogram("serve.request_ms")
+        assert kind == "summary"
+        assert samples == {
+            'repro_serve_request_ms{quantile="0.5"}': hist.percentile(0.5),
+            'repro_serve_request_ms{quantile="0.95"}': hist.percentile(0.95),
+            'repro_serve_request_ms{quantile="0.99"}': hist.percentile(0.99),
+            "repro_serve_request_ms_sum": 403.0,
+            "repro_serve_request_ms_count": 3.0,
+        }
+
+    def test_colliding_names_keep_the_first(self):
+        reg = MetricsRegistry()
+        reg.inc("a.b", 1)
+        reg.inc("a_b", 2)
+        reg.observe("lat", 1.0)
+        reg.inc("lat.count", 5)  # would shadow the summary's _count
+        families = parse_exposition(reg.prometheus())
+        assert families["repro_a_b"] == ("counter", {"repro_a_b": 1.0})
+        assert families["repro_lat"][1]["repro_lat_count"] == 1.0
+        assert "repro_lat_count" not in families
+
+    def test_special_values(self):
+        reg = MetricsRegistry()
+        reg.gauge("up").set(float("inf"))
+        reg.gauge("odd").set(float("nan"))
+        text = reg.prometheus()
+        assert "repro_up +Inf\n" in text and "repro_odd NaN\n" in text
+        parse_exposition(text)
 
 
 # ----------------------------------------------------------------------

@@ -578,6 +578,51 @@ class TestSelfReferencingForeignKey:
         assert ok.status == 200 and ok.payload["results"]
 
 
+class TestSteinerGroupCap:
+    """``steiner`` past its exact DP's 10-group cap cannot answer the
+    query: an :class:`UnsupportedSchemaError`, not a bare ``ValueError``
+    the router would answer with a 500."""
+
+    @staticmethod
+    def eleven_words(engine):
+        return " ".join([w for w in engine.index.vocabulary if w.isalpha()][:11])
+
+    def test_library_raises_the_typed_error(self, engine):
+        with pytest.raises(UnsupportedSchemaError, match=r"11 > 10") as info:
+            engine.search(self.eleven_words(engine), method="steiner")
+        assert not isinstance(info.value, QueryParseError)
+        assert not info.value.transient
+
+    def test_search_many_isolates_a_non_transient_error(self, engine, retry_policy):
+        sleeps = retry_policy(RetryPolicy(max_attempts=3))
+        text = self.eleven_words(engine)
+        bad, good = engine.search_many(
+            [text, "widom xml"], method="steiner", detailed=True
+        )
+        assert bad.status == "error" and bad.attempts == 1 and not sleeps
+        assert isinstance(bad.error, UnsupportedSchemaError)
+        assert good.status == "ok" and good.results
+
+    def test_router_answers_400_and_counts_no_internal_error(self, engine):
+        metrics = MetricsRegistry()
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            router = Router(
+                handle=EngineHandle(engine, metrics=metrics),
+                admission=AdmissionController(metrics=metrics),
+                executor=executor,
+                metrics=metrics,
+            )
+            response = asyncio.run(
+                router.dispatch(
+                    Request("GET", "/search", {"q": self.eleven_words(engine), "method": "steiner"})
+                )
+            )
+        assert response.status == 400 and "11 > 10" in response.payload["error"]
+        snapshot = metrics.snapshot()
+        assert snapshot["serve.bad_requests"] == 1
+        assert "serve.internal_errors" not in snapshot
+
+
 class TestFilteredEnumerationFaultBoundary:
     """A row filter that empties a tuple set re-enumerates CNs on every
     request; that enumeration runs inside the same ``_build`` boundary

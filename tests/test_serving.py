@@ -35,6 +35,8 @@ from repro.serving.routes import Request, Router
 from repro.serving.server import ServingServer
 from repro.serving.swap import EngineHandle
 
+from .test_obs import parse_exposition, prom_name
+
 
 class FakeClock:
     def __init__(self, t: float = 1000.0):
@@ -905,6 +907,35 @@ class TestRouterUnit:
         assert "request_id" not in single.search("widom xml", trace=True).trace.root.tags
 
 
+def test_prometheus_counters_equal_the_json_ones():
+    """One registry, two renderings: every JSON counter is a Prometheus
+    counter family with the same value, and every number in the JSON
+    has a family."""
+    metrics = MetricsRegistry()
+    engine = build_engine(tiny_bibliographic_db(), metrics=metrics)
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        router = Router(
+            handle=EngineHandle(engine, metrics=metrics),
+            admission=AdmissionController(metrics=metrics),
+            executor=executor,
+            metrics=metrics,
+        )
+        for text in ("widom xml", "john database", "widom xml"):
+            assert _dispatch(router, Request("GET", "/search", {"q": text})).status == 200
+        as_json = _dispatch(router, Request("GET", "/metrics"))
+        as_text = _dispatch(router, Request("GET", "/metrics", {"format": "prometheus"}))
+    assert as_text.content_type.startswith("text/plain; version=0.0.4")
+    families = parse_exposition(as_text.body.decode("utf-8"))
+    snapshot = as_json.payload["metrics"]
+    numbers = {n for n, v in snapshot.items() if isinstance(v, (int, float))}
+    assert {prom_name(n) for n in numbers} <= set(families)
+    counters = {f: samples[f] for f, (kind, samples) in families.items() if kind == "counter"}
+    assert counters["repro_query_count"] == 3
+    for name in numbers:
+        if prom_name(name) in counters:
+            assert counters[prom_name(name)] == snapshot[name], name
+
+
 # ----------------------------------------------------------------------
 # End-to-end over HTTP
 # ----------------------------------------------------------------------
@@ -979,6 +1010,45 @@ class TestHttpEndToEnd:
         assert snap["serve.requests"] >= 1
         assert snap["swap.generation"] >= 1
         assert "serve.pressure" in snap
+
+    def test_metrics_prometheus_over_http(self, http_server):
+        _http(http_server.address, "/search?q=databases")
+        url = http_server.address + "/metrics?format=prometheus"
+        with urllib.request.urlopen(url, timeout=10) as resp:
+            content_type = resp.headers["Content-Type"]
+            families = parse_exposition(resp.read().decode("utf-8"))
+        assert content_type.startswith("text/plain; version=0.0.4")
+        assert families["repro_serve_requests"][0] == "counter"
+        assert families["repro_serve_request_ms"][0] == "summary"
+        assert families["repro_swap_generation"][0] == "gauge"
+        status, payload, headers = _http(http_server.address, "/metrics")
+        assert status == 200 and set(payload) == {"ok", "metrics"}
+        assert headers["Content-Type"] == "application/json"
+        status, payload, _ = _http(http_server.address, "/metrics?format=xml")
+        assert status == 400 and "prometheus" in payload["error"]
+
+    def test_steiner_past_the_group_cap_is_a_400(self, http_server):
+        vocabulary = http_server.handle.engine.index.vocabulary
+        query = "+".join([w for w in vocabulary if w.isalpha()][:11])
+        base = f"/search?q={query}&method="
+
+        def internal_errors():
+            return _http(http_server.address, "/metrics")[1]["metrics"].get(
+                "serve.internal_errors", 0
+            )
+
+        before = internal_errors()
+        status, payload, _ = _http(http_server.address, base + "steiner")
+        assert status == 400
+        assert payload["error"] == "too many groups for exact DP (11 > 10)"
+        # fallback=1 still descends to banks with the banks answer.
+        status, fell_back, _ = _http(http_server.address, base + "steiner&fallback=1")
+        _, banks, _ = _http(http_server.address, base + "banks")
+        assert status == 200 and fell_back["results"]
+        assert (fell_back["method"], fell_back["fallback_from"]) == ("banks", "steiner")
+        assert "too many groups" in fell_back["degraded_reason"]
+        assert fell_back["results"] == banks["results"]
+        assert internal_errors() == before
 
     def test_request_id_header_over_http(self, http_server):
         ids = []
