@@ -4,8 +4,9 @@ Boots the real :class:`~repro.serving.server.ServingServer` (asyncio
 HTTP/1.1, admission control, generation swaps) on a loopback port and
 measures three things:
 
-1. **uncontended** — a closed loop with exactly ``max_concurrency``
-   clients: sustained QPS and p50/p99 of successful requests;
+1. **uncontended** — a closed loop of two clients, comfortably under
+   ``max_concurrency``: sustained QPS and p50/p99 of successful
+   requests;
 2. **2x overload** — twice that many closed-loop clients: the bounded
    queue + shedding ladder must keep the p99 of *admitted* requests
    within ``P99_DEGRADATION_MAX`` of the uncontended p99, shed the
@@ -13,6 +14,15 @@ measures three things:
    queue), and keep goodput near the uncontended level;
 3. **swap under load** — an ``/admin/swap`` issued mid-overload must
    complete with zero failed or torn in-flight requests.
+
+Every query text repeats (eight texts, warmed before phase 1), so once
+a generation has answered a text in full its result cache holds it.
+``hit_shed_share`` is the share of such *repeated* requests at 2x load
+that were shed (429) or answered degraded; the server answers them from
+its result cache without queueing, so its target is 0.  A request sent
+while the swap is in flight is not counted as repeated (the new
+generation starts with an empty cache), nor is a text the live
+generation has not yet answered in full.
 
 ``run_bench.py --suite api`` records the numbers in ``BENCH_api.json``.
 """
@@ -60,20 +70,65 @@ def _percentile(values: List[float], q: float) -> float:
     return ordered[idx]
 
 
+class _Answered:
+    """Which query texts the live generation has answered in full: a
+    repeat of one of them is a result-cache hit."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.generation: Optional[int] = None
+        self.texts: set = set()
+        self.swapping = False
+
+    def repeated(self, text: str) -> bool:
+        with self.lock:
+            return not self.swapping and text in self.texts
+
+    def full_answer(self, text: str, generation: int) -> None:
+        with self.lock:
+            if not self.swapping and generation == self.generation:
+                self.texts.add(text)
+            elif self.generation is None:
+                self.generation, self.texts = generation, {text}
+
+    def swap_started(self) -> None:
+        with self.lock:
+            self.swapping = True
+
+    def swap_finished(self, generation: Optional[int]) -> None:
+        with self.lock:
+            self.swapping = False
+            self.generation, self.texts = generation, set()
+
+
 class _LoadResult:
     def __init__(self):
         self.lock = threading.Lock()
         self.latencies_ms: List[float] = []
         self.statuses: Dict[int, int] = {}
         self.missing_retry_after = 0
+        self.repeated = 0
+        self.repeated_shed = 0
+        self.repeated_degraded = 0
 
-    def record(self, status: int, latency_ms: float, retry_after: Optional[str]):
+    def record(
+        self,
+        status: int,
+        latency_ms: float,
+        retry_after: Optional[str],
+        repeated: bool = False,
+        degraded: bool = False,
+    ):
         with self.lock:
             self.statuses[status] = self.statuses.get(status, 0) + 1
             if status == 200:
                 self.latencies_ms.append(latency_ms)
             elif status == 429 and not retry_after:
                 self.missing_retry_after += 1
+            if repeated:
+                self.repeated += 1
+                self.repeated_shed += status == 429
+                self.repeated_degraded += degraded
 
     def count(self, *statuses: int) -> int:
         with self.lock:
@@ -84,23 +139,36 @@ class _LoadResult:
             return sum(n for s, n in self.statuses.items() if s >= 500)
 
 
-def _hit(base: str, path: str, result: _LoadResult) -> int:
+def _hit(
+    base: str,
+    path: str,
+    result: _LoadResult,
+    answered: Optional[_Answered] = None,
+    text: str = "",
+) -> int:
+    repeated = answered is not None and answered.repeated(text)
+    degraded = False
     start = time.perf_counter()
     try:
         with urllib.request.urlopen(base + path, timeout=30) as resp:
-            resp.read()
+            body = json.loads(resp.read())
             status, retry_after = resp.status, None
     except urllib.error.HTTPError as exc:
         exc.read()
         status, retry_after = exc.code, exc.headers.get("Retry-After")
     except OSError:
         status, retry_after = 599, None
-    result.record(status, (time.perf_counter() - start) * 1000.0, retry_after)
+    latency_ms = (time.perf_counter() - start) * 1000.0
+    if status == 200:
+        degraded = body["admission"]["mode"] != "full" or bool(body.get("degraded"))
+        if answered is not None and not degraded:
+            answered.full_answer(text, body["generation"])
+    result.record(status, latency_ms, retry_after, repeated, degraded)
     return status
 
 
 def _closed_loop(
-    base: str, clients: int, duration_s: float, tenant: str
+    base: str, clients: int, duration_s: float, tenant: str, answered: _Answered
 ) -> _LoadResult:
     """*clients* threads re-issuing queries back-to-back for *duration_s*."""
     result = _LoadResult()
@@ -109,8 +177,11 @@ def _closed_loop(
     def worker(offset: int) -> None:
         i = offset
         while time.perf_counter() < stop:
-            query = QUERIES[i % len(QUERIES)].replace(" ", "+")
-            status = _hit(base, f"/search?q={query}&tenant={tenant}", result)
+            text = QUERIES[i % len(QUERIES)]
+            query = text.replace(" ", "+")
+            status = _hit(
+                base, f"/search?q={query}&tenant={tenant}", result, answered, text
+            )
             if status == 429:
                 time.sleep(0.02)  # polite client: brief backoff on shed
             i += 1
@@ -154,13 +225,14 @@ def run_api_benchmark(smoke: bool = False) -> Dict[str, object]:
     server.start_in_thread()
     try:
         # Warm the hot substrates so phase 1 measures steady state.
+        answered = _Answered()
         for query in QUERIES:
             _hit(server.address, f"/search?q={query.replace(' ', '+')}",
-                 _LoadResult())
+                 _LoadResult(), answered, query)
 
         # Comfortably under capacity: pressure stays in the full-mode band.
         uncontended = _closed_loop(
-            server.address, 2, duration_s, tenant="uncontended"
+            server.address, 2, duration_s, tenant="uncontended", answered=answered
         )
 
         # 2x offered load, with a swap fired mid-overload.
@@ -168,6 +240,7 @@ def run_api_benchmark(smoke: bool = False) -> Dict[str, object]:
 
         def mid_swap() -> None:
             time.sleep(duration_s / 2.0)
+            answered.swap_started()
             body = json.dumps({"source": "rebuild"}).encode()
             req = urllib.request.Request(
                 server.address + "/admin/swap", data=body, method="POST",
@@ -180,6 +253,7 @@ def run_api_benchmark(smoke: bool = False) -> Dict[str, object]:
             except urllib.error.HTTPError as exc:
                 swap_outcome["status"] = exc.code
                 swap_outcome["error"] = exc.read().decode()
+            answered.swap_finished(swap_outcome.get("generation"))
 
         swapper = threading.Thread(target=mid_swap)
         swapper.start()
@@ -188,6 +262,7 @@ def run_api_benchmark(smoke: bool = False) -> Dict[str, object]:
             2 * (MAX_CONCURRENCY + QUEUE_DEPTH),  # 2x system capacity
             duration_s,
             tenant="overload",
+            answered=answered,
         )
         swapper.join(90.0)
 
@@ -203,6 +278,11 @@ def run_api_benchmark(smoke: bool = False) -> Dict[str, object]:
             if overload_report["requests"]
             else 0.0
         )
+        hit_shed_share = (
+            (overload.repeated_shed + overload.repeated_degraded) / overload.repeated
+            if overload.repeated
+            else 0.0
+        )
         report = {
             "suite": "api",
             "smoke": smoke,
@@ -216,6 +296,9 @@ def run_api_benchmark(smoke: bool = False) -> Dict[str, object]:
                 **overload_report,
                 "shed_rate": round(shed_rate, 3),
                 "missing_retry_after": overload.missing_retry_after,
+                "repeated": overload.repeated,
+                "repeated_shed_429": overload.repeated_shed,
+                "repeated_degraded": overload.repeated_degraded,
             },
             "swap_under_load": {
                 "status": swap_outcome.get("status"),
@@ -227,6 +310,7 @@ def run_api_benchmark(smoke: bool = False) -> Dict[str, object]:
         report["acceptance"] = {
             "p99_ratio": round(p99_ratio, 2),
             "p99_ratio_max": P99_DEGRADATION_MAX,
+            "hit_shed_share": round(hit_shed_share, 3),
             "no_5xx": overload.count_5xx() == 0
             and uncontended.count_5xx() == 0,
             "sheds_carry_retry_after": overload.missing_retry_after == 0,
@@ -239,6 +323,8 @@ def run_api_benchmark(smoke: bool = False) -> Dict[str, object]:
                 and uncontended.count_5xx() == 0
                 and overload.missing_retry_after == 0
                 and overload_report["shed_429"] > 0
+                and overload.repeated > 0
+                and hit_shed_share == 0.0
                 and swap_outcome.get("status") == 200
                 and bool(swap_outcome.get("drained"))
             ),
@@ -258,6 +344,7 @@ def test_api_benchmark_smoke():
     assert acceptance["sheds_carry_retry_after"]
     assert acceptance["swap_completed_under_load"]
     assert report["overload_2x"]["shed_429"] > 0
+    assert report["overload_2x"]["repeated"] > 0
 
 
 if __name__ == "__main__":

@@ -98,6 +98,7 @@ def _run_api(args: argparse.Namespace, out_path: str) -> bool:
         f"p99 {report['uncontended']['p99_ms']}ms; at 2x load p99 ratio "
         f"{acceptance['p99_ratio']} (max {acceptance['p99_ratio_max']}), "
         f"shed rate {report['overload_2x']['shed_rate']}, "
+        f"hit shed share {acceptance['hit_shed_share']}, "
         f"5xx-free {acceptance['no_5xx']}, "
         f"swap under load {acceptance['swap_completed_under_load']}"
     )

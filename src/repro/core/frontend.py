@@ -8,9 +8,12 @@ bookkeeping around it.  Every call looks the LRU up except
 answer and the work it cost: a budgeted caller is served it only when
 its budget absorbs that cost (and is charged it), and only complete
 answers — not degraded, not fallen back, data version unchanged — are
-published.  An engine supplies the hooks: four constants,
-``refresh``, ``_parse_canonical``, ``_data_version`` (cached engines),
-``_run_query``, ``_rung_chain`` (engines with a ladder), ``_execute_rung``.
+published.  :meth:`QueryFrontEnd.cached_answer` serves such an answer
+without computing anything, under the same rule, so the server can
+answer a hit on its event loop.  An engine supplies the hooks: four
+constants, ``refresh``, ``_parse_canonical``, ``_data_version`` (cached
+engines), ``_run_query``, ``_rung_chain`` (engines with a ladder),
+``_execute_rung``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import operator
 import time
 from contextlib import contextmanager
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 from repro.core.results import ResultSet
 from repro.obs.metrics import MetricsRegistry
@@ -52,6 +55,10 @@ class QueryFrontEnd:
     #: Result LRU on; when False every query takes the bypass branch.
     enable_caches = False
     _result_cache = None
+    #: Cached engines: the text -> canonical query memo, and the data
+    #: version the caches describe (``refresh`` moves it).
+    _parse_cache = None
+    _served_version: Optional[int] = None
     #: Last component of every result-cache key; a subclass whose
     #: answers depend on more than (query, method, k) sets it.
     _key_token: Optional[str] = None
@@ -174,6 +181,69 @@ class QueryFrontEnd:
                 profiler.record(finished)
         return results
 
+    def cached_answer(
+        self, text: str, k, method: str, budget: Optional[QueryBudget]
+    ) -> Optional[Callable[[], ResultSet]]:
+        """A function serving what ``search(text, k=k, method=method,
+        budget=budget)`` would serve from the result LRU, if serving it
+        computes nothing; else None.
+
+        It comes back only when the engine is current (no ``refresh``
+        pending), the parse memo already holds *text* (no parse, no
+        cleaning) and the entry passes :meth:`_admits`, the rule every
+        search's lookup obeys — so *budget* has been charged the entry's
+        recorded cost.  Nothing else moves until the caller calls the
+        function: then both memos count and promote the hit, and
+        ``<prefix>.cache_hits``, ``.count`` and ``.latency_ms`` count it
+        as a search's hit would, so a caller that turns the request
+        away (a tenant over its rate) leaves no trace in the engine.
+        Neither step runs a query, takes a per-key lock or builds a
+        trace, so the server calls both on its event loop.  Always None
+        for an engine without a result LRU, and for a traced engine
+        (whose answers carry a span tree).
+        """
+        start_s = time.perf_counter()
+        if not self.enable_caches or self.trace_enabled:
+            return None
+        if self._data_version() != self._served_version:
+            return None
+        parses = self._parse_cache
+        query = parses.peek(text)
+        if query is None:
+            return None
+        cache = self._result_cache
+        key = self._query_key(query, method, k)
+        entry = cache.peek(key)
+        if not self._admits(entry, budget):
+            return None
+        lookup_ms = (time.perf_counter() - start_s) * 1000.0
+
+        def serve() -> ResultSet:
+            serve_s = time.perf_counter()
+            parses.touch(text)
+            cache.touch(key)
+            results = self._served(entry)
+            metrics = self.metrics
+            metrics.inc(self._m_count)
+            metrics.observe(
+                self._m_latency, lookup_ms + (time.perf_counter() - serve_s) * 1000.0
+            )
+            return results
+
+        return serve
+
+    @staticmethod
+    def _admits(entry, budget: Optional[QueryBudget]) -> bool:
+        """The serve rule for a result-LRU *entry* ``(results, cost)``:
+        there is one and *budget* is None or admits (and is charged)
+        its recorded cost."""
+        return entry is not None and (budget is None or budget.charge(entry[1]))
+
+    def _served(self, entry) -> ResultSet:
+        """Count an admitted hit on *entry*; a clone of its results."""
+        self.metrics.inc(self._m_cache_hits)
+        return entry[0].clone()
+
     def _serve_cached(
         self,
         query,
@@ -214,15 +284,14 @@ class QueryFrontEnd:
         with lookup_span:
             entry = cache.get(key)
         if entry is not None:
-            if budget is None or budget.charge(entry[1]):
+            if self._admits(entry, budget):
                 lookup_span.tag("outcome", "hit").tag("cache_hit", True)
-                self.metrics.inc(self._m_cache_hits)
-                return entry[0].clone()
+                return self._served(entry)
             lookup_span.tag("outcome", "over_budget")
             return self._run_query(query, k, method, budget, fallback, tracer)
         with cache.key_lock(key):
             entry = cache.peek(key)
-            if entry is not None and (budget is None or budget.charge(entry[1])):
+            if self._admits(entry, budget):
                 # A concurrent miss on the same key published while we
                 # waited: serve it instead of recomputing.
                 cache.stats.record_coalesced()

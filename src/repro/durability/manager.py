@@ -168,6 +168,9 @@ class DurableEngine:
     def search_many(self, *args, **kwargs):
         return self.engine.search_many(*args, **kwargs)
 
+    def cached_answer(self, *args, **kwargs):
+        return self.engine.cached_answer(*args, **kwargs)
+
     # ------------------------------------------------------------------
     # Checkpointing / verification
     # ------------------------------------------------------------------

@@ -148,6 +148,14 @@ class LRUCache:
             value = self._data.get(key, _MISSING)
         return default if value is _MISSING else value
 
+    def touch(self, key: Hashable) -> None:
+        """Count a hit on *key* and promote it: a value read with
+        :meth:`peek` was used after all."""
+        with self._lock:
+            if key in self._data:
+                self._data.move_to_end(key)
+        self.stats.record_hit()
+
     def put(self, key: Hashable, value: Any) -> None:
         """Insert/refresh *key*, evicting the LRU entry when full."""
         evicted = 0

@@ -31,6 +31,7 @@ marks them, and the compiler lowers one as a single branch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -239,6 +240,10 @@ def _parse_weight(spec: str, pos: int) -> float:
         raise QueryParseError(
             f"invalid weight {spec!r} at position {pos}"
         ) from None
+    if not math.isfinite(weight):
+        raise QueryParseError(
+            f"weight must be a finite number, got {spec!r} at position {pos}"
+        )
     if weight <= 0:
         raise QueryParseError(f"weight must be positive, got {spec!r}")
     return weight
@@ -447,6 +452,10 @@ def _field_predicate(tok: _Tok, negated: bool = False) -> FieldPredicate:
             raise QueryParseError(
                 f"range bounds must be numeric: {tok.text}:{value}"
             ) from None
+        if any(b is not None and not math.isfinite(b) for b in (lo, hi)):
+            raise QueryParseError(
+                f"range bounds must be finite numbers: {tok.text}:{value}"
+            )
         if lo is None and hi is None:
             raise QueryParseError(f"empty range for field {tok.text!r}")
         return FieldPredicate(tok.text, "range", lo=lo, hi=hi, negated=negated)

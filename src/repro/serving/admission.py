@@ -38,6 +38,12 @@ The serving front end admits a request only after three gates:
    degrading, and a server at 2x its target latency sheds even with
    queue space left.
 
+A request the server can answer from its result cache (a complete
+answer, served on the event loop without a worker slot) passes the
+tenant bucket only: it adds nothing to the queue or to the latency
+signal, so neither the queue gate nor the pressure gate applies, and it
+is never degraded.
+
 Everything is lock-guarded and clock-injectable; the controller is
 shared between asyncio route handlers and worker threads.
 """
@@ -184,7 +190,8 @@ class AdmissionController:
 
     The route handler calls :meth:`admit` before queueing, brackets
     execution with :meth:`enqueued` / :meth:`started`, and reports
-    completion through :meth:`finished` (which feeds the latency EWMA).
+    completion through :meth:`finished` (which feeds the latency EWMA),
+    or through :meth:`served_from_cache` for a cached request.
     """
 
     def __init__(
@@ -318,7 +325,9 @@ class AdmissionController:
             if overflow:
                 self.metrics.inc("serve.tenant_overflow")
 
-    def admit(self, tenant: str = "default", cost: float = 1.0) -> AdmissionDecision:
+    def admit(
+        self, tenant: str = "default", cost: float = 1.0, cached: bool = False
+    ) -> AdmissionDecision:
         """Decide whether (and how degraded) to run one request.
 
         Never raises except through the ``serve.admit`` failpoint; a
@@ -326,9 +335,11 @@ class AdmissionController:
         Server-side gates (queue capacity, overload pressure) run
         before the tenant bucket is charged: a request the server was
         going to shed anyway must not also burn the tenant's tokens.
+        A *cached* request (answered from the result cache, never
+        queued) meets the tenant bucket alone and is admitted in full.
         """
         fail_point("serve.admit", key=tenant)
-        if self.depth() >= self.capacity:
+        if not cached and self.depth() >= self.capacity:
             self.metrics.inc("serve.shed.queue_full")
             return AdmissionDecision(
                 admitted=False,
@@ -338,7 +349,7 @@ class AdmissionController:
                 reason="queue full",
             )
         pressure = self.pressure()
-        if pressure >= 1.0:
+        if not cached and pressure >= 1.0:
             self.metrics.inc("serve.shed.overload")
             return AdmissionDecision(
                 admitted=False,
@@ -357,7 +368,7 @@ class AdmissionController:
                 retry_after_s=retry_after,
                 reason=f"tenant {tenant!r} over rate limit",
             )
-        if pressure < FULL_BELOW:
+        if cached or pressure < FULL_BELOW:
             mode = MODE_FULL
         elif pressure < FALLBACK_BELOW:
             mode = MODE_FALLBACK
@@ -393,6 +404,12 @@ class AdmissionController:
         with self._lock:
             self._inflight -= 1
         self.latency.observe(latency_ms)
+        self.metrics.observe("serve.request_ms", latency_ms)
+
+    def served_from_cache(self, latency_ms: float) -> None:
+        """A cached request was answered: it observes ``serve.request_ms``
+        but never entered the queue, so it leaves the latency EWMA (the
+        pressure signal) alone."""
         self.metrics.observe("serve.request_ms", latency_ms)
 
     def stats(self) -> Dict[str, object]:

@@ -27,29 +27,43 @@ Routes::
                        generation; {"source": "rebuild"|"recover"}
 
 ``/search`` and ``/batch`` are one admitted-request path
-(:meth:`Router._admitted`): admit (a batch costs one token per query),
-wait for a worker slot no longer than ``timeout_ms``, build the
-request's one :class:`~repro.resilience.budget.QueryBudget` from what
-is left of that deadline, pin the live generation, run on a worker
-thread.  The routes differ only in how they parse arguments and in
-the ``work(engine, budget, mode)`` function they hand it.  Execution
-follows the admission verdict: ``full`` runs the requested method,
-``fallback`` forces the degradation ladder on, ``index_only`` pins the
-terminal rung, and a shed request is a 429 carrying ``Retry-After``.
-The request budget is the only deadline below the router — a batch's
-queries each tick a fork of it — and a client disconnect poisons it,
-so every worker thread unwinds at its next cooperative tick instead of
-finishing work nobody will read (499).  Every ``/search`` and
-``/batch`` response, whatever its status, carries an ``X-Request-Id``
-header: the client's own id if it sent 1-64 characters of
-``[A-Za-z0-9._-]``, otherwise a freshly minted one.  The id rides the
-request's budget (and every fork of it) into the engine, whose root
-``search`` span carries it as ``request_id`` when tracing.
+(:meth:`Router._admitted`): build the request's one
+:class:`~repro.resilience.budget.QueryBudget` (deadline ``timeout_ms``
+from now), admit (a batch costs one token per query), wait for a
+worker slot no longer than that deadline, pin the live generation, run
+on a worker thread under what is left of it.  The routes differ only
+in how they parse arguments and in the ``work(engine, budget, mode)``
+function they hand it.  Execution follows the admission verdict:
+``full`` runs the requested method, ``fallback`` forces the
+degradation ladder on, ``index_only`` pins the terminal rung, and a
+shed request is a 429 carrying ``Retry-After``.  The request budget is
+the only deadline below the router — a batch's queries each tick a
+fork of it — and a client disconnect poisons it, so every worker
+thread unwinds at its next cooperative tick instead of finishing work
+nobody will read (499).
+
+A plain ``/search`` whose answer is in the pinned engine's result cache
+(:meth:`~repro.core.frontend.QueryFrontEnd.cached_answer`: complete,
+current, and chargeable to the request's budget) is answered before the
+slot wait, on the event loop: it passes the tenant bucket only, is
+never queued, degraded or shed for load, and takes no worker slot and
+no thread hop.  Such a hit observes ``serve.request_ms`` and counts
+``serve.cache_served.search``; it does not feed the latency EWMA that
+sets pressure, nor ``serve.queue_wait_ms`` / ``serve.exec_ms``.  The
+transport watches the socket for a hang-up only once a request is about
+to wait (:meth:`Request.waiting`), so a hit costs no watcher either.
+
+Every ``/search`` and ``/batch`` response, whatever its status, carries
+an ``X-Request-Id`` header: the client's own id if it sent 1-64
+characters of ``[A-Za-z0-9._-]``, otherwise a freshly minted one.  The
+id rides the request's budget (and every fork of it) into the engine,
+whose root ``search`` span carries it as ``request_id`` when tracing.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import re
 import threading
 import time
@@ -87,6 +101,7 @@ class Request:
         "budget",
         "disconnected",
         "request_id",
+        "on_wait",
     )
 
     def __init__(
@@ -109,6 +124,16 @@ class Request:
         #: The id a ``/search`` or ``/batch`` response echoes; set by
         #: :meth:`Router.dispatch` and carried on the request's budget.
         self.request_id: Optional[str] = None
+        #: Set by the transport: called once, by :meth:`waiting`, to
+        #: start watching the client for a hang-up.
+        self.on_wait: Optional[Callable[[], None]] = None
+
+    def waiting(self) -> None:
+        """The router is about to wait (a worker slot, a worker thread):
+        from here on a hang-up must cancel the request."""
+        hook, self.on_wait = self.on_wait, None
+        if hook is not None:
+            hook()
 
     def cancel(self) -> None:
         """Transport-side disconnect: poison any in-flight budget."""
@@ -204,6 +229,8 @@ def _parse_float(value: Any, name: str, lo: float = 0.0) -> float:
         out = float(value)
     except (TypeError, ValueError):
         raise BadRequest(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(out):
+        raise BadRequest(f"{name} must be a finite number, got {value!r}")
     if out <= lo:
         raise BadRequest(f"{name} must be > {lo:g}, got {out:g}")
     return out
@@ -227,6 +254,24 @@ def _engine_kwargs(
     elif mode == MODE_INDEX_ONLY:
         method, fallback = "index_only", False
     return {"k": args["k"], "method": method, "fallback": fallback, "budget": budget}
+
+
+def _answered(
+    payload: Dict[str, Any], generation: int, decision, start_s: float
+) -> Response:
+    """A query route's 200: its *payload* plus the request's envelope."""
+    payload.update(
+        {
+            "ok": True,
+            "generation": generation,
+            "elapsed_ms": round((time.perf_counter() - start_s) * 1000.0, 3),
+            "admission": {
+                "mode": decision.mode,
+                "pressure": round(decision.pressure, 4),
+            },
+        }
+    )
+    return Response(200, payload)
 
 
 def _outcome_entry(outcome) -> Dict[str, Any]:
@@ -440,6 +485,7 @@ class Router:
         timeout_ms: float,
         max_expansions: Optional[int],
         work: Callable[[Any, QueryBudget, str], Dict[str, Any]],
+        cached: Optional[Callable[[Any, QueryBudget], Optional[Callable]]] = None,
     ) -> Response:
         """Admit, queue, budget and run one query request; answer it.
 
@@ -447,22 +493,44 @@ class Router:
         — the pinned generation's engine, the request's budget (also on
         ``request.budget``, where the transport poisons it on
         disconnect) and the admission mode — and returns the route's
-        part of the payload.  The wait for a worker slot and the run on
-        the worker are observed per *route* as
-        ``serve.queue_wait_ms.<route>`` and ``serve.exec_ms.<route>``.
+        part of the payload.  *cached*, when given, runs first on the
+        event loop as ``cached(engine, budget)``: a function it returns
+        (a result-cache hit, its cost charged to the budget; see
+        :meth:`~repro.core.frontend.QueryFrontEnd.cached_answer`) makes
+        the request one the tenant bucket alone admits, and once
+        admitted it is called for the answer, with no slot and no
+        worker.  The wait for a worker slot and the run on the worker
+        are observed per *route* as ``serve.queue_wait_ms.<route>`` and
+        ``serve.exec_ms.<route>``.
         """
-        decision = self.admission.admit(request.tenant, cost=cost)
+        start_s = time.perf_counter()
+        budget = request.budget = make_budget(timeout_ms, max_expansions)
+        budget.request_id = request.request_id
+        if request.disconnected:
+            budget.poison("client disconnected")
+        serve = None
+        if cached is not None:
+            # A poisoned budget charges nothing: a gone client misses.
+            with self.handle.acquire() as (engine, generation):
+                serve = cached(engine, budget)
+        decision = self.admission.admit(
+            request.tenant, cost=cost, cached=serve is not None
+        )
         if not decision.admitted:
             return _shed_response(decision)
-        start_s = time.perf_counter()
-        deadline_s = start_s + timeout_ms / 1000.0
+        if serve is not None:
+            self.metrics.inc(f"serve.cache_served.{route}")
+            response = _answered(serve().to_dict(), generation, decision, start_s)
+            self.admission.served_from_cache((time.perf_counter() - start_s) * 1000.0)
+            return response
         self.admission.enqueued()
+        request.waiting()
         # Bounded queue wait: the deadline caps time-in-queue too, so a
         # request cannot sit queued longer than it would be allowed to
         # run.  Expiry while queued sheds late (429).
         try:
             await asyncio.wait_for(
-                self.slots.acquire(), timeout=max(0.001, deadline_s - time.perf_counter())
+                self.slots.acquire(), timeout=max(0.001, budget.remaining_ms() / 1000.0)
             )
         except asyncio.TimeoutError:
             self.admission.abandoned()
@@ -477,16 +545,13 @@ class Router:
             if request.disconnected:
                 self.metrics.inc("serve.disconnects")
                 return _client_gone()
-            remaining_ms = max(1.0, (deadline_s - time.perf_counter()) * 1000.0)
-            budget = request.budget = make_budget(remaining_ms, max_expansions)
-            budget.request_id = request.request_id
-            if request.disconnected:
-                budget.poison("client disconnected")
-            loop = asyncio.get_running_loop()
+            # The deadline stays where admission put it; what the work
+            # is told it has is what the queue left of it.
+            budget.timeout_ms = max(1.0, budget.remaining_ms())
             with self.handle.acquire() as (engine, generation):
                 exec_s = time.perf_counter()
-                payload = await loop.run_in_executor(
-                    self.executor, work, engine, budget, decision.mode
+                payload = await self._off_loop(
+                    request, work, engine, budget, decision.mode
                 )
                 self.metrics.observe(
                     f"serve.exec_ms.{route}", (time.perf_counter() - exec_s) * 1000.0
@@ -494,21 +559,19 @@ class Router:
             if budget.poisoned:
                 self.metrics.inc("serve.cancelled")
                 return _client_gone()
-            payload.update(
-                {
-                    "ok": True,
-                    "generation": generation,
-                    "elapsed_ms": round((time.perf_counter() - start_s) * 1000.0, 3),
-                    "admission": {
-                        "mode": decision.mode,
-                        "pressure": round(decision.pressure, 4),
-                    },
-                }
-            )
-            return Response(200, payload)
+            return _answered(payload, generation, decision, start_s)
         finally:
             self.slots.release()
             self.admission.finished((time.perf_counter() - start_s) * 1000.0)
+
+    async def _off_loop(self, request: Request, fn: Callable, *args: Any) -> Any:
+        """``fn(*args)`` on a worker thread: every route's one way off
+        the event loop.  The request waits from here on, so the
+        transport starts watching for a hang-up first."""
+        request.waiting()
+        return await asyncio.get_running_loop().run_in_executor(
+            self.executor, fn, *args
+        )
 
     # ------------------------------------------------------------------
     # /search
@@ -558,8 +621,20 @@ class Router:
                 ).to_dict()
             return engine.search(text, **kwargs).to_dict()
 
+        cached = None
+        if not (expand or facets or highlight):
+
+            def cached(engine: Any, budget: QueryBudget) -> Optional[Callable]:
+                return engine.cached_answer(text, args["k"], args["method"], budget)
+
         return await self._admitted(
-            request, "search", 1.0, args["timeout_ms"], args["max_expansions"], work
+            request,
+            "search",
+            1.0,
+            args["timeout_ms"],
+            args["max_expansions"],
+            work,
+            cached,
         )
 
     # ------------------------------------------------------------------
@@ -604,12 +679,9 @@ class Router:
         values = request.body.get("values")
         if not table or not isinstance(values, dict):
             raise BadRequest("body must carry 'table' and a 'values' object")
-        loop = asyncio.get_running_loop()
         start_s = time.perf_counter()
         try:
-            tid = await loop.run_in_executor(
-                self.executor, self._apply_insert, str(table), values
-            )
+            tid = await self._off_loop(request, self._apply_insert, str(table), values)
         except Exception as exc:
             name = type(exc).__name__
             if "Schema" in name or isinstance(exc, (ValueError, KeyError)):
@@ -653,10 +725,9 @@ class Router:
         if source == "recover" and self.durable is None:
             raise BadRequest("swap source 'recover' requires a durability dir")
         drain_timeout_s = float(request.body.get("drain_timeout_s", 30.0))
-        loop = asyncio.get_running_loop()
         start_s = time.perf_counter()
-        result = await loop.run_in_executor(
-            self.executor, self._perform_swap, source, drain_timeout_s
+        result = await self._off_loop(
+            request, self._perform_swap, source, drain_timeout_s
         )
         return Response(
             200,

@@ -16,11 +16,13 @@ Design points:
 * **hand-rolled HTTP/1.1** over ``asyncio.start_server``: request line
   + headers + Content-Length body, keep-alive by default, bounded
   header/body sizes (413/431 on breach) — no dependencies;
-* **disconnect watching** — while a request executes, a reader task
-  keeps draining the socket; EOF means the client hung up, which
+* **disconnect watching** — once the router is about to wait (a
+  worker slot or a worker thread; :meth:`Request.waiting`), a reader
+  task keeps draining the socket; EOF means the client hung up, which
   cancels the request (its :class:`QueryBudget` is poisoned, the
   worker unwinds at its next cooperative tick).  Bytes that arrive
-  instead of EOF are kept for the next pipelined request;
+  instead of EOF are kept for the next pipelined request.  A request
+  answered without waiting (a result-cache hit) starts no task;
 * **graceful shutdown** — SIGTERM/SIGINT stop the listener, flip
   ``/ready`` to 503, let in-flight requests finish under
   ``drain_timeout_s``, then cancel stragglers and shut the pool down.
@@ -364,29 +366,36 @@ class ServingServer:
                 pass
 
     async def _execute(self, conn: _Connection, request: Request) -> Response:
-        """Dispatch one request, watching the socket for a disconnect."""
+        """Dispatch one request; watch the socket for a disconnect only
+        while the router waits."""
         self._request_started()
-        watcher = asyncio.ensure_future(conn.watch_disconnect())
-        task = asyncio.ensure_future(self.router.dispatch(request))
+        watcher: Optional[asyncio.Future] = None
+
+        def watch() -> None:
+            nonlocal watcher
+            watcher = asyncio.ensure_future(self._watch(conn, request))
+
+        request.on_wait = watch
         try:
-            done, _ = await asyncio.wait(
-                {watcher, task}, return_when=asyncio.FIRST_COMPLETED
-            )
-            if task not in done:
-                # The socket resolved first: the client hung up while
-                # the request was queued or executing.  Poison the
-                # budget and let the worker unwind cooperatively.
-                request.cancel()
-                self.metrics.inc("serve.disconnects")
-            return await task
+            return await self.router.dispatch(request)
         finally:
-            if not watcher.done():
+            if watcher is not None and not watcher.done():
                 watcher.cancel()
                 try:
                     await watcher
                 except (asyncio.CancelledError, Exception):
                     pass
             self._request_finished()
+
+    async def _watch(self, conn: _Connection, request: Request) -> None:
+        """Resolve when the client hangs up (EOF or a reset): poison the
+        request's budget and let the worker unwind cooperatively."""
+        try:
+            await conn.watch_disconnect()
+        except OSError:
+            pass
+        request.cancel()
+        self.metrics.inc("serve.disconnects")
 
     def _request_started(self) -> None:
         self._inflight_requests += 1
@@ -452,7 +461,17 @@ class ServingServer:
         if response.body is not None:
             payload = response.body
         else:
-            payload = json.dumps(response.payload).encode("utf-8")
+            try:
+                # RFC 8259 has no Infinity / NaN: refuse to emit them.
+                payload = json.dumps(response.payload, allow_nan=False).encode("utf-8")
+            except ValueError as exc:
+                self.metrics.inc("serve.internal_errors")
+                response = Response(
+                    500,
+                    {"ok": False, "error": f"unencodable response: {exc}"},
+                    headers=response.headers,
+                )
+                payload = json.dumps(response.payload).encode("utf-8")
         status_text = _STATUS_TEXT.get(response.status, "Unknown")
         head_lines = [
             f"HTTP/1.1 {response.status} {status_text}",

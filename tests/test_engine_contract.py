@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import KeywordSearchEngine
 from repro.core.factory import build_engine
 from repro.core.xml_engine import XmlSearchEngine
 from repro.datasets.bibliographic import tiny_bibliographic_db
@@ -145,6 +146,72 @@ def test_warm_builds_the_index_and_close_twice_is_harmless(kind):
         front.close()
         engine.close()
     assert "index" not in engine.__dict__
+
+
+def test_cached_answer_serves_a_search_hit_and_computes_nothing(kind):
+    """``cached_answer`` is the search path's hit and nothing else: the
+    same answer, the same charge, None wherever a search would compute."""
+    front, engine = kind
+    text = "widom xml"
+    assert front.cached_answer(text, 5, "schema", None) is None  # never parsed
+    want = front.search(text, k=5).to_dict()
+    assert front.cached_answer(text, 5, "schema", None)().to_dict() == want
+    assert front.cached_answer(text, 3, "schema", None) is None
+    assert front.cached_answer(text, 5, "banks", None) is None
+    budget = QueryBudget(timeout_ms=60_000.0)
+    assert front.cached_answer(text, 5, "schema", budget)().to_dict() == want
+    assert budget.spent() != (0, 0, 0)  # charged the recorded cost
+    capped = QueryBudget(max_cns=1)
+    assert front.cached_answer(text, 5, "schema", capped) is None
+    assert capped.spent() == (0, 0, 0) and not capped.exhausted
+    engine.db.insert("author", aid=9001, name="zanzibar unique", affiliation=None)
+    assert front.cached_answer(text, 5, "schema", None) is None  # refresh pending
+    engine.refresh()
+    assert front.cached_answer(text, 5, "schema", None) is None  # caches dropped
+
+
+def _moved(before, after):
+    """Which counters and histogram counts of a metrics snapshot moved."""
+    out = {}
+    for name, value in after.items():
+        if isinstance(value, dict):
+            value, old = value["count"], before.get(name, {}).get("count", 0)
+        elif isinstance(value, int) and not name.endswith("_s"):
+            old = before.get(name, 0)
+        else:
+            continue
+        if value != old:
+            out[name] = value - old
+    return out
+
+
+def test_a_cached_answer_counts_only_once_served(kind):
+    """Finding a hit charges the caller's budget and nothing else: the
+    engine's counters (queries, hits, the LRU's stats) move only when
+    the answer is served, by exactly what a search's hit moves them."""
+    front, engine = kind
+    text = "widom xml"
+    front.search(text, k=5)
+    before = engine.metrics.snapshot()
+    budget = QueryBudget(timeout_ms=60_000.0)
+    serve = front.cached_answer(text, 5, "schema", budget)
+    assert serve is not None and budget.spent() != (0, 0, 0)
+    assert _moved(before, engine.metrics.snapshot()) == {}
+    serve()
+    served = engine.metrics.snapshot()
+    front.search(text, k=5)
+    hit = _moved(served, engine.metrics.snapshot())
+    assert _moved(before, served) == hit
+    assert sorted(hit.values()) == [1, 1, 1, 1]  # count, latency, 2 hit counters
+
+
+def test_engines_without_a_result_lru_never_serve_a_cached_answer():
+    uncached = KeywordSearchEngine(tiny_bibliographic_db(), enable_caches=False)
+    uncached.search("widom xml", k=5)
+    assert uncached.cached_answer("widom xml", 5, "schema", None) is None
+    xml = XmlSearchEngine(generate_bib_xml(seed=1))
+    xml.search(XML_QUERY, k=5)
+    assert xml.cached_answer(XML_QUERY, 5, "slca", None) is None
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,11 @@ one entry, structurally different queries never collide.
 
 from __future__ import annotations
 
+import math
 import os
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.ambiguity.spelling import NoisyChannelCorrector
 from repro.core.engine import KeywordSearchEngine
@@ -130,6 +132,44 @@ class TestParser:
         tokens = {t.token for g in query.groups for t in g}
         assert {"query", "processing", "database"} <= tokens
         assert parse_query("database^3").groups[0][0].weight == 3.0
+
+    @pytest.mark.parametrize(
+        "text, token",
+        [
+            ("data^inf", "'inf'"),
+            ("data^1e400 xml", "'1e400'"),  # overflows to inf
+            ("data^nan", "'nan'"),
+            ("x^nan", "'nan'"),
+            ('"a b"^inf', "'inf'"),
+            ("year:nan..inf", "year:nan..inf"),
+            ("year:..-inf", "year:..-inf"),
+        ],
+    )
+    def test_non_finite_numbers_are_parse_errors(self, text, token):
+        with pytest.raises(QueryParseError, match="finite") as excinfo:
+            parse_query(text)
+        assert token in str(excinfo.value)
+
+    @given(
+        st.one_of(
+            st.floats(),
+            st.sampled_from(["inf", "-inf", "nan", "NaN", "Infinity", "1e400", "-1e400"]),
+        ).map(str)
+    )
+    def test_every_parsed_number_is_finite(self, number):
+        """Any float spelling as a weight or a range bound parses to a
+        finite number or is refused with a QueryParseError."""
+        for text in (f"data^{number}", f'"a b"^{number}', f"year:{number}..",
+                     f"year:..{number}", f"year:{number}..{number}"):
+            try:
+                query = parse_query(text)
+            except QueryParseError:
+                continue
+            weights = [t.weight for g in query.groups for t in g]
+            weights += [p.weight for p in query.phrases]
+            bounds = [b for p in query.predicates for b in (p.lo, p.hi) if b is not None]
+            assert all(math.isfinite(w) and w > 0 for w in weights), text
+            assert all(math.isfinite(b) for b in bounds), text
 
     def test_unterminated_phrase_raises(self):
         with pytest.raises(QueryParseError):

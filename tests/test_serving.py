@@ -5,6 +5,7 @@ import json
 import os
 import re
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -31,7 +32,7 @@ from repro.serving.admission import (
     MODE_INDEX_ONLY,
     TokenBucket,
 )
-from repro.serving.routes import Request, Router
+from repro.serving.routes import Request, Response, Router
 from repro.serving.server import ServingServer
 from repro.serving.swap import EngineHandle
 
@@ -473,11 +474,16 @@ class TestBreakerTimeInState:
 # Router unit tests (no HTTP)
 # ----------------------------------------------------------------------
 class SpyEngine:
-    """Records search / search_many kwargs; returns canned results."""
+    """Records search / search_many kwargs; returns canned results.
+
+    It caches nothing, so every query request takes the worker path."""
 
     def __init__(self):
         self.calls = []
         self.db = None
+
+    def cached_answer(self, text, k, method, budget):
+        return None
 
     def search(self, text, k=10, method="schema", budget=None, fallback=False):
         self.calls.append(
@@ -1268,7 +1274,7 @@ class TestServedResultCache:
         assert _http(server.address, "/search?q=widom+xml")[0] == 200
         count = engine.metrics.snapshot()[f"{engine.metric_prefix}.count"]
         # A second router over the same engine, driven from this thread's
-        # loop, so the hang-up lands while the request waits for a slot.
+        # loop, so the hang-up lands while a request waits for a slot.
         metrics = MetricsRegistry()
         executor = ThreadPoolExecutor(max_workers=1)
         router = Router(
@@ -1285,20 +1291,328 @@ class TestServedResultCache:
             gone.cancel()
             before_dispatch = await router.dispatch(gone)
             await router.slots.acquire()  # the one worker slot held
-            request = Request("GET", "/search", {"q": "widom xml"})
-            task = asyncio.ensure_future(router.dispatch(request))
+            # The warm key needs no slot: it is answered at once ...
+            warm = await router.dispatch(Request("GET", "/search", {"q": "widom xml"}))
+            # ... while a cold key queues, and its client hangs up there.
+            cold = Request("GET", "/search", {"q": "john database"})
+            task = asyncio.ensure_future(router.dispatch(cold))
             await asyncio.sleep(0.05)
-            request.cancel()
+            queued = not task.done()
+            cold.cancel()
             router.slots.release()
-            return before_dispatch, await task
+            return before_dispatch, warm, queued, await task
 
         try:
-            statuses = [r.status for r in asyncio.run(scenario())]
+            before_dispatch, warm, queued, cold = asyncio.run(scenario())
         finally:
             executor.shutdown(wait=False)
-        assert statuses == [499, 499]
-        assert metrics.snapshot()["serve.disconnects"] == 2
+        assert (before_dispatch.status, cold.status) == (499, 499)
+        assert warm.status == 200 and warm.payload["count"] > 0 and queued
+        snap = metrics.snapshot()
+        assert snap["serve.disconnects"] == 2
+        assert snap["serve.cache_served.search"] == 1
+        # Only the warm answer reached the engine; neither gone request did.
+        assert engine.metrics.snapshot()[f"{engine.metric_prefix}.count"] == count + 1
+
+
+def _e2e_zipf_pool():
+    """The end-to-end benchmark's biblio-150 database and its 80-query
+    Zipf pool (``benchmarks/e2e/workloads.py``)."""
+    e2e = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "e2e")
+    sys.path.insert(0, e2e)
+    try:
+        from child import build_db
+        from workloads import zipf_pool
+    finally:
+        sys.path.remove(e2e)
+    db = build_db("biblio-150")
+    return db, zipf_pool(db)
+
+
+def _loop_served(metrics):
+    return metrics.snapshot().get("serve.cache_served.search", 0)
+
+
+class TestLoopServedHits:
+    """A ``/search`` whose complete answer is in the current engine's
+    result LRU, chargeable to the request's budget, is answered on the
+    event loop: no worker slot, no thread, the same body."""
+
+    @pytest.mark.parametrize("shards", [1, 2], ids=["single", "shards2"])
+    def test_loop_body_equals_worker_body_on_the_zipf_pool(self, shards):
+        db, pool = _e2e_zipf_pool()
+        assert len(pool) == 80
+        metrics = MetricsRegistry()
+        engine = build_engine(db, shards=shards, metrics=metrics)
+        server = ServingServer(
+            engine, port=0, max_concurrency=2, target_latency_ms=0, metrics=metrics
+        )
+        server.start_in_thread()
+        try:
+            for k in (10, 3):
+                for text in pool:
+                    path = f"/search?q={text.replace(' ', '+')}&k={k}"
+                    served = _loop_served(metrics)
+                    status, worker, _ = _http(server.address, path)
+                    assert status == 200 and _loop_served(metrics) == served
+                    status, loop, _ = _http(server.address, path)
+                    assert status == 200 and _loop_served(metrics) == served + 1
+                    worker.pop("elapsed_ms"), loop.pop("elapsed_ms")
+                    assert loop == worker, (text, k)
+                    assert worker["count"] > 0 and not worker["degraded"]
+        finally:
+            server.stop()
+            engine.close()
+
+    @pytest.fixture(params=[1, 2], ids=["single", "shards2"])
+    def warm_router(self, request):
+        """A one-slot router over an engine that has answered ``widom xml``."""
+        metrics = MetricsRegistry()
+        engine = build_engine(tiny_bibliographic_db(), shards=request.param)
+        executor = ThreadPoolExecutor(max_workers=1)
+        router = Router(
+            handle=EngineHandle(engine, metrics=metrics),
+            admission=AdmissionController(
+                max_concurrency=1, max_queue_depth=9, target_latency_ms=0,
+                metrics=metrics,
+            ),
+            executor=executor,
+            metrics=metrics,
+        )
+        warm = _dispatch(router, Request("GET", "/search", {"q": "widom xml"}))
+        assert warm.status == 200 and warm.payload["count"] > 0
+        assert _loop_served(metrics) == 0
+        yield engine, router, warm.payload
+        executor.shutdown(wait=False)
+        engine.close()
+
+    @staticmethod
+    def _count_runs(engine, monkeypatch):
+        runs = []
+        run_query = engine._run_query
+
+        def counting(*args, **kwargs):
+            runs.append(args[0])
+            return run_query(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_run_query", counting)
+        return runs
+
+    def test_held_slots_do_not_delay_a_warm_key(self, warm_router, monkeypatch):
+        engine, router, _ = warm_router
+        runs = self._count_runs(engine, monkeypatch)
+
+        async def scenario():
+            await router.slots.acquire()  # every slot held
+            try:
+                warm = await asyncio.wait_for(
+                    router.dispatch(Request("GET", "/search", {"q": "widom xml"})), 1.0
+                )
+                assert runs == []  # answered without running a query
+                cold = asyncio.ensure_future(
+                    router.dispatch(Request("GET", "/search", {"q": "john database"}))
+                )
+                await asyncio.sleep(0.05)
+                queued = not cold.done()
+            finally:
+                router.slots.release()
+            return warm, queued, await cold
+
+        warm, queued, cold = asyncio.run(scenario())
+        assert warm.status == 200 and warm.payload["count"] > 0
+        assert queued and cold.status == 200
+        assert len(runs) == 1  # the cold key only
+        snap = router.metrics.snapshot()
+        assert snap["serve.cache_served.search"] == 1
+        # A hit is a request, not queue wait or worker time.
+        assert snap["serve.request_ms"]["count"] == 3
+        assert snap["serve.queue_wait_ms.search"]["count"] == 2
+        assert snap["serve.exec_ms.search"]["count"] == 2
+        _assert_idle(router)
+
+    def test_a_budget_below_the_recorded_cost_goes_to_the_worker(
+        self, warm_router, monkeypatch
+    ):
+        engine, router, _ = warm_router
+        runs = self._count_runs(engine, monkeypatch)
+        capped = Request("GET", "/search", {"q": "widom xml", "max_expansions": "1"})
+        with engine.profiled() as prof:
+            response = _dispatch(router, capped)
+        assert response.status == 200 and response.payload["degraded"]
+        assert "budget exhausted (1)" in response.payload["degraded_reason"]
+        assert len(runs) == 1 and _loop_served(router.metrics) == 0
+        (lookup,) = [s for s in prof.traces[0].spans() if s.name == "cache_lookup"]
+        assert lookup.tags["outcome"] == "over_budget"
+        # Untraced, the loop's charge refuses it the same way.
+        response = _dispatch(router, capped)
+        assert response.payload["degraded"] and len(runs) == 2
+        assert _loop_served(router.metrics) == 0
+
+    def test_a_stale_engine_never_answers_from_the_loop(self, warm_router):
+        engine, router, warm = warm_router
+        engine.db.insert("author", aid=9001, name="widom zanzibar", affiliation=None)
+        assert engine.db.data_version != engine._served_version
+        assert engine.cached_answer("widom xml", 10, "schema", None) is None
+        response = _dispatch(router, Request("GET", "/search", {"q": "widom xml"}))
+        assert response.status == 200 and _loop_served(router.metrics) == 0
+        assert engine.db.data_version == engine._served_version  # the worker refreshed
+        fresh = _dispatch(router, Request("GET", "/search", {"q": "widom xml"}))
+        assert _loop_served(router.metrics) == 1
+        response.payload.pop("elapsed_ms"), fresh.payload.pop("elapsed_ms")
+        assert fresh.payload == response.payload
+
+    @pytest.mark.parametrize("depth, mode", [(6, MODE_FALLBACK), (9, MODE_INDEX_ONLY)])
+    def test_pressure_never_rewrites_a_warm_key(self, warm_router, depth, mode):
+        engine, router, warm = warm_router
+        for _ in range(depth):  # capacity 10: pressure depth / 10
+            router.admission.enqueued()
+        try:
+            hit = _dispatch(router, Request("GET", "/search", {"q": "widom xml"}))
+            cold = _dispatch(router, Request("GET", "/search", {"q": "john database"}))
+        finally:
+            for _ in range(depth):
+                router.admission.abandoned()
+        assert hit.status == 200 and hit.payload["method"] == "schema"
+        assert hit.payload["admission"]["mode"] == MODE_FULL
+        assert hit.payload["results"] == warm["results"]
+        assert cold.status == 200 and cold.payload["admission"]["mode"] == mode
+        if mode == MODE_INDEX_ONLY:
+            assert cold.payload["method"] == "index_only"
+
+    def test_a_hit_needs_no_refresh_parse_or_run(self, warm_router, monkeypatch):
+        engine, router, warm = warm_router
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a loop-served hit computed something")
+
+        for hook in ("_run_query", "refresh", "_parse_canonical"):
+            monkeypatch.setattr(engine, hook, boom)
+        response = _dispatch(router, Request("GET", "/search", {"q": "widom xml"}))
+        assert response.status == 200 and _loop_served(router.metrics) == 1
+        assert response.payload["results"] == warm["results"]
+
+    def test_a_served_key_outlives_a_flood_of_cold_queries(self):
+        """A loop hit promotes its parse-memo and LRU entries as a
+        search's lookup does: more cold queries than either memo holds
+        never evict a key that keeps being served from the loop."""
+        engine = KeywordSearchEngine(tiny_bibliographic_db())
+        engine.search("widom xml")
+        for i in range(1100):  # parse memo holds 1024 texts, the LRU 512
+            engine.search(f"widom^1.{i:04d} xml")
+            if i % 100 == 0:
+                serve = engine.cached_answer("widom xml", 10, "schema", None)
+                assert serve is not None, i
+                serve()
+        assert engine.cached_answer("widom xml", 10, "schema", None)
+
+    def test_a_tenant_over_its_rate_leaves_no_trace_of_a_hit(self, warm_router):
+        """A warm key the tenant bucket refuses is a 429 the engine never
+        sees: no query, no cache hit, no promotion in either memo."""
+        engine, router, _ = warm_router
+        prefix = engine.metric_prefix
+
+        def engine_counts():
+            snap = engine.metrics.snapshot()
+            return (
+                [snap.get(f"{prefix}.{name}", 0) for name in ("count", "cache_hits")],
+                engine.cache_stats()["results"],
+                engine._parse_cache.stats.as_dict(),
+            )
+
+        router.admission.tenant_rate, router.admission.tenant_burst = 1e-6, 1.0
+        spend = Request("GET", "/search", {"q": "john database", "tenant": "broke"})
+        assert _dispatch(router, spend).status == 200  # the bucket's one token
+        before = engine_counts()
+        broke = Request("GET", "/search", {"q": "widom xml", "tenant": "broke"})
+        response = _dispatch(router, broke)
+        assert response.status == 429 and "rate limit" in response.payload["reason"]
+        assert engine_counts() == before and _loop_served(router.metrics) == 0
+        served = _dispatch(router, Request("GET", "/search", {"q": "widom xml"}))
+        assert served.status == 200 and _loop_served(router.metrics) == 1
+        assert engine_counts() != before
+        _assert_idle(router)
+
+    def test_only_a_request_that_waits_starts_the_watcher(self, warm_router):
+        """The transport's hang-up watch starts before the slot wait and
+        before every hop to a worker thread, and never for a hit."""
+        engine, router, _ = warm_router
+        requests = {
+            "hit": Request("GET", "/search", {"q": "widom xml"}),
+            "cold": Request("GET", "/search", {"q": "john database"}),
+            "batch": Request("POST", "/batch", body={"queries": ["widom xml"]}),
+            "insert": Request(
+                "POST",
+                "/insert",
+                body={"table": "author", "values": {"aid": 9002, "name": "x"}},
+            ),
+        }
+        watched = []
+        for name, request in requests.items():
+            request.on_wait = lambda name=name: watched.append(name)
+            assert _dispatch(router, request).status == 200, name
+        assert watched == ["cold", "batch", "insert"]
+
+    def test_a_client_gone_before_dispatch_is_499(self, warm_router):
+        engine, router, _ = warm_router
+        count = engine.metrics.snapshot()[f"{engine.metric_prefix}.count"]
+        gone = Request("GET", "/search", {"q": "widom xml"})
+        gone.cancel()
+        response = _dispatch(router, gone)
+        assert response.status == 499 and "X-Request-Id" in response.headers
+        assert _loop_served(router.metrics) == 0
         assert engine.metrics.snapshot()[f"{engine.metric_prefix}.count"] == count
+        _assert_idle(router)
+
+
+class TestNonFiniteNumbersOverHttp:
+    """No body carries ``Infinity`` or ``NaN``: a non-finite weight,
+    range bound or knob is a 400 naming it."""
+
+    @pytest.mark.parametrize(
+        "q, token",
+        [
+            ("data^inf", "'inf'"),
+            ("data^1e400 xml", "'1e400'"),
+            ("data^nan", "'nan'"),
+            ("x^nan", "'nan'"),
+            ('"a b"^inf', "'inf'"),
+            ("year:nan..inf", "year:nan..inf"),
+        ],
+    )
+    def test_non_finite_query_numbers_are_400(self, http_server, q, token):
+        from urllib.parse import quote
+
+        status, payload, _ = _http(http_server.address, f"/search?q={quote(q)}")
+        assert status == 400 and "finite" in payload["error"]
+        assert token in payload["error"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_timeout_is_400(self, http_server, value):
+        status, payload, _ = _http(
+            http_server.address, f"/search?q=databases&timeout_ms={value}"
+        )
+        assert status == 400 and "timeout_ms must be a finite number" in payload["error"]
+
+    def test_an_unencodable_payload_is_a_500_not_infinity(self):
+        async def scenario():
+            server = ServingServer(KeywordSearchEngine(tiny_bibliographic_db()), port=0)
+            captured = bytearray()
+
+            class Writer:
+                def write(self, data):
+                    captured.extend(data)
+
+                async def drain(self):
+                    pass
+
+            response = Response(200, {"score": float("inf")}, headers={"X-Request-Id": "r1"})
+            await server._write_response(Writer(), response, keep_alive=False)
+            server.executor.shutdown(wait=False)
+            return bytes(captured)
+
+        raw = asyncio.run(scenario())
+        assert raw.startswith(b"HTTP/1.1 500 ") and b"X-Request-Id: r1" in raw
+        assert b"Infinity" not in raw
 
 
 class TestRecoverSwapKeepsEngineShape:
