@@ -54,7 +54,6 @@ from repro.query.parser import StructuredQuery, parse_query
 from repro.relational.database import Database
 from repro.relational.schema_graph import SchemaGraph
 from repro.resilience.budget import QueryBudget, make_budget
-from repro.resilience.circuit import CircuitBreaker
 from repro.resilience.degradation import KNOWN_METHODS, fallback_chain
 from repro.resilience.errors import (
     QueryParseError,
@@ -132,12 +131,6 @@ class KeywordSearchEngine(QueryFrontEnd):
         # Query cleaner, built once and patched by its first reader after
         # each mutation (see the ``cleaner`` property).
         self._cleaner: Optional[QueryCleaner] = None
-        # Consulted by every search_many batch, so repeated
-        # substrate-build failures keep tripping it across batches (see
-        # repro.resilience.circuit).
-        self.circuit_breaker = CircuitBreaker(
-            on_transition=self._on_breaker_transition
-        )
         self.substrates.metrics = self.metrics
         self._wire_metrics()
 
@@ -333,15 +326,6 @@ class KeywordSearchEngine(QueryFrontEnd):
                 else 0
             ),
         )
-        reg.register_gauge("circuit.state", lambda: self.circuit_breaker.state)
-        reg.register_gauge("circuit.opens", lambda: self.circuit_breaker.opens)
-        reg.register_gauge(
-            "circuit.time_in_state_s",
-            lambda: round(self.circuit_breaker.time_in_state_s(), 3),
-        )
-
-    def _on_breaker_transition(self, old_state: str, new_state: str) -> None:
-        self.metrics.inc(f"circuit.transitions.{new_state}")
 
     def _record_sharing(self, stats) -> None:
         """Fold one schema search's JoinStats into the executor totals:

@@ -9,31 +9,24 @@ request order.  There is no thread pool: under one interpreter lock a
 pool can only overlap waits, and a sequential loop measured faster.
 
 Failures are isolated per query: one poisoned query yields an error
-:class:`BatchOutcome` while its neighbours complete normally.  Transient
-errors (substrate build races, injected faults) are retried with capped
-exponential backoff, and repeated substrate-build failures trip the
-engine's :class:`~repro.resilience.circuit.CircuitBreaker` so the rest
-of the batch fails fast instead of hammering a broken build.
+:class:`BatchOutcome` while its neighbours complete normally.  A failed
+query is reported once, exactly as ``engine.search`` raised it — no
+retry, no backoff, no breaker — so a batch and a single ``search`` of
+the same text give the same verdict, and a healed fault is healed for
+the very next query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter, sleep
+from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.frontend import validate_k
 from repro.core.results import ResultSet
 from repro.resilience.budget import QueryBudget
 from repro.resilience.degradation import KNOWN_METHODS
-from repro.resilience.errors import (
-    CircuitOpenError,
-    QueryParseError,
-    ReproError,
-    SubstrateBuildError,
-    classify_error,
-)
-from repro.resilience.retry import DEFAULT_RETRY
+from repro.resilience.errors import QueryParseError, ReproError, classify_error
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,6 @@ class BatchOutcome:
     status: str
     results: ResultSet
     error: Optional[ReproError] = None
-    attempts: int = 1
     duration_ms: float = 0.0
 
     @property
@@ -110,7 +102,7 @@ class BatchOutcome:
         tail = f", error={type(self.error).__name__}" if self.error else ""
         return (
             f"BatchOutcome({self.query.text!r}, {self.status}, "
-            f"{len(self.results)} results, attempts={self.attempts}{tail})"
+            f"{len(self.results)} results{tail})"
         )
 
 
@@ -131,10 +123,10 @@ def run_batch(
     callers cannot alias each other.  Submission-time validation errors
     (bad ``k``, unknown method) raise before any query runs.
 
-    *budget* bounds the batch as a whole: every query (every retry
-    attempt) ticks its own :meth:`QueryBudget.fork` — one absolute
-    deadline, caps applied per query, and poisoning *budget* stops the
-    query running and those not yet started.  Without it ``timeout_ms``
+    *budget* bounds the batch as a whole: every query ticks its own
+    :meth:`QueryBudget.fork` — one absolute deadline, caps applied per
+    query, and poisoning *budget* stops the query running and those not
+    yet started.  Without it ``timeout_ms``
     / ``max_expansions`` give each query a fresh budget of its own, as
     in ``search()``.  Outcomes land in the engine's metrics registry
     (``batch.*`` counters, ``batch.query_ms``).
@@ -154,14 +146,10 @@ def run_batch(
         "fallback": fallback,
     }
     computed: Dict[BatchQuery, BatchOutcome] = {}
-    retries = 0
     for query in distinct:
         outcome = computed[query] = _isolated(engine, query, budget, options)
-        retries += max(0, outcome.attempts - 1)
         metrics.inc(f"batch.outcome.{outcome.status}")
         metrics.observe("batch.query_ms", outcome.duration_ms)
-    if retries:
-        metrics.inc("batch.retries", retries)
     out: List[BatchOutcome] = []
     for query in batch:
         outcome = computed[query]
@@ -171,7 +159,6 @@ def run_batch(
                 status=outcome.status,
                 results=outcome.results.clone(),
                 error=outcome.error,
-                attempts=outcome.attempts,
                 duration_ms=outcome.duration_ms,
             )
         )
@@ -186,57 +173,27 @@ def _isolated(
 ) -> BatchOutcome:
     """Fault-isolation boundary around one ``engine.search`` of *query*.
 
-    Never raises: every exception is classified into the
+    Never raises: an exception is classified into the
     :class:`ReproError` taxonomy and returned as an error outcome.
-    Transient errors retry under ``DEFAULT_RETRY``; substrate-build
-    failures feed the engine's circuit breaker, and an open breaker
-    fails fast.
     """
     start = perf_counter()
-
-    def failed(err: ReproError, attempts: int) -> BatchOutcome:
-        return BatchOutcome(
-            query=query,
-            status="error",
-            results=ResultSet(method=query.method, error=err),
-            error=err,
-            attempts=attempts,
-            duration_ms=(perf_counter() - start) * 1000.0,
+    error: Optional[ReproError] = None
+    try:
+        results = engine.search(
+            query.text,
+            k=query.k,
+            method=query.method,
+            budget=budget.fork() if budget is not None else None,
+            **options,
         )
-
-    breaker = engine.circuit_breaker
-    if not breaker.allow():
-        return failed(
-            CircuitOpenError(
-                "circuit open after repeated substrate failures; failing fast"
-            ),
-            attempts=0,
-        )
-    attempt = 1
-    while True:
-        try:
-            results = engine.search(
-                query.text,
-                k=query.k,
-                method=query.method,
-                budget=budget.fork() if budget is not None else None,
-                **options,
-            )
-        except Exception as exc:  # noqa: BLE001 — isolation boundary
-            err = classify_error(exc)
-            if isinstance(err, SubstrateBuildError):
-                breaker.record_failure()
-            retry = DEFAULT_RETRY
-            if err.transient and attempt < retry.max_attempts and breaker.allow():
-                sleep(retry.delay(attempt))
-                attempt += 1
-                continue
-            return failed(err, attempt)
-        breaker.record_success()
-        return BatchOutcome(
-            query=query,
-            status=results.status,
-            results=results,
-            attempts=attempt,
-            duration_ms=(perf_counter() - start) * 1000.0,
-        )
+        status = results.status
+    except Exception as exc:  # noqa: BLE001 — isolation boundary
+        error = classify_error(exc)
+        results, status = ResultSet(method=query.method, error=error), "error"
+    return BatchOutcome(
+        query=query,
+        status=status,
+        results=results,
+        error=error,
+        duration_ms=(perf_counter() - start) * 1000.0,
+    )

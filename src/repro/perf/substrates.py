@@ -311,9 +311,9 @@ class SubstrateCache:
 
         Hits the ``substrates.<site>`` failpoint first (so chaos tests
         can inject faults or delays per keyword), then converts any
-        build exception into a transient :class:`SubstrateBuildError`
-        that ``search_many`` retries and counts against the circuit
-        breaker.  Nothing is memoised on failure.
+        build exception into a :class:`SubstrateBuildError` that fails
+        the query once.  Nothing is memoised on failure, so the next
+        query that needs the substrate builds it again.
         """
         try:
             fail_point(f"substrates.{site}", key=key)

@@ -17,18 +17,19 @@ classify outcomes without string matching:
   internally and return partial results; it only escapes when there was
   nothing partial to return.
 * :class:`SubstrateBuildError` — building a shared structure (inverted
-  index, data graph, tuple sets, CNs, form pipeline) failed.  Marked
-  transient: a retry may succeed, and repeated failures trip the batch
-  executor's circuit breaker.
-* :class:`TransientError` — explicitly retryable failures (fault
-  injection, flaky I/O in future backends).
-* :class:`CircuitOpenError` — fast-fail because the substrate circuit
-  breaker is open; no work was attempted.
+  index, data graph, tuple sets, CNs, form pipeline) failed.  The
+  builds are deterministic and nothing is memoised on failure, so the
+  next query that needs the structure builds it again.
 * :class:`SearchExecutionError` — wrapper for unexpected exceptions
   raised inside a worker, so one crashing query is reported instead of
   poisoning its batch.
 * :class:`FaultInjectedError` — default exception raised by an
   activated failpoint (see :mod:`repro.resilience.failpoints`).
+
+Nothing is retried: a failed query is reported once, the same way on
+``search``, ``search_many`` and both HTTP routes, and the degradation
+ladder (plus the sharded merge's "a failed shard degrades the answer")
+is the only recovery.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ from typing import Optional
 
 class ReproError(Exception):
     """Base class for all structured serving-path errors."""
-
-    #: Whether a retry (with backoff) is worthwhile.
-    transient: bool = False
 
     def __init__(self, message: str, *, cause: Optional[BaseException] = None):
         super().__init__(message)
@@ -68,29 +66,17 @@ class BudgetExceededError(ReproError):
 class SubstrateBuildError(ReproError):
     """A shared substrate (index, graph, tuple sets, ...) failed to build."""
 
-    transient = True
-
     def __init__(self, site: str, cause: Optional[BaseException] = None):
         detail = f": {cause}" if cause is not None else ""
         super().__init__(f"substrate build failed at {site!r}{detail}", cause=cause)
         self.site = site
 
 
-class TransientError(ReproError):
-    """An explicitly retryable failure."""
-
-    transient = True
-
-
-class CircuitOpenError(ReproError):
-    """Fast-fail: the substrate circuit breaker is open."""
-
-
 class SearchExecutionError(ReproError):
     """Unexpected exception inside a search worker, wrapped for reporting."""
 
 
-class FaultInjectedError(TransientError):
+class FaultInjectedError(ReproError):
     """Default exception raised by an activated failpoint."""
 
 
@@ -99,7 +85,7 @@ def classify_error(exc: BaseException) -> ReproError:
 
     :class:`ReproError` instances pass through; ``ValueError`` becomes
     :class:`QueryParseError`; everything else is wrapped in
-    :class:`SearchExecutionError` (non-transient).
+    :class:`SearchExecutionError`.
     """
     if isinstance(exc, ReproError):
         return exc

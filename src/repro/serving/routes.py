@@ -340,16 +340,24 @@ class Router:
     async def dispatch(self, request: Request) -> Response:
         """Route *request*; a ``/search`` or ``/batch`` response echoes
         the request id as ``X-Request-Id``, and the id rides the
-        request's budget down to the engine's spans."""
-        if request.path not in ("/search", "/batch"):
-            return await self._route(request)
-        request_id = request.headers.get("x-request-id", "")
-        if not _REQUEST_ID.fullmatch(request_id):
-            request_id = uuid.uuid4().hex
-        request.request_id = request_id
-        response = await self._route(request)
-        response.headers["X-Request-Id"] = request_id
-        return response
+        request's budget down to the engine's spans.
+
+        A client that hung up before or during the request counts once
+        in ``serve.disconnects``, here, whichever layer saw it go.
+        """
+        try:
+            if request.path not in ("/search", "/batch"):
+                return await self._route(request)
+            request_id = request.headers.get("x-request-id", "")
+            if not _REQUEST_ID.fullmatch(request_id):
+                request_id = uuid.uuid4().hex
+            request.request_id = request_id
+            response = await self._route(request)
+            response.headers["X-Request-Id"] = request_id
+            return response
+        finally:
+            if request.disconnected:
+                self.metrics.inc("serve.disconnects")
 
     async def _route(self, request: Request) -> Response:
         route = (request.method, request.path)
@@ -543,7 +551,6 @@ class Router:
         self.admission.started()
         try:
             if request.disconnected:
-                self.metrics.inc("serve.disconnects")
                 return _client_gone()
             # The deadline stays where admission put it; what the work
             # is told it has is what the queue left of it.

@@ -186,6 +186,8 @@ class ServingServer:
         self._stopped: Optional[asyncio.Event] = None  # created in-loop
         self._inflight_requests = 0
         self._idle: Optional[asyncio.Event] = None  # created in-loop
+        #: Each open connection's handler task and its writer.
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._thread: Optional[threading.Thread] = None
         self._thread_ready = threading.Event()
         self._thread_exit: Optional[int] = None
@@ -251,6 +253,15 @@ class ServingServer:
             drained = False
             self.metrics.inc("serve.drain_timeouts")
         self._drained_clean = drained
+        # A drained server's open connections are idle keep-alives whose
+        # handlers wait for a next request: closing them ends each at
+        # EOF, where the loop's teardown would cancel it (and asyncio
+        # logs a connection handler that ends cancelled).
+        handlers = list(self._connections)
+        for writer in self._connections.values():
+            writer.close()
+        if handlers and drained:
+            await asyncio.wait(handlers, timeout=self.drain_timeout_s)
         self.executor.shutdown(wait=drained)
         if self.durable is not None:
             self.durable.close()
@@ -336,6 +347,8 @@ class ServingServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         conn = _Connection(reader)
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
         try:
             while not self._draining:
                 try:
@@ -359,6 +372,7 @@ class ServingServer:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
+            del self._connections[handler]
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -389,13 +403,13 @@ class ServingServer:
 
     async def _watch(self, conn: _Connection, request: Request) -> None:
         """Resolve when the client hangs up (EOF or a reset): poison the
-        request's budget and let the worker unwind cooperatively."""
+        request's budget and let the worker unwind cooperatively.  The
+        router counts the hang-up when the request ends."""
         try:
             await conn.watch_disconnect()
         except OSError:
             pass
         request.cancel()
-        self.metrics.inc("serve.disconnects")
 
     def _request_started(self) -> None:
         self._inflight_requests += 1

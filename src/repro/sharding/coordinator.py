@@ -19,19 +19,21 @@ no per-shard copy of anything), with a different execute seam:
   ``steiner``, ``distinct_root``, ``ease``) because tree answers are
   not partition-local under bounded replication (the EMBANKS/Mragyati
   tradeoff), OR-branch and phrase queries because they post-filter
-  top-k streams.  The rung runs whole through the inherited local
-  executor, at most once, after a shard worker slot admits it
-  (breaker + ``shard.execute`` failpoint, failing over round-robin to
-  the next slot).  The computation is the coordinator's, not a
-  shard's: its failure degrades the answer and touches no breaker.
+  top-k streams.  The rung runs once, inline on the calling thread,
+  through the inherited local executor under a fork of the caller's
+  budget: the computation is the coordinator's own, so no shard slot
+  or ``shard.execute`` failpoint stands in front of it, and its
+  failure degrades the answer with a ``route: …`` reason.
 
 Per-shard fault isolation reuses the resilience layer: each shard
 worker ticks its own :meth:`QueryBudget.fork` of the caller's budget
-(same deadline and caps, cancelled together) behind its own
-:class:`CircuitBreaker`, and the ``shard.execute`` failpoint kills a
-single shard deterministically — the merged :class:`ResultSet` comes
-back ``degraded`` (never an exception or a hang) with the failure
-visible in the ``scatter → shard[i] → gather`` span tree.
+(same deadline and caps, cancelled together), and the
+``shard.execute`` failpoint kills a single shard deterministically —
+the merged :class:`ResultSet` comes back ``degraded`` (never an
+exception or a hang) with the failure visible in the
+``scatter → shard[i] → gather`` span tree.  A failed shard degrades
+that query only: no breaker remembers it, so the first query after
+the fault heals is exact again.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from repro.query.compiler import (
 from repro.relational.database import Database, TupleId
 from repro.relational.executor import JoinStats
 from repro.resilience.budget import QueryBudget
-from repro.resilience.circuit import CircuitBreaker
 from repro.resilience.errors import BudgetExceededError, QueryParseError
 from repro.resilience.failpoints import fail_point
 from repro.schema_search.topk import CNQueryContext
@@ -65,7 +66,7 @@ from repro.sharding.partition import Shard, build_shards, make_partitioner
 from repro.sharding.scatter import GlobalTopK, scatter_schema
 
 #: Methods whose evaluation is scattered across shard anchor slices;
-#: the remaining KNOWN_METHODS are routed to one shard worker.
+#: the remaining KNOWN_METHODS are routed: run whole at the coordinator.
 SCATTER_METHODS = ("schema", "index_only")
 
 
@@ -76,7 +77,6 @@ class _ShardOutcome:
     shard_id: int
     payload: object = None
     error: Optional[BaseException] = None
-    skipped: bool = False
     #: Why the shard's budget fork ran out, when it did.
     exhausted: Optional[str] = None
     latency_ms: float = 0.0
@@ -84,8 +84,6 @@ class _ShardOutcome:
 
     @property
     def reason(self) -> Optional[str]:
-        if self.skipped:
-            return f"shard {self.shard_id}: circuit open"
         if self.error is not None:
             return (
                 f"shard {self.shard_id}: "
@@ -103,8 +101,8 @@ class ShardedSearchEngine(KeywordSearchEngine):
     answers for every method: scattered rungs by the anchor-partition +
     strict-threshold pruning argument, routed rungs by construction.
     Budgets apply **per shard** (a fork of the caller's budget each),
-    and any shard failure, skip or exhaustion marks the merged result
-    set ``degraded`` instead of failing the query.
+    and any shard failure or exhaustion marks the merged result set
+    ``degraded`` instead of failing the query.
     """
 
     metric_prefix = "shard_query"
@@ -121,7 +119,6 @@ class ShardedSearchEngine(KeywordSearchEngine):
         trace: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         max_workers: Optional[int] = None,
-        shard_failure_threshold: int = 3,
         backend: str = "dict",
         backend_options: Optional[Dict[str, object]] = None,
     ):
@@ -138,13 +135,6 @@ class ShardedSearchEngine(KeywordSearchEngine):
         )
         self.shards = build_shards(db, make_partitioner(partitioner, n_shards))
         self._key_token = self.shards.token
-        self._breakers: List[CircuitBreaker] = [
-            CircuitBreaker(
-                failure_threshold=shard_failure_threshold,
-                on_transition=self._on_shard_transition,
-            )
-            for _ in self.shards
-        ]
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers or len(self.shards),
             thread_name_prefix="shard",
@@ -152,19 +142,10 @@ class ShardedSearchEngine(KeywordSearchEngine):
         self._row_marks: Dict[str, int] = {
             name: len(table) for name, table in db.tables.items()
         }
-        self._rr = 0
         self.metrics.register_gauge("shard.count", lambda: len(self.shards))
         self.metrics.register_gauge(
             "shard.cut_edges", lambda: self.shards.cut_edges
         )
-        for i, breaker in enumerate(self._breakers):
-            self.metrics.register_gauge(
-                f"shard.circuit.state.{i}", lambda b=breaker: b.state
-            )
-            self.metrics.register_gauge(
-                f"shard.circuit.time_in_state_s.{i}",
-                lambda b=breaker: round(b.time_in_state_s(), 3),
-            )
 
     @property
     def engine(self) -> "ShardedSearchEngine":
@@ -178,9 +159,6 @@ class ShardedSearchEngine(KeywordSearchEngine):
     def close(self) -> None:
         self._pool.shutdown(wait=False)
         super().close()
-
-    def _on_shard_transition(self, old_state: str, new_state: str) -> None:
-        self.metrics.inc(f"shard.circuit.transitions.{new_state}")
 
     def shard_stats(self) -> Dict[str, object]:
         """Partition-quality numbers (home sizes, balance, cut edges)."""
@@ -222,7 +200,7 @@ class ShardedSearchEngine(KeywordSearchEngine):
         applies the same merge rule as the local executor.  OR-branches
         and phrase constraints post-filter top-k streams, which would
         under-fill a scattered global k, and graph answers are not
-        partition-local: those run whole on one shard slot, through the
+        partition-local: those run whole at the coordinator, through the
         inherited local executor.
         """
         keywords = list(compiled.branches[0])
@@ -352,41 +330,33 @@ class ShardedSearchEngine(KeywordSearchEngine):
     def _run_shard(
         self, shard: Shard, fn, budget: Optional[QueryBudget], tracing: bool
     ) -> _ShardOutcome:
-        """One shard worker: breaker, failpoint, budget fork, span, metrics."""
+        """One shard worker: failpoint, budget fork, span, metrics."""
         outcome = _ShardOutcome(shard.shard_id)
         shard_tracer = Tracer() if tracing else None
-        breaker = self._breakers[shard.shard_id]
         start_s = time.perf_counter()
         with trace_span(shard_tracer, f"shard[{shard.shard_id}]") as sp:
             sp.tag("shard", shard.shard_id)
             if budget is not None and budget.request_id is not None:
                 sp.tag("request_id", budget.request_id)
-            if not breaker.allow():
-                outcome.skipped = True
-                sp.tag("skipped", "circuit_open")
-                self.metrics.inc("shard.skipped")
-            else:
-                try:
-                    fail_point("shard.execute", key=shard.shard_id)
-                    fork = budget.fork() if budget is not None else None
-                    outcome.payload = fn(shard, fork, sp)
-                    if fork is not None and fork.exhausted:
-                        outcome.exhausted = fork.reason
-                    breaker.record_success()
-                except BudgetExceededError as exc:
-                    # Ran out with no partial answer: the query's budget,
-                    # not the shard's health.
-                    outcome.exhausted = str(exc)
-                except (QueryParseError, ValueError) as exc:
-                    # Structural: deterministic for the query, identical
-                    # on every shard — not a shard-health signal.
-                    outcome.error = exc
-                    sp.tag("error", type(exc).__name__)
-                except Exception as exc:
-                    breaker.record_failure()
-                    outcome.error = exc
-                    sp.tag("error", type(exc).__name__)
-                    self.metrics.inc("shard.failures")
+            try:
+                fail_point("shard.execute", key=shard.shard_id)
+                fork = budget.fork() if budget is not None else None
+                outcome.payload = fn(shard, fork, sp)
+                if fork is not None and fork.exhausted:
+                    outcome.exhausted = fork.reason
+            except BudgetExceededError as exc:
+                # Ran out with no partial answer: the query's budget,
+                # not the shard's health.
+                outcome.exhausted = str(exc)
+            except (QueryParseError, ValueError) as exc:
+                # Structural: deterministic for the query, identical on
+                # every shard — not counted as a shard failure.
+                outcome.error = exc
+                sp.tag("error", type(exc).__name__)
+            except Exception as exc:
+                outcome.error = exc
+                sp.tag("error", type(exc).__name__)
+                self.metrics.inc("shard.failures")
         outcome.latency_ms = (time.perf_counter() - start_s) * 1000.0
         self.metrics.observe("shard.latency_ms", outcome.latency_ms)
         if shard_tracer is not None:
@@ -396,59 +366,34 @@ class ShardedSearchEngine(KeywordSearchEngine):
     # ------------------------------------------------------------------
     # Routed methods
     # ------------------------------------------------------------------
-    def route_order(self) -> List[int]:
-        """Slot try-order for routed rungs: round-robin over shard ids."""
-        ids = list(range(len(self.shards)))
-        start = self._rr % len(ids)
-        self._rr += 1
-        return ids[start:] + ids[:start]
-
     def _route(
         self,
         run_local,
         budget: Optional[QueryBudget],
         tracer: Optional[Tracer],
     ) -> Tuple[List[SearchResult], List[str]]:
-        """Run *run_local* once, on the first shard worker slot that admits it.
+        """Run *run_local* once, inline, under one ``route`` span.
 
-        Admission (breaker + ``shard.execute`` failpoint) is the slot's:
-        a failure there is recorded on its breaker and the next id is
-        tried.  The computation is the coordinator's — the same shared
-        substrates and data graph whichever slot admitted it — so its
-        failure is reported as the degraded reason and neither charged
-        to a breaker nor retried: the retry would repeat the identical
-        work, and one bad query would open every shard's circuit for
-        the scattered rungs too.
+        The computation is the coordinator's — the shared substrates
+        and data graph — so it passes through no shard slot.  It ticks
+        one fork of *budget*, whose work lands in the cached answer's
+        cost like a shard's.  Budget exhaustion with nothing to show
+        and structural errors reach the ladder as they do on one
+        engine; any other failure is reported as the degraded reason,
+        never retried: a retry would repeat the identical work.
         """
-        order = self.route_order()
-        reasons: List[str] = []
-
-        def fn(shard, fork, sp):
-            try:
-                inner = run_local(fork)
-            except (BudgetExceededError, QueryParseError, ValueError):
-                raise  # _run_shard already keeps these off the breaker
-            except Exception as exc:
-                reasons.append(f"route: {type(exc).__name__}: {exc}")
-                sp.tag("error", type(exc).__name__)
-                return []
-            sp.add("results", len(inner))
-            return inner
-
+        fork = budget.fork() if budget is not None else None
         with trace_span(tracer, "route") as rsp:
-            rsp.tag("order", ",".join(str(i) for i in order))
-            for shard_id in order:
-                outcome = self._run_shard(
-                    self.shards.shards[shard_id], fn, budget, tracer is not None
-                )
-                if tracer is not None and outcome.trace_root is not None:
-                    rsp.children.append(outcome.trace_root)
-                if isinstance(outcome.error, (QueryParseError, ValueError)):
-                    # Structural: identical on every shard, so surface it
-                    # exactly like the single engine would.
-                    raise outcome.error
-                if outcome.reason is not None:
-                    reasons.append(outcome.reason)
-                if outcome.error is None and not outcome.skipped:
-                    return outcome.payload or [], reasons
-        return [], reasons or ["no shard available"]
+            if fork is not None and fork.request_id is not None:
+                rsp.tag("request_id", fork.request_id)
+            try:
+                results = run_local(fork)
+            except (BudgetExceededError, QueryParseError, ValueError):
+                raise
+            except Exception as exc:
+                rsp.tag("error", type(exc).__name__)
+                return [], [f"route: {type(exc).__name__}: {exc}"]
+            rsp.add("results", len(results))
+        if fork is not None and fork.exhausted:
+            return results, [f"route: {fork.reason}"]
+        return results, []

@@ -2,21 +2,31 @@
 
 These tests deliberately race batch serving against database mutation
 (and widen race windows with delay failpoints) to prove the
-version-checked caches never serve stale results.  Each test builds its
-own database — the shared session fixtures must stay immutable.
+version-checked caches never serve stale results, and inject every
+query-path fault once to prove a failed query is reported once and the
+same way on ``/search``, ``/batch`` and ``search_many``.  Each test
+builds its own database — the shared session fixtures must stay
+immutable.
 """
 
 from __future__ import annotations
 
+import asyncio
+import json
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
 from repro.core.factory import build_engine
 from repro.datasets.bibliographic import tiny_bibliographic_db
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience.failpoints import FAILPOINTS
+from repro.serving.admission import AdmissionController
+from repro.serving.routes import Request, Router
+from repro.serving.swap import EngineHandle
 
 
 def result_signature(results):
@@ -148,3 +158,178 @@ class TestMutationDuringBatch:
             assert result_signature(by_text[query].results) == result_signature(
                 fresh.search(query, k=5)
             )
+
+
+# ----------------------------------------------------------------------
+# One failure policy: one failure, one verdict on every path
+# ----------------------------------------------------------------------
+#: Every failpoint on a query's path, with a method whose path crosses
+#: it and the key it is armed with.  (``substrates.form_pipeline``
+#: serves the form interface only; ``shard.execute`` exists on shards.)
+QUERY_PATH_FAULTS = [
+    ("engine.search", "schema", None),
+    ("engine.method", "schema", None),
+    ("engine.method", "banks", None),
+    ("engine.index_build", "schema", None),
+    ("engine.data_graph_build", "banks", None),
+    ("substrates.tuple_sets", "schema", None),
+    ("substrates.candidate_networks", "schema", None),
+    ("substrates.keyword_groups", "banks", None),
+    ("shard.execute", "schema", 0),
+]
+
+FAULT_CASES = [
+    pytest.param(kind, name, method, key, id=f"{kind}-{name}-{method}")
+    for kind in ENGINE_KINDS
+    for name, method, key in QUERY_PATH_FAULTS
+    if kind != "single" or not name.startswith("shard.")
+]
+
+#: The :meth:`ResultSet.to_dict` keys: an answer, without the HTTP envelope.
+ANSWER_KEYS = (
+    "status", "method", "degraded", "degraded_reason", "fallback_from",
+    "error", "count", "results",
+)
+
+
+def _verdict(answer):
+    """``(status, what went wrong)`` of one answer dict, plus its bytes
+    when it is a complete answer."""
+    status = answer["status"]
+    if status == "error":
+        error = answer["error"]
+        return (status, f"{error['type']}: {error['message']}"), None
+    if status == "degraded":
+        return (status, answer["degraded_reason"]), None
+    return (status, None), json.dumps({key: answer[key] for key in ANSWER_KEYS})
+
+
+def _via_search(engine, router, texts, method):
+    verdicts = []
+    for text in texts:
+        response = asyncio.run(
+            router.dispatch(Request("GET", "/search", {"q": text, "method": method}))
+        )
+        if response.status == 500:  # what escaped the engine, reported once
+            verdicts.append((("error", response.payload["error"]), None))
+        else:
+            assert response.status == 200, response.payload
+            verdicts.append(_verdict(response.payload))
+    return verdicts
+
+
+def _via_batch(engine, router, texts, method):
+    body = {"queries": list(texts), "method": method}
+    response = asyncio.run(router.dispatch(Request("POST", "/batch", body=body)))
+    assert response.status == 200, response.payload
+    return [_verdict(entry) for entry in response.payload["results"]]
+
+
+def _via_search_many(engine, router, texts, method):
+    outcomes = engine.search_many(texts, method=method, detailed=True)
+    verdicts = [_verdict(outcome.results.to_dict()) for outcome in outcomes]
+    for outcome, ((status, _), _) in zip(outcomes, verdicts):
+        assert outcome.status == status
+    return verdicts
+
+
+PATHS = {
+    "/search": _via_search,
+    "/batch": _via_batch,
+    "search_many": _via_search_many,
+}
+
+
+class _Served:
+    """A fresh engine of one kind behind a router of its own."""
+
+    def __init__(self, kind):
+        self.engine = build_engine(tiny_bibliographic_db(), **ENGINE_KINDS[kind])
+        metrics = MetricsRegistry()
+        self._executor = ThreadPoolExecutor(max_workers=1)
+        self.router = Router(
+            handle=EngineHandle(self.engine, metrics=metrics),
+            # No latency target: sequential requests are never rewritten.
+            admission=AdmissionController(target_latency_ms=0, metrics=metrics),
+            executor=self._executor,
+            metrics=metrics,
+        )
+
+    def ask(self, path, texts, method="schema"):
+        return PATHS[path](self.engine, self.router, list(texts), method)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._executor.shutdown(wait=True)
+        self.engine.close()
+
+
+def _unfaulted(kind, texts, method="schema"):
+    """What an engine that never saw a fault answers."""
+    engine = build_engine(tiny_bibliographic_db(), **ENGINE_KINDS[kind])
+    try:
+        return [_verdict(engine.search(t, method=method).to_dict()) for t in texts]
+    finally:
+        engine.close()
+
+
+class TestOneFailurePolicy:
+    @pytest.mark.parametrize("kind,name,method,key", FAULT_CASES)
+    def test_one_fault_one_verdict_on_every_path(self, kind, name, method, key):
+        """A fault injected once fails (or, on shards, degrades) exactly
+        one request, identically on all three paths, and the very next
+        request answers as an engine that never saw it."""
+        text = "widom xml"
+        (expected,) = _unfaulted(kind, [text], method)
+        assert expected[0] == ("ok", None) and json.loads(expected[1])["count"]
+        verdicts = {}
+        for path in PATHS:
+            with _Served(kind) as served:
+                FAILPOINTS.reset()
+                FAILPOINTS.activate(name, times=1, key=key)
+                (verdicts[path],) = served.ask(path, [text], method)
+                assert FAILPOINTS.hits(name) == 1, path  # no retry
+                assert served.ask(path, [text], method) == [expected], path
+        assert len(set(verdicts.values())) == 1, verdicts
+        (status, detail), answer = verdicts["/search"]
+        assert status in ("error", "degraded") and answer is None
+        assert "FaultInjectedError" in detail
+        if status == "degraded":  # only a shard or a routed rung degrades
+            assert kind != "single"
+            assert detail.startswith(("shard 0: ", "route: "))
+
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_batch_answers_as_soon_as_a_build_fault_heals(self, kind):
+        """Five queries fail on a broken index build, one build attempt
+        each; the first batch after the fault clears answers."""
+        texts = QUERIES + ["keyword search"]
+        expected = _unfaulted(kind, texts)
+        with _Served(kind) as served:
+            FAILPOINTS.activate("engine.index_build", exc=RuntimeError("disk gone"))
+            failed = served.ask("/batch", texts)
+            assert [status for (status, _), _ in failed] == ["error"] * len(texts)
+            FAILPOINTS.deactivate("engine.index_build")
+            assert served.ask("/batch", texts) == expected
+            assert served.ask("search_many", texts) == expected
+        assert FAILPOINTS.hits("engine.index_build") == len(texts)
+        assert all(
+            detail.startswith("SubstrateBuildError: ") and "disk gone" in detail
+            for (_, detail), _ in failed
+        )
+
+    def test_scattered_merge_is_exact_as_soon_as_a_shard_heals(self):
+        """A failing shard degrades every scattered query while it fails
+        and none after: no breaker keeps a healed shard out."""
+        texts = ["john database", "widom xml", "xml query"]
+        expected = _unfaulted("sharded-2", texts)
+        assert all(json.loads(answer)["count"] for _, answer in expected)
+        with _Served("sharded-2") as served:
+            FAILPOINTS.activate("shard.execute", key=1)
+            degraded = served.ask("/search", texts)
+            reason = "shard 1: FaultInjectedError: fault injected at 'shard.execute'"
+            assert degraded == [(("degraded", reason), None)] * len(texts)
+            FAILPOINTS.deactivate("shard.execute")
+            assert served.ask("/search", texts) == expected
+            assert served.ask("search_many", texts) == expected

@@ -5,7 +5,7 @@ commit/retention/fallback, snapshot+replay recovery (including the
 bootstrap-only path), the DurableEngine front end (single-node and
 sharded), failpoint-injected crashes at every durability stage with the
 byte-identity acceptance gate, fsck corruption detection, atomic
-``insert_many``, opt-in retry jitter and the CLI surface.
+``insert_many`` and the CLI surface.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.relational.schema import (
 )
 from repro.resilience.degradation import KNOWN_METHODS
 from repro.resilience.failpoints import FAILPOINTS
-from repro.resilience.retry import RetryPolicy
 from repro.sharding import ShardedSearchEngine
 
 
@@ -564,34 +563,6 @@ class TestInsertManyAtomicity:
         )
         assert len(tids) == 2
         assert db.validate() == []
-
-
-# ----------------------------------------------------------------------
-# Satellite: opt-in retry jitter
-# ----------------------------------------------------------------------
-class TestRetryJitter:
-    def test_default_is_exactly_deterministic(self):
-        policy = RetryPolicy()
-        assert policy.jitter == 0.0
-        expected = [0.01, 0.02, 0.04, 0.08, 0.16, 0.25, 0.25]
-        got = [policy.delay(attempt) for attempt in range(1, 8)]
-        assert got == pytest.approx(expected)
-        # Same delays on repeat: no hidden randomness at jitter=0.
-        assert got == [policy.delay(attempt) for attempt in range(1, 8)]
-
-    def test_jitter_stretches_within_bounds(self):
-        policy = RetryPolicy(jitter=0.5)
-        base = policy.base_delay
-        assert policy.delay(1, rng=lambda: 0.0) == pytest.approx(base)
-        assert policy.delay(1, rng=lambda: 1.0) == pytest.approx(base * 1.5)
-        for _ in range(50):
-            delay = policy.delay(1)
-            assert base <= delay <= base * 1.5
-
-    def test_jitter_never_shrinks_the_cap_floor(self):
-        policy = RetryPolicy(jitter=1.0)
-        capped = policy.delay(10, rng=lambda: 0.0)
-        assert capped == pytest.approx(policy.max_delay)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Fault-injection tests for the resilient serving path.
 
 Covers the taxonomy, budgets, the degradation ladder, the failpoint
-registry, per-query fault isolation in batches, retries, and the
-substrate circuit breaker.
+registry and per-query fault isolation in batches.
 """
 
 from __future__ import annotations
@@ -20,28 +19,23 @@ from repro.core.xml_engine import XmlSearchEngine
 from repro.datasets.bibliographic import tiny_bibliographic_db
 from repro.datasets.xml_corpora import slide_conf_tree
 from repro.obs.metrics import MetricsRegistry
-from repro.perf import batch as batch_module
 from repro.perf.batch import BatchQuery, as_batch_query
 from repro.query.compiler import FilteredTupleSets, compile_query
 from repro.relational.database import Database
 from repro.relational.schema import Column, ForeignKey, Schema, TableSchema
 from repro.resilience.budget import QueryBudget, make_budget
-from repro.resilience.circuit import CircuitBreaker
 from repro.resilience.degradation import KNOWN_METHODS, fallback_chain
 from repro.resilience.errors import (
     BudgetExceededError,
-    CircuitOpenError,
     FaultInjectedError,
     QueryParseError,
     ReproError,
     SearchExecutionError,
     SubstrateBuildError,
-    TransientError,
     UnsupportedSchemaError,
     classify_error,
 )
 from repro.resilience.failpoints import FAILPOINTS
-from repro.resilience.retry import RetryPolicy
 from repro.serving.admission import AdmissionController
 from repro.serving.routes import Request, Router
 from repro.serving.swap import EngineHandle
@@ -57,20 +51,6 @@ def engine():
     return KeywordSearchEngine(tiny_bibliographic_db())
 
 
-@pytest.fixture()
-def retry_policy(monkeypatch):
-    """Install a batch retry policy; returns the list the batch's
-    backoff sleeps are recorded into instead of slept."""
-    sleeps = []
-    monkeypatch.setattr(batch_module, "sleep", sleeps.append)
-
-    def install(policy):
-        monkeypatch.setattr(batch_module, "DEFAULT_RETRY", policy)
-        return sleeps
-
-    return install
-
-
 # ----------------------------------------------------------------------
 # Error taxonomy
 # ----------------------------------------------------------------------
@@ -79,13 +59,7 @@ class TestErrorTaxonomy:
         assert issubclass(QueryParseError, ReproError)
         assert issubclass(QueryParseError, ValueError)  # back compat
         assert issubclass(BudgetExceededError, ReproError)
-        assert issubclass(FaultInjectedError, TransientError)
-
-    def test_transient_flags(self):
-        assert SubstrateBuildError("index").transient
-        assert TransientError("flaky").transient
-        assert not QueryParseError("bad").transient
-        assert not SearchExecutionError("boom").transient
+        assert issubclass(FaultInjectedError, ReproError)
 
     def test_classify_passthrough_and_wrapping(self):
         original = SubstrateBuildError("index")
@@ -94,7 +68,6 @@ class TestErrorTaxonomy:
         assert isinstance(wrapped, QueryParseError)
         wrapped = classify_error(RuntimeError("boom"))
         assert isinstance(wrapped, SearchExecutionError)
-        assert not wrapped.transient
         assert "boom" in str(wrapped)
 
     def test_substrate_error_carries_site(self):
@@ -591,15 +564,13 @@ class TestSteinerGroupCap:
         with pytest.raises(UnsupportedSchemaError, match=r"11 > 10") as info:
             engine.search(self.eleven_words(engine), method="steiner")
         assert not isinstance(info.value, QueryParseError)
-        assert not info.value.transient
 
-    def test_search_many_isolates_a_non_transient_error(self, engine, retry_policy):
-        sleeps = retry_policy(RetryPolicy(max_attempts=3))
+    def test_search_many_isolates_a_non_transient_error(self, engine):
         text = self.eleven_words(engine)
         bad, good = engine.search_many(
             [text, "widom xml"], method="steiner", detailed=True
         )
-        assert bad.status == "error" and bad.attempts == 1 and not sleeps
+        assert bad.status == "error"
         assert isinstance(bad.error, UnsupportedSchemaError)
         assert good.status == "ok" and good.results
 
@@ -863,15 +834,25 @@ class TestBatchFaultIsolation:
         fresh = engine.search_many(queries, timeout_ms=60_000, detailed=True)
         assert [o.status for o in fresh] == ["ok"] * 3
 
-    def test_retry_attempts_fork_the_batch_budget_again(self, engine, retry_policy):
-        FAILPOINTS.activate(
-            "engine.search", exc=TransientError("flaky"), key="john database", times=1
-        )
-        retry_policy(RetryPolicy(max_attempts=2))
-        budget = QueryBudget(timeout_ms=60_000, max_candidates=10_000)
-        (outcome,) = engine.search_many(["john database"], budget=budget, detailed=True)
-        assert outcome.status == "ok" and outcome.attempts == 2
-        assert len(budget._forks) == 2
+    def test_repeated_substrate_failures_fail_each_query_once(self):
+        """A persistent index-build fault: every query of the batch fails
+        with the build error, each after one build attempt, nothing is
+        memoised, and the batch after the heal answers."""
+        engine = KeywordSearchEngine(tiny_bibliographic_db())
+        queries = ["john database", "widom xml", "levy"]
+        FAILPOINTS.activate("engine.index_build", exc=RuntimeError("disk gone"))
+        outcomes = engine.search_many(queries, detailed=True)
+        assert [o.status for o in outcomes] == ["error"] * 3
+        assert all(isinstance(o.error, SubstrateBuildError) for o in outcomes)
+        assert all("disk gone" in str(o.error) for o in outcomes)
+        assert FAILPOINTS.hits("engine.index_build") == len(queries)
+        assert "index" not in engine.__dict__
+        FAILPOINTS.deactivate("engine.index_build")
+        healed = engine.search_many(queries, detailed=True)
+        assert [o.status for o in healed] == ["ok"] * 3
+        for outcome in healed:
+            expected = engine.search(outcome.query.text, use_cache=False)
+            assert result_signature(outcome.results) == result_signature(expected)
 
     def test_executor_stats_count_failures(self, engine):
         FAILPOINTS.activate(
@@ -882,142 +863,6 @@ class TestBatchFaultIsolation:
         assert snap["batch.outcome.error"] == 1
         assert snap["batch.outcome.ok"] == len(self.QUERIES) - 1
         assert snap["batch.queries_served"] == len(self.QUERIES)
-
-
-# ----------------------------------------------------------------------
-# Retries
-# ----------------------------------------------------------------------
-class TestRetries:
-    def test_policy_delays_are_capped_exponential(self):
-        policy = RetryPolicy(base_delay=0.01, max_delay=0.03, multiplier=2.0)
-        assert policy.delay(1) == pytest.approx(0.01)
-        assert policy.delay(2) == pytest.approx(0.02)
-        assert policy.delay(3) == pytest.approx(0.03)  # capped
-        assert policy.delay(10) == pytest.approx(0.03)
-
-    def test_batch_does_not_retry_nontransient_fault(self, engine, retry_policy):
-        sleeps = retry_policy(RetryPolicy(max_attempts=5))
-        FAILPOINTS.activate(
-            "engine.search", exc=RuntimeError("permanent"), key="john database"
-        )
-        (outcome,) = engine.search_many(["john database"], detailed=True)
-        assert outcome.status == "error" and outcome.attempts == 1
-        assert isinstance(outcome.error, SearchExecutionError)
-        assert FAILPOINTS.hits("engine.search") == 1 and sleeps == []
-
-    def test_batch_retries_transient_fault_to_success(self, engine, retry_policy):
-        """A fault that fires twice is retried through to a clean answer."""
-        FAILPOINTS.activate(
-            "engine.search",
-            exc=TransientError("flaky"),
-            key="john database",
-            times=2,
-        )
-        sleeps = retry_policy(RetryPolicy(max_attempts=3, base_delay=0.001))
-        outcomes = engine.search_many(["john database"], detailed=True)
-        assert outcomes[0].status == "ok"
-        assert outcomes[0].attempts == 3
-        assert outcomes[0].results
-        assert sleeps == [0.001, 0.002]
-        assert engine.metrics.snapshot()["batch.retries"] == 2
-
-    def test_batch_gives_up_after_max_attempts(self, engine, retry_policy):
-        FAILPOINTS.activate(
-            "engine.search", exc=TransientError("flaky"), key="john database"
-        )
-        retry_policy(RetryPolicy(max_attempts=2, base_delay=0.001))
-        outcomes = engine.search_many(["john database"], detailed=True)
-        assert outcomes[0].status == "error"
-        assert outcomes[0].attempts == 2
-        assert isinstance(outcomes[0].error, TransientError)
-
-
-# ----------------------------------------------------------------------
-# Circuit breaker
-# ----------------------------------------------------------------------
-class TestCircuitBreaker:
-    def test_opens_at_threshold(self):
-        breaker = CircuitBreaker(failure_threshold=3)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open" and not breaker.allow()
-        assert breaker.opens == 1
-
-    def test_half_open_single_probe_then_close(self):
-        now = [0.0]
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_timeout_s=10.0, clock=lambda: now[0]
-        )
-        breaker.record_failure()
-        assert not breaker.allow()
-        now[0] = 10.0
-        assert breaker.state == "half_open"
-        assert breaker.allow()  # the one probe
-        assert not breaker.allow()  # everyone else fails fast
-        breaker.record_success()
-        assert breaker.state == "closed" and breaker.allow()
-
-    def test_failed_probe_reopens(self):
-        now = [0.0]
-        breaker = CircuitBreaker(
-            failure_threshold=2, reset_timeout_s=5.0, clock=lambda: now[0]
-        )
-        breaker.record_failure()
-        breaker.record_failure()
-        now[0] = 5.0
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert breaker.opens == 2
-
-    def test_success_resets_failure_count(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_breaker_trips_on_repeated_substrate_failures(self, retry_policy):
-        """Persistent index-build fault: retries, open circuit, fast-fail,
-        then recovery once the fault clears."""
-        engine = KeywordSearchEngine(tiny_bibliographic_db())
-        engine.circuit_breaker = CircuitBreaker(
-            failure_threshold=3, reset_timeout_s=60.0
-        )
-        FAILPOINTS.activate("engine.index_build", exc=RuntimeError("disk gone"))
-        retry_policy(RetryPolicy(max_attempts=2, base_delay=0.001))
-        outcomes = engine.search_many(
-            ["john database", "widom xml", "levy"], detailed=True
-        )
-        # First queries burn build attempts until the breaker opens; the
-        # remainder fail fast without touching the build.
-        assert all(o.status == "error" for o in outcomes)
-        assert any(isinstance(o.error, SubstrateBuildError) for o in outcomes)
-        assert engine.circuit_breaker.state == "open"
-        fired_before = FAILPOINTS.hits("engine.index_build")
-        outcomes = engine.search_many(["another query"], detailed=True)
-        assert isinstance(outcomes[0].error, CircuitOpenError)
-        assert outcomes[0].attempts == 0
-        assert FAILPOINTS.hits("engine.index_build") == fired_before
-        # Fault clears, operator resets: service recovers.
-        FAILPOINTS.deactivate("engine.index_build")
-        engine.circuit_breaker.reset()
-        outcomes = engine.search_many(["john database"], detailed=True)
-        assert outcomes[0].status == "ok"
-        assert outcomes[0].results
-
-    def test_engine_owns_persistent_breaker(self, engine):
-        """``search_many`` consults the engine's own breaker: open it and
-        every batch fails fast without touching a search."""
-        assert isinstance(engine.circuit_breaker, CircuitBreaker)
-        for _ in range(engine.circuit_breaker.failure_threshold):
-            engine.circuit_breaker.record_failure()
-        outcomes = engine.search_many(["john database", "widom xml"], detailed=True)
-        assert [type(o.error) for o in outcomes] == [CircuitOpenError] * 2
-        assert [o.attempts for o in outcomes] == [0, 0]
-        assert "query.count" not in engine.metrics.snapshot()
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Serving front end: admission control, swaps, HTTP, mutation races."""
 
 import asyncio
+import http.client
 import json
+import logging
 import os
 import re
 import socket
@@ -21,7 +23,6 @@ from repro.datasets.bibliographic import tiny_bibliographic_db
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.batch import BatchOutcome, BatchQuery
 from repro.resilience.budget import QueryBudget
-from repro.resilience.circuit import CircuitBreaker
 from repro.resilience.errors import BudgetExceededError
 from repro.resilience.failpoints import FAILPOINTS
 from repro.serving.admission import (
@@ -445,29 +446,6 @@ class TestBudgetPoison:
         # ...and a renewed parent does not un-poison them.
         parent.renew()
         assert before.poisoned and after.poisoned and before.exhausted
-
-
-class TestBreakerTimeInState:
-    def test_time_in_state_tracks_transitions(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=2, reset_timeout_s=30.0, clock=clock
-        )
-        clock.advance(5.0)
-        assert breaker.time_in_state_s() == pytest.approx(5.0)
-        breaker.record_failure()
-        breaker.record_failure()  # -> open
-        assert breaker.state == "open"
-        assert breaker.time_in_state_s() == pytest.approx(0.0)
-        clock.advance(3.0)
-        assert breaker.time_in_state_s() == pytest.approx(3.0)
-        assert breaker.stats()["time_in_state_s"] == pytest.approx(3.0)
-
-    def test_engine_registers_breaker_gauges(self):
-        engine = KeywordSearchEngine(tiny_bibliographic_db())
-        snap = engine.metrics.snapshot()
-        assert snap["circuit.state"] == "closed"
-        assert snap["circuit.time_in_state_s"] >= 0.0
 
 
 # ----------------------------------------------------------------------
@@ -1769,6 +1747,80 @@ class TestGracefulShutdown:
             assert code == 200 and payload["ok"]
         finally:
             FAILPOINTS.deactivate("engine.search")
+
+    def test_stop_with_an_idle_keep_alive_connection_logs_nothing(self):
+        """The handler of a connection idle between requests is
+        cancelled when the loop closes; it ends quietly."""
+        records, contexts = [], []
+
+        class Collect(logging.Handler):
+            def emit(self, record):
+                records.append(record.getMessage())
+
+        handler = Collect()
+        asyncio_logger = logging.getLogger("asyncio")
+        asyncio_logger.addHandler(handler)
+        server = ServingServer(KeywordSearchEngine(tiny_bibliographic_db()), port=0)
+        server.start_in_thread()
+        server._loop.set_exception_handler(lambda loop, context: contexts.append(context))
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=5)
+        try:
+            conn.request("GET", "/search?q=widom+xml")
+            response = conn.getresponse()
+            assert response.status == 200 and json.loads(response.read())["ok"]
+            assert server.stop()
+        finally:
+            conn.close()
+            asyncio_logger.removeHandler(handler)
+        assert records == [] and contexts == []
+
+
+class TestHangUpCountedOnce:
+    def test_a_client_gone_while_queued_counts_one_disconnect(self):
+        """The transport sees the hang-up and the router answers it with
+        a 499: ``serve.disconnects`` moves by one, not by one each."""
+        server = ServingServer(
+            KeywordSearchEngine(tiny_bibliographic_db()),
+            port=0,
+            max_concurrency=1,
+            max_queue_depth=4,
+        )
+        server.start_in_thread()
+        FAILPOINTS.activate("engine.search", exc=None, delay=0.5, key="slot holder")
+        holder = {}
+
+        def hold_the_slot():
+            holder["response"] = _http(server.address, "/search?q=slot+holder")
+
+        try:
+            thread = threading.Thread(target=hold_the_slot)
+            thread.start()
+            deadline = time.time() + 5.0
+            while not FAILPOINTS.hits("engine.search"):
+                assert time.time() < deadline
+                time.sleep(0.005)
+            sock = socket.create_connection((server.host, server.port), timeout=5)
+            sock.sendall(
+                b"GET /search?q=john+database&timeout_ms=10000 HTTP/1.1\r\n"
+                b"Host: x\r\n\r\n"
+            )
+            time.sleep(0.1)  # queued behind the slot holder
+            sock.close()
+            thread.join(10.0)
+            assert holder["response"][0] == 200
+            deadline = time.time() + 5.0
+            while time.time() < deadline:
+                snap = _http(server.address, "/metrics")[1]["metrics"]
+                if snap.get("serve.disconnects", 0):
+                    break
+                time.sleep(0.02)
+            time.sleep(0.1)
+            snap = _http(server.address, "/metrics")[1]["metrics"]
+            assert snap["serve.disconnects"] == 1
+            assert snap.get("serve.cancelled", 0) == 0
+        finally:
+            FAILPOINTS.deactivate("engine.search")
+            server.stop()
 
 
 class TestServeRestart:
