@@ -11,6 +11,7 @@ Run:  python examples/bibliographic_search.py
 from __future__ import annotations
 
 from repro import KeywordSearchEngine
+from repro.analysis.differentiation import differentiate
 from repro.datasets.bibliographic import tiny_bibliographic_db
 from repro.forms.generation import generate_forms, generate_skeletons
 from repro.forms.matching import FormIndex, group_forms, rank_forms
@@ -49,7 +50,7 @@ def main() -> None:
     # wants the join papers written by DeWitt, not the 4th result).
     results = engine.search("dewitt join", k=4)
     print("\ncomparison table (result differentiation):")
-    table = engine.differentiate(results, budget=2)
+    table = differentiate(results, budget=2)
     for result_id, features in table.items():
         label = results[result_id].network
         print(f"  result {result_id} ({label}):")

@@ -11,6 +11,8 @@ Run:  python examples/quickstart.py
 from __future__ import annotations
 
 from repro import KeywordSearchEngine
+from repro.ambiguity.autocomplete import suggest
+from repro.analysis.clouds import refine_terms
 from repro.datasets.bibliographic import generate_bibliographic_db
 
 
@@ -44,10 +46,10 @@ def main() -> None:
         print(f"  [{result.score:.3f}] {result.describe()}")
 
     print("\n--- type-ahead completions for 'dat' ---")
-    print(" ", ", ".join(engine.suggest("dat")))
+    print(" ", ", ".join(suggest(engine, "dat")))
 
     print(f"\n--- refinement terms for 'database' (Tao & Yu) ---")
-    for term, weight in engine.refine_terms("database", k=6):
+    for term, weight in refine_terms(engine, "database", k=6):
         print(f"  {term} ({weight:.0f})")
 
 

@@ -18,7 +18,6 @@ Quickstart::
 
 from repro.core.engine import KeywordSearchEngine
 from repro.core.factory import build_engine
-from repro.core.xml_engine import XmlSearchEngine
 from repro.core.query import Query
 from repro.core.results import SearchResult, XmlResult
 from repro.relational.database import Database, TupleId
@@ -41,3 +40,13 @@ __all__ = [
     "TableSchema",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # The XML engine pulls in the ?LCA library, which a relational
+    # server never uses: resolve it on first access only.
+    if name == "XmlSearchEngine":
+        from repro.core.xml_engine import XmlSearchEngine
+
+        return XmlSearchEngine
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,29 +7,20 @@
 * Keyword++ differential-query-pair rewriting (Xin+ VLDB 10),
 * synonym discovery from click logs (Cheng+ ICDE 10) and from data only
   (Nambiar & Kambhampati, ICDE 06).
+
+Only the cleaner (and the corrector it uses) serves queries, so only
+they are re-exported here; import the other techniques from their
+modules (:mod:`~repro.ambiguity.autocomplete`,
+:mod:`~repro.ambiguity.rewriting`, :mod:`~repro.ambiguity.iqp`,
+:mod:`~repro.ambiguity.synonyms`).
 """
 
 from repro.ambiguity.spelling import NoisyChannelCorrector
 from repro.ambiguity.cleaning import QueryCleaner, CleaningResult, Segment
-from repro.ambiguity.autocomplete import Tastier, TastierResult
-from repro.ambiguity.rewriting import KeywordPlusPlus, PredicateMapping
-from repro.ambiguity.iqp import IqpModel, Interpretation
-from repro.ambiguity.synonyms import (
-    click_log_synonyms,
-    data_only_similarity,
-)
 
 __all__ = [
     "NoisyChannelCorrector",
     "QueryCleaner",
     "CleaningResult",
     "Segment",
-    "Tastier",
-    "TastierResult",
-    "KeywordPlusPlus",
-    "PredicateMapping",
-    "IqpModel",
-    "Interpretation",
-    "click_log_synonyms",
-    "data_only_similarity",
 ]

@@ -20,7 +20,7 @@ from repro.index.forward import DeltaForwardIndex
 from repro.index.inverted import InvertedIndex
 from repro.index.trie import Trie
 from repro.relational.database import TupleId
-from repro.resilience.budget import QueryBudget
+from repro.resilience.budget import QueryBudget, make_budget
 from repro.resilience.errors import BudgetExceededError
 from repro.resilience.failpoints import fail_point
 
@@ -166,3 +166,35 @@ class Tastier:
     def complete_keyword(self, prefix: str, limit: int = 8) -> List[str]:
         """Plain completion suggestions for the UI."""
         return self.trie.complete(prefix.lower(), limit=limit)
+
+
+# ----------------------------------------------------------------------
+# Over a search engine
+# ----------------------------------------------------------------------
+def suggest(engine, prefix: str, limit: int = 8) -> List[str]:
+    """Type-ahead keyword completions from *engine*'s current vocabulary."""
+    engine.refresh()
+    return Trie(engine.index.vocabulary).complete(prefix.lower(), limit=limit)
+
+
+def suggest_answers(
+    engine,
+    prefixes: Sequence[str],
+    k: int = 10,
+    budget: Optional[QueryBudget] = None,
+    timeout_ms: Optional[float] = None,
+    max_expansions: Optional[int] = None,
+) -> TastierResult:
+    """Budgeted TASTIER type-ahead answers over *engine*'s data graph.
+
+    Threads an optional :class:`QueryBudget` (or the ``timeout_ms`` /
+    ``max_expansions`` shorthands) through :meth:`Tastier.search`; on
+    exhaustion the best partial :class:`TastierResult` comes back with
+    ``degraded`` set instead of scanning the rest of the vocabulary
+    range.
+    """
+    engine.refresh()
+    if budget is None:
+        budget = make_budget(timeout_ms, max_expansions)
+    tastier = Tastier(engine.data_graph, engine.index)
+    return tastier.search(list(prefixes), k=k, budget=budget)

@@ -10,6 +10,9 @@
   co-occurring with the query, computed from the inverted index alone
   without generating results first (frequency of terms in the tuples of
   the query's posting intersection).
+
+:func:`refine_terms` offers either over a search engine's cleaned
+query.
 """
 
 from __future__ import annotations
@@ -83,3 +86,24 @@ def frequent_cooccurring_terms(
                 counts[token] += 1
     ranked = sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))
     return ranked[:k]
+
+
+def refine_terms(
+    engine, text: str, k: int = 8, mode: str = "cooccurrence"
+) -> List[Tuple[str, float]]:
+    """Suggested refinement terms for *text* over *engine* (slides 76-78).
+
+    ``mode="cooccurrence"`` ranks the terms co-occurring with the
+    cleaned keywords off the index alone; any other mode takes the
+    :func:`data_cloud` of the rows in the query's top-20 results.
+    """
+    engine.refresh()
+    keywords = list(engine.parse(text).keywords)
+    if mode == "cooccurrence":
+        return [
+            (term, float(count))
+            for term, count in frequent_cooccurring_terms(engine.index, keywords, k=k)
+        ]
+    results = engine.search(text, k=20)
+    rows = [row for r in results for row in r.joined.distinct_rows()]
+    return data_cloud(engine.db, rows, keywords, k=k)

@@ -151,3 +151,23 @@ def _best_pair_swap(sets: Sequence[FeatureSet]) -> bool:
 def comparison_table(sets: Sequence[FeatureSet]) -> Dict[object, List[Feature]]:
     """The final table: result id -> sorted selected features."""
     return {fs.result_id: sorted(fs.selected) for fs in sets}
+
+
+def differentiate(results: Sequence, budget: int = 3) -> Dict[object, List[Feature]]:
+    """Comparison table across search results (slides 149-153).
+
+    Each result's features are the non-null text-column values of its
+    rows, typed ``"table:column"``; the greedy swap selects *budget* of
+    them per result.  Keyed by the result's position.
+    """
+    sets = []
+    for i, result in enumerate(results):
+        features = []
+        for row in result.joined.distinct_rows():
+            for column in row.table.schema.text_columns:
+                value = row[column]
+                if value is not None:
+                    features.append((f"{row.table.name}:{column}", str(value)))
+        sets.append(FeatureSet.of(i, features))
+    select_features_greedy(sets, budget=budget)
+    return comparison_table(sets)

@@ -447,8 +447,10 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
     if factory is None:
         print(f"unknown dataset {args.dataset!r}", file=sys.stderr)
         return 2
+    from repro.ambiguity.autocomplete import suggest
+
     engine = build_engine(factory(), **_engine_options(args))
-    completions = engine.suggest(args.prefix, limit=args.k)
+    completions = suggest(engine, args.prefix, limit=args.k)
     print(", ".join(completions) if completions else "(no completions)")
     return 0
 
@@ -655,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="KNOBS",
         help="query expansion knobs, comma-separated: spelling, "
-        "synonyms, kpp (reported as rewrites)",
+        "synonyms (reported as rewrites)",
     )
     p.add_argument(
         "--facets",

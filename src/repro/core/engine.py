@@ -5,14 +5,18 @@ Wires the full tutorial pipeline over one database:
     query text -> clean (noisy channel + segmentation)
                -> search (schema-based CN top-k | graph-based BANKS |
                           distinct-root over distance index)
-               -> analyse (data cloud, co-occurring terms, facets,
-                           differentiation, form suggestions)
+
+Exploration over an engine's answers and substrates — type-ahead,
+refinement terms, result differentiation, query forms — is plain
+functions beside each technique (:mod:`repro.ambiguity.autocomplete`,
+:mod:`repro.analysis.clouds`, :mod:`repro.analysis.differentiation`,
+:mod:`repro.forms.matching`), not part of the engine.
 
 Substructures (indexes, graphs, tuple sets) are built lazily and cached.
 The serving path layers three caches on top (see :mod:`repro.perf`):
 an LRU cache over final results keyed by (normalized query, method, k),
 a :class:`~repro.perf.substrates.SubstrateCache` memoising tuple sets /
-candidate networks / keyword groups / the form pipeline, and
+candidate networks / keyword groups, and
 duplicate-query coalescing (:func:`~repro.perf.batch.run_batch`) behind
 :meth:`KeywordSearchEngine.search_many`.  All caches invalidate when
 :attr:`Database.data_version` moves, so mutations are always visible.
@@ -24,21 +28,13 @@ import threading
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.ambiguity.autocomplete import Tastier
 from repro.ambiguity.cleaning import QueryCleaner
-from repro.analysis.clouds import data_cloud, frequent_cooccurring_terms
-from repro.analysis.differentiation import (
-    FeatureSet,
-    select_features_greedy,
-)
 from repro.core.frontend import QueryFrontEnd
 from repro.core.query import Query
 from repro.core.results import ResultSet, SearchResult
-from repro.forms.matching import rank_forms
 from repro.graph.data_graph import DataGraph, build_data_graph
 from repro.index.distance import KeywordDistanceIndex
 from repro.index.inverted import InvertedIndex
-from repro.index.text import tokenize
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, span as trace_span
 from repro.perf.batch import run_batch
@@ -53,7 +49,7 @@ from repro.query.compiler import (
 from repro.query.parser import StructuredQuery, parse_query
 from repro.relational.database import Database
 from repro.relational.schema_graph import SchemaGraph
-from repro.resilience.budget import QueryBudget, make_budget
+from repro.resilience.budget import QueryBudget
 from repro.resilience.degradation import KNOWN_METHODS, fallback_chain
 from repro.resilience.errors import (
     QueryParseError,
@@ -65,7 +61,7 @@ from repro.storage import BACKEND_NAMES
 
 #: cached_property-backed structures derived from database *contents*
 #: (the schema graph only depends on the schema, which is immutable).
-_DATA_DERIVED = ("index", "data_graph", "distance_index", "tastier")
+_DATA_DERIVED = ("index", "data_graph", "distance_index")
 
 
 class KeywordSearchEngine(QueryFrontEnd):
@@ -111,14 +107,9 @@ class KeywordSearchEngine(QueryFrontEnd):
             db, lambda: self.index, lambda: self.schema_graph
         )
         self._result_cache = LRUCache(result_cache_size)
-        self._refine_cache = LRUCache(max(64, result_cache_size // 4))
-        self._forms_cache = LRUCache(64)
         # text -> canonical StructuredQuery; cleaning depends on the
         # index vocabulary, so this drops whenever data_version moves.
         self._parse_cache = LRUCache(1024)
-        #: Optional Keyword++ model consulted by the ``expand=kpp``
-        #: response-pipeline knob (see :mod:`repro.query.pipeline`).
-        self.keyword_model = None
         self._served_version = db.data_version
         self._sharing_lock = threading.Lock()
         self._sharing: Dict[str, int] = {
@@ -187,10 +178,6 @@ class KeywordSearchEngine(QueryFrontEnd):
     def distance_index(self) -> KeywordDistanceIndex:
         return KeywordDistanceIndex(self.data_graph, self.index)
 
-    @cached_property
-    def tastier(self) -> Tastier:
-        return Tastier(self.data_graph, self.index)
-
     # ------------------------------------------------------------------
     # Cache management
     # ------------------------------------------------------------------
@@ -218,7 +205,7 @@ class KeywordSearchEngine(QueryFrontEnd):
         if not self.substrates.last_delta_applied:
             self.invalidate_caches()
             return
-        for attr in ("data_graph", "distance_index", "tastier"):
+        for attr in ("data_graph", "distance_index"):
             self.__dict__.pop(attr, None)
         self._clear_query_caches()
 
@@ -253,8 +240,6 @@ class KeywordSearchEngine(QueryFrontEnd):
 
     def _clear_query_caches(self) -> None:
         self._result_cache.clear()
-        self._refine_cache.clear()
-        self._forms_cache.clear()
         self._parse_cache.clear()
 
     def cache_stats(self) -> Dict[str, object]:
@@ -269,8 +254,6 @@ class KeywordSearchEngine(QueryFrontEnd):
             sharing = dict(self._sharing)
         return {
             "results": self._result_cache.stats.as_dict(),
-            "refine": self._refine_cache.stats.as_dict(),
-            "forms": self._forms_cache.stats.as_dict(),
             "substrates": self.substrates.stats(),
             "sharing": sharing,
         }
@@ -282,22 +265,16 @@ class KeywordSearchEngine(QueryFrontEnd):
         """Surface component counters as callback gauges.
 
         Callback gauges read the live legacy counters at snapshot time,
-        so the LRU / substrate / sharing / breaker bookkeeping appears
+        so the LRU / substrate / sharing bookkeeping appears
         in ``metrics.snapshot()`` without double-writing every
         increment.
         """
         reg = self.metrics
-        caches = (
-            ("results", self._result_cache),
-            ("refine", self._refine_cache),
-            ("forms", self._forms_cache),
-        )
-        for label, cache in caches:
-            for field in ("hits", "misses", "evictions", "invalidations", "coalesced"):
-                reg.register_gauge(
-                    f"cache.{label}.{field}",
-                    lambda c=cache, f=field: getattr(c.stats, f),
-                )
+        for field in ("hits", "misses", "evictions", "invalidations", "coalesced"):
+            reg.register_gauge(
+                f"cache.results.{field}",
+                lambda f=field: getattr(self._result_cache.stats, f),
+            )
         for field in self._sharing:
             reg.register_gauge(
                 f"sharing.{field}",
@@ -378,31 +355,6 @@ class KeywordSearchEngine(QueryFrontEnd):
         if self.enable_caches:
             self._parse_cache.put(text, query)
         return query
-
-    def suggest(self, prefix: str, limit: int = 8) -> List[str]:
-        """Type-ahead keyword completions."""
-        return self.tastier.complete_keyword(prefix, limit=limit)
-
-    def suggest_answers(
-        self,
-        prefixes: Sequence[str],
-        k: int = 10,
-        budget: Optional[QueryBudget] = None,
-        timeout_ms: Optional[float] = None,
-        max_expansions: Optional[int] = None,
-    ):
-        """Budgeted TASTIER type-ahead answers (prefix keyword search).
-
-        Threads an optional :class:`QueryBudget` through
-        :meth:`Tastier.search`; on exhaustion the best partial
-        :class:`~repro.ambiguity.autocomplete.TastierResult` comes back
-        with ``degraded`` set instead of scanning the rest of the
-        vocabulary range.
-        """
-        self.refresh()
-        if budget is None:
-            budget = make_budget(timeout_ms, max_expansions)
-        return self.tastier.search(list(prefixes), k=k, budget=budget)
 
     # ------------------------------------------------------------------
     # Search
@@ -565,74 +517,3 @@ class KeywordSearchEngine(QueryFrontEnd):
         ordered = sorted(nodes)
         rows = tuple(self.db.row(tid) for tid in ordered)
         return JoinedRow(node_aliases(len(rows)), rows)
-
-    # ------------------------------------------------------------------
-    # Analysis helpers
-    # ------------------------------------------------------------------
-    def refine_terms(
-        self,
-        text: str,
-        k: int = 8,
-        mode: str = "cooccurrence",
-        use_cache: bool = True,
-    ) -> List[Tuple[str, float]]:
-        """Suggested refinement terms for a query (slides 76-78)."""
-        self.refresh()
-        if use_cache and self.enable_caches:
-            key = (tuple(tokenize(text)), k, mode)
-            cached = self._refine_cache.get_or_compute(
-                key, lambda: self._refine_terms_uncached(text, k, mode)
-            )
-            return list(cached)
-        return self._refine_terms_uncached(text, k, mode)
-
-    def _refine_terms_uncached(
-        self, text: str, k: int, mode: str
-    ) -> List[Tuple[str, float]]:
-        query = self.parse(text)
-        if mode == "cooccurrence":
-            return [
-                (t, float(c))
-                for t, c in frequent_cooccurring_terms(
-                    self.index, list(query.keywords), k=k
-                )
-            ]
-        results = self.search(text, k=20)
-        rows = [row for r in results for row in r.joined.distinct_rows()]
-        return data_cloud(self.db, rows, list(query.keywords), k=k)
-
-    def differentiate(
-        self, results: Sequence[SearchResult], budget: int = 3
-    ) -> Dict[object, List[Tuple[str, str]]]:
-        """Comparison table across results (slides 149-153)."""
-        sets = []
-        for i, result in enumerate(results):
-            features = []
-            for row in result.joined.distinct_rows():
-                for column in row.table.schema.text_columns:
-                    value = row[column]
-                    if value is not None:
-                        features.append((f"{row.table.name}:{column}", str(value)))
-            sets.append(FeatureSet.of(i, features))
-        select_features_greedy(sets, budget=budget)
-        return {fs.result_id: sorted(fs.selected) for fs in sets}
-
-    def suggest_forms(self, text: str, k: int = 5):
-        """Ranked query forms for the keyword query (slides 54-58).
-
-        The skeleton → form → :class:`FormIndex` pipeline only depends
-        on the schema and database contents, so it is memoised in the
-        substrate cache and reused across calls; only ranking runs per
-        query.
-        """
-        self.refresh()
-        query = self.parse(text)
-        key = (tuple(query.keywords), k)
-        cached = self._forms_cache.get(key) if self.enable_caches else None
-        if cached is not None:
-            return list(cached)
-        _, _, form_index = self.substrates.form_pipeline(max_skeleton_size=3)
-        ranked = rank_forms(form_index, list(query.keywords), k=k)
-        if self.enable_caches:
-            self._forms_cache.put(key, ranked)
-        return list(ranked)

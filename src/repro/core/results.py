@@ -38,6 +38,11 @@ class SearchResult:
         return f"SearchResult({self.score:.3f}, {self.network})"
 
 
+def error_object(error: BaseException) -> Dict[str, str]:
+    """How a failed query's error is serialised: type name and message."""
+    return {"type": type(error).__name__, "message": str(error)}
+
+
 class ResultSet(list):
     """A list of results plus resilience metadata.
 
@@ -132,12 +137,7 @@ class ResultSet(list):
                     for row in result.joined.rows
                 ]
             results.append(entry)
-        error = None
-        if self.error is not None:
-            error = {
-                "type": type(self.error).__name__,
-                "message": str(self.error),
-            }
+        error = None if self.error is None else error_object(self.error)
         return {
             "status": self.status,
             "method": self.method,

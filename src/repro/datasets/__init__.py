@@ -4,43 +4,17 @@ Substitutes for the corpora the surveyed papers evaluate on (DBLP, IMDB,
 product catalogs, INEX/XMark XML, query & click logs).  All generators
 take an explicit ``seed`` and produce identical output for identical
 parameters, which makes every test and benchmark reproducible.
+
+The bibliographic database is the one the server and benchmarks load,
+so it alone is re-exported; the other generators are imported from
+their modules (:mod:`~repro.datasets.movies`,
+:mod:`~repro.datasets.products`, :mod:`~repro.datasets.events`,
+:mod:`~repro.datasets.xml_corpora`, :mod:`~repro.datasets.logs`).
 """
 
 from repro.datasets.bibliographic import bibliographic_schema, generate_bibliographic_db
-from repro.datasets.movies import movie_schema, generate_movie_db
-from repro.datasets.products import product_schema, generate_product_db
-from repro.datasets.events import events_schema, generate_events_db, TUTORIAL_EVENTS
-from repro.datasets.xml_corpora import (
-    generate_bib_xml,
-    generate_auctions_xml,
-    slide_conf_tree,
-    slide_auction_tree,
-    slide_imdb_tree,
-)
-from repro.datasets.logs import (
-    QueryLogEntry,
-    ClickLogEntry,
-    generate_query_log,
-    generate_click_log,
-)
 
 __all__ = [
     "bibliographic_schema",
     "generate_bibliographic_db",
-    "movie_schema",
-    "generate_movie_db",
-    "product_schema",
-    "generate_product_db",
-    "events_schema",
-    "generate_events_db",
-    "TUTORIAL_EVENTS",
-    "generate_bib_xml",
-    "generate_auctions_xml",
-    "slide_conf_tree",
-    "slide_auction_tree",
-    "slide_imdb_tree",
-    "QueryLogEntry",
-    "ClickLogEntry",
-    "generate_query_log",
-    "generate_click_log",
 ]

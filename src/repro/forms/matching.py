@@ -16,6 +16,7 @@ import math
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.forms.generation import generate_forms, generate_skeletons
 from repro.forms.model import QueryForm
 from repro.index.inverted import InvertedIndex
 
@@ -136,3 +137,17 @@ def group_forms(
     for form, _score in ranked:
         groups[form.skeleton.label()][form.query_class].append(form)
     return {k: dict(v) for k, v in groups.items()}
+
+
+def suggest_forms(engine, text: str, k: int = 5) -> List[Tuple[QueryForm, float]]:
+    """Ranked query forms for the keyword query *text* (slides 54-58).
+
+    Generates the forms of every skeleton of up to three tables over
+    *engine*'s schema, indexes them against its inverted index, and
+    ranks them for the cleaned keywords.
+    """
+    engine.refresh()
+    keywords = list(engine.parse(text).keywords)
+    skeletons = generate_skeletons(engine.schema_graph, max_size=3)
+    forms = generate_forms(engine.db.schema, skeletons)
+    return rank_forms(FormIndex(forms, engine.index), keywords, k=k)

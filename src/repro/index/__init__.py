@@ -8,16 +8,16 @@ Implements the index families the tutorial surveys (slides 121-128):
 * node-to-keyword distance indexes (BLINKS-style),
 * hub indexes for proximity search (Goldman et al., VLDB 98),
 * δ-step forward indexes and D-reachability indexes.
+
+Re-exported here are the indexes a search engine serves from; the
+trie, hub, δ-forward and D-reachability indexes are imported from
+their modules.
 """
 
 from repro.index.text import tokenize, normalize_token, term_frequencies
 from repro.index.inverted import InvertedIndex, Posting
-from repro.index.trie import Trie
 from repro.index.qgram import QGramIndex
 from repro.index.distance import KeywordDistanceIndex, bounded_bfs_distances
-from repro.index.forward import DeltaForwardIndex
-from repro.index.hub import HubIndex
-from repro.index.reachability import DReachabilityIndex
 
 __all__ = [
     "tokenize",
@@ -25,11 +25,7 @@ __all__ = [
     "term_frequencies",
     "InvertedIndex",
     "Posting",
-    "Trie",
     "QGramIndex",
     "KeywordDistanceIndex",
     "bounded_bfs_distances",
-    "DeltaForwardIndex",
-    "HubIndex",
-    "DReachabilityIndex",
 ]

@@ -100,6 +100,11 @@ def bounded_bfs_distances(
     }
 
 
+#: How far (in summed edge weight) a node may lie from a keyword match
+#: and still be indexed; also the ``distinct_root`` search radius.
+MAX_DISTANCE = 6.0
+
+
 class KeywordDistanceIndex:
     """keyword -> {node: distance to nearest matching tuple}.
 
@@ -112,7 +117,7 @@ class KeywordDistanceIndex:
         self,
         graph: DataGraph,
         index: InvertedIndex,
-        max_distance: float = 6.0,
+        max_distance: float = MAX_DISTANCE,
     ):
         self.graph = graph
         self.index = index

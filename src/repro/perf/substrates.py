@@ -2,14 +2,13 @@
 
 ``KeywordSearchEngine.search`` used to rebuild the same intermediate
 structures on every call: the query's tuple sets, the candidate networks
-enumerated from them, the per-keyword tuple groups the graph algorithms
-start from, and (for ``suggest_forms``) the entire skeleton → form →
-:class:`~repro.forms.matching.FormIndex` pipeline.  All of these depend
-only on (database contents, keyword set, a couple of size knobs), so a
-serving engine can compute each once and reuse it across requests — the
-shared-execution argument of slides 129-133.
+enumerated from them, and the per-keyword tuple groups the graph
+algorithms start from.  All of these depend only on (database contents,
+keyword set, a size knob), so a serving engine can compute each once
+and reuse it across requests — the shared-execution argument of slides
+129-133.
 
-:class:`SubstrateCache` memoises all four families.  Every public
+:class:`SubstrateCache` memoises all three families.  Every public
 accessor first compares the database's :attr:`Database.data_version`
 against the version the cache was filled under, so a mutated database
 can never serve stale substrates.  Because the data model is
@@ -34,8 +33,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.forms.generation import generate_forms, generate_skeletons
-from repro.forms.matching import FormIndex
 from repro.index.inverted import InvertedIndex
 from repro.relational.database import Database, TupleId
 from repro.perf.lru import LRUCache
@@ -90,12 +87,10 @@ class SubstrateCache:
         self._version = db.data_version
         self._queries = LRUCache(QUERY_MEMO_CAPACITY)
         self._keyword_matches: Dict[str, Tuple[TupleId, ...]] = {}
-        self._form_pipeline: Dict[int, Tuple[tuple, tuple, FormIndex]] = {}
         self.builds: Dict[str, int] = {
             "tuple_sets": 0,
             "candidate_networks": 0,
             "keyword_groups": 0,
-            "form_pipeline": 0,
         }
         self.invalidations = 0
         self.patches: Dict[str, int] = {
@@ -121,7 +116,7 @@ class SubstrateCache:
 
         Appended rows are patched into the warm index and memoised
         tuple sets (see :meth:`_apply_delta`); only stale CN memos and
-        the cheap keyword/form memos drop.  If the delta fails,
+        the cheap keyword memo drop.  If the delta fails,
         everything is cleared.
         """
         with self._lock:
@@ -142,8 +137,8 @@ class SubstrateCache:
         :class:`TupleSets` re-classifies only the new rows, and a CN
         memo is dropped *only* when its keyword set gained a brand-new
         tuple-set key (CN enumeration depends only on which keys are
-        non-empty).  Keyword-match and form memos are cleared — they
-        are cheap to rebuild and not worth a patch path.  Returns False
+        non-empty).  The keyword-match memo is cleared — it is cheap to
+        rebuild and not worth a patch path.  Returns False
         on any failure, in which case the caller falls back to the full
         clear.
         """
@@ -157,7 +152,6 @@ class SubstrateCache:
                     self.patches["cn_memos_dropped"] += len(memo.networks)
                     memo.networks.clear()
             self._keyword_matches.clear()
-            self._form_pipeline.clear()
             self.patches["applied"] += 1
             return True
         except Exception:
@@ -170,7 +164,6 @@ class SubstrateCache:
     def _clear_locked(self) -> None:
         self._queries.clear()
         self._keyword_matches.clear()
-        self._form_pipeline.clear()
 
     # ------------------------------------------------------------------
     # Substrates
@@ -280,29 +273,6 @@ class SubstrateCache:
             groups.append(list(match))
         return groups
 
-    def form_pipeline(
-        self, max_skeleton_size: int = 3
-    ) -> Tuple[tuple, tuple, FormIndex]:
-        """(skeletons, forms, FormIndex) — built once per skeleton size."""
-        self.check_version()
-        with self._lock:
-            cached = self._form_pipeline.get(max_skeleton_size)
-            if cached is None:
-
-                def build() -> Tuple[tuple, tuple, FormIndex]:
-                    skeletons = tuple(
-                        generate_skeletons(
-                            self._schema_graph(), max_size=max_skeleton_size
-                        )
-                    )
-                    forms = tuple(generate_forms(self.db.schema, skeletons))
-                    return (skeletons, forms, FormIndex(forms, self._index()))
-
-                cached = self._build("form_pipeline", build)
-                self._form_pipeline[max_skeleton_size] = cached
-                self.builds["form_pipeline"] += 1
-            return cached
-
     # ------------------------------------------------------------------
     # Fault isolation
     # ------------------------------------------------------------------
@@ -348,7 +318,6 @@ class SubstrateCache:
                         len(memo.networks) for memo in self._queries.values()
                     ),
                     "keyword_groups": len(self._keyword_matches),
-                    "form_pipeline": len(self._form_pipeline),
                 },
                 "bytes": self.memo_bytes(),
             }
@@ -363,11 +332,7 @@ class SubstrateCache:
         from repro.obs.memory import sizeof_each
         from repro.relational.table import Table
 
-        roots = (
-            list(self._queries.values())
-            + list(self._keyword_matches.values())
-            + list(self._form_pipeline.values())
-        )
+        roots = list(self._queries.values()) + list(self._keyword_matches.values())
         return sizeof_each(roots, stop=(Database, Table, InvertedIndex))
 
     def __repr__(self) -> str:

@@ -53,6 +53,7 @@ from itertools import product
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.results import SearchResult
+from repro.index.distance import MAX_DISTANCE
 from repro.index.text import tokenize
 from repro.obs.trace import span as trace_span
 from repro.relational.database import TupleId
@@ -619,9 +620,8 @@ def graph_results(engine, allows, keywords, k, method, budget, tracer):
                  tree.nodes)
             ]
         elif method == "distinct_root":
-            dmax = engine.distance_index.max_distance
             answers = distinct_root_results(
-                graph, groups, dmax=dmax, k=k, budget=budget
+                graph, groups, dmax=MAX_DISTANCE, k=k, budget=budget
             )
             esp.add("answers", len(answers))
             found = [

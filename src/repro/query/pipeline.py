@@ -1,7 +1,7 @@
 """Response pipeline: expansion, facets and highlighting around search.
 
 One call — :func:`execute_pipeline` — wires the previously siloed
-:mod:`repro.ambiguity` (spelling, synonyms, Keyword++) and
+:mod:`repro.ambiguity` (spelling, synonyms) and
 :mod:`repro.analysis` (facets, snippets) scenarios around a core
 search, producing a :class:`QueryResponse`:
 
@@ -13,11 +13,7 @@ search, producing a :class:`QueryResponse`:
   - ``synonyms`` — for each ``field:value`` equality predicate, find
     data-similar attribute values
     (:func:`repro.ambiguity.synonyms.similar_values`) and widen the
-    predicate to match them too;
-  - ``kpp`` — translate residual bare keywords through an attached
-    Keyword++ model (``engine.keyword_model``,
-    :class:`repro.ambiguity.rewriting.KeywordPlusPlus`) into field
-    predicates.
+    predicate to match them too.
 
 * ``facets=`` — value-count facets over the distinct result rows,
   either auto (every non-key column of every table in the results) or
@@ -28,8 +24,7 @@ search, producing a :class:`QueryResponse`:
 
 The pipeline works against either engine
 (:class:`~repro.core.engine.KeywordSearchEngine` or its sharded
-subclass): it needs the canonical parse, ``db``, ``keyword_model`` and
-``search``.
+subclass): it needs the canonical parse, ``db`` and ``search``.
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ from repro.resilience.errors import QueryParseError
 from .compiler import _as_float, resolve_field
 from .parser import StructuredQuery
 
-KNOWN_EXPANSIONS = ("spelling", "synonyms", "kpp")
+KNOWN_EXPANSIONS = ("spelling", "synonyms")
 
 #: Auto-facet cap: at most this many facet attributes, each with at
 #: most ``facet_limit`` entries.
@@ -155,59 +150,6 @@ def similar_values_cached(engine, table, column, value, features, limit):
     return similar_values(
         engine.db, table, column, value, list(features), k=limit
     )
-
-
-def _expand_kpp(engine, query: StructuredQuery):
-    """Translate bare keywords into predicates via Keyword++ mappings."""
-    from .parser import FieldPredicate
-
-    model = getattr(engine, "keyword_model", None)
-    rewrites: List[Dict[str, Any]] = []
-    if model is None:
-        return query, rewrites
-    mapped_predicates: List[FieldPredicate] = []
-    kept_groups = []
-    for group in query.groups:
-        if len(group) != 1 or group[0].weight != 1.0:
-            kept_groups.append(group)
-            continue
-        mapping = model.mappings.get(group[0].token)
-        if mapping is None:
-            kept_groups.append(group)
-            continue
-        if mapping.kind == "equality":
-            mapped_predicates.append(
-                FieldPredicate(
-                    field=mapping.attribute,
-                    op="eq",
-                    value=str(mapping.value).lower(),
-                )
-            )
-            rewrites.append(
-                {
-                    "kind": "kpp",
-                    "keyword": group[0].token,
-                    "predicate": f"{mapping.attribute}:{mapping.value}",
-                }
-            )
-        else:
-            # order_by mappings have no structural lowering yet; report
-            # the interpretation without changing the query.
-            kept_groups.append(group)
-            rewrites.append(
-                {
-                    "kind": "kpp",
-                    "keyword": group[0].token,
-                    "note": f"order by {mapping.attribute} {mapping.direction}",
-                }
-            )
-    if mapped_predicates:
-        query = replace(
-            query,
-            groups=tuple(kept_groups),
-            predicates=query.predicates + tuple(mapped_predicates),
-        )
-    return query, rewrites
 
 
 # ----------------------------------------------------------------------
@@ -434,9 +376,6 @@ def execute_pipeline(
     if "synonyms" in knobs:
         query, syn_rewrites = _expand_synonyms(engine, query)
         rewrites.extend(syn_rewrites)
-    if "kpp" in knobs:
-        query, kpp_rewrites = _expand_kpp(engine, query)
-        rewrites.extend(kpp_rewrites)
     results = engine.search(query, k=k, method=method, **search_kwargs)
     facet_payload = None
     if facets:

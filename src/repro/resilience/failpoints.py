@@ -18,7 +18,6 @@ name                            fires when
 ``substrates.tuple_sets``       a tuple-set substrate builds (key = kws)
 ``substrates.candidate_networks``  a CN substrate builds (key = kws)
 ``substrates.keyword_groups``   a keyword group builds (key = keyword)
-``substrates.form_pipeline``    the form pipeline builds
 ``cache.result_put``            a result is stored in the result LRU
 ``shard.execute``               a shard worker starts (key = shard id)
 ``wal.append``                  before a WAL record is written (key =

@@ -9,6 +9,10 @@ under SPARK's non-monotonic relevance scoring.  Sharing across CNs is
 simulated (the E12 makespan model, :mod:`~repro.schema_search.parallel`)
 and counted (the A4 operator mesh, :mod:`~repro.schema_search.mesh`),
 not executed.
+
+Re-exported here is what the served ``schema`` method runs; exhaustive
+evaluation (:mod:`~repro.schema_search.evaluate`), SPARK / SPARK2, the
+mesh and the makespan model are imported from their modules.
 """
 
 from repro.schema_search.tuple_sets import TupleSets, TupleSetKey
@@ -17,7 +21,6 @@ from repro.schema_search.candidate_networks import (
     CNNode,
     generate_candidate_networks,
 )
-from repro.schema_search.evaluate import evaluate_cn, cn_results
 from repro.schema_search.scoring import (
     tuple_score,
     monotonic_result_score,
@@ -30,21 +33,6 @@ from repro.schema_search.topk import (
     topk_single_pipeline,
     topk_global_pipeline,
 )
-from repro.schema_search.spark import skyline_sweep, block_pipeline
-from repro.schema_search.spark2 import (
-    PartitionGraph,
-    connected_subnetworks,
-    evaluate_with_pruning,
-    evaluate_without_pruning,
-)
-from repro.schema_search.mesh import OperatorMesh
-from repro.schema_search.parallel import (
-    SharedExecutionGraph,
-    partition_round_robin,
-    partition_greedy,
-    partition_sharing_aware,
-    simulate_makespan,
-)
 
 __all__ = [
     "TupleSets",
@@ -52,8 +40,6 @@ __all__ = [
     "CandidateNetwork",
     "CNNode",
     "generate_candidate_networks",
-    "evaluate_cn",
-    "cn_results",
     "tuple_score",
     "monotonic_result_score",
     "spark_score",
@@ -62,16 +48,4 @@ __all__ = [
     "topk_sparse",
     "topk_single_pipeline",
     "topk_global_pipeline",
-    "skyline_sweep",
-    "block_pipeline",
-    "PartitionGraph",
-    "connected_subnetworks",
-    "evaluate_with_pruning",
-    "evaluate_without_pruning",
-    "OperatorMesh",
-    "SharedExecutionGraph",
-    "partition_round_robin",
-    "partition_greedy",
-    "partition_sharing_aware",
-    "simulate_makespan",
 ]

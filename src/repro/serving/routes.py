@@ -72,10 +72,16 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.core.factory import build_engine
 from repro.core.frontend import validate_k
+from repro.core.results import error_object
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.budget import QueryBudget, make_budget
 from repro.resilience.degradation import KNOWN_METHODS
-from repro.resilience.errors import QueryParseError, ReproError, UnsupportedSchemaError
+from repro.resilience.errors import (
+    QueryParseError,
+    ReproError,
+    UnsupportedSchemaError,
+    classify_error,
+)
 from repro.serving.admission import (
     AdmissionController,
     MODE_FALLBACK,
@@ -274,18 +280,6 @@ def _answered(
     return Response(200, payload)
 
 
-def _outcome_entry(outcome) -> Dict[str, Any]:
-    """One :class:`~repro.perf.batch.BatchOutcome` as its JSON entry."""
-    entry = outcome.results.to_dict()
-    entry["status"] = outcome.status
-    if outcome.error is not None:
-        entry["error"] = {
-            "type": type(outcome.error).__name__,
-            "message": str(outcome.error),
-        }
-    return entry
-
-
 class Router:
     """Route table + request execution over a swappable engine."""
 
@@ -393,13 +387,16 @@ class Router:
         except (QueryParseError, UnsupportedSchemaError) as exc:
             self.metrics.inc("serve.bad_requests")
             return _bad(str(exc))
-        except Exception as exc:  # pragma: no cover - last-resort guard
+        except Exception as exc:
+            # What escaped the engine (a fault, a failed substrate
+            # build): reported once, with the error object a /batch
+            # entry carries for the same failure.
             self.metrics.inc("serve.internal_errors")
             return Response(
                 500,
                 {
                     "ok": False,
-                    "error": f"{type(exc).__name__}: {exc}",
+                    "error": error_object(classify_error(exc)),
                     "route": f"{route[0]} {route[1]}",
                 },
             )
@@ -670,7 +667,7 @@ class Router:
             )
             return {
                 "count": len(outcomes),
-                "results": [_outcome_entry(outcome) for outcome in outcomes],
+                "results": [outcome.results.to_dict() for outcome in outcomes],
             }
 
         cost = float(len(queries))  # one tenant token per query

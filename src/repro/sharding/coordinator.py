@@ -214,7 +214,7 @@ class ShardedSearchEngine(KeywordSearchEngine):
             return self._scatter_index_only(compiled, keywords, k, budget, tracer)
         local = super()._execute_rung
         return self._route(
-            lambda fork: local(compiled, k, rung, fork)[0], budget, tracer
+            lambda fork: local(compiled, k, rung, fork, tracer)[0], budget, tracer
         )
 
     # ------------------------------------------------------------------

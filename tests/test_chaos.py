@@ -164,8 +164,7 @@ class TestMutationDuringBatch:
 # One failure policy: one failure, one verdict on every path
 # ----------------------------------------------------------------------
 #: Every failpoint on a query's path, with a method whose path crosses
-#: it and the key it is armed with.  (``substrates.form_pipeline``
-#: serves the form interface only; ``shard.execute`` exists on shards.)
+#: it and the key it is armed with.  (``shard.execute`` exists on shards.)
 QUERY_PATH_FAULTS = [
     ("engine.search", "schema", None),
     ("engine.method", "schema", None),
@@ -192,13 +191,18 @@ ANSWER_KEYS = (
 )
 
 
+def _error_fields(error):
+    """An ``error`` object's fields: ``(type, message)``."""
+    return error["type"], error["message"]
+
+
 def _verdict(answer):
     """``(status, what went wrong)`` of one answer dict, plus its bytes
-    when it is a complete answer."""
+    when it is a complete answer.  What went wrong is the error's
+    fields, or the degraded reason."""
     status = answer["status"]
     if status == "error":
-        error = answer["error"]
-        return (status, f"{error['type']}: {error['message']}"), None
+        return (status, _error_fields(answer["error"])), None
     if status == "degraded":
         return (status, answer["degraded_reason"]), None
     return (status, None), json.dumps({key: answer[key] for key in ANSWER_KEYS})
@@ -211,7 +215,7 @@ def _via_search(engine, router, texts, method):
             router.dispatch(Request("GET", "/search", {"q": text, "method": method}))
         )
         if response.status == 500:  # what escaped the engine, reported once
-            verdicts.append((("error", response.payload["error"]), None))
+            verdicts.append((("error", _error_fields(response.payload["error"])), None))
         else:
             assert response.status == 200, response.payload
             verdicts.append(_verdict(response.payload))
@@ -295,10 +299,12 @@ class TestOneFailurePolicy:
         assert len(set(verdicts.values())) == 1, verdicts
         (status, detail), answer = verdicts["/search"]
         assert status in ("error", "degraded") and answer is None
-        assert "FaultInjectedError" in detail
-        if status == "degraded":  # only a shard or a routed rung degrades
+        if status == "error":
+            assert detail[0] == "FaultInjectedError"
+        else:  # only a shard or a routed rung degrades
             assert kind != "single"
             assert detail.startswith(("shard 0: ", "route: "))
+            assert "FaultInjectedError" in detail
 
     @pytest.mark.parametrize("kind", ENGINE_KINDS)
     def test_batch_answers_as_soon_as_a_build_fault_heals(self, kind):
@@ -315,9 +321,31 @@ class TestOneFailurePolicy:
             assert served.ask("search_many", texts) == expected
         assert FAILPOINTS.hits("engine.index_build") == len(texts)
         assert all(
-            detail.startswith("SubstrateBuildError: ") and "disk gone" in detail
+            detail[0] == "SubstrateBuildError" and "disk gone" in detail[1]
             for (_, detail), _ in failed
         )
+
+    def test_search_500_is_counted_once_with_the_batch_error_object(self):
+        """A query that raised in the engine is a 500 on /search whose
+        ``error`` object is the one /batch reports for the same fault
+        (unwrapped exceptions classified the same way), counted once in
+        ``serve.internal_errors``."""
+        with _Served("single") as served:
+            FAILPOINTS.activate("engine.index_build", exc=RuntimeError("disk gone"))
+            response = asyncio.run(
+                served.router.dispatch(Request("GET", "/search", {"q": "widom xml"}))
+            )
+            batch = asyncio.run(
+                served.router.dispatch(
+                    Request("POST", "/batch", body={"queries": ["widom xml"]})
+                )
+            )
+            metrics = served.router.metrics.snapshot()
+        assert response.status == 500 and response.payload["ok"] is False
+        assert response.payload["error"] == batch.payload["results"][0]["error"]
+        assert response.payload["error"]["type"] == "SubstrateBuildError"
+        assert "disk gone" in response.payload["error"]["message"]
+        assert metrics["serve.internal_errors"] == 1
 
     def test_scattered_merge_is_exact_as_soon_as_a_shard_heals(self):
         """A failing shard degrades every scattered query while it fails

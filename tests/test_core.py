@@ -3,6 +3,11 @@
 import pytest
 
 from repro import KeywordSearchEngine, Query, XmlSearchEngine
+from repro.ambiguity.autocomplete import suggest
+from repro.analysis.clouds import refine_terms
+from repro.analysis.differentiation import differentiate
+from repro.forms.matching import suggest_forms
+from repro.index.distance import MAX_DISTANCE
 from repro.datasets.xml_corpora import (
     generate_bib_xml,
     slide_auction_tree,
@@ -47,6 +52,12 @@ class TestRelationalEngine:
         assert dirty
         assert {r.network for r in dirty} == {r.network for r in clean}
 
+    def test_distinct_root_builds_no_distance_index(self, tiny_db):
+        engine = KeywordSearchEngine(tiny_db)
+        assert engine.search("widom xml", method="distinct_root", k=3)
+        assert "distance_index" not in engine.__dict__
+        assert engine.distance_index.max_distance == MAX_DISTANCE
+
     def test_banks_method(self, engine):
         results = engine.search("widom xml", method="banks", k=3)
         assert results
@@ -68,22 +79,22 @@ class TestRelationalEngine:
         assert engine.search("qqqqqqq zzzzzzz", k=3) == []
 
     def test_suggest(self, engine):
-        assert "sigmod" in engine.suggest("sig")
+        assert "sigmod" in suggest(engine, "sig")
 
     def test_refine_terms(self, engine):
-        terms = engine.refine_terms("xml", k=5)
+        terms = refine_terms(engine, "xml", k=5)
         assert terms
         assert all(t != "xml" for t, _ in terms)
 
     def test_differentiate(self, engine):
         results = engine.search("john", k=4)
-        table = engine.differentiate(results, budget=2)
+        table = differentiate(results, budget=2)
         assert len(table) == len(results)
         for features in table.values():
             assert len(features) <= 2
 
     def test_suggest_forms(self, engine):
-        ranked = engine.suggest_forms("john xml", k=3)
+        ranked = suggest_forms(engine, "john xml", k=3)
         assert ranked
         form, score = ranked[0]
         assert score > 0

@@ -15,6 +15,7 @@ import os
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.ambiguity.autocomplete import suggest_answers
 from repro.ambiguity.spelling import NoisyChannelCorrector
 from repro.core.engine import KeywordSearchEngine
 from repro.datasets.bibliographic import (
@@ -436,19 +437,19 @@ class TestLowering:
 # ----------------------------------------------------------------------
 class TestBudgetedTastier:
     def test_unbudgeted_unchanged(self, engine):
-        full = engine.suggest_answers(["dat", "key"], k=5)
+        full = suggest_answers(engine, ["dat", "key"], k=5)
         assert full.answers and not full.degraded and full.reason is None
 
     def test_exhaustion_returns_partial_not_raise(self, engine):
-        tight = engine.suggest_answers(["dat", "key"], k=5, max_expansions=1)
+        tight = suggest_answers(engine, ["dat", "key"], k=5, max_expansions=1)
         assert tight.degraded
         assert "budget" in (tight.reason or "")
 
     def test_grow_stage_partial_keeps_answers(self, engine):
-        full = engine.suggest_answers(["dat", "key"], k=50)
+        full = suggest_answers(engine, ["dat", "key"], k=50)
         # Allow the scan, cap the per-candidate grow loop after one node.
         budget = QueryBudget(max_nodes=1)
-        partial = engine.suggest_answers(["dat", "key"], k=50, budget=budget)
+        partial = suggest_answers(engine, ["dat", "key"], k=50, budget=budget)
         assert partial.degraded
         assert len(partial.answers) < len(full.answers)
         assert set(partial.answers) <= set(full.answers)
@@ -457,7 +458,7 @@ class TestBudgetedTastier:
         FAILPOINTS.activate(
             "tastier.scan", exc=BudgetExceededError("injected scan fault")
         )
-        result = engine.suggest_answers(["dat"], k=5)
+        result = suggest_answers(engine, ["dat"], k=5)
         assert result.degraded
         assert "injected" in result.reason
         assert result.answers == []

@@ -543,6 +543,20 @@ class TestRouterUnit:
             router, Request("GET", "/search", {"q": "x", "method": "quantum"})
         ).status == 400
 
+    def test_unknown_expansion_400_names_the_choices(self, router_env):
+        """``kpp`` needed a model nothing could attach, so it is no
+        longer an expansion: a 400 naming the two there are."""
+        engine, _, router = router_env
+        for knob in ("kpp", "spelling,kpp", "bogus"):
+            response = _dispatch(
+                router, Request("GET", "/search", {"q": "x", "expand": knob})
+            )
+            assert response.status == 400, knob
+            assert response.payload["error"].endswith(
+                "(choices: spelling, synonyms)"
+            ), knob
+        assert engine.calls == []
+
     def test_bad_k_gets_the_engines_message(self, router_env):
         """``k`` is checked by the front end's ``validate_k`` on both
         query routes; only the ``hi=1000`` cap is the router's own."""

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
+from repro.core.factory import build_engine
 from repro.datasets.bibliographic import (
     generate_bibliographic_db,
     tiny_bibliographic_db,
@@ -219,6 +220,22 @@ class TestPruning:
                 "pruned" in c.counters or "error" in c.tags
                 for c in scatter.children
             )
+
+    def test_routed_rung_trace_has_its_children(self):
+        """A routed rung runs the local executor under its ``route``
+        span, so the span shows the one-engine ``branch → …`` tree; the
+        answer is byte-identical traced and untraced."""
+        engine = build_engine(tiny_bibliographic_db(), shards=2)
+        traced = engine.search("widom xml", method="banks", trace=True, use_cache=False)
+        route = traced.trace.find("route")
+        assert [c.name for c in route.children] == ["branch"]
+        branch = route.children[0]
+        assert [c.name for c in branch.children] == [
+            "substrate_build", "evaluate", "score",
+        ]
+        untraced = engine.search("widom xml", method="banks", use_cache=False)
+        assert json.dumps(traced.to_dict()) == json.dumps(untraced.to_dict())
+        assert traced.to_dict()["count"] > 0
 
 
 # ----------------------------------------------------------------------
