@@ -2,9 +2,10 @@
 
 The single engine and the scatter run the *same* bound-ordered CN
 executor (:func:`repro.schema_search.topk.run_bound_ordered`), so the
-baseline here is the honest one: a sharded engine adds partitioning,
-thread hand-off and a lock-guarded global heap to it, and threads under
-one GIL add no CPU.  (Before the executors were unified this suite
+baseline here is the honest one: a sharded engine runs its shards one
+after the other on the calling thread, into one top-k heap, and adds
+partitioning, a budget fork, a span and a filtered copy of the anchor
+queues per shard to it.  (Before the executors were unified this suite
 gated "4 shards >= 2x the single engine", which only ever measured
 pruning against no pruning.)
 
@@ -24,7 +25,7 @@ Claims:
    plus the scatter machinery — takes at most ``MAX_LATENCY_RATIO``
    times the single engine's time on the joining dataset.  The whole
    curve (``latency_ratio`` per shard count, both datasets) is
-   recorded; wider scatters pay one more thread hand-off per shard.
+   recorded; wider scatters pay the per-shard cost once more per shard.
 
 Runnable under pytest or as a script emitting ``BENCH_sharding.json``:
 

@@ -26,6 +26,7 @@ Ctrl-C and exit 130 (the conventional interrupted-by-signal code).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import signal
@@ -33,7 +34,6 @@ import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.factory import DEFAULT_PARTITIONER, build_engine
-from repro.core.xml_engine import XmlSearchEngine
 from repro.obs.trace import format_trace
 from repro.resilience.degradation import KNOWN_METHODS
 from repro.resilience.errors import QueryParseError
@@ -42,37 +42,34 @@ DATASETS: Dict[str, Callable] = {}
 XML_CORPORA: Dict[str, Callable] = {}
 
 
-def _register_datasets() -> None:
-    from repro.datasets.bibliographic import (
-        generate_bibliographic_db,
-        tiny_bibliographic_db,
-    )
-    from repro.datasets.events import generate_events_db, tutorial_events_db
-    from repro.datasets.movies import generate_movie_db
-    from repro.datasets.products import generate_product_db
-    from repro.datasets.xml_corpora import (
-        generate_auctions_xml,
-        generate_bib_xml,
-        slide_auction_tree,
-        slide_conf_tree,
-    )
+def _generator(module: str, name: str, **kwargs) -> Callable:
+    """A factory that imports ``repro.datasets.<module>`` only when the
+    dataset is picked, so a command loads the one generator it uses."""
 
+    def factory():
+        generate = getattr(importlib.import_module(f"repro.datasets.{module}"), name)
+        return generate(**kwargs)
+
+    return factory
+
+
+def _register_datasets() -> None:
     DATASETS.update(
         {
-            "biblio": lambda: generate_bibliographic_db(seed=7),
-            "tiny": tiny_bibliographic_db,
-            "movies": lambda: generate_movie_db(seed=11),
-            "products": lambda: generate_product_db(seed=13),
-            "events": lambda: generate_events_db(seed=17),
-            "events-slide": tutorial_events_db,
+            "biblio": _generator("bibliographic", "generate_bibliographic_db", seed=7),
+            "tiny": _generator("bibliographic", "tiny_bibliographic_db"),
+            "movies": _generator("movies", "generate_movie_db", seed=11),
+            "products": _generator("products", "generate_product_db", seed=13),
+            "events": _generator("events", "generate_events_db", seed=17),
+            "events-slide": _generator("events", "tutorial_events_db"),
         }
     )
     XML_CORPORA.update(
         {
-            "bib": lambda: generate_bib_xml(seed=31),
-            "auctions": lambda: generate_auctions_xml(seed=37),
-            "conf-slide": slide_conf_tree,
-            "auctions-slide": slide_auction_tree,
+            "bib": _generator("xml_corpora", "generate_bib_xml", seed=31),
+            "auctions": _generator("xml_corpora", "generate_auctions_xml", seed=37),
+            "conf-slide": _generator("xml_corpora", "slide_conf_tree"),
+            "auctions-slide": _generator("xml_corpora", "slide_auction_tree"),
         }
     )
 
@@ -456,6 +453,8 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
 
 
 def _cmd_xml(args: argparse.Namespace) -> int:
+    from repro.core.xml_engine import XmlSearchEngine
+
     factory = XML_CORPORA.get(args.corpus)
     if factory is None:
         print(f"unknown corpus {args.corpus!r}", file=sys.stderr)

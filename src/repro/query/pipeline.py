@@ -97,6 +97,8 @@ def parse_expand(expand) -> Tuple[str, ...]:
 # ----------------------------------------------------------------------
 def _expand_synonyms(engine, query: StructuredQuery, limit: int = 3):
     """Widen eq field predicates with data-similar attribute values."""
+    from repro.ambiguity.synonyms import similar_values
+
     rewrites: List[Dict[str, Any]] = []
     new_predicates = []
     changed = False
@@ -116,8 +118,8 @@ def _expand_synonyms(engine, query: StructuredQuery, limit: int = 3):
             if not features:
                 continue
             try:
-                similar = similar_values_cached(
-                    engine, table, column, predicate.value, tuple(features), limit
+                similar = similar_values(
+                    engine.db, table, column, predicate.value, features, k=limit
                 )
             except (KeyError, ValueError):
                 continue
@@ -142,14 +144,6 @@ def _expand_synonyms(engine, query: StructuredQuery, limit: int = 3):
     if changed:
         query = replace(query, predicates=tuple(new_predicates))
     return query, rewrites
-
-
-def similar_values_cached(engine, table, column, value, features, limit):
-    from repro.ambiguity.synonyms import similar_values
-
-    return similar_values(
-        engine.db, table, column, value, list(features), k=limit
-    )
 
 
 # ----------------------------------------------------------------------

@@ -46,13 +46,6 @@ class JoinStats:
     partials_dropped: int = 0
     cursors_retired: int = 0
 
-    def merge(self, other: "JoinStats") -> None:
-        self.tuples_read += other.tuples_read
-        self.tuples_emitted += other.tuples_emitted
-        self.joins_executed += other.joins_executed
-        self.partials_dropped += other.partials_dropped
-        self.cursors_retired += other.cursors_retired
-
 
 class JoinedRow:
     """A tuple of rows produced by joining several relations.

@@ -19,7 +19,7 @@ name                            fires when
 ``substrates.candidate_networks``  a CN substrate builds (key = kws)
 ``substrates.keyword_groups``   a keyword group builds (key = keyword)
 ``cache.result_put``            a result is stored in the result LRU
-``shard.execute``               a shard worker starts (key = shard id)
+``shard.execute``               a shard starts its slice (key = shard id)
 ``wal.append``                  before a WAL record is written (key =
                                 table); an armed raise leaves a torn
                                 half-record on disk

@@ -124,7 +124,7 @@ class _CNPlan:
 
 
 class CNQueryContext:
-    """Per-query state shared by every CN and every shard worker.
+    """Per-query state shared by every CN and every shard of a query.
 
     Built once per query and dropped with it — nothing here is patched
     on the insert path.  Holds the score table and one :class:`_CNPlan`
@@ -194,8 +194,8 @@ class CNQueryContext:
         a free one.  A non-free step also carries the terms of its
         partials' best completion in node-index order: the score of
         every non-free node joined so far, the maximum of the rest.
-        Idempotent, with ``steps`` stored last: shard workers racing to
-        prepare one plan store equal values, none reads half of one.
+        Runs once per plan, for the first cursor that advances it: on a
+        scattered query the cursors of later shards reuse its steps.
         """
         tuple_sets = self.tuple_sets
         db = tuple_sets.db
@@ -389,8 +389,9 @@ class _RevKey:
     Inside the min-heap the *worst* entry sits at the top; among equal
     scores that should be the entry with the lexicographically largest
     content key, so that the retained top-k (and hence the final result
-    list) does not depend on offer order — workers may deliver results
-    in any interleaving.  Equality stays identity, so two entries with
+    list) does not depend on offer order: a sharded query offers each
+    shard's slices in turn, so its results arrive in another order than
+    on one engine.  Equality stays identity, so two entries with
     one score and one key (a result reached through two same-label CNs)
     are ordered by ``<`` and the heap never compares their payloads.
     """
@@ -411,7 +412,7 @@ class _TopKHeap:
     asc)* where the content key is ``(CN label, tuple ids)``: the heap
     always holds the k largest offered entries under that order, so the
     final top-k is a pure function of the offered multiset, whatever
-    order entries arrive in (repeated, batched, parallel, sharded runs).
+    order entries arrive in (repeated, batched or sharded runs).
     Comparisons are exact, never epsilon-fuzzy: near-equal scores (one
     answer summed in different orders) would make fuzzy tie classes
     non-transitive and the outcome arrival-order-dependent.  Exactness
@@ -479,7 +480,7 @@ def run_bound_ordered(
     """Advance the cursor with the highest bound until none can matter.
 
     *kth* reads the k-th entry of whatever *offer* feeds — the caller's
-    own heap, or the global heap every shard worker shares — as one
+    own heap, or the one heap the shards of a scatter share — as one
     ``(score, content key)`` pair, or None while it holds fewer than k.
     The score only ever rises, and the key only falls while the score
     stays put.  So a result below the score read before a slice can

@@ -98,8 +98,8 @@ class EngineHandle:
         self.swaps_completed = 0
         #: Called with the old engine after its generation drains
         #: (default: ``engine.close()`` — caches, index segment files
-        #: and mmaps, shard pools — so the memory is reclaimable even
-        #: if something still references the object).
+        #: and mmaps — so the memory is reclaimable even if something
+        #: still references the object).
         self.teardown = teardown if teardown is not None else _default_teardown
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics.register_gauge("swap.generation", lambda: self.generation)

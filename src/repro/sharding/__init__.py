@@ -1,10 +1,10 @@
 """Sharded scale-out engine: partitioning, scatter-gather top-k, routing.
 
-A partition is a tuple -> home-shard assignment; shard workers split
-the *work* of one query by that ownership over the coordinator's one
-index, executor context and data graph.  (Source selection and
-cross-database federation are separate library code in
-:mod:`repro.distributed`.)
+A partition is a tuple -> home-shard assignment; the shards split the
+*work* of one query by that ownership over the coordinator's one index,
+executor context and data graph, one shard after the other on the
+calling thread.  (Source selection and cross-database federation are
+separate library code in :mod:`repro.distributed`.)
 """
 
 from repro.sharding.coordinator import SCATTER_METHODS, ShardedSearchEngine
@@ -16,7 +16,6 @@ from repro.sharding.partition import (
     build_shards,
     make_partitioner,
 )
-from repro.sharding.scatter import GlobalTopK, ShardRunStats
 
 __all__ = [
     "ShardedSearchEngine",
@@ -27,6 +26,4 @@ __all__ = [
     "ShardSet",
     "build_shards",
     "make_partitioner",
-    "GlobalTopK",
-    "ShardRunStats",
 ]

@@ -10,11 +10,12 @@ no per-shard copy of anything), with a different execute seam:
 * ``schema`` / ``index_only`` **scatter**: CN enumeration runs once at
   the coordinator over the shared substrates, the per-query executor
   context (:class:`~repro.schema_search.topk.CNQueryContext`: score
-  table, CN plans) is built once, and every shard
-  runs the engine's bound-ordered loop over its home slice of each CN's
-  anchor queue on the shared thread pool, pruning against the streaming
-  global k-th score (:mod:`repro.sharding.scatter`).  The gathered top-k is
-  byte-identical to the single-engine answer.
+  table, CN plans) is built once, and the shards run one after the
+  other on the calling thread, each running the engine's bound-ordered
+  loop (:func:`~repro.schema_search.topk.run_bound_ordered`) over its
+  home slice of each CN's anchor queue into one shared top-k heap,
+  pruning against its k-th entry.  The gathered top-k is byte-identical
+  to the single-engine answer.
 * everything else **routes**: graph methods (``banks``, ``banks2``,
   ``steiner``, ``distinct_root``, ``ease``) because tree answers are
   not partition-local under bounded replication (the EMBANKS/Mragyati
@@ -26,7 +27,7 @@ no per-shard copy of anything), with a different execute seam:
   failure degrades the answer with a ``route: …`` reason.
 
 Per-shard fault isolation reuses the resilience layer: each shard
-worker ticks its own :meth:`QueryBudget.fork` of the caller's budget
+ticks its own :meth:`QueryBudget.fork` of the caller's budget
 (same deadline and caps, cancelled together), and the
 ``shard.execute`` failpoint kills a single shard deterministically —
 the merged :class:`ResultSet` comes back ``degraded`` (never an
@@ -34,12 +35,19 @@ exception or a hang) with the failure visible in the
 ``scatter → shard[i] → gather`` span tree.  A failed shard degrades
 that query only: no breaker remembers it, so the first query after
 the fault heals is exact again.
+
+Why the merged top-k is byte-identical to the single engine's: the heap
+retains the exact top-k of the *offered multiset* under the total order
+(score desc, content key asc) whatever order entries arrive in, the
+shards' anchor slices partition each CN's anchor queue, and a pruned
+anchor slot's answers are all worse in that order than the k-th entry
+read at prune time, which only ever improves.  None of them can enter
+the final heap.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -61,9 +69,8 @@ from repro.relational.executor import JoinStats
 from repro.resilience.budget import QueryBudget
 from repro.resilience.errors import BudgetExceededError, QueryParseError
 from repro.resilience.failpoints import fail_point
-from repro.schema_search.topk import CNQueryContext
+from repro.schema_search.topk import CNQueryContext, _TopKHeap, run_bound_ordered
 from repro.sharding.partition import Shard, build_shards, make_partitioner
-from repro.sharding.scatter import GlobalTopK, scatter_schema
 
 #: Methods whose evaluation is scattered across shard anchor slices;
 #: the remaining KNOWN_METHODS are routed: run whole at the coordinator.
@@ -79,8 +86,6 @@ class _ShardOutcome:
     error: Optional[BaseException] = None
     #: Why the shard's budget fork ran out, when it did.
     exhausted: Optional[str] = None
-    latency_ms: float = 0.0
-    trace_root: object = None
 
     @property
     def reason(self) -> Optional[str]:
@@ -118,7 +123,6 @@ class ShardedSearchEngine(KeywordSearchEngine):
         enable_caches: bool = True,
         trace: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        max_workers: Optional[int] = None,
         backend: str = "dict",
         backend_options: Optional[Dict[str, object]] = None,
     ):
@@ -135,10 +139,6 @@ class ShardedSearchEngine(KeywordSearchEngine):
         )
         self.shards = build_shards(db, make_partitioner(partitioner, n_shards))
         self._key_token = self.shards.token
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers or len(self.shards),
-            thread_name_prefix="shard",
-        )
         self._row_marks: Dict[str, int] = {
             name: len(table) for name, table in db.tables.items()
         }
@@ -156,10 +156,6 @@ class ShardedSearchEngine(KeywordSearchEngine):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def close(self) -> None:
-        self._pool.shutdown(wait=False)
-        super().close()
-
     def shard_stats(self) -> Dict[str, object]:
         """Partition-quality numbers (home sizes, balance, cut edges)."""
         return self.shards.stats()
@@ -172,7 +168,7 @@ class ShardedSearchEngine(KeywordSearchEngine):
         patch the shared substrates (the inherited refresh).
 
         Homes are assigned here, not lazily inside :meth:`Shard.owns`,
-        so shard worker threads only ever read the assignment.
+        so a query only ever reads the assignment.
         """
         if self.db.data_version != self._served_version:
             for name, table in self.db.tables.items():
@@ -239,32 +235,32 @@ class ShardedSearchEngine(KeywordSearchEngine):
             reasons.append(f"coordinator: {budget.reason}")
         results: List[SearchResult] = []
         if cns:
-            gtopk = GlobalTopK(k)
+            heap, stats = _TopKHeap(k), JoinStats()
 
             def fn(shard: Shard, fork, sp):
-                run = scatter_schema(
-                    shard.shard_id, shard.owns, context, gtopk, fork
+                cursors = context.cursors(anchor_filter=shard.owns)
+                sp.add("cns", sum(1 for cursor in cursors if not cursor.exhausted()))
+                run = run_bound_ordered(
+                    cursors, heap.offer_rowids, heap.kth, stats, fork
                 )
-                sp.add("cns", run.cns).add("evaluated", run.evaluated).add(
-                    "pruned", run.pruned
-                )
+                sp.add("evaluated", run.produced).add("pruned", run.pruned)
                 return run
 
-            merged = JoinStats()
+            offers = 0
             for outcome in self._scatter(fn, budget, tracer):
                 if outcome.reason is not None:
                     reasons.append(outcome.reason)
                 run = outcome.payload
                 if run is not None:
-                    merged.merge(run.join_stats)
-                    self.metrics.inc("shard.evaluated", run.evaluated)
+                    offers += run.produced
+                    self.metrics.inc("shard.evaluated", run.produced)
                     self.metrics.inc("shard.pruned", run.pruned)
-            self._record_sharing(merged)
+            self._record_sharing(stats)
             with trace_span(tracer, "gather") as gsp:
                 results = merge_branch_results(
-                    schema_results(gtopk.sorted_results()), compiled, k
+                    schema_results(heap.sorted_results()), compiled, k
                 )
-                gsp.add("results", len(results)).add("offers", gtopk.offers)
+                gsp.add("results", len(results)).add("offers", offers)
         return results, reasons
 
     def _scatter_index_only(
@@ -309,32 +305,23 @@ class ShardedSearchEngine(KeywordSearchEngine):
     def _scatter(
         self, fn, budget: Optional[QueryBudget], tracer: Optional[Tracer]
     ) -> List[_ShardOutcome]:
-        """Run *fn* on every shard concurrently with fault isolation."""
-        tracing = tracer is not None
+        """Run *fn* on shard 0 … N-1, in order, with fault isolation."""
         with trace_span(tracer, "scatter") as ssp:
-            futures = [
-                self._pool.submit(self._run_shard, shard, fn, budget, tracing)
-                for shard in self.shards
+            outcomes = [
+                self._run_shard(shard, fn, budget, tracer) for shard in self.shards
             ]
-            outcomes = [future.result() for future in futures]
-            if tracing:
-                for outcome in outcomes:
-                    if outcome.trace_root is not None:
-                        ssp.children.append(outcome.trace_root)
-                ssp.add(
-                    "shard_failures",
-                    sum(1 for o in outcomes if o.error is not None),
-                )
+            ssp.add(
+                "shard_failures", sum(1 for o in outcomes if o.error is not None)
+            )
         return outcomes
 
     def _run_shard(
-        self, shard: Shard, fn, budget: Optional[QueryBudget], tracing: bool
+        self, shard: Shard, fn, budget: Optional[QueryBudget], tracer: Optional[Tracer]
     ) -> _ShardOutcome:
-        """One shard worker: failpoint, budget fork, span, metrics."""
+        """One shard: failpoint, budget fork, span, metrics."""
         outcome = _ShardOutcome(shard.shard_id)
-        shard_tracer = Tracer() if tracing else None
         start_s = time.perf_counter()
-        with trace_span(shard_tracer, f"shard[{shard.shard_id}]") as sp:
+        with trace_span(tracer, f"shard[{shard.shard_id}]") as sp:
             sp.tag("shard", shard.shard_id)
             if budget is not None and budget.request_id is not None:
                 sp.tag("request_id", budget.request_id)
@@ -357,10 +344,8 @@ class ShardedSearchEngine(KeywordSearchEngine):
                 outcome.error = exc
                 sp.tag("error", type(exc).__name__)
                 self.metrics.inc("shard.failures")
-        outcome.latency_ms = (time.perf_counter() - start_s) * 1000.0
-        self.metrics.observe("shard.latency_ms", outcome.latency_ms)
-        if shard_tracer is not None:
-            outcome.trace_root = shard_tracer.finish().root
+        elapsed_ms = (time.perf_counter() - start_s) * 1000.0
+        self.metrics.observe("shard.latency_ms", elapsed_ms)
         return outcome
 
     # ------------------------------------------------------------------

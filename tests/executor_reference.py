@@ -72,7 +72,7 @@ class _CNPlan:
 
 
 class CNQueryContext:
-    """Per-query state shared by every CN and every shard worker.
+    """Per-query state shared by every CN and every shard of a query.
 
     Built once per query and dropped with it — nothing here is patched
     on the insert path.  Holds the score table, the rows and join build
@@ -402,7 +402,7 @@ def run_bound_ordered(
     """Advance the cursor with the highest bound until none can matter.
 
     *threshold* is the current k-th score of whatever *offer* feeds —
-    the caller's own heap, or the global heap every shard worker shares.
+    the caller's own heap, or the one heap every shard of a query shares.
     It only ever rises, so a result below the value read before a slice
     can never enter the final top-k and is not materialised; a slice
     whose bound is strictly below it ends the run (every queued cursor

@@ -1,12 +1,11 @@
 """CN plans and their shared-subexpression codes, malformed-CN checks,
-what a query's CNs and workers share (one query context, one top-k
+what a query's CNs and shards share (one query context, one top-k
 heap), one executor across execution modes, and incremental
 index/substrate maintenance."""
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -35,11 +34,11 @@ from repro.schema_search.plans import (
 from repro.schema_search.topk import (
     CNQueryContext,
     _TopKHeap,
+    run_bound_ordered,
     topk_global_pipeline,
     topk_naive,
 )
 from repro.schema_search.tuple_sets import TupleSets
-from repro.sharding.scatter import GlobalTopK, scatter_schema
 
 from .test_schema_executor import _assignments, _per_cn, definition_results, oracle
 
@@ -69,17 +68,21 @@ def _topk_signature(results):
 
 
 def _shared_heap_topk(cns, tuple_sets, index, keywords, k, workers):
-    """*workers* threads, one anchor slice each of one query context,
-    offering into one shared heap (the sharded engine's scatter)."""
+    """*workers* anchor slices of one query context, run one after the
+    other into one shared heap (the sharded engine's scatter)."""
     context = CNQueryContext(cns, tuple_sets, index, keywords)
-    heap = GlobalTopK(k)
-
-    def run(mine):
-        owns = lambda tid: (tid.rowid + len(tid.table)) % workers == mine
-        return scatter_schema(mine, owns, context, heap)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        runs = list(pool.map(run, range(workers)))
+    heap, stats = _TopKHeap(k), JoinStats()
+    runs = [
+        run_bound_ordered(
+            context.cursors(
+                lambda tid, mine=mine: (tid.rowid + len(tid.table)) % workers == mine
+            ),
+            heap.offer_rowids,
+            heap.kth,
+            stats,
+        )
+        for mine in range(workers)
+    ]
     return heap.sorted_results(), runs
 
 
@@ -243,12 +246,12 @@ class TestSharedParity:
 
 
 # ----------------------------------------------------------------------
-# Top-k: one heap shared by every worker
+# Top-k: one heap shared by every shard
 # ----------------------------------------------------------------------
 class TestTopKShared:
-    """The top-k heap every worker (shard) of a query offers into: its
-    answer is the single-threaded one, partial under a budget, and
-    independent of offer order."""
+    """The top-k heap every shard of a query offers into: its answer is
+    the single engine's, partial under a budget, and independent of
+    offer order."""
 
     @pytest.mark.parametrize("keywords", BIBLIO_QUERIES)
     def test_shared_matches_naive(self, biblio_setup, keywords):
@@ -268,7 +271,7 @@ class TestTopKShared:
             cns, tuple_sets, index, keywords, 10, workers
         )
         assert _topk_signature(parallel) == _topk_signature(sequential.results)
-        assert len(runs) == workers and sum(r.evaluated for r in runs) >= 10
+        assert len(runs) == workers and sum(r.produced for r in runs) >= 10
 
     def test_budget_exhaustion_returns_partial(self, biblio_setup):
         db, index = biblio_setup

@@ -8,20 +8,12 @@ from repro.index.inverted import InvertedIndex
 from repro.index.qgram import QGramIndex
 from repro.index.trie import Trie
 from repro.relational.database import Database, TupleId
-from repro.relational.executor import JoinStats, JoinedRow
+from repro.relational.executor import JoinedRow
 from repro.relational.schema import Column, Schema, TableSchema
 from repro.xml_search.describable import balanced_context_split
 from repro.xml_search.slca import contains_all, subtree_matches
 from repro.xmltree.build import element as e
 from repro.xmltree.build import text_element as t
-
-
-class TestJoinStats:
-    def test_merge(self):
-        a = JoinStats(tuples_read=3, tuples_emitted=1, joins_executed=2)
-        b = JoinStats(tuples_read=4, tuples_emitted=2, joins_executed=1)
-        a.merge(b)
-        assert (a.tuples_read, a.tuples_emitted, a.joins_executed) == (7, 3, 3)
 
 
 class TestJoinedRowErrors:

@@ -21,7 +21,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 from hypothesis import given, settings, strategies as st
 
@@ -55,7 +54,6 @@ from repro.schema_search.topk import (
 )
 from repro.schema_search.tuple_sets import TupleSets
 from repro.sharding import ShardedSearchEngine
-from repro.sharding.scatter import GlobalTopK, scatter_schema
 
 from . import executor_reference as reference
 
@@ -498,21 +496,19 @@ def _run_index_join(cns, tuple_sets, index, keywords, k, anchor_filters, budget=
 
 
 def _run_scatter(cns, tuple_sets, index, keywords, k, shards, budgets=None):
-    """The sharded scatter: *shards* threads, one anchor partition each,
-    offering into one :class:`GlobalTopK` and pruning against its k-th
-    (score, key) pair as they race; shard i ticks ``budgets[i]``."""
+    """The sharded scatter: *shards* anchor partitions run one after the
+    other, offering into one heap and pruning against its k-th
+    (score, key) pair; shard i ticks ``budgets[i]``."""
     context = CNQueryContext(cns, tuple_sets, index, keywords)
-    gtopk = GlobalTopK(k)
-    filters = _anchor_filters(shards)
+    heap, stats = _TopKHeap(k), JoinStats()
     budgets = budgets or [None] * shards
-
-    def shard(mine):
-        owns = filters[mine] or (lambda tid: True)
-        return scatter_schema(mine, owns, context, gtopk, budgets[mine])
-
-    with ThreadPoolExecutor(max_workers=shards) as pool:
-        runs = list(pool.map(shard, range(shards)))
-    return [(s, l, j.tuple_ids()) for s, l, j in gtopk.sorted_results()], runs
+    runs = [
+        run_bound_ordered(
+            context.cursors(anchor_filter), heap.offer_rowids, heap.kth, stats, fork
+        )
+        for anchor_filter, fork in zip(_anchor_filters(shards), budgets)
+    ]
+    return [(s, l, j.tuple_ids()) for s, l, j in heap.sorted_results()], runs
 
 
 @settings(max_examples=60, deadline=None)
@@ -581,7 +577,7 @@ def test_a_cursor_that_can_only_lose_ties_is_retired():
     for shards in (1, 2, 4):
         scattered, runs = _run_scatter(cns, tuple_sets, index, ["ant"], 10, shards)
         assert scattered == got
-        assert sum(r.evaluated for r in runs) < 300
+        assert sum(r.produced for r in runs) < 300
 
 
 @settings(max_examples=60, deadline=None)
@@ -843,7 +839,7 @@ def test_strategies_agree_beside_a_burst_of_same_shaped_inserts():
 )
 def test_strategies_agree_when_every_score_ties(db, keywords, k, shards):
     """Every score ties, so the content key alone decides at k: the four
-    strategies and the scatter over *shards* racing workers agree."""
+    strategies and the scatter over *shards* anchor partitions agree."""
     index, tuple_sets, cns = _substrates(db, keywords, None)
     _assert_strategies_agree(cns, tuple_sets, index, keywords, k)
     naive = executor_signature(topk_naive(cns, tuple_sets, index, keywords, k=k))

@@ -60,12 +60,21 @@ for name in sys.argv[1:]:
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "repro")))
 """
 
+_CLI_PROBE = """
+import json, sys
+from repro import cli
+cli._register_datasets()
+cli.build_parser()
+cli.DATASETS["biblio"]()
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "repro")))
+"""
 
-def _loaded_after_importing(*modules):
+
+def _loaded(probe, *args):
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", _PROBE, *modules],
+        [sys.executable, "-c", probe, *args],
         env=env,
         capture_output=True,
         text=True,
@@ -74,22 +83,33 @@ def _loaded_after_importing(*modules):
     return json.loads(out.splitlines()[-1])
 
 
-def test_served_imports_load_no_library_only_module():
-    loaded = _loaded_after_importing(*SERVED_MODULES)
-    assert set(SERVED_MODULES) <= set(loaded)
-    stray = [
+def _library_only(loaded):
+    return [
         name
         for name in loaded
         if any(name == lib or name.startswith(lib + ".") for lib in LIBRARY_ONLY)
     ]
-    assert stray == []
+
+
+def test_served_imports_load_no_library_only_module():
+    loaded = _loaded(_PROBE, *SERVED_MODULES)
+    assert set(SERVED_MODULES) <= set(loaded)
+    assert _library_only(loaded) == []
 
 
 def test_xml_engine_resolves_on_first_access():
-    loaded = _loaded_after_importing("repro")
+    loaded = _loaded(_PROBE, "repro")
     assert "repro.core.xml_engine" not in loaded
     from repro import XmlSearchEngine
     from repro.core import XmlSearchEngine as core_xml_engine
     from repro.core.xml_engine import XmlSearchEngine as defined
 
     assert XmlSearchEngine is core_xml_engine is defined
+
+
+def test_cli_loads_no_library_only_module_until_a_command_needs_one():
+    """``python -m repro serve`` parses its arguments and builds the
+    ``biblio`` database: no XML engine, no other dataset generator."""
+    loaded = _loaded(_CLI_PROBE)
+    assert "repro.datasets.bibliographic" in loaded
+    assert _library_only(loaded) == []

@@ -1,6 +1,9 @@
 """Sharded scatter-gather engine: partitioning, parity, resilience."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +25,8 @@ from repro.sharding import (
     build_shards,
     make_partitioner,
 )
+
+from .test_schema_executor import pool_shaped_queries
 
 
 def _signature(results):
@@ -236,6 +241,85 @@ class TestPruning:
         untraced = engine.search("widom xml", method="banks", use_cache=False)
         assert json.dumps(traced.to_dict()) == json.dumps(untraced.to_dict())
         assert traced.to_dict()["count"] > 0
+
+
+# ----------------------------------------------------------------------
+# Shards run in order: exact work counters, one span tree
+# ----------------------------------------------------------------------
+_WORK_PROBE = """
+import hashlib, json, sys
+from repro.datasets.bibliographic import generate_bibliographic_db
+from repro.sharding import ShardedSearchEngine
+
+queries = json.load(sys.stdin)
+db = generate_bibliographic_db(seed=7)
+out = {}
+for n in (2, 4):
+    engine = ShardedSearchEngine(db, n_shards=n)
+    laps = []
+    for _ in range(2):
+        before = engine.metrics.snapshot()
+        answers = [
+            engine.search(q, k=10, use_cache=False).to_dict() for q in queries
+        ]
+        after = engine.metrics.snapshot()
+        work = {
+            name: after[name] - before.get(name, 0)
+            for name in sorted(after)
+            if name in ("shard.evaluated", "shard.pruned") or name.startswith("sharing.")
+        }
+        digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+        laps.append({"answers": digest, "work": work})
+    out[n] = laps
+print(json.dumps(out))
+"""
+
+
+class TestShardsRunInOrder:
+    def test_work_counters_are_exact_across_runs_and_hash_seeds(self):
+        """Shard 0 … N-1 run one after the other, so each shard prunes
+        against the same k-th entry every time: two laps of the 80-query
+        Zipf-shaped pool on 2 and 4 shards give identical answers and
+        identical ``shard.evaluated`` / ``shard.pruned`` / ``sharing.*``
+        counts, under ``PYTHONHASHSEED`` 0 and 1 alike."""
+        queries = pool_shaped_queries(generate_bibliographic_db(seed=7))
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        outcomes = []
+        for seed in ("0", "1"):
+            done = subprocess.run(
+                [sys.executable, "-c", _WORK_PROBE],
+                input=json.dumps(queries),
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outcomes.append(json.loads(done.stdout))
+        for laps in outcomes[0].values():
+            first, second = laps
+            assert first == second
+            assert first["work"]["shard.pruned"] > 0
+            assert first["work"]["sharing.queries"] == len(queries)
+        assert outcomes[1] == outcomes[0]
+
+    def test_traced_shard_spans_nest_under_scatter_in_shard_order(self, biblio_db):
+        with ShardedSearchEngine(biblio_db, n_shards=4) as sharded:
+            budget = QueryBudget()
+            budget.request_id = "r7"
+            traced = sharded.search(
+                "database keyword", k=5, budget=budget, trace=True, use_cache=False
+            )
+            scatter = traced.trace.find("scatter")
+            assert [c.name for c in scatter.children] == [
+                f"shard[{i}]" for i in range(4)
+            ]
+            for i, shard_span in enumerate(scatter.children):
+                assert shard_span.tags["shard"] == i
+                assert shard_span.tags["request_id"] == "r7"
+            untraced = sharded.search("database keyword", k=5, use_cache=False)
+            assert json.dumps(traced.to_dict()) == json.dumps(untraced.to_dict())
+            assert traced.to_dict()["count"] > 0
 
 
 # ----------------------------------------------------------------------
